@@ -2,8 +2,7 @@
 
 Every subcommand is a thin wrapper over the library with deterministic
 output: identical inputs give byte-identical output, randomized probes
-draw from an explicit seed that is echoed in the report, and worker
-parallelism never changes ordering.
+draw from an explicit seed that is echoed in the report.
 
 Exit codes: 0 when all requested checks pass, 1 when a check fails,
 2 on usage errors or malformed input.
@@ -103,7 +102,7 @@ def _cmd_cohomology(args):
     p_values = [args.p] if args.p is not None else None
     k_values = [args.k] if args.k is not None else None
     table = co.compute_table(args.N, args.D, args.qmax,
-                             p_values=p_values, k_values=k_values, jobs=args.jobs)
+                             p_values=p_values, k_values=k_values)
     if args.format == "json":
         _emit(table.to_json())
     else:
@@ -112,7 +111,7 @@ def _cmd_cohomology(args):
 
 
 def _cmd_poincare(args):
-    rep = co.poincare_suite(args.N, args.D, args.nmax, args.qmax, jobs=args.jobs)
+    rep = co.poincare_suite(args.N, args.D, args.nmax, args.qmax)
     if args.format == "json":
         _emit(rep.to_json())
     else:
@@ -246,7 +245,7 @@ def _cmd_verify_all(args):
 
     pc_ok = True
     for N in Ns:
-        rep = co.poincare_suite(N, D, 1 if small else 2, qmax, jobs=args.jobs)
+        rep = co.poincare_suite(N, D, 1 if small else 2, qmax)
         pc_ok = pc_ok and rep.ok
     run("vanishing at filled degrees", pc_ok)
 
@@ -317,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--qmax", type=int, default=3)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("poincare", _cmd_poincare, help="vanishing at filled degrees")
     p.add_argument("--N", type=int, required=True)
@@ -325,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=2)
     p.add_argument("--qmax", type=int, default=3)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("hexagon", _cmd_hexagon, help="four-term exact sequences")
     p.add_argument("--N", type=int, required=True)
@@ -377,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-all", _cmd_verify_all, help="aggregate property suite")
     p.add_argument("--small", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
 
     return ap
 

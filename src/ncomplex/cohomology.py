@@ -10,7 +10,6 @@ anywhere; a wrong rank is a bug, not noise.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +28,7 @@ from .fields import (
     monomials,
     n_diff,
 )
+from .multiforms import CheckReport
 
 
 def _d_k_int(N, D, p, q, vec, k):
@@ -48,18 +48,15 @@ def _image_vectors(N, D, p, q, k):
     return tuple(_d_k_int(N, D, p, q, vec, k) for vec in _block_int_basis(N, D, p, q))
 
 
-def _kernel_dim(N, D, p, q, k) -> int:
+def _ker_im(N, D, p, k, q):
+    """dim Ker(d^k) on the block (p, q) and dim of the Im(d^(N-k)) landing in it."""
     dim = block_dim(N, D, p, q)
-    if dim == 0:
-        return 0
-    return dim - linalg.rank(_image_vectors(N, D, p, q, k))
-
-
-def _image_dim(N, D, p, q, k) -> int:
-    """Dimension of the k-step image landing in block (p + k, q - k)."""
-    if block_dim(N, D, p, q) == 0:
-        return 0
-    return linalg.rank(_image_vectors(N, D, p, q, k))
+    ker = dim - linalg.rank(_image_vectors(N, D, p, q, k)) if dim else 0
+    src_p, src_q = p - (N - k), q + (N - k)
+    im = 0
+    if src_p >= 0 and block_dim(N, D, src_p, src_q):
+        im = linalg.rank(_image_vectors(N, D, src_p, src_q, N - k))
+    return ker, im
 
 
 def cohomology_dim(N: int, D: int, p: int, k: int, q: int) -> int:
@@ -71,9 +68,7 @@ def cohomology_dim(N: int, D: int, p: int, k: int, q: int) -> int:
         raise ShapeError(f"k={k} must lie in 1..{N - 1}")
     if p < 0 or q < 0 or p > _top_degree(N, D):
         return 0
-    ker = _kernel_dim(N, D, p, q, k)
-    src_p, src_q = p - (N - k), q + (N - k)
-    im = _image_dim(N, D, src_p, src_q, N - k) if src_p >= 0 else 0
+    ker, im = _ker_im(N, D, p, k, q)
     h = ker - im
     if h < 0:  # pragma: no cover - would contradict d^N = 0
         raise VerificationError(f"negative cohomology at {(N, D, p, k, q)}")
@@ -117,72 +112,26 @@ class CohomologyTable:
         return json.dumps({"N": self.N, "D": self.D, "q_max": self.q_max, "blocks": rows})
 
 
-def _table_entry(args):
-    N, D, p, k, q = args
-    ker = _kernel_dim(N, D, p, q, k)
-    src_p, src_q = p - (N - k), q + (N - k)
-    im = _image_dim(N, D, src_p, src_q, N - k) if src_p >= 0 else 0
-    return p, k, q, ker, im
-
-
-def compute_table(N, D, q_max, p_values=None, k_values=None, jobs=1) -> CohomologyTable:
+def compute_table(N, D, q_max, p_values=None, k_values=None) -> CohomologyTable:
     """Exact cohomology dimensions over a range of blocks."""
     if p_values is None:
         p_values = range(0, _top_degree(N, D) + 1)
     if k_values is None:
         k_values = range(1, N)
-    tasks = [(N, D, p, k, q) for p in p_values for k in k_values for q in range(q_max + 1)]
     table = CohomologyTable(N, D, q_max)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_table_entry, tasks))
-    else:
-        results = [_table_entry(t) for t in tasks]
-    for p, k, q, ker, im in results:
-        table.add(p, k, q, ker, im)
+    for p in p_values:
+        for k in k_values:
+            for q in range(q_max + 1):
+                table.add(p, k, q, *_ker_im(N, D, p, k, q))
     return table
 
 
-@dataclass
-class SuiteReport:
-    """Plain-text plus machine-readable verdict for a block sweep."""
-
-    name: str
-    params: dict
-    entries: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def record(self, label, expected, got):
-        passed = expected == got
-        self.entries.append(
-            {"label": label, "expected": expected, "got": got, "pass": passed}
-        )
-        if not passed:
-            self.violations.append(label)
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {"check": self.name, "params": self.params, "pass": self.ok,
-             "entries": self.entries},
-            default=str,
-        )
-
-    def __str__(self):
-        head = f"{self.name} {self.params}: {'PASS' if self.ok else 'FAIL'}"
-        lines = [head]
-        for e in self.entries:
-            mark = "ok" if e["pass"] else "FAIL"
-            lines.append(f"  [{mark}] {e['label']}: expected {e['expected']}, got {e['got']}")
-        return "\n".join(lines)
+# the sweeps below report through the splitting checks' type; the name stays
+# because bench/spans.py times report assembly through it
+SuiteReport = CheckReport
 
 
-def poincare_suite(N, D, n_max, q_max, jobs=1) -> SuiteReport:
+def poincare_suite(N, D, n_max, q_max) -> SuiteReport:
     """Vanishing at the maximally filled degrees, plus the degree-zero law.
 
     Asserts zero cohomology at tensor degrees (N-1)n for 1 <= n <= n_max
@@ -190,25 +139,18 @@ def poincare_suite(N, D, n_max, q_max, jobs=1) -> SuiteReport:
     homogeneous polynomials of degree below k.
     """
     rep = SuiteReport("poincare", {"N": N, "D": D, "n_max": n_max, "q_max": q_max})
-    tasks = []
     for n in range(1, n_max + 1):
         p = (N - 1) * n
         if p > _top_degree(N, D):
             continue
         for k in range(1, N):
             for q in range(q_max + 1):
-                tasks.append((N, D, p, k, q))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_table_entry, tasks))
-    else:
-        results = [_table_entry(t) for t in tasks]
-    for p, k, q, ker, im in results:
-        rep.record(f"H^{p}_({k}) q={q}", 0, ker - im)
+                ker, im = _ker_im(N, D, p, k, q)
+                rep.expect(f"H^{p}_({k}) q={q}", 0, ker - im)
     for k in range(1, N):
         for q in range(q_max + 1):
             expected = len(monomials(D, q)) if q < k else 0
-            rep.record(f"H^0_({k}) q={q}", expected, cohomology_dim(N, D, 0, k, q))
+            rep.expect(f"H^0_({k}) q={q}", expected, cohomology_dim(N, D, 0, k, q))
     return rep
 
 
@@ -376,7 +318,7 @@ def hexagon_check(N, D, k, l, q_max) -> SuiteReport:
     """
     rep = SuiteReport("hexagon", {"N": N, "D": D, "k": k, "l": l, "q_max": q_max})
     if N == 2:
-        rep.record("degenerate (no admissible k, l)", True, True)
+        rep.expect("degenerate (no admissible k, l)", True, True)
         return rep
     if k < 1 or l < 1 or k + l > N - 1:
         raise ShapeError(f"need k, l >= 1 and k + l <= {N - 1}")
@@ -391,25 +333,25 @@ def hexagon_check(N, D, k, l, q_max) -> SuiteReport:
         nodes = [(p_, k_, q_) for (p_, k_), q_ in zip(nodes_kl, qs)]
         dims = [len(_h_space(N, D, *node)[0]) for node in nodes]
         alt = dims[0] - dims[1] + dims[2] - dims[3]
-        rep.record(f"q={q} alternating sum {dims}", 0, alt)
+        rep.expect(f"q={q} alternating sum {dims}", 0, alt)
         maps = [
             _induced_matrix(N, D, nodes[0], nodes[1], 0),
             _induced_matrix(N, D, nodes[1], nodes[2], l),
             _induced_matrix(N, D, nodes[2], nodes[3], 0),
         ]
-        rep.record(f"q={q} injective at node 0", dims[0], linalg.rank(maps[0]))
-        rep.record(
+        rep.expect(f"q={q} injective at node 0", dims[0], linalg.rank(maps[0]))
+        rep.expect(
             f"q={q} exact at node 1",
             True,
             _exactness_at(maps[0], maps[1], dims[1]),
         )
-        rep.record(
+        rep.expect(
             f"q={q} exact at node 2",
             True,
             _exactness_at(maps[1], maps[2], dims[2]),
         )
-        rep.record(f"q={q} surjective at node 3", dims[3], linalg.rank(maps[2]))
-        rep.record(f"q={q} composites vanish", True,
+        rep.expect(f"q={q} surjective at node 3", dims[3], linalg.rank(maps[2]))
+        rep.expect(f"q={q} composites vanish", True,
                    _composites_vanish(N, D, nodes, l))
     return rep
 
@@ -443,9 +385,9 @@ def odd_isomorphism_check(D, n, q_max) -> SuiteReport:
     for q in range(q_max + 1):
         d1 = len(_h_space(N, D, p, 1, q)[0])
         d2 = len(_h_space(N, D, p, 2, q)[0])
-        rep.record(f"q={q} dims", d1, d2)
+        rep.expect(f"q={q} dims", d1, d2)
         cols = _induced_matrix(N, D, (p, 1, q), (p, 2, q), 0)
-        rep.record(f"q={q} induced map rank", d1, linalg.rank(cols))
+        rep.expect(f"q={q} induced map rank", d1, linalg.rank(cols))
     return rep
 
 

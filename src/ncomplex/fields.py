@@ -9,10 +9,14 @@ storage makes the differential a small cached matrix multiplication.
 
 The degree-raising differential is realized by a graded insertion of the
 derivative index into the column that row filling grows, followed by the
-projection onto the irreducible symmetry type. `young_derivative` keeps
-the alternative route (raw derivative plus full symmetrizer) as an
-independent reference; the two agree up to a nonzero constant on every
-block, which the test suite pins down.
+projection onto the irreducible symmetry type; the codifferential
+contracts one out the same way. `_insert_table` alone owns the slot sign
+convention: `_contract_table` reverses it, `_projected` composes a table
+with the projector, and `_apply_slot` applies a table while
+differentiating the monomial, here and in `multiforms`.
+`young_derivative` keeps the alternative route (raw derivative plus full
+symmetrizer) as an independent reference; the two agree up to a nonzero
+constant on every block, which the test suite pins down.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from typing import NamedTuple
 
 from . import linalg
@@ -68,13 +73,6 @@ def monomials(D: int, q: int) -> tuple:
                 yield (first,) + rest
 
     return tuple(sorted(gen(D, q)))
-
-
-@lru_cache(maxsize=None)
-def field_keys(N: int, D: int, p: int) -> tuple:
-    """Padded slot keys of the degree-p symmetry type."""
-    Y = max_diagram(N, p)
-    return tuple(_pad(S, N - 1) for S in tc.wedge_keys(Y.rows, D))
 
 
 class PolyTensorField:
@@ -238,54 +236,77 @@ def scalar_field(N, D, poly: dict, variance=CO) -> PolyTensorField:
 
 
 # ---------------------------------------------------------------------------
-# the differential
+# the slot operator
 
-def _top_degree(N, D):
-    return (N - 1) * D
+def _slot_keys(D: int, multidegree) -> tuple:
+    """Slot keys with the given slot sizes, in lexicographic order."""
+    return tuple(product(*(combinations(range(1, D + 1), a) for a in multidegree)))
+
+
+def _staircase(N: int, p: int) -> tuple:
+    """Slot sizes of the degree-p symmetry type, padded to N - 1 slots."""
+    Y = max_diagram(N, p)
+    return Y.columns() + (0,) * (N - 1 - Y.n_cols)
 
 
 @lru_cache(maxsize=None)
-def _insertion(N: int, D: int, p: int):
-    """Graded insertion of one index followed by projection.
+def _insert_table(D: int, slot: int, multidegree: tuple) -> dict:
+    """Unprojected insertion of one index into a slot (counted from 0).
 
-    Returns (ins, lam) with ins[mu][key] a list of (new key, integer
-    coefficient); dividing by lam gives the projected insertion. The
-    receiving slot is the column that row filling grows at degree p + 1,
-    and the sign is the one of moving the new generator past all slots to
-    its left and past the smaller entries of its own slot.
+    Returns table[mu][key] = [(new key, sign)]. The new generator
+    anticommutes past every generator of the slots to its left and past
+    the smaller entries of its own slot; this is the only place that sign
+    is decided.
     """
-    Y1 = max_diagram(N, p + 1)
-    n_cols1 = Y1.n_cols
-    Mcols, lam = tc.projector_columns(Y1.rows, D)
-    r = p % (N - 1)
-    ins = {mu: {} for mu in range(1, D + 1)}
-    for key in field_keys(N, D, p):
-        prefix = -1 if sum(len(key[j]) for j in range(r)) % 2 else 1
-        slot = key[r]
+    left = sum(multidegree[:slot])
+    table = {mu: {} for mu in range(1, D + 1)}
+    for key in _slot_keys(D, multidegree):
+        S = key[slot]
         for mu in range(1, D + 1):
-            if mu in slot:
+            if mu in S:
                 continue
-            less = sum(1 for x in slot if x < mu)
-            sign = prefix * (-1 if less % 2 else 1)
-            new_slot = tuple(sorted(slot + (mu,)))
-            k1 = key[:r] + (new_slot,) + key[r + 1:]
-            col = Mcols[_strip(k1, n_cols1)]
-            ins[mu][key] = ins[mu].get(key, []) + [
-                (_pad(k2, N - 1), sign * c) for k2, c in col.items()
-            ]
-    return ins, lam
+            passed = left + sum(1 for x in S if x < mu)
+            new_key = key[:slot] + (tuple(sorted(S + (mu,))),) + key[slot + 1:]
+            table[mu][key] = [(new_key, -1 if passed % 2 else 1)]
+    return table
 
 
-def _apply_d_int(N, D, p, vec: dict) -> dict:
-    """One differential step on an integer slot vector, scaled by lam."""
-    ins, _ = _insertion(N, D, p)
+@lru_cache(maxsize=None)
+def _contract_table(D: int, slot: int, multidegree: tuple) -> dict:
+    """Unprojected contraction of one index out of a slot.
+
+    The insertion table one size lower, reversed, with the sign of moving
+    the removed generator to the right end of its slot.
+    """
+    below = multidegree[:slot] + (multidegree[slot] - 1,) + multidegree[slot + 1:]
+    flip = -1 if sum(below[:slot + 1]) % 2 else 1
+    return {mu: {new_key: [(key, flip * sign)] for key, [(new_key, sign)] in col.items()}
+            for mu, col in _insert_table(D, slot, below).items()}
+
+
+def _projected(table, N: int, D: int, Y: Diagram):
+    """Compose a slot table with the Young projector onto type Y.
+
+    Returns (table, lam); dividing by lam gives the projected map.
+    """
+    Mcols, lam = tc.projector_columns(Y.rows, D)
+    return {
+        mu: {key: [(_pad(k2, N - 1), s * c) for k1, s in targets
+                   for k2, c in Mcols[_strip(k1, Y.n_cols)].items()]
+             for key, targets in col.items()}
+        for mu, col in table.items()
+    }, lam
+
+
+def _apply_slot(table, vec: dict, D: int) -> dict:
+    """Differentiate each monomial along mu and send its key through table[mu]."""
     out: dict = {}
     for (key, exp), v in vec.items():
         for mu in range(1, D + 1):
             em = exp[mu - 1]
             if not em:
                 continue
-            targets = ins[mu].get(key)
+            targets = table[mu].get(key)
             if not targets:
                 continue
             exp2 = exp[: mu - 1] + (em - 1,) + exp[mu:]
@@ -298,6 +319,54 @@ def _apply_d_int(N, D, p, vec: dict) -> dict:
                 else:
                     out.pop(kk, None)
     return out
+
+
+def _slot_map(cols: dict, vec: dict) -> dict:
+    """Send each key of a slot vector through cols, keeping its monomial."""
+    out: dict = {}
+    for (key, exp), v in vec.items():
+        for k2, c in cols[key]:
+            kk = (k2, exp)
+            acc = out.get(kk, 0) + v * c
+            if acc:
+                out[kk] = acc
+            else:
+                out.pop(kk, None)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the differential
+
+def _top_degree(N, D):
+    return (N - 1) * D
+
+
+@lru_cache(maxsize=None)
+def _insertion(N: int, D: int, p: int):
+    """Graded insertion of one index followed by projection.
+
+    Returns (ins, lam) with ins[mu][key] a list of (new key, integer
+    coefficient); dividing by lam gives the projected insertion. The
+    receiving slot is the column that row filling grows at degree p + 1.
+    """
+    table = _insert_table(D, p % (N - 1), _staircase(N, p))
+    return _projected(table, N, D, max_diagram(N, p + 1))
+
+
+@lru_cache(maxsize=None)
+def _contraction(N: int, D: int, p: int):
+    """Contraction out of the last filled column followed by projection.
+
+    The codifferential's counterpart of `_insertion`, from degree p to p - 1.
+    """
+    table = _contract_table(D, (p - 1) % (N - 1), _staircase(N, p))
+    return _projected(table, N, D, max_diagram(N, p - 1))
+
+
+def _apply_d_int(N, D, p, vec: dict) -> dict:
+    """One differential step on an integer slot vector, scaled by lam."""
+    return _apply_slot(_insertion(N, D, p)[0], vec, D)
 
 
 def n_diff(F: PolyTensorField) -> PolyTensorField:
@@ -438,56 +507,18 @@ def delta(F: PolyTensorField) -> PolyTensorField:
     N, D, p = F.N, F.D, F.p
     if p == 0 or F.q == 0:
         return PolyTensorField.zero(N, D, max(p - 1, 0), max(F.q - 1, 0), CONTRA)
-    raw, lam, p0 = _delta_raw(F, project=True)
-    data = {k: v / lam for k, v in raw.items()}
-    return PolyTensorField(N, D, p0, F.q - 1, CONTRA, data)
-
-
-def _delta_raw(F: PolyTensorField, project: bool):
-    """Shared contraction step; optionally skips the projection."""
-    N, D, p = F.N, F.D, F.p
-    slot = (p - 1) % (N - 1)
-    Y0 = max_diagram(N, p - 1)
-    n_cols0 = Y0.n_cols
-    Mcols, lam = tc.projector_columns(Y0.rows, D)
-    out: dict = {}
-    for (key, exp), v in F.data.items():
-        S = key[slot]
-        for i, nu in enumerate(S):
-            em = exp[nu - 1]
-            if not em:
-                continue
-            sign = -1 if (len(S) - 1 - i) % 2 else 1
-            k1 = key[:slot] + (S[:i] + S[i + 1:],) + key[slot + 1:]
-            exp2 = exp[: nu - 1] + (em - 1,) + exp[nu:]
-            w = v * em * sign
-            if project:
-                for k2, c in Mcols[_strip(k1, n_cols0)].items():
-                    kk = (_pad(k2, N - 1), exp2)
-                    acc = out.get(kk, Fraction(0)) + w * c
-                    if acc:
-                        out[kk] = acc
-                    else:
-                        out.pop(kk, None)
-            else:
-                kk = (k1, exp2)
-                acc = out.get(kk, Fraction(0)) + w * lam
-                if acc:
-                    out[kk] = acc
-                else:
-                    out.pop(kk, None)
-    return out, lam, p - 1
+    table, lam = _contraction(N, D, p)
+    data = {k: v / lam for k, v in _apply_slot(table, F.data, D).items()}
+    return PolyTensorField(N, D, p - 1, F.q - 1, CONTRA, data)
 
 
 def delta_unprojected(F: PolyTensorField) -> PolyTensorField:
     """The contraction step alone, for checking when projection is free."""
-    if F.variance != CONTRA:
-        raise ShapeError("the codifferential acts on contravariant fields")
-    if F.p == 0 or F.q == 0:
-        return PolyTensorField.zero(F.N, F.D, max(F.p - 1, 0), max(F.q - 1, 0), CONTRA)
-    raw, lam, p0 = _delta_raw(F, project=False)
-    data = {k: v / lam for k, v in raw.items()}
-    return PolyTensorField(F.N, F.D, p0, F.q - 1, CONTRA, data)
+    N, D, p = F.N, F.D, F.p
+    if F.variance != CONTRA or p == 0 or F.q == 0:
+        return delta(F)
+    table = _contract_table(D, (p - 1) % (N - 1), _staircase(N, p))
+    return PolyTensorField(N, D, p - 1, F.q - 1, CONTRA, _apply_slot(table, F.data, D))
 
 
 def dual_star_field(F: PolyTensorField) -> PolyTensorField:

@@ -110,12 +110,6 @@ def rank(vectors) -> int:
     return Echelon(vectors).rank
 
 
-def span_contains(vectors, candidates) -> bool:
-    """True when every candidate lies in the span of ``vectors``."""
-    ech = Echelon(vectors)
-    return all(ech.contains(c) for c in candidates)
-
-
 def nullspace(columns) -> list[dict]:
     """Kernel basis of the matrix whose columns are the given vectors.
 

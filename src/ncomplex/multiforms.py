@@ -6,6 +6,9 @@ exactly as for fields, but with no symmetry-type restriction: the slot
 sizes form an arbitrary multidegree. The fields of the complex embed as
 the image of a projection acting on staircase multidegrees, and the slot
 differentials realize the higher differential through that projection.
+Both are built from the slot operator of `fields`: `d_slot` applies
+`fields._insert_table`, which owns the slot sign convention, and
+`project_pi` composes with the projector through `fields._projected`.
 
 The rank checks at the bottom of this module certify the two splitting
 statements that drive the generalized vanishing theorem, block by block:
@@ -24,7 +27,18 @@ from . import linalg
 from . import tensor_core as tc
 from .diagrams import max_diagram
 from .errors import ShapeError, VerificationError
-from .fields import PolyTensorField, _pad, _strip, block_basis, monomials, n_diff
+from .fields import (
+    PolyTensorField,
+    _apply_slot,
+    _insert_table,
+    _projected,
+    _slot_keys,
+    _slot_map,
+    _staircase,
+    block_basis,
+    monomials,
+    n_diff,
+)
 
 
 class Multiform:
@@ -139,26 +153,10 @@ def d_slot(i: int, w: Multiform) -> Multiform:
     """
     if not 1 <= i <= w.N - 1:
         raise ShapeError(f"slot {i} out of range for order {w.N}")
-    slot = i - 1
-    out: dict = {}
-    for (key, exp), v in w.data.items():
-        prefix = -1 if sum(len(key[j]) for j in range(slot)) % 2 else 1
-        S = key[slot]
-        for mu in range(1, w.D + 1):
-            em = exp[mu - 1]
-            if not em or mu in S:
-                continue
-            less = sum(1 for x in S if x < mu)
-            sign = prefix * (-1 if less % 2 else 1)
-            key2 = key[:slot] + (tuple(sorted(S + (mu,))),) + key[slot + 1:]
-            exp2 = exp[: mu - 1] + (em - 1,) + exp[mu:]
-            kk = (key2, exp2)
-            acc = out.get(kk, Fraction(0)) + sign * v * em
-            if acc:
-                out[kk] = acc
-            else:
-                out.pop(kk, None)
-    return Multiform(w.N, w.D, out)
+    md = w.multidegree
+    if md is None:
+        return Multiform(w.N, w.D)
+    return Multiform(w.N, w.D, _apply_slot(_insert_table(w.D, i - 1, md), w.data, w.D))
 
 
 def d_product(slots, w: Multiform) -> Multiform:
@@ -199,22 +197,12 @@ def project_pi(w: Multiform, variance=tc.CO) -> PolyTensorField:
     if q is None:
         raise ShapeError("projection requires a homogeneous polynomial degree")
     p = sum(md)
-    Y = max_diagram(w.N, p)
-    staircase = tuple(Y.columns()) + (0,) * (w.N - 1 - Y.n_cols)
+    staircase = _staircase(w.N, p)
     if md != staircase:
         raise ShapeError(f"multidegree {md} is not of staircase form {staircase}")
-    Mcols, lam = tc.projector_columns(Y.rows, w.D)
-    n_cols = Y.n_cols
-    out: dict = {}
-    for (key, exp), v in w.data.items():
-        for k2, c in Mcols[_strip(key, n_cols)].items():
-            kk = (_pad(k2, w.N - 1), exp)
-            acc = out.get(kk, Fraction(0)) + v * c
-            if acc:
-                out[kk] = acc
-            else:
-                out.pop(kk, None)
-    data = {k: v / lam for k, v in out.items()}
+    identity = {0: {key: [(key, 1)] for key, _ in w.data}}
+    table, lam = _projected(identity, w.N, w.D, max_diagram(w.N, p))
+    data = {k: v / lam for k, v in _slot_map(table[0], w.data).items()}
     return PolyTensorField(w.N, w.D, p, q, variance, data)
 
 
@@ -301,24 +289,8 @@ def multiform_basis(N, D, multidegree, q) -> list[Multiform]:
         raise ShapeError(f"multidegree {md} needs {N - 1} entries")
     if any(a < 0 or a > D for a in md):
         return []
-    slot_sets = [list(combinations(range(1, D + 1), a)) for a in md]
-    out = []
-    from itertools import product
-
-    for key in product(*slot_sets):
-        for e in monomials(D, q):
-            out.append(Multiform(N, D, {(tuple(key), e): Fraction(1)}))
-    return out
-
-
-def _unit_keys(N, D, multidegree, q):
-    from itertools import product
-
-    md = tuple(multidegree)
-    if any(a < 0 or a > D for a in md):
-        return []
-    slot_sets = [list(combinations(range(1, D + 1), a)) for a in md]
-    return [(tuple(key), e) for key in product(*slot_sets) for e in monomials(D, q)]
+    return [Multiform(N, D, {(key, e): Fraction(1)})
+            for key in _slot_keys(D, md) for e in monomials(D, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +298,15 @@ def _unit_keys(N, D, multidegree, q):
 
 @dataclass
 class CheckReport:
-    """Machine-readable outcome of a family of rank checks."""
+    """Plain-text plus machine-readable verdict for a family of checks."""
 
     name: str
     params: dict
     entries: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+
+    @property
+    def failures(self) -> list:
+        return [e["label"] for e in self.entries if not e["pass"]]
 
     @property
     def ok(self) -> bool:
@@ -339,8 +314,10 @@ class CheckReport:
 
     def record(self, label, passed, detail=None):
         self.entries.append({"label": label, "pass": bool(passed), "detail": detail})
-        if not passed:
-            self.failures.append(label)
+
+    def expect(self, label, expected, got):
+        self.entries.append({"label": label, "expected": expected, "got": got,
+                             "pass": expected == got})
 
     def to_json(self) -> str:
         import json
@@ -354,8 +331,12 @@ class CheckReport:
     def __str__(self):
         lines = [f"{self.name} {self.params}: {'PASS' if self.ok else 'FAIL'}"]
         for e in self.entries:
-            tail = f" ({e['detail']})" if not e["pass"] and e.get("detail") else ""
-            lines.append(f"  [{'ok' if e['pass'] else 'FAIL'}] {e['label']}{tail}")
+            mark = "ok" if e["pass"] else "FAIL"
+            if "expected" in e:
+                tail = f": expected {e['expected']}, got {e['got']}"
+            else:
+                tail = f" ({e['detail']})" if not e["pass"] and e.get("detail") else ""
+            lines.append(f"  [{mark}] {e['label']}{tail}")
         return "\n".join(lines)
 
 

@@ -131,14 +131,6 @@ class Tensor:
         return cls(doc["dim"], doc["degree"], doc["variance"], comps, shape)
 
 
-def zero_tensor(dim, degree, variance=CO, shape=None) -> Tensor:
-    return Tensor(dim, degree, variance, {}, shape)
-
-
-def basis_tensor(dim, idx, variance=CO, shape=None) -> Tensor:
-    return Tensor(dim, len(idx), variance, {tuple(idx): Fraction(1)}, shape)
-
-
 # ---------------------------------------------------------------------------
 # cell positions and permutation groups of a diagram
 

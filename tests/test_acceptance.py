@@ -128,10 +128,10 @@ def test_criterion_3_structure_dimensions():
 
     rep = hexagon_check(3, 3, 1, 1, 3)
     if not rep.ok:
-        failures.append(("hexagon", rep.violations))
+        failures.append(("hexagon", rep.failures))
     iso = odd_isomorphism_check(3, 1, 3)
     if not iso.ok:
-        failures.append(("odd isomorphism", iso.violations))
+        failures.append(("odd isomorphism", iso.failures))
     _report(3, not failures, f"structure dimensions 1-4+6-3=0 and exactness; "
                              f"failures: {failures}")
 

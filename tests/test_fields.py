@@ -117,16 +117,26 @@ def test_linearized_curvature_cube_dies():
 
 
 def test_reference_route_proportional_per_block():
-    # pinned constants relating the raw-projector route to the slot route
+    # pinned constants relating the raw-projector route to the slot route,
+    # per (N, D) and tensor degree p; the slot route is also pi of nabla
+    from ncomplex.multiforms import project_pi
+
     rng = random.Random(4)
-    pinned = {0: Fraction(1), 1: Fraction(1), 2: Fraction(-2, 3), 3: Fraction(1, 2)}
-    for p, expected in pinned.items():
-        pairs = []
-        for b in block_basis(3, 2, p, 2):
-            pairs.append((young_derivative(b).data, n_diff(b).data))
-        F = random_field(3, 2, p, 2, rng)
-        pairs.append((young_derivative(F).data, n_diff(F).data))
-        assert linalg.proportionality(pairs) == expected
+    pinned = {
+        (3, 2): ("1", "1", "-2/3", "1/2"),
+        (2, 3): ("1", "1/2", "1/3"),
+        (3, 3): ("1", "1", "-2/3", "1/2", "1/2", "1/3"),
+        (4, 2): ("1", "1", "1", "3/4", "-2/3", "1/2"),
+    }
+    for (N, D), constants in pinned.items():
+        for p, expected in enumerate(constants):
+            pairs = []
+            for b in block_basis(N, D, p, 2):
+                pairs.append((young_derivative(b).data, n_diff(b).data))
+            F = random_field(N, D, p, 2, rng)
+            pairs.append((young_derivative(F).data, n_diff(F).data))
+            assert linalg.proportionality(pairs) == Fraction(expected), (N, D, p)
+            assert project_pi(nabla(F)) == n_diff(F), (N, D, p)
 
 
 def test_delta_examples():
@@ -150,7 +160,7 @@ def test_delta_examples():
 
 def test_delta_projection_free_in_the_filled_case():
     rng = random.Random(6)
-    for N, D in ((3, 2), (4, 2)):
+    for N, D in ((3, 2), (4, 2), (3, 3), (5, 2)):
         for phat in range(0, D):
             p = (N - 1) * phat + (N - 1)
             for q in (1, 2):
