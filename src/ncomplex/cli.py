@@ -383,7 +383,7 @@ def run(argv) -> int:
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        return 2 if exc.code else 0
     try:
         return args.handler(args)
     except UsageError as exc:

@@ -18,6 +18,7 @@ from . import linalg
 from .errors import ShapeError, VerificationError
 from .fields import (
     CO,
+    BlockLabel,
     PolyTensorField,
     _apply_d_int,
     _block_int_basis,
@@ -114,6 +115,7 @@ class CohomologyTable:
 
 def compute_table(N, D, q_max, p_values=None, k_values=None) -> CohomologyTable:
     """Exact cohomology dimensions over a range of blocks."""
+    BlockLabel(N, D, 0, q_max).validate()
     if p_values is None:
         p_values = range(0, _top_degree(N, D) + 1)
     if k_values is None:
@@ -138,6 +140,9 @@ def poincare_suite(N, D, n_max, q_max) -> SuiteReport:
     and all k, and that the degree-zero blocks carry exactly the
     homogeneous polynomials of degree below k.
     """
+    BlockLabel(N, D, 0, q_max).validate()
+    if n_max < 0:
+        raise ShapeError(f"n_max={n_max} must be nonnegative")
     rep = SuiteReport("poincare", {"N": N, "D": D, "n_max": n_max, "q_max": q_max})
     for n in range(1, n_max + 1):
         p = (N - 1) * n
@@ -181,10 +186,8 @@ def solve_preimage(F: PolyTensorField, k: int) -> PolyTensorField:
         raise VerificationError(
             f"no preimage on block (p={F.p}, q={F.q}); vanishing fails"
         )
-    alpha = PolyTensorField.zero(N, D, src_p, src_q, F.variance)
-    for j, c in sol.items():
-        if c:
-            alpha = alpha + basis[j].scale(c)
+    alpha = PolyTensorField(N, D, src_p, src_q, F.variance,
+                            linalg.combine(sol, [b.data for b in basis]))
     if d_power(alpha, N - k) != F:  # pragma: no cover - solve is exact
         raise VerificationError("preimage residual is nonzero")
     return alpha
@@ -229,12 +232,7 @@ def killing_dim(D: int, m: int, k: int, q: int) -> int:
                     exp[mu] -= 1
                 if not ok:
                     continue
-                key = (M, tuple(exp))
-                acc = col.get(key, 0) + coeff
-                if acc:
-                    col[key] = acc
-                else:
-                    col.pop(key, None)
+                linalg.add_to(col, {(M, tuple(exp)): coeff})
         cols.append(col)
     return len(unknowns) - linalg.rank(cols)
 
@@ -253,18 +251,7 @@ def _h_space(N, D, p, k, q):
         return (), (), ()
     basis = _block_int_basis(N, D, p, q)
     imgs = [_d_k_int(N, D, p, q, vec, k) for vec in basis]
-    ker = []
-    for comb in linalg.nullspace(imgs):
-        vec: dict = {}
-        for j, c in comb.items():
-            for kk, v in basis[j].items():
-                acc = vec.get(kk, 0) + c * v
-                if acc:
-                    vec[kk] = acc
-                else:
-                    vec.pop(kk, None)
-        if vec:
-            ker.append(vec)
+    ker = [linalg.combine(comb, basis) for comb in linalg.nullspace(imgs)]
     src_p, src_q = p - (N - k), q + (N - k)
     im = []
     if src_p >= 0:
@@ -414,12 +401,7 @@ def cocycle_from_two_form(omega: PolyTensorField) -> PolyTensorField:
             if not ec:
                 continue
             e2 = e[: c - 1] + (ec - 1,) + e[c:]
-            key = ((c, i, j), e2)
-            acc = grad.get(key, Fraction(0)) + v * ec
-            if acc:
-                grad[key] = acc
-            else:
-                grad.pop(key, None)
+            linalg.add_to(grad, {((c, i, j), e2): v}, ec)
 
     def dcomp(c, i, j, e):
         return grad.get(((c, i, j), e), Fraction(0))

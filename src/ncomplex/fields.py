@@ -128,9 +128,7 @@ class PolyTensorField:
             other.N, other.D, other.p, other.q, other.variance
         ):
             raise ShapeError("cannot add fields from different blocks")
-        data = dict(self.data)
-        for k, v in other.data.items():
-            data[k] = data.get(k, Fraction(0)) + v
+        data = linalg.add_to(dict(self.data), other.data)
         return PolyTensorField(self.N, self.D, self.p, self.q, self.variance, data)
 
     def __sub__(self, other):
@@ -177,6 +175,8 @@ class PolyTensorField:
             v = Fraction(v)
             if not v:
                 continue
+            if len(exp) != D or min(exp) < 0:
+                raise ShapeError(f"exponent {exp} is not a monomial in {D} variables")
             if sum(exp) != q:
                 raise ShapeError(f"exponent {exp} is not homogeneous of degree {q}")
             slices.setdefault(tuple(exp), {})[tuple(idx)] = v
@@ -214,7 +214,7 @@ class PolyTensorField:
     def from_json(cls, text: str) -> "PolyTensorField":
         doc = json.loads(text)
         comps = {
-            (tuple(e["idx"]), tuple(e["exp"])): Fraction(int(e["num"]), int(e["den"]))
+            (tuple(e["idx"]), tuple(e["exp"])): tc._entry_value(e)
             for e in doc["entries"]
         }
         return cls.from_components(
@@ -301,6 +301,7 @@ def _projected(table, N: int, D: int, Y: Diagram):
 def _apply_slot(table, vec: dict, D: int) -> dict:
     """Differentiate each monomial along mu and send its key through table[mu]."""
     out: dict = {}
+    # inline, not linalg.add_to: a call per entry slows every application of d
     for (key, exp), v in vec.items():
         for mu in range(1, D + 1):
             em = exp[mu - 1]
@@ -324,6 +325,7 @@ def _apply_slot(table, vec: dict, D: int) -> dict:
 def _slot_map(cols: dict, vec: dict) -> dict:
     """Send each key of a slot vector through cols, keeping its monomial."""
     out: dict = {}
+    # inline, not linalg.add_to: a call per entry slows the projection pi
     for (key, exp), v in vec.items():
         for k2, c in cols[key]:
             kk = (k2, exp)
@@ -434,13 +436,7 @@ def young_derivative(F: PolyTensorField) -> PolyTensorField:
                     J[pos] = I[i]
                 J[new_pos] = mu
                 exp2 = exp[: mu - 1] + (em - 1,) + exp[mu:]
-                sl = raw_slices.setdefault(exp2, {})
-                key = tuple(J)
-                acc = sl.get(key, Fraction(0)) + v * em
-                if acc:
-                    sl[key] = acc
-                else:
-                    sl.pop(key, None)
+                linalg.add_to(raw_slices.setdefault(exp2, {}), {tuple(J): v}, em)
     data: dict = {}
     for exp2, comps in raw_slices.items():
         T1 = tc.young_project(Y1, Tensor(D, p + 1, F.variance, comps))
@@ -484,12 +480,9 @@ def block_basis(N, D, p, q, variance=CO) -> list[PolyTensorField]:
 
 def random_field(N, D, p, q, rng, variance=CO, span=5) -> PolyTensorField:
     """Small-integer random combination of block basis fields."""
-    out = PolyTensorField.zero(N, D, p, q, variance)
-    for b in block_basis(N, D, p, q, variance):
-        c = rng.randint(-span, span)
-        if c:
-            out = out + b.scale(c)
-    return out
+    basis = _block_int_basis(N, D, p, q)
+    coeffs = {j: rng.randint(-span, span) for j in range(len(basis))}
+    return PolyTensorField(N, D, p, q, variance, linalg.combine(coeffs, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -607,19 +600,8 @@ def field_product(F: PolyTensorField, G: PolyTensorField) -> PolyTensorField:
             exp = tuple(a + b for a, b in zip(ef, eg))
             comps: dict = {}
             for I, a in Tf.components.items():
-                for J, b in Tg.components.items():
-                    K = I + J
-                    acc = comps.get(K, Fraction(0)) + a * b
-                    if acc:
-                        comps[K] = acc
-                    else:
-                        comps.pop(K, None)
+                linalg.add_to(comps, {I + J: b for J, b in Tg.components.items()}, a)
             proj = tc.young_project(Y, Tensor(D, p, F.variance, comps))
-            for key, v in tc.tensor_to_wedge(Y, proj, validate=False).items():
-                kk = (_pad(key, N - 1), exp)
-                acc = data.get(kk, Fraction(0)) + v
-                if acc:
-                    data[kk] = acc
-                else:
-                    data.pop(kk, None)
+            linalg.add_to(data, {(_pad(key, N - 1), exp): v for key, v in
+                                 tc.tensor_to_wedge(Y, proj, validate=False).items()})
     return PolyTensorField(N, D, p, q, F.variance, data)

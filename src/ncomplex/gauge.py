@@ -189,12 +189,7 @@ def divergence(T: PolyTensorField) -> dict:
         mu = idx[0]
         em = exp[mu - 1]
         if em:
-            key = (idx[1:], _shift_down(exp, mu))
-            acc = out.get(key, Fraction(0)) + v * em
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            linalg.add_to(out, {(idx[1:], _shift_down(exp, mu)): v}, em)
     return out
 
 
@@ -222,13 +217,8 @@ def stress_potential(T: PolyTensorField) -> PolyTensorField:
     tau_comps: dict = {}
     for ((mu, nu), exp), v in T.full_components().items():
         for m_rest, sm in eps[mu].items():
-            for n_rest, sn in eps[nu].items():
-                idx = m_rest + n_rest
-                acc = tau_comps.get((idx, exp), Fraction(0)) + v * sm * sn
-                if acc:
-                    tau_comps[(idx, exp)] = acc
-                else:
-                    tau_comps.pop((idx, exp), None)
+            linalg.add_to(tau_comps, {(m_rest + n_rest, exp): sn
+                                      for n_rest, sn in eps[nu].items()}, v * sm)
     tau = PolyTensorField.from_components(3, D, 2 * (D - 1), q, CO, tau_comps)
     if not n_diff(tau).is_zero:
         raise VerificationError("dualized conserved tensor is not closed")
@@ -243,15 +233,9 @@ def stress_potential(T: PolyTensorField) -> PolyTensorField:
         for (m1, m2, mm), sm in _eps_pairs(D).items():
             if mm != m_rest:
                 continue
-            for (n1, n2, nn), sn in _eps_pairs(D).items():
-                if nn != n_rest:
-                    continue
-                key = ((m1, m2, n1, n2), exp)
-                acc = R_comps.get(key, Fraction(0)) + v * sm * sn
-                if acc:
-                    R_comps[key] = acc
-                else:
-                    R_comps.pop(key, None)
+            linalg.add_to(R_comps, {((m1, m2, n1, n2), exp): sn
+                                    for (n1, n2, nn), sn in _eps_pairs(D).items()
+                                    if nn == n_rest}, v * sm)
     R = PolyTensorField.from_components(3, D, 4, q + 2, CONTRA, R_comps)
 
     got = _double_divergence(R)
@@ -277,12 +261,7 @@ def _double_divergence(R: PolyTensorField) -> dict:
         e2 = exp1[rho - 1]
         if not e2:
             continue
-        key = ((mu, nu), _shift_down(exp1, rho))
-        acc = out.get(key, Fraction(0)) + v * e1 * e2
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
+        linalg.add_to(out, {((mu, nu), _shift_down(exp1, rho)): v}, e1 * e2)
     return out
 
 

@@ -1,16 +1,41 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dicts mapping coordinate keys to nonzero scalars (int or
-Fraction). Keys only need to be mutually comparable within one
-computation; pivots are chosen as the smallest key, which makes every
-elimination deterministic. Rows are kept as primitive integer vectors and
-updated by cross multiplication, so all arithmetic is exact.
+This module is the sole owner of sparse-vector arithmetic: `add_to` and
+`combine` accumulate and combine vectors for every other module, and
+`Echelon._reduce_int` is the only reduction loop. Vectors are dicts
+mapping coordinate keys to nonzero scalars (int or Fraction). Keys only
+need to be mutually comparable within one computation; pivots are chosen
+as the smallest key, which makes every elimination deterministic. Rows
+are kept as primitive integer vectors and updated by cross
+multiplication, so all arithmetic is exact. Membership and solving are
+fraction-free too: they reduce against the same integer rows, and
+`solve` forms one Fraction per coefficient of its answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+
+def add_to(out: dict, vec: dict, c=1) -> dict:
+    """In place out += c * vec, dropping keys that cancel; returns out."""
+    for k, v in vec.items():
+        w = out.get(k, 0) + c * v
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
+
+
+def combine(coeffs: dict, vectors) -> dict:
+    """The vector sum of coeffs[j] * vectors[j] over the keys j of coeffs."""
+    out: dict = {}
+    for j, c in coeffs.items():
+        if c:
+            add_to(out, vectors[j], c)
+    return out
 
 
 def primitive(vec: dict) -> dict:
@@ -39,7 +64,7 @@ class Echelon:
 
     Rows are stored by pivot (their smallest nonzero coordinate). Adding a
     vector reduces it against existing rows; what survives becomes a new
-    row. Membership in the span is decided by full reduction.
+    row. Membership in the span is decided by the same reduction.
     """
 
     def __init__(self, vectors=None):
@@ -53,25 +78,19 @@ class Echelon:
         return len(self.rows)
 
     def _reduce_int(self, vec: dict) -> dict:
+        """Reduce a primitive integer vector until its pivot has no row."""
         while vec:
             piv = min(vec)
             row = self.rows.get(piv)
             if row is None:
                 return vec
             a, b = row[piv], vec[piv]
-            new = {k: v * a for k, v in vec.items()}
-            for k, v in row.items():
-                w = new.get(k, 0) - v * b
-                if w:
-                    new[k] = w
-                else:
-                    new.pop(k, None)
+            vec = add_to({k: v * a for k, v in vec.items()}, row, -b)
             g = 0
-            for v in new.values():
-                g = gcd(g, abs(v))
+            for v in vec.values():
+                g = gcd(g, v)
             if g > 1:
-                new = {k: v // g for k, v in new.items()}
-            vec = new
+                vec = {k: v // g for k, v in vec.items()}
         return vec
 
     def add(self, vec: dict) -> bool:
@@ -86,28 +105,27 @@ class Echelon:
         return True
 
     def contains(self, vec: dict) -> bool:
-        return not self._residual(vec)
-
-    def _residual(self, vec: dict) -> dict:
-        vec = {k: Fraction(v) for k, v in vec.items() if v}
-        while vec:
-            piv = min(vec)
-            row = self.rows.get(piv)
-            if row is None:
-                return vec
-            c = vec[piv] / row[piv]
-            for k, v in row.items():
-                w = vec.get(k, Fraction(0)) - c * v
-                if w:
-                    vec[k] = w
-                else:
-                    vec.pop(k, None)
-        return vec
+        return not self._reduce_int(primitive(vec))
 
 
 def rank(vectors) -> int:
     """Rank of the span of the given sparse vectors."""
     return Echelon(vectors).rank
+
+
+def _tagged(columns) -> Echelon:
+    """Echelon of the columns, each extended by a tag coordinate (1, j).
+
+    Main coordinates are (0, key). A row with a tag pivot is a kernel
+    element; a row with a main pivot records which combination of columns
+    produced it.
+    """
+    ech = Echelon()
+    for j, col in enumerate(columns):
+        v = {(0, k): x for k, x in col.items() if x}
+        v[(1, j)] = 1
+        ech.add(v)
+    return ech
 
 
 def nullspace(columns) -> list[dict]:
@@ -116,45 +134,28 @@ def nullspace(columns) -> list[dict]:
     Returns dicts {column index: int} with sum_j c_j columns[j] = 0,
     echelonized over the tag coordinates and ordered deterministically.
     """
-    ech = Echelon()
-    for j, col in enumerate(columns):
-        v = {(0, k): x for k, x in col.items() if x}
-        v[(1, j)] = 1
-        ech.add(v)
-    out = []
-    for piv, row in sorted(ech.rows.items()):
-        if piv[0] == 1:
-            out.append({j: v for (_, j), v in row.items()})
-    return out
+    return [{j: v for (_, j), v in row.items()}
+            for piv, row in sorted(_tagged(columns).rows.items()) if piv[0] == 1]
 
 
 def solve(columns, target) -> dict | None:
     """Write ``target`` as a rational combination of ``columns``.
 
-    Returns {column index: Fraction} or None when no solution exists.
+    Returns {column index: Fraction} or None when no solution exists. The
+    target, tagged by (2, 0), is reduced against the rows with a main
+    pivot only; the combination clearing its main coordinates is unique,
+    so the particular solution is fixed by the column order.
     """
-    ech = Echelon()
-    for j, col in enumerate(columns):
-        v = {(0, k): x for k, x in col.items() if x}
-        v[(1, j)] = 1
-        ech.add(v)
-    t = {(0, k): Fraction(v) for k, v in target.items() if v}
-    while True:
-        main = [k for k in t if k[0] == 0]
-        if not main:
-            break
-        piv = min(main)
-        row = ech.rows.get(piv)
-        if row is None:
-            return None
-        c = t[piv] / row[piv]
-        for k, v in row.items():
-            w = t.get(k, Fraction(0)) - c * v
-            if w:
-                t[k] = w
-            else:
-                t.pop(k, None)
-    return {j: -v for (_, j), v in t.items()}
+    ech = _tagged(columns)
+    # a kernel row (tag pivot) would shift the answer along the kernel
+    ech.rows = {piv: row for piv, row in ech.rows.items() if piv[0] == 0}
+    t = {(0, k): v for k, v in target.items()}
+    t[(2, 0)] = 1
+    t = ech._reduce_int(primitive(t))
+    if min(t)[0] == 0:
+        return None
+    scale = t.pop((2, 0))
+    return {j: Fraction(-v, scale) for (_, j), v in t.items()}
 
 
 def proportionality(pairs):

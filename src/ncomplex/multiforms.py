@@ -106,9 +106,7 @@ class Multiform:
     def __add__(self, other):
         if (self.N, self.D) != (other.N, other.D):
             raise ShapeError("cannot add multiforms with different parameters")
-        data = dict(self.data)
-        for k, v in other.data.items():
-            data[k] = data.get(k, Fraction(0)) + v
+        data = linalg.add_to(dict(self.data), other.data)
         return Multiform(self.N, self.D, data)
 
     def __sub__(self, other):
@@ -138,7 +136,7 @@ class Multiform:
         doc = json.loads(text)
         data = {
             (tuple(tuple(s) for s in e["slots"]), tuple(e["exp"])):
-                Fraction(int(e["num"]), int(e["den"]))
+                tc._entry_value(e)
             for e in doc["entries"]
         }
         return cls(doc["N"], doc["dim"], data)
@@ -382,14 +380,9 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
                 for kk, v in img.data.items():
                     stacked[(I, kk)] = v
             cocycle_cols.append(stacked)
-        kernel = linalg.nullspace(cocycle_cols)
-        z_vectors = []
-        for comb in kernel:
-            vec: dict = {}
-            for j, c in comb.items():
-                for kk, v in units[j].data.items():
-                    vec[kk] = vec.get(kk, 0) + c * v
-            z_vectors.append({k: v for k, v in vec.items() if v})
+        unit_data = [w.data for w in units]
+        z_vectors = [linalg.combine(comb, unit_data)
+                     for comb in linalg.nullspace(cocycle_cols)]
         generators = []
         for J in combinations(K, jsize):
             md_src = list(md)
@@ -435,16 +428,11 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
                 quot_gens = _quotient_generators(N, D, tuple(md_i), q, K)
             d_cols = [d_slot(i, w).data for w in units]
             stacked = d_cols + quot_gens
-            kernel = linalg.nullspace(stacked)
+            unit_data = [w.data for w in units]
             z_vectors = []
-            for comb in kernel:
-                vec: dict = {}
-                for j, c in comb.items():
-                    if j >= len(units):
-                        continue
-                    for kk, v in units[j].data.items():
-                        vec[kk] = vec.get(kk, 0) + c * v
-                vec = {kk: v for kk, v in vec.items() if v}
+            for comb in linalg.nullspace(stacked):
+                vec = linalg.combine({j: c for j, c in comb.items() if j < len(units)},
+                                     unit_data)
                 if vec:
                     z_vectors.append(vec)
             md_src = list(md)

@@ -6,13 +6,17 @@ the tensor algebra, and the quotient is the associative cousin of the
 nonassociative projected product. Nothing here materializes the quotient
 algebra itself: every statement is phrased through kernel and image
 dimensions of the action, which keeps the whole module linear algebra.
+A word's action on every graded basis vector at once is one stacked
+sparse column; ranks of these columns give the kernel and image
+dimensions, and an element of the tensor algebra acts as zero exactly
+when the same combination of its words' columns is empty.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .diagrams import max_diagram, schur_dim
@@ -27,29 +31,28 @@ def unit_element(N: int, D: int) -> Tensor:
     return Tensor(D, 0, CONTRA, {(): Fraction(1)}, max_diagram(N, 0))
 
 
-def _insert_index(N, D, p, vec, mu, exact=False):
-    """Append one base index and project, on slot coordinates."""
-    ins, lam = _insertion(N, D, p)
+def _insert_index(N, D, p, vec, mu):
+    """Append one base index and project, on slot coordinates, scaled by lam."""
+    ins = _insertion(N, D, p)[0][mu]
     out: dict = {}
+    # inline, not linalg.add_to: a call per entry slows the word action
     for key, v in vec.items():
-        for k2, c in ins[mu].get(key, ()):
+        for k2, c in ins.get(key, ()):
             acc = out.get(k2, 0) + v * c
             if acc:
                 out[k2] = acc
             else:
                 out.pop(k2, None)
-    if exact:
-        out = {k: Fraction(v, lam) for k, v in out.items()}
     return out
 
 
-def _act_vec(N, D, p, vec, letters, exact=False):
-    """Apply a word of base indices to a slot vector of degree p."""
+def _act_vec(N, D, p, vec, letters):
+    """Apply a word of base indices to a slot vector of degree p, unscaled."""
     cur, cp = vec, p
     for mu in letters:
         if cp >= _top_degree(N, D):
             return {}
-        cur = _insert_index(N, D, cp, cur, mu, exact=exact)
+        cur = _insert_index(N, D, cp, cur, mu)
         cp += 1
         if not cur:
             return {}
@@ -77,16 +80,10 @@ def act(N: int, T: Tensor, word) -> Tensor:
             continue
         nxt: dict = {}
         for mu in range(1, D + 1):
-            if not X[mu - 1]:
-                continue
-            img = _insert_index(N, D, p, vec, mu, exact=True)
-            for k, v in img.items():
-                acc = nxt.get(k, Fraction(0)) + X[mu - 1] * v
-                if acc:
-                    nxt[k] = acc
-                else:
-                    nxt.pop(k, None)
-        vec = nxt
+            if X[mu - 1]:
+                linalg.add_to(nxt, _insert_index(N, D, p, vec, mu), X[mu - 1])
+        lam = _insertion(N, D, p)[1]
+        vec = {k: v / lam for k, v in nxt.items()}
         p += 1
     p_out = min(p, _top_degree(N, D) + 1)
     if p_out > _top_degree(N, D) or not vec:
@@ -96,54 +93,33 @@ def act(N: int, T: Tensor, word) -> Tensor:
     return tensor_from_wedge(Y, D, {_strip(k, Y.n_cols): v for k, v in vec.items()}, CONTRA)
 
 
-@dataclass(frozen=True)
-class _GradedBasis:
-    """Slot-coordinate bases of every degree, shared by the checks."""
+@lru_cache(maxsize=None)
+def _graded_basis(N, D, p):
+    """Slot-coordinate basis of the degree-p symmetry type."""
+    from .tensor_core import schur_wedge_basis
 
-    N: int
-    D: int
-
-    def degrees(self):
-        return range(0, _top_degree(self.N, self.D) + 1)
-
-    def basis(self, p):
-        from .tensor_core import schur_wedge_basis
-
-        Y = max_diagram(self.N, p)
-        if schur_dim(Y, self.D) == 0:
-            return ()
-        if Y.size == 0:
-            return ({_pad((), self.N - 1): 1},)
-        return tuple(
-            {_pad(k, self.N - 1): c for k, c in vec.items()}
-            for vec in schur_wedge_basis(Y.rows, self.D)
-        )
+    Y = max_diagram(N, p)
+    if schur_dim(Y, D) == 0:
+        return ()
+    if Y.size == 0:
+        return ({_pad((), N - 1): 1},)
+    return tuple({_pad(k, N - 1): c for k, c in vec.items()}
+                 for vec in schur_wedge_basis(Y.rows, D))
 
 
 def _word_action_column(N, D, letters):
     """Stacked action of one word over every degree, as a sparse column."""
-    gb = _GradedBasis(N, D)
     col: dict = {}
-    n = len(letters)
-    for p in gb.degrees():
-        if p + n > _top_degree(N, D):
-            continue
-        for j, vec in enumerate(gb.basis(p)):
-            img = _act_vec(N, D, p, vec, letters)
-            for k, v in img.items():
+    for p in range(0, _top_degree(N, D) - len(letters) + 1):
+        for j, vec in enumerate(_graded_basis(N, D, p)):
+            for k, v in _act_vec(N, D, p, vec, letters).items():
                 col[(p, j, k)] = v
     return col
 
 
 def kernel_dim(N: int, D: int, n: int) -> int:
     """Dimension of the degree-n kernel of the word action."""
-    if n == 0:
-        return 0
-    cols = [
-        _word_action_column(N, D, letters)
-        for letters in itertools.product(range(1, D + 1), repeat=n)
-    ]
-    return D ** n - linalg.rank(cols)
+    return D ** n - image_dims(N, D, n) if n else 0
 
 
 def image_dims(N: int, D: int, n: int) -> int:
@@ -172,24 +148,11 @@ def _symmetrized_positions(word, positions):
 
 
 def _acts_as_zero(N, D, u: dict, degree: int) -> bool:
-    """True when a tensor-algebra element kills every graded basis vector."""
-    gb = _GradedBasis(N, D)
-    for p in gb.degrees():
-        if p + degree > _top_degree(N, D):
-            continue
-        for vec in gb.basis(p):
-            total: dict = {}
-            for letters, c in u.items():
-                img = _act_vec(N, D, p, vec, letters)
-                for k, v in img.items():
-                    acc = total.get(k, 0) + c * v
-                    if acc:
-                        total[k] = acc
-                    else:
-                        total.pop(k, None)
-            if total:
-                return False
-    return True
+    """True when an element {word of length degree: coefficient} kills every
+    graded basis vector: the same combination of its words' columns is empty."""
+    if any(len(w) != degree for w in u):
+        raise ShapeError(f"every word must have length {degree}")
+    return not linalg.combine(u, {w: _word_action_column(N, D, w) for w in u})
 
 
 def symmetrized_power_check(N: int, D: int) -> bool:
@@ -289,7 +252,6 @@ def relation_checks(N: int, D: int, degree_cap: int | None = None, rng=None) -> 
                     {"ideal": ideal_n, "kernel": kernel_n},
                 )
 
-    gb = _GradedBasis(N, D)
     for n in range(0, degree_cap + 1):
         if n > _top_degree(N, D):
             break

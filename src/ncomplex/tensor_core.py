@@ -33,6 +33,14 @@ def _check_variance(variance: str) -> str:
     return variance
 
 
+def _entry_value(entry: dict) -> Fraction:
+    """The exact value of one JSON entry, from its "num" and "den" strings."""
+    den = int(entry["den"])
+    if not den:
+        raise ShapeError("entry has a zero denominator")
+    return Fraction(int(entry["num"]), den)
+
+
 class Tensor:
     """Degree-p tensor over dimension D with exact rational components.
 
@@ -84,9 +92,7 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         if (self.dim, self.degree, self.variance) != (other.dim, other.degree, other.variance):
             raise ShapeError("cannot add tensors of different dim, degree or variance")
-        comps = dict(self.components)
-        for idx, v in other.components.items():
-            comps[idx] = comps.get(idx, Fraction(0)) + v
+        comps = linalg.add_to(dict(self.components), other.components)
         shape = self.shape if self.shape == other.shape else None
         return Tensor(self.dim, self.degree, self.variance, comps, shape)
 
@@ -124,7 +130,7 @@ class Tensor:
     def from_json(cls, text: str) -> "Tensor":
         doc = json.loads(text)
         comps = {
-            tuple(e["idx"]): Fraction(int(e["num"]), int(e["den"]))
+            tuple(e["idx"]): _entry_value(e)
             for e in doc["entries"]
         }
         shape = doc.get("shape")
@@ -378,6 +384,7 @@ def projector_columns(rows: tuple[int, ...], D: int):
             if res is None:
                 continue
             key, sign = res
+            # inline, not linalg.add_to: a call per entry slows the projector build
             w = out.get(key, 0) + sign * v
             if w:
                 out[key] = w
@@ -415,12 +422,7 @@ def projector_rank(Y, D: int) -> int:
     for I in itertools.product(range(1, D + 1), repeat=Y.size):
         col: dict = {}
         for sigma, c in supp.items():
-            K = _place(I, sigma)
-            w = col.get(K, 0) + c
-            if w:
-                col[K] = w
-            else:
-                col.pop(K, None)
+            linalg.add_to(col, {_place(I, sigma): c})
         ech.add(col)
     return ech.rank
 
@@ -535,12 +537,7 @@ def contract_tensor(T: Tensor, Tp: Tensor) -> Tensor:
     for I, a in T.components.items():
         for J, b in Tp.components.items():
             if all(I[pt] == J[pp] for pt, pp in pairs):
-                K = tuple(I[k] for k in free)
-                w = out.get(K, Fraction(0)) + a * b
-                if w:
-                    out[K] = w
-                else:
-                    out.pop(K, None)
+                linalg.add_to(out, {tuple(I[k] for k in free): b}, a)
     return Tensor(T.dim, C.size, T.variance, out, C)
 
 

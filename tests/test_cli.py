@@ -26,10 +26,20 @@ def test_poincare_pass(capsys):
     assert "PASS" in out
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     r = invoke(["no-such-command"])
     assert r.returncode == 2
     assert run(["cohomology", "--N", "3", "--D", "2", "--jobs", "2"]) == 2
+    capsys.readouterr()
+    # block parameters that select no complex are rejected, not tabulated
+    for argv in (["cohomology", "--N", "1", "--D", "2"],
+                 ["cohomology", "--N", "3", "--D", "2", "--qmax", "-1"],
+                 ["poincare", "--N", "3", "--D", "0"],
+                 ["poincare", "--N", "3", "--D", "2", "--nmax", "-1"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_malformed_input_exit_code():
@@ -38,6 +48,30 @@ def test_malformed_input_exit_code():
     assert "malformed" in r.stderr
     r2 = invoke(["diff", "--input", "/nonexistent/file.json"])
     assert r2.returncode == 2
+
+
+def _with_entry(doc_text, **changes):
+    doc = json.loads(doc_text)
+    doc["entries"][0].update(changes)
+    return json.dumps(doc)
+
+
+def test_malformed_entries_exit_2_without_traceback():
+    from ncomplex.tensor_core import Tensor
+
+    F = scalar_field(3, 2, {(2, 0): Fraction(3)}).to_json()
+    T = Tensor(2, 2, "co", {(1, 2): 1}).to_json()
+    cases = [
+        (["diff"], _with_entry(F, den="0")),
+        (["diff"], _with_entry(F, exp=[2, 0, 0])),
+        (["diff"], _with_entry(F, exp=[3, -1])),
+        (["project", "--shape", "1,1"], _with_entry(T, den="0")),
+    ]
+    for argv, doc in cases:
+        r = invoke([*argv, "--input", "-"], stdin=doc)
+        assert r.returncode == 2, (argv, doc, r.stderr)
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
 
 
 def test_diff_pipe_round_trip():

@@ -11,7 +11,18 @@ import random
 import pytest
 
 from ncomplex.cli import run
-from ncomplex.fields import random_field
+from ncomplex.fields import PolyTensorField, random_field
+from ncomplex.gauge import _double_divergence
+
+
+def _conserved_stress(rng):
+    """Double divergence of a random curvature-symmetry field (D=3, q=2).
+
+    Its potential is not unique, so the digest pins the particular
+    preimage that `linalg.solve` picks.
+    """
+    seed = random_field(3, 3, 4, 2, rng, "contra")
+    return PolyTensorField.from_components(3, 3, 2, 0, "contra", _double_divergence(seed))
 
 
 def _input_fields():
@@ -21,6 +32,7 @@ def _input_fields():
         "contra4": random_field(4, 2, 3, 2, rng, "contra"),
         "co": random_field(3, 2, 1, 3, rng),
         "co4": random_field(4, 2, 2, 2, rng),
+        "stress": _conserved_stress(rng),
     }
 
 
@@ -43,6 +55,8 @@ GOLDEN = [
      "2ea49ed141f9e149bc83a78797797604d5d8977d12397b9dee78b6de5458649d"),
     (["algebra", "--N", "3", "--D", "2", "--format", "json"], None, 1,
      "0923fd775e1b5d74d38fcf23dba738b89203dbaa9b0efe271833363769b967d8"),
+    (["algebra", "--N", "4", "--D", "2"], None, 0,
+     "45100b551a0761afdce2f4eeb369d6f2d6519eba54996ddd8f6862ad97f4c19a"),
     (["cohomology", "--N", "3", "--D", "3", "--qmax", "3", "--format", "json"], None, 0,
      "203f8f4046afc48e097969f372717dea3222a0652ed50581cddb967683cddab4"),
     (["delta"], "contra", 0,
@@ -55,6 +69,8 @@ GOLDEN = [
      "9791ff4e3dc47b8798d3114c092e369f462683f0cf5852a052cd265b1557b2aa"),
     (["dual"], "co", 0,
      "ab87a584b5e8ad0bb24ad9d5a57c92e6fb7e3b48647a3c11197e7ca2f612ecb3"),
+    (["stress-potential"], "stress", 0,
+     "2d43e7a7fa5a220d9a53320f26ca6670b1bbc052ef6f56fd07db863d27ae4fe8"),
     (["green", "--N", "3", "--D", "2", "--p", "1", "--q", "2"], None, 0,
      "e0cce7785f076355fceedb265606122beda2ff35fa08d0e1fbcf22f4c6a3dd80"),
     (["green", "--N", "4", "--D", "2", "--p", "2", "--q", "2"], None, 0,

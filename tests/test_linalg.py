@@ -129,3 +129,60 @@ def test_solve_finds_exact_combinations(mc, coeffs):
         for k, v in cols[j].items():
             got[k] = got.get(k, Fraction(0)) + c * v
     assert {k: v for k, v in got.items() if v} == {k: Fraction(v) for k, v in target.items()}
+
+
+def test_solve_fixed_case_with_kernel():
+    # column 1 is twice column 0, so the kernel is nontrivial; the particular
+    # solution uses the pivot columns only
+    cols = [{0: 1}, {0: 2}, {1: 1}]
+    assert linalg.solve(cols, {0: 3, 1: 1}) == {0: 3, 2: 1}
+
+
+def test_fraction_targets():
+    cols = [{0: 2, 1: 1}, {1: 3}]
+    target = {0: Fraction(1, 3), 1: Fraction(-5, 6)}
+    sol = linalg.solve(cols, target)
+    assert sol == {0: Fraction(1, 6), 1: Fraction(-1, 3)}
+    ech = linalg.Echelon(cols)
+    assert ech.contains(target)
+    assert linalg.Echelon([{0: 2, 1: 1}]).contains({0: Fraction(1, 3), 1: Fraction(1, 6)})
+    assert not linalg.Echelon([{0: 2, 1: 1}]).contains({0: Fraction(1, 3), 1: Fraction(1, 5)})
+    assert linalg.solve([{0: 2, 1: 1}], {0: Fraction(1, 3), 1: Fraction(1, 5)}) is None
+
+
+def test_add_to_and_combine():
+    out = {0: 1, 1: 2}
+    assert linalg.add_to(out, {1: 1, 2: 1}, -2) is out
+    assert out == {0: 1, 2: -2}
+    assert linalg.combine({0: 2, 1: 0, 2: -1}, [{0: 1}, {5: 7}, {0: 2, 3: 1}]) == {3: -1}
+    assert linalg.combine({}, []) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrix(), sparse_matrix())
+def test_solve_and_contains_agree_with_rank(mc, mt):
+    _, cols = mc
+    target = mt[1][0]
+    solvable = linalg.rank(cols + [target]) == linalg.rank(cols)
+    sol = linalg.solve(cols, target)
+    assert (sol is not None) == solvable
+    assert linalg.Echelon(cols).contains(target) == solvable
+    if sol is not None:
+        got = linalg.combine(sol, cols)
+        assert got == {k: Fraction(v) for k, v in target.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrix(), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_add_to_and_combine_never_store_zero(mc, coeffs):
+    n_rows, cols = mc
+    coeff_map = dict(enumerate(coeffs[:len(cols)]))
+    total = linalg.combine(coeff_map, cols)
+    assert all(total.values())
+    acc: dict = {}
+    for j, c in coeff_map.items():
+        linalg.add_to(acc, cols[j], c)
+        assert all(acc.values())
+    assert acc == total
+    for k in range(n_rows):
+        assert total.get(k, 0) == sum(c * cols[j].get(k, 0) for j, c in coeff_map.items())
