@@ -172,13 +172,15 @@ class PolyTensorField:
         Y = max_diagram(N, p)
         slices: dict = {}
         for (idx, exp), v in components.items():
-            v = Fraction(v)
-            if not v:
-                continue
             if len(exp) != D or min(exp) < 0:
                 raise ShapeError(f"exponent {exp} is not a monomial in {D} variables")
             if sum(exp) != q:
                 raise ShapeError(f"exponent {exp} is not homogeneous of degree {q}")
+            if len(idx) != p or (idx and not 1 <= min(idx) <= max(idx) <= D):
+                raise ShapeError(f"bad index tuple {tuple(idx)} for degree {p}, dim {D}")
+            v = Fraction(v)
+            if not v:
+                continue
             slices.setdefault(tuple(exp), {})[tuple(idx)] = v
         data: dict = {}
         for exp, comp in slices.items():

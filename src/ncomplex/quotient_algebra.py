@@ -107,8 +107,12 @@ def _graded_basis(N, D, p):
                  for vec in schur_wedge_basis(Y.rows, D))
 
 
-def _word_action_column(N, D, letters):
-    """Stacked action of one word over every degree, as a sparse column."""
+@lru_cache(maxsize=None)
+def _word_action_column(N, D, letters: tuple):
+    """Stacked action of one word over every degree, as a sparse column.
+
+    Cached: a word recurs in many relations, and callers only read the column.
+    """
     col: dict = {}
     for p in range(0, _top_degree(N, D) - len(letters) + 1):
         for j, vec in enumerate(_graded_basis(N, D, p)):

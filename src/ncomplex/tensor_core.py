@@ -8,6 +8,14 @@ its components at keys whose column blocks are strictly increasing, and
 those canonical components form a far smaller coordinate space. The
 conversion helpers and the cached projector matrices below are the bridge
 between the two pictures.
+
+A projector matrix is summed over the row and column groups only for the
+smaller side of the column-wise epsilon duality: a shape filling more
+than half of its k-by-D box is read off its complement through the
+column-wise Hodge star, a signed permutation of slot keys, because the
+group sums grow factorially with the number of cells. `young_project`,
+`symmetrizer_support`, `projector_rank` and `_symmetrizer_columns` keep
+the group-sum route as the independent oracle.
 """
 
 from __future__ import annotations
@@ -360,6 +368,66 @@ def projector_columns(rows: tuple[int, ...], D: int):
     integer column of the unnormalized symmetrizer and lam is the scalar
     dividing it into the idempotent projector. The restriction is well
     defined because the symmetrizer ends with column antisymmetrization.
+
+    The symmetrizer sum costs |row group| * |column group| per key, so it
+    is run on the smaller side of the column-wise epsilon duality: a
+    shape with columns c_1 >= ... >= c_k, none taller than D, that fills
+    more than half of the k-by-D box is built from its complement (see
+    `_dual_columns`). Ties and smaller shapes take `_symmetrizer_columns`.
+    """
+    cols = Diagram(rows).columns()
+    if cols and cols[0] <= D and 2 * sum(cols) > len(cols) * D:
+        return _dual_columns(rows, D)
+    return _symmetrizer_columns(rows, D)
+
+
+def _complement_key(S, D: int, n_cols: int):
+    """The slot key of the column-wise complement of S.
+
+    Column j goes to its complement in 1..D, the columns are read right to
+    left, and the empty complements of full columns (all last) are dropped.
+    """
+    key = tuple(tuple(i for i in range(1, D + 1) if i not in block) for block in reversed(S))
+    return key[:n_cols]
+
+
+def _dual_columns(rows: tuple[int, ...], D: int):
+    """`projector_columns` of a shape read off that of its complement.
+
+    The complement mu has columns D - c_k, ..., D - c_1 (zeros dropped).
+    The type occurs once in the tensor product of the column exterior
+    powers, so columns / lam is the orthogonal projector onto it. The
+    column-wise Hodge star, e_S -> sign(S_j + S_j^c) e_{S^c} in each
+    column, is an equivariant signed permutation of slot keys carrying
+    that component onto mu's, so
+    M[S'][S] = s(S) s(S') lam * M_mu[h(S')][h(S)] / lam_mu. The signs
+    cancel: the projector commutes with diagonal matrices, so M[S'][S] is
+    nonzero only when S and S' hold the same multiset of indices, and
+    then s(S) = s(S') because each is (-1)^(sum of the indices) times a
+    sign fixed by the shape.
+    """
+    mu_cols = tuple(D - c for c in reversed(Diagram(rows).columns()) if c < D)
+    mu_M, mu_lam = projector_columns(Diagram(mu_cols).columns(), D)
+    lam = normalization(Diagram(rows))
+    star = {S: _complement_key(S, D, len(mu_cols)) for S in wedge_keys(rows, D)}
+    back = {hS: S for S, hS in star.items()}
+    cols: dict = {}
+    for S, hS in star.items():
+        out: dict = {}
+        for hT, v in mu_M[hS].items():
+            w, r = divmod(lam * v, mu_lam)
+            if r:  # pragma: no cover
+                raise VerificationError(f"dual projector of {rows}, D={D} is not integral")
+            out[back[hT]] = w
+        cols[S] = out
+    return cols, lam
+
+
+def _symmetrizer_columns(rows: tuple[int, ...], D: int):
+    """`projector_columns` summed over the row and column groups.
+
+    Independent of the duality; `projector_columns` calls it on the
+    smaller side, and the tests compare the two on a sweep.
     """
     Y = Diagram(rows)
     lam = normalization(Y)

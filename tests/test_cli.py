@@ -74,6 +74,28 @@ def test_malformed_entries_exit_2_without_traceback():
         assert "Traceback" not in r.stderr
 
 
+def test_zero_entries_are_validated():
+    # a zero value does not exempt an entry from the exponent and index checks
+    F = scalar_field(3, 2, {(2, 0): Fraction(3)}).to_json()
+    G = PolyTensorField.from_components(3, 2, 1, 1, "co", {((1,), (1, 0)): 1}).to_json()
+
+    def extra(doc_text, idx, exp):
+        doc = json.loads(doc_text)
+        doc["entries"].append({"idx": idx, "exp": exp, "num": "0", "den": "1"})
+        return json.dumps(doc)
+
+    for doc in (extra(F, [], [7, -5, 1]), extra(F, [1], [2, 0]),
+                extra(G, [3], [1, 0]), extra(G, [0], [0, 1]), extra(G, [1, 2], [0, 1])):
+        r = invoke(["diff", "--input", "-"], stdin=doc)
+        assert r.returncode == 2, (doc, r.stderr)
+        assert r.stdout == ""
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
+    ok = invoke(["diff", "--input", "-"], stdin=extra(G, [2], [0, 1]))
+    assert ok.returncode == 0
+    assert ok.stdout == invoke(["diff", "--input", "-"], stdin=G).stdout
+
+
 def test_diff_pipe_round_trip():
     F = scalar_field(3, 2, {(2, 1): Fraction(3)})
     r = invoke(["diff", "--input", "-"], stdin=F.to_json())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 
@@ -7,13 +8,16 @@ from ncomplex.diagrams import Diagram, partitions, schur_dim
 from ncomplex.errors import ShapeError
 from ncomplex.tensor_core import (
     Tensor,
+    _symmetrizer_columns,
     contract_tensor,
     dual_star,
     epsilon,
     epsilon_power,
+    projector_columns,
     projector_rank,
     schur_basis,
     schur_conditions_ok,
+    tensor_from_wedge,
     tensor_to_wedge,
     wedge_keys,
     young_project,
@@ -190,8 +194,6 @@ def test_wedge_round_trip():
         Y = Diagram(rows)
         T = young_project(Y, random_tensor(Y, 3, rng))
         w = tensor_to_wedge(Y, T)
-        from ncomplex.tensor_core import tensor_from_wedge
-
         assert tensor_from_wedge(Y, 3, w) == T
 
 
@@ -199,3 +201,40 @@ def test_wedge_keys_shape():
     assert wedge_keys((1, 1), 2) == (((1, 2),),)
     assert len(wedge_keys((2,), 2)) == 4
     assert wedge_keys((1, 1, 1), 2) == ()
+
+
+def _symmetrizer_cost(Y, D):
+    """Arithmetic of the symmetrizer sum: keys * |column group| * |row group|."""
+    return (prod(factorial(r) for r in Y.rows)
+            * prod(factorial(c) * comb(D, c) for c in Y.columns()))
+
+
+def test_projector_columns_match_symmetrizer_sum():
+    # every shape of at most four columns, none taller than D, for D <= 5,
+    # up to a cost cap; about half of them take the duality route. The cap
+    # is read off the shape, because row_group of a large shape alone can
+    # exhaust memory
+    dual = 0
+    for D in range(1, 6):
+        for n in range(4 * D + 1):
+            for Y in partitions(n):
+                if Y.n_cols > 4 or Y.n_rows > D or _symmetrizer_cost(Y, D) > 30000:
+                    continue
+                cols = Y.columns()
+                dual += bool(cols) and 2 * n > len(cols) * D
+                assert projector_columns(Y.rows, D) == _symmetrizer_columns(Y.rows, D), (Y.rows, D)
+    assert dual >= 40
+
+
+def test_projector_columns_against_full_tensor_symmetrizer():
+    # columns / lam is the symmetrizer read in slot coordinates. (1, 1)/3 is
+    # built directly and the rest from duals: (2, 2)/2 from the empty shape,
+    # (2, 1)/2 drops a full column, and (2, 1, 1)/3 dualizes twice
+    for rows, D in (((1, 1), 3), ((2, 2), 3), ((2, 2, 1), 4), ((3, 2), 3),
+                    ((2, 2), 2), ((2, 1), 2), ((2, 1, 1), 3)):
+        Y = Diagram(rows)
+        cols, lam = projector_columns(rows, D)
+        assert sorted(cols) == list(wedge_keys(rows, D))
+        for S, col in cols.items():
+            image = tensor_to_wedge(Y, young_project(Y, tensor_from_wedge(Y, D, {S: 1})))
+            assert image == {K: Fraction(v, lam) for K, v in col.items()}, (rows, D, S)
