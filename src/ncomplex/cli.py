@@ -36,22 +36,14 @@ def _read_text(path):
         return fh.read()
 
 
-def _load_field(path):
+def _load(path, parse, what):
+    """Parse a JSON document with parse, turning every input fault into a UsageError."""
     try:
-        return fl.PolyTensorField.from_json(_read_text(path))
+        return parse(_read_text(path))
     except FileNotFoundError:
         raise UsageError(f"{path}: no such file")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: malformed field document: {exc}")
-
-
-def _load_tensor(path):
-    try:
-        return tc.Tensor.from_json(_read_text(path))
-    except FileNotFoundError:
-        raise UsageError(f"{path}: no such file")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: malformed tensor document: {exc}")
+        raise UsageError(f"{path}: malformed {what} document: {exc}")
 
 
 class UsageError(Exception):
@@ -64,6 +56,12 @@ def _emit(text):
         sys.stdout.write("\n")
 
 
+def _report(rep, fmt):
+    """Emit a check report as text or JSON; exit 0 when it passes, 1 when not."""
+    _emit(rep.to_json() if fmt == "json" else str(rep))
+    return 0 if rep.ok else 1
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_dim(args):
@@ -72,14 +70,14 @@ def _cmd_dim(args):
 
 
 def _cmd_project(args):
-    T = _load_tensor(args.input)
+    T = _load(args.input, tc.Tensor.from_json, "tensor")
     Y = Diagram(_parse_ints(args.shape))
     _emit(tc.young_project(Y, T).to_json())
     return 0
 
 
 def _cmd_diff(args):
-    F = _load_field(args.input)
+    F = _load(args.input, fl.PolyTensorField.from_json, "field")
     for _ in range(args.power):
         F = fl.n_diff(F)
     _emit(F.to_json())
@@ -87,13 +85,13 @@ def _cmd_diff(args):
 
 
 def _cmd_delta(args):
-    F = _load_field(args.input)
+    F = _load(args.input, fl.PolyTensorField.from_json, "field")
     _emit(fl.delta(F).to_json())
     return 0
 
 
 def _cmd_dual(args):
-    F = _load_field(args.input)
+    F = _load(args.input, fl.PolyTensorField.from_json, "field")
     _emit(fl.dual_star_field(F).to_json())
     return 0
 
@@ -111,21 +109,11 @@ def _cmd_cohomology(args):
 
 
 def _cmd_poincare(args):
-    rep = co.poincare_suite(args.N, args.D, args.nmax, args.qmax)
-    if args.format == "json":
-        _emit(rep.to_json())
-    else:
-        _emit(str(rep))
-    return 0 if rep.ok else 1
+    return _report(co.poincare_suite(args.N, args.D, args.nmax, args.qmax), args.format)
 
 
 def _cmd_hexagon(args):
-    rep = co.hexagon_check(args.N, args.D, args.k, args.l, args.qmax)
-    if args.format == "json":
-        _emit(rep.to_json())
-    else:
-        _emit(str(rep))
-    return 0 if rep.ok else 1
+    return _report(co.hexagon_check(args.N, args.D, args.k, args.l, args.qmax), args.format)
 
 
 def _cmd_theorem2(args):
@@ -175,7 +163,7 @@ def _cmd_spin2(args):
     results["constants"] = {"d1_vs_d": str(c1), "d2_vs_d2": str(c2),
                             "d3_vs_d": str(c3) if c3 is not None else None}
     if args.input:
-        X = _load_field(args.input)
+        X = _load(args.input, fl.PolyTensorField.from_json, "field")
         h = gg.spin2_d1(X)
         R = gg.spin2_d2(h)
         results["chain"] = [json.loads(h.to_json()), json.loads(R.to_json())]
@@ -198,20 +186,15 @@ def _cmd_spins(args):
 
 
 def _cmd_stress_potential(args):
-    T = _load_field(args.input)
+    T = _load(args.input, fl.PolyTensorField.from_json, "field")
     R = gg.stress_potential(T)
     _emit(R.to_json())
     return 0
 
 
 def _cmd_algebra(args):
-    rng = random.Random(args.seed)
-    rep = qa.relation_checks(args.N, args.D, args.cap, rng=rng)
-    if args.format == "json":
-        _emit(rep.to_json())
-    else:
-        _emit(str(rep))
-    return 0 if rep.ok else 1
+    rep = qa.relation_checks(args.N, args.D, args.cap, rng=random.Random(args.seed))
+    return _report(rep, args.format)
 
 
 def _cmd_verify_all(args):

@@ -250,14 +250,12 @@ def _h_space(N, D, p, k, q):
     if p < 0 or q < 0 or p > _top_degree(N, D) or block_dim(N, D, p, q) == 0:
         return (), (), ()
     basis = _block_int_basis(N, D, p, q)
-    imgs = [_d_k_int(N, D, p, q, vec, k) for vec in basis]
-    ker = [linalg.combine(comb, basis) for comb in linalg.nullspace(imgs)]
+    ker = [linalg.combine(comb, basis)
+           for comb in linalg.nullspace(_image_vectors(N, D, p, q, k))]
     src_p, src_q = p - (N - k), q + (N - k)
     im = []
     if src_p >= 0:
-        for w in _image_vectors(N, D, src_p, src_q, N - k):
-            if w:
-                im.append(w)
+        im = [w for w in _image_vectors(N, D, src_p, src_q, N - k) if w]
     ech = linalg.Echelon(im)
     reps = [v for v in ker if ech.add(v)]
     return tuple(reps), tuple(im), tuple(ker)
@@ -303,6 +301,7 @@ def hexagon_check(N, D, k, l, q_max) -> SuiteReport:
     is checked by ranks: injectivity, matching ranks at both middle
     nodes, surjectivity, and vanishing composites.
     """
+    BlockLabel(N, D, 0, q_max).validate()
     rep = SuiteReport("hexagon", {"N": N, "D": D, "k": k, "l": l, "q_max": q_max})
     if N == 2:
         rep.expect("degenerate (no admissible k, l)", True, True)

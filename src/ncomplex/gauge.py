@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
+from . import tensor_core as tc
 from .cohomology import solve_preimage
 from .errors import ShapeError, VerificationError
 from .fields import (
@@ -212,13 +213,20 @@ def stress_potential(T: PolyTensorField) -> PolyTensorField:
     if T.is_zero:
         return PolyTensorField.zero(3, D, 4, q + 2, CONTRA)
 
-    eps = _eps_components(D)
+    # epsilon split after its first index and after its first two indices
+    eps = tc.epsilon(D).components
+    lead: dict = {}
+    pairs: dict = {}
+    for idx, sign in eps.items():
+        lead.setdefault(idx[0], []).append((idx[1:], sign))
+        pairs.setdefault(idx[2:], []).append((idx[:2], sign))
+
     # tau has degree 2(D-1) with two columns of height D-1
     tau_comps: dict = {}
     for ((mu, nu), exp), v in T.full_components().items():
-        for m_rest, sm in eps[mu].items():
+        for m_rest, sm in lead[mu]:
             linalg.add_to(tau_comps, {(m_rest + n_rest, exp): sn
-                                      for n_rest, sn in eps[nu].items()}, v * sm)
+                                      for n_rest, sn in lead[nu]}, v * sm)
     tau = PolyTensorField.from_components(3, D, 2 * (D - 1), q, CO, tau_comps)
     if not n_diff(tau).is_zero:
         raise VerificationError("dualized conserved tensor is not closed")
@@ -229,13 +237,9 @@ def stress_potential(T: PolyTensorField) -> PolyTensorField:
     # epsilon index pairs are the two antisymmetric columns
     R_comps: dict = {}
     for (idx, exp), v in rho.full_components().items():
-        m_rest, n_rest = idx[: D - 2], idx[D - 2:]
-        for (m1, m2, mm), sm in _eps_pairs(D).items():
-            if mm != m_rest:
-                continue
-            linalg.add_to(R_comps, {((m1, m2, n1, n2), exp): sn
-                                    for (n1, n2, nn), sn in _eps_pairs(D).items()
-                                    if nn == n_rest}, v * sm)
+        for m12, sm in pairs.get(idx[: D - 2], ()):
+            linalg.add_to(R_comps, {(m12 + n12, exp): sn
+                                    for n12, sn in pairs.get(idx[D - 2:], ())}, v * sm)
     R = PolyTensorField.from_components(3, D, 4, q + 2, CONTRA, R_comps)
 
     got = _double_divergence(R)
@@ -263,33 +267,3 @@ def _double_divergence(R: PolyTensorField) -> dict:
             continue
         linalg.add_to(out, {((mu, nu), _shift_down(exp1, rho)): v}, e1 * e2)
     return out
-
-
-def _eps_components(D):
-    """For each leading index: remaining (D-1)-tuples and their signs."""
-    import itertools
-
-    table = {mu: {} for mu in range(1, D + 1)}
-    for perm in itertools.permutations(range(1, D + 1)):
-        sign = _sign_of(perm)
-        table[perm[0]][perm[1:]] = sign
-    return table
-
-
-def _eps_pairs(D):
-    """For each leading index pair: remaining (D-2)-tuples and signs."""
-    import itertools
-
-    table = {}
-    for perm in itertools.permutations(range(1, D + 1)):
-        table[(perm[0], perm[1], perm[2:])] = _sign_of(perm)
-    return table
-
-
-def _sign_of(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign

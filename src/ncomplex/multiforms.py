@@ -6,14 +6,19 @@ exactly as for fields, but with no symmetry-type restriction: the slot
 sizes form an arbitrary multidegree. The fields of the complex embed as
 the image of a projection acting on staircase multidegrees, and the slot
 differentials realize the higher differential through that projection.
-Both are built from the slot operator of `fields`: `d_slot` applies
-`fields._insert_table`, which owns the slot sign convention, and
-`project_pi` composes with the projector through `fields._projected`.
+Both are built from the slot operator of `fields`: `_slot_product` is
+the one slot-product path, applying `fields._insert_table`, which owns
+the slot sign convention, once per slot of a product; `d_slot` is its
+validated public face on `Multiform`s. `project_pi` composes with the
+projector through `fields._projected`.
 
 The rank checks at the bottom of this module certify the two splitting
 statements that drive the generalized vanishing theorem, block by block:
 cocycle systems against sums of slot-differential ranges, and the
-relative single-slot version in the quotient by the other slots.
+relative single-slot version in the quotient by the other slots. They
+run on plain integer slot vectors through `_slot_product`; only the unit
+basis of the block `theorem2_check` is asked about is built as
+`Multiform`s.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from . import tensor_core as tc
 from .diagrams import max_diagram
 from .errors import ShapeError, VerificationError
 from .fields import (
+    BlockLabel,
     PolyTensorField,
     _apply_slot,
     _insert_table,
@@ -154,15 +160,21 @@ def d_slot(i: int, w: Multiform) -> Multiform:
     md = w.multidegree
     if md is None:
         return Multiform(w.N, w.D)
-    return Multiform(w.N, w.D, _apply_slot(_insert_table(w.D, i - 1, md), w.data, w.D))
+    return Multiform(w.N, w.D, _slot_product((i,), md, w.data, w.D))
 
 
-def d_product(slots, w: Multiform) -> Multiform:
-    """Compose slot differentials over an index set, ascending order."""
-    out = w
-    for i in sorted(slots, reverse=True):
-        out = d_slot(i, out)
-    return out
+def _slot_product(J, md: tuple, vec: dict, D: int) -> dict:
+    """The slot product d_J = d_j1 ... d_jk (j1 < ... < jk) of a slot vector.
+
+    vec has slot sizes md; the largest slot acts first, and each factor
+    grows its slot by one. No validation: callers pass slots in range.
+    """
+    for i in sorted(J, reverse=True):
+        if not vec:
+            break
+        vec = _apply_slot(_insert_table(D, i - 1, md), vec, D)
+        md = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
+    return vec
 
 
 def order(w: Multiform):
@@ -256,17 +268,11 @@ def lemma4_check(N: int, D: int, n: int, q: int) -> bool:
     basis = block_basis(N, D, p, q)
     if not basis:
         return True
+    md = _staircase(N, p)
     for k in range(1, N):
         lhs_cols = [d_power(b, k).data for b in basis]
-        rhs_cols = []
-        for b in basis:
-            w = embed_field(b)
-            stacked: dict = {}
-            for J in combinations(range(1, N), k):
-                img = d_product(J, w)
-                for kk, v in img.data.items():
-                    stacked[(J, kk)] = v
-            rhs_cols.append(stacked)
+        products = tuple(combinations(range(1, N), k))
+        rhs_cols = [_stacked(products, md, b.data, D) for b in basis]
         left_null = linalg.nullspace(lhs_cols)
         right_null = linalg.nullspace(rhs_cols)
         if len(left_null) != len(right_null):
@@ -285,10 +291,14 @@ def multiform_basis(N, D, multidegree, q) -> list[Multiform]:
     md = tuple(multidegree)
     if len(md) != N - 1:
         raise ShapeError(f"multidegree {md} needs {N - 1} entries")
+    return [Multiform(N, D, u) for u in _units(D, md, q)]
+
+
+def _units(D, md, q) -> list:
+    """Integer unit slot vectors of block (md, q); none when a slot size leaves 0..D."""
     if any(a < 0 or a > D for a in md):
         return []
-    return [Multiform(N, D, {(key, e): Fraction(1)})
-            for key in _slot_keys(D, md) for e in monomials(D, q)]
+    return [{(key, e): 1} for key in _slot_keys(D, md) for e in monomials(D, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +348,40 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _d_product_columns(N, D, md, q, J):
-    """Images of the unit basis of block (md, q) under a slot product."""
-    cols = []
-    for w in multiform_basis(N, D, md, q):
-        img = d_product(J, w)
-        cols.append(img.data)
-    return cols
+def _range_into(D, md, q, J) -> list:
+    """Nonzero images under d_J of the unit basis of the block d_J maps into (md, q).
+
+    That source block is (md - sum of e_j over J, q + len(J)); it is empty,
+    and so is the answer, when a source slot would go negative. Zero images
+    are dropped: as extra columns in `_cocycles` each would bring a kernel
+    vector of its own into the nullspace basis.
+    """
+    src = tuple(a - (j in J) for j, a in enumerate(md, 1))
+    images = (_slot_product(J, src, u, D) for u in _units(D, src, q + len(J)))
+    return [g for g in images if g]
+
+
+def _stacked(products, md, vec: dict, D: int) -> dict:
+    """One column stacking the images of vec under each slot product J, keyed (J, key)."""
+    out: dict = {}
+    for J in products:
+        for k, v in _slot_product(J, md, vec, D).items():
+            out[(J, k)] = v
+    return out
+
+
+def _cocycles(units, cols) -> list:
+    """Nonzero combinations of units whose columns cancel against cols.
+
+    cols starts with one column per unit; further columns (generators of a
+    quotient) may absorb part of the combination but are not kept in it.
+    """
+    out = []
+    for comb in linalg.nullspace(cols):
+        vec = linalg.combine({j: c for j, c in comb.items() if j < len(units)}, units)
+        if vec:
+            out.append(vec)
+    return out
 
 
 def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
@@ -355,46 +392,31 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
     K and verifies it lies in the span of the (len(K) - m + 1)-fold
     products, allowing a free polynomial part below degree m.
     """
+    BlockLabel(N, D, 0, q_cap).validate()
+    md = tuple(multidegree)
+    if len(md) != N - 1 or any(a < 0 for a in md):
+        raise ShapeError(f"multidegree {md} needs {N - 1} nonnegative entries")
     K = tuple(sorted(set(K)))
     if not K or any(not 1 <= i <= N - 1 for i in K):
         raise ShapeError(f"bad slot subset {K}")
     if not 1 <= m <= len(K):
         raise ShapeError(f"bad product size m={m} for K={K}")
-    md = tuple(multidegree)
     rep = CheckReport("theorem2", {"N": N, "D": D, "K": K, "m": m,
                                    "multidegree": md, "q_cap": q_cap})
-    jsize = len(K) - m + 1
+    products = tuple(combinations(K, m))
+    ranges = tuple(combinations(K, len(K) - m + 1))
     for q in range(0, q_cap + 1):
         if q <= m - 1:
             rep.record(f"q={q}", True, "free polynomial part")
             continue
-        units = multiform_basis(N, D, md, q)
+        # the requested block is validated as Multiforms, the source blocks
+        # of the ranges stay plain integer vectors
+        units = [w.data for w in multiform_basis(N, D, md, q)]
         if not units:
             rep.record(f"q={q}", True, "empty block")
             continue
-        cocycle_cols = []
-        for w in units:
-            stacked: dict = {}
-            for I in combinations(K, m):
-                img = d_product(I, w)
-                for kk, v in img.data.items():
-                    stacked[(I, kk)] = v
-            cocycle_cols.append(stacked)
-        unit_data = [w.data for w in units]
-        z_vectors = [linalg.combine(comb, unit_data)
-                     for comb in linalg.nullspace(cocycle_cols)]
-        generators = []
-        for J in combinations(K, jsize):
-            md_src = list(md)
-            ok_src = True
-            for j in J:
-                md_src[j - 1] -= 1
-                if md_src[j - 1] < 0:
-                    ok_src = False
-            if not ok_src:
-                continue
-            generators.extend(_d_product_columns(N, D, tuple(md_src), q + jsize, J))
-        ech = linalg.Echelon(generators)
+        z_vectors = _cocycles(units, [_stacked(products, md, u, D) for u in units])
+        ech = linalg.Echelon(g for J in ranges for g in _range_into(D, md, q, J))
         passed = all(ech.contains(z) for z in z_vectors)
         rep.record(f"q={q}", passed,
                    {"cocycles": len(z_vectors), "generator_rank": ech.rank})
@@ -409,6 +431,7 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     elements of order len(K) + 2 up to the quotient. Checked per
     multidegree and homogeneous polynomial degree.
     """
+    BlockLabel(N, D, 0, q_cap).validate()
     K = tuple(sorted(set(K)))
     if i in K or not 1 <= i <= N - 1:
         raise ShapeError(f"slot {i} must avoid K={K}")
@@ -417,48 +440,19 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
                       {"N": N, "D": D, "K": K, "i": i, "q_cap": q_cap})
     for md in _all_multidegrees(N, D):
         for q in range(k + 1, q_cap + 1):
-            units = multiform_basis(N, D, md, q)
+            units = _units(D, md, q)
             if not units:
                 continue
-            md_i = list(md)
-            md_i[i - 1] += 1
-            if md_i[i - 1] > D:
-                quot_gens = []
-            else:
-                quot_gens = _quotient_generators(N, D, tuple(md_i), q, K)
-            d_cols = [d_slot(i, w).data for w in units]
-            stacked = d_cols + quot_gens
-            unit_data = [w.data for w in units]
-            z_vectors = []
-            for comb in linalg.nullspace(stacked):
-                vec = linalg.combine({j: c for j, c in comb.items() if j < len(units)},
-                                     unit_data)
-                if vec:
-                    z_vectors.append(vec)
-            md_src = list(md)
-            md_src[i - 1] -= 1
-            bound_gens = []
-            if md_src[i - 1] >= 0:
-                bound_gens = [d_slot(i, w).data
-                              for w in multiform_basis(N, D, tuple(md_src), q + 1)]
-            bound_gens += _quotient_generators(N, D, md, q + 1, K)
-            ech = linalg.Echelon(bound_gens)
+            # d_i and the quotient generators both land in (md + e_i, q - 1)
+            md_i = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
+            quotient = [g for j in K for g in _range_into(D, md_i, q - 1, (j,))]
+            z_vectors = _cocycles(units, [_slot_product((i,), md, u, D) for u in units]
+                                  + quotient)
+            ech = linalg.Echelon(g for j in (i,) + K for g in _range_into(D, md, q, (j,)))
             passed = all(ech.contains(z) for z in z_vectors)
             rep.record(f"md={md} q={q}", passed,
                        {"cocycles": len(z_vectors)})
     return rep
-
-
-def _quotient_generators(N, D, md, q_src, K):
-    """Images of the slot ranges indexed by K landing in block (md, .)."""
-    gens = []
-    for j in K:
-        md_src = list(md)
-        md_src[j - 1] -= 1
-        if md_src[j - 1] < 0:
-            continue
-        gens.extend(d_slot(j, w).data for w in multiform_basis(N, D, tuple(md_src), q_src))
-    return [g for g in gens if g]
 
 
 def _all_multidegrees(N, D):

@@ -222,6 +222,8 @@ def relation_checks(N: int, D: int, degree_cap: int | None = None, rng=None) -> 
     """
     if degree_cap is None:
         degree_cap = 2 * N - 2
+    if degree_cap < 0:
+        raise ShapeError(f"degree cap {degree_cap} must be nonnegative")
     rep = CheckReport("algebra_relations", {"N": N, "D": D, "degree_cap": degree_cap})
 
     rep.record("fully symmetrized length-N words act as zero",

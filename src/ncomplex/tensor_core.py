@@ -69,13 +69,12 @@ class Tensor:
             )
         comps = {}
         for idx, v in (components or {}).items():
-            v = Fraction(v)
-            if not v:
-                continue
             idx = tuple(int(i) for i in idx)
             if len(idx) != self.degree or any(i < 1 or i > self.dim for i in idx):
                 raise ShapeError(f"bad index tuple {idx} for degree {self.degree}, dim {self.dim}")
-            comps[idx] = v
+            v = Fraction(v)
+            if v:
+                comps[idx] = v
         self.components = comps
 
     def __getitem__(self, idx) -> Fraction:

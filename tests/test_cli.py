@@ -35,7 +35,14 @@ def test_usage_error_exit_code(capsys):
     for argv in (["cohomology", "--N", "1", "--D", "2"],
                  ["cohomology", "--N", "3", "--D", "2", "--qmax", "-1"],
                  ["poincare", "--N", "3", "--D", "0"],
-                 ["poincare", "--N", "3", "--D", "2", "--nmax", "-1"]):
+                 ["poincare", "--N", "3", "--D", "2", "--nmax", "-1"],
+                 ["hexagon", "--N", "3", "--D", "3", "--qmax", "-2"],
+                 ["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1",
+                  "--qcap", "-1"],
+                 ["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1",
+                  "--multidegree", "1,-1"],
+                 ["theorem2", "--N", "3", "--D", "0", "--K", "1", "--m", "1"],
+                 ["algebra", "--cap", "-1"]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -76,6 +83,8 @@ def test_malformed_entries_exit_2_without_traceback():
 
 def test_zero_entries_are_validated():
     # a zero value does not exempt an entry from the exponent and index checks
+    from ncomplex.tensor_core import Tensor
+
     F = scalar_field(3, 2, {(2, 0): Fraction(3)}).to_json()
     G = PolyTensorField.from_components(3, 2, 1, 1, "co", {((1,), (1, 0)): 1}).to_json()
 
@@ -84,10 +93,16 @@ def test_zero_entries_are_validated():
         doc["entries"].append({"idx": idx, "exp": exp, "num": "0", "den": "1"})
         return json.dumps(doc)
 
-    for doc in (extra(F, [], [7, -5, 1]), extra(F, [1], [2, 0]),
-                extra(G, [3], [1, 0]), extra(G, [0], [0, 1]), extra(G, [1, 2], [0, 1])):
-        r = invoke(["diff", "--input", "-"], stdin=doc)
-        assert r.returncode == 2, (doc, r.stderr)
+    bad_tensor = json.loads(Tensor(2, 2, "co", {(1, 2): 1}).to_json())
+    bad_tensor["entries"].append({"idx": [7, 9, 9], "num": "0", "den": "1"})
+
+    cases = [(["diff"], doc) for doc in (
+        extra(F, [], [7, -5, 1]), extra(F, [1], [2, 0]),
+        extra(G, [3], [1, 0]), extra(G, [0], [0, 1]), extra(G, [1, 2], [0, 1]))]
+    cases.append((["project", "--shape", "1,1"], json.dumps(bad_tensor)))
+    for argv, doc in cases:
+        r = invoke([*argv, "--input", "-"], stdin=doc)
+        assert r.returncode == 2, (argv, doc, r.stderr)
         assert r.stdout == ""
         assert r.stderr.startswith("error:")
         assert "Traceback" not in r.stderr

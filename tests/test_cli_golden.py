@@ -51,6 +51,8 @@ GOLDEN = [
     (["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1", "--qcap", "2",
       "--format", "json"], None, 0,
      "b51ed133becadb2afc6e142032c1c38dc98b992bfc4a2f5023586ecf779e403e"),
+    (["theorem2", "--N", "4", "--D", "2", "--K", "1,2,3", "--m", "2", "--qcap", "2"], None, 0,
+     "3b15cd461af954b568c98a10c264277598e74bc53cb59c69c2692c5b7c077e61"),
     (["algebra", "--N", "3", "--D", "2"], None, 1,
      "2ea49ed141f9e149bc83a78797797604d5d8977d12397b9dee78b6de5458649d"),
     (["algebra", "--N", "3", "--D", "2", "--format", "json"], None, 1,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -166,6 +168,17 @@ def test_relative_cohomology_examples():
     assert relative_cohomology_check(4, 2, (2, 3), 1, 3).ok
     with pytest.raises(ShapeError):
         relative_cohomology_check(3, 2, (1,), 1, 3)
+
+
+def test_relative_check_verdicts_are_pinned():
+    # sha256 of the reports, recorded before the slot products were rewritten;
+    # a quotient generator landing one polynomial degree off changes them
+    cases = ((3, 2, (2,), 1, 3), (4, 2, (2, 3), 1, 3), (3, 3, (1,), 2, 3), (4, 2, (1,), 3, 3))
+    reports = [relative_cohomology_check(*c).to_json() for c in cases]
+    assert sum(e["detail"]["cocycles"]
+               for r in reports for e in json.loads(r)["entries"]) == 1584
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == (
+        "bfa29cdfd0b21e8eb0ce77cfc149aea0da6e875aa1c68df16b665d738ed19ccf")
 
 
 def test_vacuous_pass_below_order_threshold():
