@@ -78,9 +78,7 @@ def _cmd_project(args):
 
 def _cmd_diff(args):
     F = _load(args.input, fl.PolyTensorField.from_json, "field")
-    for _ in range(args.power):
-        F = fl.n_diff(F)
-    _emit(F.to_json())
+    _emit(fl.d_power(F, args.power).to_json())
     return 0
 
 

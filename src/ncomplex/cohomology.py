@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -22,6 +21,7 @@ from .fields import (
     PolyTensorField,
     _apply_d_int,
     _block_int_basis,
+    _partials,
     _top_degree,
     block_basis,
     block_dim,
@@ -120,6 +120,11 @@ def compute_table(N, D, q_max, p_values=None, k_values=None) -> CohomologyTable:
         p_values = range(0, _top_degree(N, D) + 1)
     if k_values is None:
         k_values = range(1, N)
+    for p in p_values:
+        BlockLabel(N, D, p, q_max).validate()
+    for k in k_values:
+        if not 1 <= k <= N - 1:
+            raise ShapeError(f"k={k} must lie in 1..{N - 1}")
     table = CohomologyTable(N, D, q_max)
     for p in p_values:
         for k in k_values:
@@ -393,26 +398,12 @@ def cocycle_from_two_form(omega: PolyTensorField) -> PolyTensorField:
     D, q = omega.D, omega.q
     if q == 0:
         return PolyTensorField.zero(3, D, 3, 0, CO)
-    grad: dict = {}
-    for ((i, j), e), v in omega.full_components().items():
-        for c in range(1, D + 1):
-            ec = e[c - 1]
-            if not ec:
-                continue
-            e2 = e[: c - 1] + (ec - 1,) + e[c:]
-            linalg.add_to(grad, {((c, i, j), e2): v}, ec)
-
-    def dcomp(c, i, j, e):
-        return grad.get(((c, i, j), e), Fraction(0))
-
     comps: dict = {}
-    for e in {ee for (_, ee) in grad}:
-        for a in range(1, D + 1):
-            for b in range(1, D + 1):
-                for c in range(1, D + 1):
-                    val = 2 * dcomp(c, a, b, e) + dcomp(a, c, b, e) - dcomp(b, c, a, e)
-                    if val:
-                        comps[((a, b, c), e)] = val
+    # t_abc = 2 d_c w_ab + d_a w_cb - d_b w_ca; each entry is d_m w_ij, read
+    # once as each term, one add per term because two targets may coincide
+    for m, (i, j), e, v in _partials(omega.full_components(), D):
+        for idx, c in (((i, j, m), 2), ((m, j, i), 1), ((j, m, i), -1)):
+            linalg.add_to(comps, {(idx, e): v}, c)
     return PolyTensorField.from_components(3, D, 3, q - 1, CO, comps, validate=True)
 
 

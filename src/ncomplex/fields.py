@@ -13,7 +13,10 @@ projection onto the irreducible symmetry type; the codifferential
 contracts one out the same way. `_insert_table` alone owns the slot sign
 convention: `_contract_table` reverses it, `_projected` composes a table
 with the projector, and `_apply_slot` applies a table while
-differentiating the monomial, here and in `multiforms`.
+differentiating the monomial, here and in `multiforms`. `_partials` alone
+owns the derivative of full components (index tuple, exponent): the
+literal gauge and two-form operators and `young_derivative` scatter its
+entries to the index positions their formulas name.
 `young_derivative` keeps the alternative route (raw derivative plus full
 symmetrizer) as an independent reference; the two agree up to a nonzero
 constant on every block, which the test suite pins down.
@@ -324,6 +327,14 @@ def _apply_slot(table, vec: dict, D: int) -> dict:
     return out
 
 
+def _partials(components: dict, D: int):
+    """First derivatives of full components: yields (mu, idx, exp - e_mu, value * exp[mu])."""
+    for (idx, exp), v in components.items():
+        for mu, em in enumerate(exp, 1):
+            if em:
+                yield mu, idx, exp[: mu - 1] + (em - 1,) + exp[mu:], v * em
+
+
 def _slot_map(cols: dict, vec: dict) -> dict:
     """Send each key of a slot vector through cols, keeping its monomial."""
     out: dict = {}
@@ -386,6 +397,8 @@ def n_diff(F: PolyTensorField) -> PolyTensorField:
 
 
 def d_power(F: PolyTensorField, k: int) -> PolyTensorField:
+    if k < 0:
+        raise ShapeError(f"power {k} must be nonnegative")
     out = F
     for _ in range(k):
         out = n_diff(out)
@@ -426,19 +439,12 @@ def young_derivative(F: PolyTensorField) -> PolyTensorField:
 
     sign = -1 if p % 2 else 1
     raw_slices: dict = {}
-    for exp in F.exponents():
-        T = F.tensor_slice(exp)
-        for I, v in T.components.items():
-            for mu in range(1, D + 1):
-                em = exp[mu - 1]
-                if not em:
-                    continue
-                J = [0] * (p + 1)
-                for i, pos in enumerate(old_pos):
-                    J[pos] = I[i]
-                J[new_pos] = mu
-                exp2 = exp[: mu - 1] + (em - 1,) + exp[mu:]
-                linalg.add_to(raw_slices.setdefault(exp2, {}), {tuple(J): v}, em)
+    for mu, I, exp2, v in _partials(F.full_components(), D):
+        J = [0] * (p + 1)
+        for i, pos in enumerate(old_pos):
+            J[pos] = I[i]
+        J[new_pos] = mu
+        linalg.add_to(raw_slices.setdefault(exp2, {}), {tuple(J): v})
     data: dict = {}
     for exp2, comps in raw_slices.items():
         T1 = tc.young_project(Y1, Tensor(D, p + 1, F.variance, comps))

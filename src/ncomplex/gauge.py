@@ -2,10 +2,14 @@
 
 The three classical operators of linearized gravity are implemented
 literally from their component formulas: symmetrized gradient, curvature
-double derivative, and the cyclic first-derivative identity. Each agrees
-with the corresponding power of the canonical differential up to one
-nonzero rational constant per operator, computed at runtime and pinned
-in the test fixtures.
+double derivative, and the cyclic first-derivative identity. Each formula
+is applied as a scatter over the support of the derivative
+(`fields._partials`): every derivative entry is added, with its sign, at
+the index permutations the formula names, one add per term because two
+targets coincide when two indices are equal. Each operator agrees with the
+corresponding power of the canonical differential up to one nonzero
+rational constant per operator, computed at runtime and pinned in the
+test fixtures.
 
 Index groups are always column-read: a curvature-symmetry tensor is
 stored as R[(a, b, c, d)] with (a, b) the first antisymmetric column and
@@ -24,39 +28,12 @@ from .fields import (
     CO,
     CONTRA,
     PolyTensorField,
+    _partials,
     block_basis,
+    block_dim,
     d_power,
     n_diff,
 )
-
-
-def _shift_down(exp, mu):
-    return exp[: mu - 1] + (exp[mu - 1] - 1,) + exp[mu:]
-
-
-def _derivative(components, D):
-    """First derivatives of full components: (mu, idx, exp) -> value."""
-    out: dict = {}
-    for (idx, exp), v in components.items():
-        for mu in range(1, D + 1):
-            em = exp[mu - 1]
-            if em:
-                key = (mu, idx, _shift_down(exp, mu))
-                out[key] = out.get(key, Fraction(0)) + v * em
-    return out
-
-
-def _second_derivative(components, D):
-    """Second derivatives: (mu, nu, idx, exp) -> value."""
-    first = _derivative(components, D)
-    out: dict = {}
-    for (mu, idx, exp), v in first.items():
-        for nu in range(1, D + 1):
-            em = exp[nu - 1]
-            if em:
-                key = (mu, nu, idx, _shift_down(exp, nu))
-                out[key] = out.get(key, Fraction(0)) + v * em
-    return out
 
 
 def _require(F: PolyTensorField, p: int, variance=CO):
@@ -67,75 +44,51 @@ def _require(F: PolyTensorField, p: int, variance=CO):
 
 
 def spin2_d1(X: PolyTensorField) -> PolyTensorField:
-    """Symmetrized gradient of a covector field."""
+    """Symmetrized gradient of a covector field: h_ab = d_a X_b + d_b X_a."""
     _require(X, 1)
     D, q = X.D, X.q
     if q == 0:
         return PolyTensorField.zero(3, D, 2, 0)
-    g = _derivative(X.full_components(), D)
     comps: dict = {}
-    for (mu, (nu,), exp), v in g.items():
-        for idx in ((mu, nu), (nu, mu)):
-            comps[(idx, exp)] = comps.get((idx, exp), Fraction(0)) + v
-    comps = {k: v for k, v in comps.items() if v}
+    for a, (b,), exp, v in _partials(X.full_components(), D):
+        for idx in ((a, b), (b, a)):
+            linalg.add_to(comps, {(idx, exp): v})
     return PolyTensorField.from_components(3, D, 2, q - 1, CO, comps)
 
 
 def spin2_d2(h: PolyTensorField) -> PolyTensorField:
-    """Linearized curvature of a symmetric two-tensor field."""
+    """Linearized curvature of a symmetric two-tensor field.
+
+    R_abcd = d_a d_c h_bd + d_b d_d h_ac - d_b d_c h_ad - d_a d_d h_bc.
+    """
     _require(h, 2)
     D, q = h.D, h.q
     if q < 2:
         return PolyTensorField.zero(3, D, 4, 0)
-    g2 = _second_derivative(h.full_components(), D)
-
-    def dd(a, b, i, j, exp):
-        return g2.get((a, b, (i, j), exp), Fraction(0))
-
+    first = {((m,) + idx, exp): v for m, idx, exp, v in _partials(h.full_components(), D)}
     comps: dict = {}
-    exps = {exp for (_, _, _, exp) in g2}
-    for exp in exps:
-        for a in range(1, D + 1):
-            for b in range(1, D + 1):
-                for c in range(1, D + 1):
-                    for d in range(1, D + 1):
-                        val = (
-                            dd(a, c, b, d, exp)
-                            + dd(b, d, a, c, exp)
-                            - dd(b, c, a, d, exp)
-                            - dd(a, d, b, c, exp)
-                        )
-                        if val:
-                            comps[((a, b, c, d), exp)] = val
+    # each entry is d_m d_n h_ij, read once as each term of the formula
+    for n, (m, i, j), exp, v in _partials(first, D):
+        for idx, c in (((m, i, n, j), 1), ((i, m, j, n), 1),
+                       ((i, m, n, j), -1), ((m, i, j, n), -1)):
+            linalg.add_to(comps, {(idx, exp): v}, c)
     return PolyTensorField.from_components(3, D, 4, q - 2, CO, comps)
 
 
 def spin2_d3(R: PolyTensorField) -> PolyTensorField:
-    """Cyclic first derivative of a curvature-symmetry field."""
+    """Cyclic first derivative of a curvature-symmetry field.
+
+    T_abcde = d_a R_bcde + d_b R_cade + d_c R_abde.
+    """
     _require(R, 4)
     D, q = R.D, R.q
     if q == 0:
         return PolyTensorField.zero(3, D, 5, 0)
-    g = _derivative(R.full_components(), D)
-
-    def dR(a, i, j, k, l, exp):
-        return g.get((a, (i, j, k, l), exp), Fraction(0))
-
     comps: dict = {}
-    exps = {exp for (_, _, exp) in g}
-    for exp in exps:
-        for a in range(1, D + 1):
-            for b in range(1, D + 1):
-                for c in range(1, D + 1):
-                    for d in range(1, D + 1):
-                        for e in range(1, D + 1):
-                            val = (
-                                dR(a, b, c, d, e, exp)
-                                + dR(b, c, a, d, e, exp)
-                                + dR(c, a, b, d, e, exp)
-                            )
-                            if val:
-                                comps[((a, b, c, d, e), exp)] = val
+    # each entry is d_m R_ijkl, read once as each term of the formula
+    for m, (i, j, k, l), exp, v in _partials(R.full_components(), D):
+        for idx in ((m, i, j, k, l), (j, m, i, k, l), (i, j, m, k, l)):
+            linalg.add_to(comps, {(idx, exp): v})
     return PolyTensorField.from_components(3, D, 5, q - 1, CO, comps)
 
 
@@ -157,8 +110,6 @@ def spin2_constants(D: int, q: int = 3) -> tuple[Fraction, Fraction, Fraction]:
         c3 = linalg.proportionality(pairs3)
     except ValueError as exc:
         raise VerificationError(f"gauge operator not proportional to d power: {exc}") from exc
-    from .fields import block_dim
-
     for c, p_target in ((c1, 2), (c2, 4), (c3, 5)):
         if c == 0 or (c is None and block_dim(3, D, p_target, 0) > 0):
             raise VerificationError("degenerate gauge operator")
@@ -186,11 +137,9 @@ def divergence(T: PolyTensorField) -> dict:
     if T.variance != CONTRA:
         raise ShapeError("divergence acts on contravariant fields")
     out: dict = {}
-    for (idx, exp), v in T.full_components().items():
-        mu = idx[0]
-        em = exp[mu - 1]
-        if em:
-            linalg.add_to(out, {(idx[1:], _shift_down(exp, mu)): v}, em)
+    for mu, idx, exp, v in _partials(T.full_components(), T.D):
+        if mu == idx[0]:
+            linalg.add_to(out, {(idx[1:], exp): v})
     return out
 
 
@@ -256,14 +205,7 @@ def stress_potential(T: PolyTensorField) -> PolyTensorField:
 def _double_divergence(R: PolyTensorField) -> dict:
     """Components of the double divergence on first and third indices."""
     out: dict = {}
-    for (idx, exp), v in R.full_components().items():
-        lam, mu, rho, nu = idx
-        e1 = exp[lam - 1]
-        if not e1:
-            continue
-        exp1 = _shift_down(exp, lam)
-        e2 = exp1[rho - 1]
-        if not e2:
-            continue
-        linalg.add_to(out, {((mu, nu), _shift_down(exp1, rho)): v}, e1 * e2)
+    for mu, (m, rho, n), exp, v in _partials(divergence(R), R.D):
+        if mu == rho:
+            linalg.add_to(out, {((m, n), exp): v})
     return out

@@ -229,18 +229,19 @@ def relation_checks(N: int, D: int, degree_cap: int | None = None, rng=None) -> 
     rep.record("fully symmetrized length-N words act as zero",
                symmetrized_power_check(N, D))
 
-    base_words = list(itertools.product(range(1, D + 1), repeat=min(N + 1, degree_cap)))
-    if rng is not None:
-        rng.shuffle(base_words)
-        base_words = base_words[:10]
-    ok = True
     size = min(N + 1, degree_cap)
-    for word in base_words:
-        for positions in itertools.combinations(range(size), N):
-            u = _symmetrized_positions(word, positions)
-            if not _acts_as_zero(N, D, u, size):
-                ok = False
-    rep.record(f"words of length {size} symmetric in {N} entries act as zero", ok)
+    if size >= N:  # shorter words have no N entries to symmetrize
+        base_words = list(itertools.product(range(1, D + 1), repeat=size))
+        if rng is not None:
+            rng.shuffle(base_words)
+            base_words = base_words[:10]
+        ok = True
+        for word in base_words:
+            for positions in itertools.combinations(range(size), N):
+                u = _symmetrized_positions(word, positions)
+                if not _acts_as_zero(N, D, u, size):
+                    ok = False
+        rep.record(f"words of length {size} symmetric in {N} entries act as zero", ok)
 
     if N == 3:
         ok3 = all(_acts_as_zero(3, D, g, 3) for g in _cyclic_generators(D))

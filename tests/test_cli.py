@@ -1,8 +1,12 @@
+import io
 import json
 import subprocess
 import sys
-
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 from ncomplex.cli import run
 from ncomplex.fields import PolyTensorField, scalar_field
@@ -34,6 +38,9 @@ def test_usage_error_exit_code(capsys):
     # block parameters that select no complex are rejected, not tabulated
     for argv in (["cohomology", "--N", "1", "--D", "2"],
                  ["cohomology", "--N", "3", "--D", "2", "--qmax", "-1"],
+                 ["cohomology", "--N", "3", "--D", "2", "--p", "-1"],
+                 ["cohomology", "--N", "3", "--D", "2", "--p", "9"],
+                 ["cohomology", "--N", "3", "--D", "2", "--k", "0"],
                  ["poincare", "--N", "3", "--D", "0"],
                  ["poincare", "--N", "3", "--D", "2", "--nmax", "-1"],
                  ["hexagon", "--N", "3", "--D", "3", "--qmax", "-2"],
@@ -73,6 +80,7 @@ def test_malformed_entries_exit_2_without_traceback():
         (["diff"], _with_entry(F, exp=[2, 0, 0])),
         (["diff"], _with_entry(F, exp=[3, -1])),
         (["project", "--shape", "1,1"], _with_entry(T, den="0")),
+        (["diff", "--power", "-1"], F),
     ]
     for argv, doc in cases:
         r = invoke([*argv, "--input", "-"], stdin=doc)
@@ -209,3 +217,33 @@ def test_dual_pipe():
     r = invoke(["dual", "--input", "-"], stdin=F.to_json())
     assert r.returncode == 0
     assert PolyTensorField.from_json(r.stdout) == dual_star_field(F)
+
+
+def _assert_exit_contract(argv, valid, stdin=""):
+    """Run in process: valid arguments exit 0, anything else is a clean usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), \
+            redirect_stderr(err):
+        code = run(argv)
+    assert code == (0 if valid else 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(-1, 4), D=st.integers(-1, 3), qmax=st.integers(-2, 2),
+       p=st.integers(-2, 10), k=st.integers(-1, 4))
+def test_cohomology_arguments_fuzz(N, D, qmax, p, k):
+    argv = ["cohomology", "--N", str(N), "--D", str(D), "--qmax", str(qmax),
+            "--p", str(p), "--k", str(k)]
+    valid = (N >= 2 and D >= 1 and qmax >= 0 and 0 <= p <= (N - 1) * D
+             and 1 <= k <= N - 1)
+    _assert_exit_contract(argv, valid)
+
+
+@settings(max_examples=20, deadline=None)
+@given(power=st.integers(-2, 3))
+def test_diff_power_fuzz(power):
+    F = scalar_field(3, 2, {(2, 1): Fraction(3)}).to_json()
+    _assert_exit_contract(["diff", "--power", str(power)], power >= 0, F)

@@ -77,6 +77,10 @@ GOLDEN = [
      "e0cce7785f076355fceedb265606122beda2ff35fa08d0e1fbcf22f4c6a3dd80"),
     (["green", "--N", "4", "--D", "2", "--p", "2", "--q", "2"], None, 0,
      "effedea8e5bd8ed3565572c20816c043f73df7423511376b8ef412db1aa1b0b8"),
+    (["spin2", "--D", "3"], None, 0,
+     "c73529ab42e891a0bd7f25539877281daf552a624091058bd4a04442c5d4d6be"),
+    (["spin2", "--D", "2"], "co", 0,
+     "3b9ffe21270a40714e8cc145d3e21549f2f97239f3d48d40db0367c06cb32969"),
     (["spinS", "--S", "2", "--D", "2", "--q", "3"], None, 0,
      "55f4e677e670225b43fa9c1d40894914dfd6015d296e5b5d02151cf642cf87d2"),
     (["verify-all", "--small"], None, 0,

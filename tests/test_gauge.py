@@ -58,6 +58,7 @@ def test_single_component_metric_gives_riemann_pattern():
 def test_operator_constants_pinned():
     assert spin2_constants(2) == (Fraction(-2), Fraction(1), None)
     assert spin2_constants(3) == (Fraction(-2), Fraction(1), Fraction(1))
+    assert spin2_constants(4, 2) == (Fraction(-2), Fraction(1), Fraction(1))
 
 
 def test_shape_guards():

@@ -138,6 +138,15 @@ def test_relation_checks_reports():
     assert bad[0]["detail"] == {"ideal": 14, "kernel": 15}
 
 
+def test_symmetric_entry_family_needs_n_entries():
+    # words shorter than N have no N entries to symmetrize, so no verdict
+    family = "words of length 3 symmetric in 3 entries act as zero"
+    assert not any("symmetric in 3 entries" in e["label"]
+                   for e in relation_checks(3, 2, 0).entries)
+    kept = [e for e in relation_checks(3, 2, 3).entries if e["label"] == family]
+    assert len(kept) == 1 and kept[0]["pass"]
+
+
 def test_unit_is_cyclic_over_every_degree():
     rep = relation_checks(3, 2, 3)
     gen_entries = [e for e in rep.entries if e["label"].startswith("unit generates")]
