@@ -5,13 +5,26 @@ block is the span of the symmetry-type basis tensored with a homogeneous
 monomial basis, the differential is a cached integer matrix between
 blocks, and dimensions come from exact ranks. There is no tolerance
 anywhere; a wrong rank is a bug, not noise.
+
+The dimension tables never eliminate a whole block. The differential
+keeps the torus weight of every entry (see `fields.weight`), so a block
+splits into weight spaces and rank(d^k) is the sum of the ranks on them.
+A coordinate permutation commutes with d and carries weight w onto its
+permuted weight with the same rank, so only the dominant (nonincreasing)
+weights are eliminated, each counted by its orbit size D!/(m_1!...m_r!),
+the m_i being the multiplicities of the distinct entries of w (Fulton and
+Harris, Representation Theory, Lectures 6 and 15). The whole-block images
+stay for the callers that need actual vectors: quotient spaces, preimages
+and membership tests.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import factorial
 
 from . import linalg
 from .errors import ShapeError, VerificationError
@@ -23,6 +36,7 @@ from .fields import (
     _block_int_basis,
     _partials,
     _top_degree,
+    _weight_basis,
     block_basis,
     block_dim,
     d_power,
@@ -44,19 +58,57 @@ def _d_k_int(N, D, p, q, vec, k):
 
 
 @lru_cache(maxsize=None)
-def _image_vectors(N, D, p, q, k):
-    """Images of the block basis under k differential steps (scaled)."""
-    return tuple(_d_k_int(N, D, p, q, vec, k) for vec in _block_int_basis(N, D, p, q))
+def _image_vectors(N, D, p, q, k, w=None):
+    """Images of a basis of block (p, q) under k differential steps (scaled).
+
+    Without a weight: the whole block basis, one image per basis vector in
+    basis order. With a weight w: the nonzero images of the weight-w basis,
+    chained as d^k = d o d^(k-1) through this cache.
+    """
+    if w is None:
+        return tuple(_d_k_int(N, D, p, q, vec, k) for vec in _block_int_basis(N, D, p, q))
+    if k == 0:
+        return _weight_basis(N, D, p, q, w)
+    cp, cq = p + k - 1, q - k + 1
+    if cp >= _top_degree(N, D) or cq == 0:
+        return ()
+    images = (_apply_d_int(N, D, cp, u) for u in _image_vectors(N, D, p, q, k - 1, w))
+    return tuple(v for v in images if v)
+
+
+@lru_cache(maxsize=None)
+def _dominant_weights(D, n) -> tuple:
+    """(w, |S_D w|) for each nonincreasing weight w of total degree n."""
+    out = []
+    for w in monomials(D, n):
+        if all(a >= b for a, b in zip(w, w[1:])):
+            orbit = factorial(D)
+            for m in Counter(w).values():
+                orbit //= factorial(m)
+            out.append((w, orbit))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _weight_rank(N, D, p, q, k, w) -> int:
+    """Rank of d^k on the weight-w part of block (p, q)."""
+    return linalg.rank(_image_vectors(N, D, p, q, k, w))
 
 
 def _ker_im(N, D, p, k, q):
-    """dim Ker(d^k) on the block (p, q) and dim of the Im(d^(N-k)) landing in it."""
-    dim = block_dim(N, D, p, q)
-    ker = dim - linalg.rank(_image_vectors(N, D, p, q, k)) if dim else 0
+    """dim Ker(d^k) on the block (p, q) and dim of the Im(d^(N-k)) landing in it.
+
+    Both ranks are summed over the dominant (nonincreasing) weights w, each
+    weight space counted |S_D w| times.
+    """
     src_p, src_q = p - (N - k), q + (N - k)
-    im = 0
-    if src_p >= 0 and block_dim(N, D, src_p, src_q):
-        im = linalg.rank(_image_vectors(N, D, src_p, src_q, N - k))
+    ker = im = 0
+    for w, orbit in _dominant_weights(D, p + q):
+        dim = len(_weight_basis(N, D, p, q, w))
+        if dim:
+            ker += orbit * (dim - _weight_rank(N, D, p, q, k, w))
+        if src_p >= 0:
+            im += orbit * _weight_rank(N, D, src_p, src_q, N - k, w)
     return ker, im
 
 

@@ -20,6 +20,15 @@ entries to the index positions their formulas name.
 `young_derivative` keeps the alternative route (raw derivative plus full
 symmetrizer) as an independent reference; the two agree up to a nonzero
 constant on every block, which the test suite pins down.
+
+The torus weight of an entry (`weight`) is the index content of its slot
+key plus its exponent vector. Inserting mu adds e_mu to the content and
+differentiating in x_mu removes it from the exponent, and the projector
+only permutes indices, so the differential and the slot differentials
+preserve weight. Each
+Schur basis vector has a single content c, so the weight-w part of a block
+is spanned by the Schur vectors of content c times the monomial x^(w - c);
+`_weight_basis` builds it that way, without filtering the whole block.
 """
 
 from __future__ import annotations
@@ -219,13 +228,11 @@ class PolyTensorField:
     def from_json(cls, text: str) -> "PolyTensorField":
         doc = json.loads(text)
         comps = {
-            (tuple(e["idx"]), tuple(e["exp"])): tc._entry_value(e)
+            (tc._json_ints(e["idx"], "idx"), tc._json_ints(e["exp"], "exp")): tc._entry_value(e)
             for e in doc["entries"]
         }
-        return cls.from_components(
-            doc["N"], doc["dim"], doc["degree"], doc["poly_degree"],
-            doc["variance"], comps,
-        )
+        N, D, p, q = (tc._json_int(doc[k], k) for k in ("N", "dim", "degree", "poly_degree"))
+        return cls.from_components(N, D, p, q, doc["variance"], comps)
 
 
 def scalar_field(N, D, poly: dict, variance=CO) -> PolyTensorField:
@@ -454,21 +461,60 @@ def young_derivative(F: PolyTensorField) -> PolyTensorField:
 
 
 # ---------------------------------------------------------------------------
-# block bases
+# block bases and weight spaces
+
+def weight(key, exp) -> tuple:
+    """Torus weight of a slot-vector entry: index content of the key plus the exponent."""
+    w = list(exp)
+    for slot in key:
+        for i in slot:
+            w[i - 1] += 1
+    return tuple(w)
+
 
 @lru_cache(maxsize=None)
-def _block_int_basis(N: int, D: int, p: int, q: int) -> tuple:
-    """Integer slot-vector basis of one block, deterministic order."""
+def _schur_vectors(N: int, D: int, p: int) -> tuple:
+    """Integer basis of the degree-p symmetry type, keys padded to N - 1 slots."""
     if p > _top_degree(N, D):
         return ()
     Y = max_diagram(N, p)
     if schur_dim(Y, D) == 0:
         return ()
     svecs = tc.schur_wedge_basis(Y.rows, D) if Y.size else ({(): 1},)
+    return tuple({_pad(k, N - 1): c for k, c in s.items()} for s in svecs)
+
+
+@lru_cache(maxsize=None)
+def _block_int_basis(N: int, D: int, p: int, q: int) -> tuple:
+    """Integer slot-vector basis of one block, deterministic order."""
+    return tuple({(k, e): c for k, c in s.items()}
+                 for s in _schur_vectors(N, D, p) for e in monomials(D, q))
+
+
+@lru_cache(maxsize=None)
+def _schur_by_content(N: int, D: int, p: int) -> dict:
+    """The Schur vectors of degree p grouped by their index content."""
+    zero = (0,) * D
+    groups: dict = {}
+    for s in _schur_vectors(N, D, p):
+        contents = {weight(k, zero) for k in s}
+        if len(contents) != 1:
+            raise VerificationError(f"Schur vector at N={N} D={D} p={p} is not a weight vector")
+        groups.setdefault(contents.pop(), []).append(s)
+    return groups
+
+
+@lru_cache(maxsize=None)
+def _weight_basis(N: int, D: int, p: int, q: int, w: tuple) -> tuple:
+    """Integer basis of the weight-w part of block (p, q).
+
+    The Schur vectors of content c times the monomial of exponent w - c.
+    """
     out = []
-    for s in svecs:
-        for e in monomials(D, q):
-            out.append({(_pad(k, N - 1), e): c for k, c in s.items()})
+    for c, svecs in _schur_by_content(N, D, p).items():
+        e = tuple(a - b for a, b in zip(w, c))
+        if min(e) >= 0:
+            out += [{(k, e): v for k, v in s.items()} for s in svecs]
     return tuple(out)
 
 

@@ -141,11 +141,11 @@ class Multiform:
 
         doc = json.loads(text)
         data = {
-            (tuple(tuple(s) for s in e["slots"]), tuple(e["exp"])):
+            (tuple(tc._json_ints(s, "slot") for s in e["slots"]), tc._json_ints(e["exp"], "exp")):
                 tc._entry_value(e)
             for e in doc["entries"]
         }
-        return cls(doc["N"], doc["dim"], data)
+        return cls(tc._json_int(doc["N"], "N"), tc._json_int(doc["dim"], "dim"), data)
 
 
 def d_slot(i: int, w: Multiform) -> Multiform:

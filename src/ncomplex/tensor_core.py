@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -41,12 +42,31 @@ def _check_variance(variance: str) -> str:
     return variance
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON: a JSON int or a decimal string, never a bool or float."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ShapeError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_ints(values, what: str) -> tuple:
+    """A JSON list of integers, each read by `_json_int`."""
+    if not isinstance(values, list):
+        raise ShapeError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(_json_int(v, what) for v in values)
+
+
 def _entry_value(entry: dict) -> Fraction:
-    """The exact value of one JSON entry, from its "num" and "den" strings."""
-    den = int(entry["den"])
+    """The exact value of one JSON entry, from its "num" and "den" integers."""
+    den = _json_int(entry["den"], "den")
     if not den:
         raise ShapeError("entry has a zero denominator")
-    return Fraction(int(entry["num"]), den)
+    return Fraction(_json_int(entry["num"], "num"), den)
 
 
 class Tensor:
@@ -69,8 +89,9 @@ class Tensor:
             )
         comps = {}
         for idx, v in (components or {}).items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != self.degree or any(i < 1 or i > self.dim for i in idx):
+            idx = tuple(idx)
+            if len(idx) != self.degree or any(
+                    type(i) is not int or i < 1 or i > self.dim for i in idx):
                 raise ShapeError(f"bad index tuple {idx} for degree {self.degree}, dim {self.dim}")
             v = Fraction(v)
             if v:
@@ -136,12 +157,12 @@ class Tensor:
     @classmethod
     def from_json(cls, text: str) -> "Tensor":
         doc = json.loads(text)
-        comps = {
-            tuple(e["idx"]): _entry_value(e)
-            for e in doc["entries"]
-        }
+        comps = {_json_ints(e["idx"], "idx"): _entry_value(e) for e in doc["entries"]}
         shape = doc.get("shape")
-        return cls(doc["dim"], doc["degree"], doc["variance"], comps, shape)
+        if shape is not None:
+            shape = _json_ints(shape, "shape")
+        return cls(_json_int(doc["dim"], "dim"), _json_int(doc["degree"], "degree"),
+                   doc["variance"], comps, shape)
 
 
 # ---------------------------------------------------------------------------

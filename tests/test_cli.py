@@ -81,10 +81,20 @@ def test_malformed_entries_exit_2_without_traceback():
         (["diff"], _with_entry(F, exp=[3, -1])),
         (["project", "--shape", "1,1"], _with_entry(T, den="0")),
         (["diff", "--power", "-1"], F),
+        # numbers that int() would truncate, and bools it would read as 0 or 1
+        (["diff"], _with_entry(F, num=0.1)),
+        (["diff"], _with_entry(F, num=2.5)),
+        (["diff"], _with_entry(F, den=2.5)),
+        (["diff"], _with_entry(F, num=True)),
+        (["diff"], _with_entry(F, exp=[2.0, 0])),
+        (["diff"], _with_entry(F, num="1.5")),
+        (["project", "--shape", "1,1"], _with_entry(T, idx=[1.9, 2])),
+        (["project", "--shape", "1,1"], _with_entry(T, idx="12")),
     ]
     for argv, doc in cases:
         r = invoke([*argv, "--input", "-"], stdin=doc)
         assert r.returncode == 2, (argv, doc, r.stderr)
+        assert r.stdout == ""
         assert r.stderr.startswith("error:")
         assert "Traceback" not in r.stderr
 
@@ -247,3 +257,39 @@ def test_cohomology_arguments_fuzz(N, D, qmax, p, k):
 def test_diff_power_fuzz(power):
     F = scalar_field(3, 2, {(2, 1): Fraction(3)}).to_json()
     _assert_exit_contract(["diff", "--power", str(power)], power >= 0, F)
+
+
+# JSON values of every type, in and out of range, for the fuzzed entry fields
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 6), st.integers(-3, 6).map(str), st.booleans(), st.none(),
+    st.floats(-4, 8), st.text(max_size=3), st.integers(-10**30, 10**30),
+)
+_ENTRY_CHANGES = st.dictionaries(
+    st.sampled_from(["idx", "exp", "num", "den"]),
+    st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=4)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(project=st.booleans(), changes=_ENTRY_CHANGES,
+       dim=st.one_of(st.none(), _JSON_VALUES))
+def test_json_documents_fuzz(project, changes, dim):
+    from ncomplex.tensor_core import Tensor
+
+    if project:
+        argv, doc = ["project", "--shape", "1,1"], Tensor(2, 2, "co", {(1, 2): 1}).to_json()
+    else:
+        argv = ["diff"]
+        doc = PolyTensorField.from_components(3, 2, 1, 1, "co", {((1,), (1, 0)): 1}).to_json()
+    doc = json.loads(_with_entry(doc, **changes))
+    if dim is not None:
+        doc["dim"] = dim
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), redirect_stdout(out), \
+            redirect_stderr(err):
+        code = run([*argv, "--input", "-"])
+    assert code in (0, 2), (doc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")

@@ -61,6 +61,14 @@ GOLDEN = [
      "45100b551a0761afdce2f4eeb369d6f2d6519eba54996ddd8f6862ad97f4c19a"),
     (["cohomology", "--N", "3", "--D", "3", "--qmax", "3", "--format", "json"], None, 0,
      "203f8f4046afc48e097969f372717dea3222a0652ed50581cddb967683cddab4"),
+    (["cohomology", "--N", "2", "--D", "3", "--qmax", "3"], None, 0,
+     "3ed4848ad158d6052e8a51e79ce3bf8abb58fec9086d363d7319430bd59ec5fc"),
+    (["cohomology", "--N", "4", "--D", "3", "--qmax", "3"], None, 0,
+     "f13b0fad2005719aae02ab3a5c7f6be9c4c7ae5a6ef93fcc0dd6ad4ecbb9e89e"),
+    (["cohomology", "--N", "3", "--D", "5", "--qmax", "3", "--format", "json"], None, 0,
+     "73153032233c02199ad20faff033cdd81edda232b97461a925ebe5ffb67a0a22"),
+    (["poincare", "--N", "4", "--D", "3", "--nmax", "2", "--qmax", "3"], None, 0,
+     "2559a4c6a5766e36e370424108747bad4b36cc1b5f617843e3490c7c32a7bc94"),
     (["delta"], "contra", 0,
      "0ba312cc848aac2bee106977475cb32c17abd936b15978d6c1add272bdddf366"),
     (["delta"], "contra4", 0,

@@ -1,12 +1,18 @@
 import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from ncomplex import linalg
+from ncomplex import fields
 from ncomplex.cohomology import (
     CohomologyTable,
+    _dominant_weights,
+    _image_vectors,
+    _ker_im,
+    _weight_rank,
     cocycle_from_two_form,
     cohomology_dim,
     compute_table,
@@ -18,7 +24,18 @@ from ncomplex.cohomology import (
     two_form_cocycle_is_trivial,
 )
 from ncomplex.errors import ShapeError, VerificationError
-from ncomplex.fields import PolyTensorField, block_basis, d_power, n_diff, random_field
+from ncomplex.fields import (
+    PolyTensorField,
+    _top_degree,
+    _weight_basis,
+    block_basis,
+    block_dim,
+    d_power,
+    monomials,
+    n_diff,
+    random_field,
+    weight,
+)
 
 
 def test_dimension_examples():
@@ -225,3 +242,83 @@ def test_two_form_triviality_guards():
     if not n_diff(F).is_zero:
         with pytest.raises(ShapeError):
             two_form_cocycle_is_trivial(F)
+
+
+# ---------------------------------------------------------------------------
+# the weight split against whole-block ranks
+
+def _sweep():
+    """Every (N, D, p, k, q) with N in 2..4, D in 1..4 and small q."""
+    for N in (2, 3, 4):
+        for D in (1, 2, 3, 4):
+            q_max = 1 if (N, D) == (4, 4) else 3
+            for p in range(_top_degree(N, D) + 1):
+                for k in range(1, N):
+                    for q in range(q_max + 1):
+                        yield N, D, p, k, q
+
+
+def test_weight_split_matches_whole_block_ranks():
+    for N, D, p, k, q in _sweep():
+        dim = block_dim(N, D, p, q)
+        ker = dim - linalg.rank(_image_vectors(N, D, p, q, k)) if dim else 0
+        src_p, src_q = p - (N - k), q + (N - k)
+        im = linalg.rank(_image_vectors(N, D, src_p, src_q, N - k)) if src_p >= 0 else 0
+        assert _ker_im(N, D, p, k, q) == (ker, im), (N, D, p, k, q)
+
+
+def test_weight_spaces_partition_each_block():
+    for N, D, p, k, q in _sweep():
+        if k != 1:
+            continue
+        dims = {w: len(_weight_basis(N, D, p, q, w)) for w in monomials(D, p + q)}
+        assert sum(dims.values()) == block_dim(N, D, p, q), (N, D, p, q)
+        # a coordinate permutation maps each weight space onto an equal one
+        assert sum(orbit * dims[w] for w, orbit in _dominant_weights(D, p + q)) == \
+            block_dim(N, D, p, q)
+        for w in dims:
+            for vec in _weight_basis(N, D, p, q, w):
+                assert {weight(key, exp) for key, exp in vec} == {w}
+
+
+def test_mixed_schur_vector_is_rejected():
+    mixed = ({((1,), ()): 1, ((2,), ()): 1},)
+    with mock.patch.object(fields, "_schur_vectors", return_value=mixed):
+        with pytest.raises(VerificationError):
+            fields._schur_by_content.__wrapped__(3, 2, 1)
+
+
+def _rank_mod(vectors, prime):
+    """Rank of a list of sparse integer vectors by dense elimination mod a prime."""
+    cols = {key: j for j, key in enumerate(sorted({key for v in vectors for key in v}))}
+    rows = []
+    for v in vectors:
+        row = [0] * len(cols)
+        for key, c in v.items():
+            row[cols[key]] = c % prime
+        rows.append(row)
+    rank = 0
+    for j in range(len(cols)):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][j], -1, prime)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] * inv % prime
+            if f:
+                rows[i] = [(a - f * b) % prime for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_weight_ranks_against_modular_elimination():
+    # rank mod a prime never exceeds the rational rank; equality at two large
+    # primes rules out a wrong exact rank on the sampled weight spaces
+    blocks = random.Random(8).sample(list(_sweep()), 40)
+    for N, D, p, k, q in blocks:
+        for w, _ in _dominant_weights(D, p + q):
+            vecs = _image_vectors(N, D, p, q, k, w)
+            for prime in (2**61 - 1, 2**31 - 1):
+                assert _rank_mod(vecs, prime) == _weight_rank(N, D, p, q, k, w), \
+                    (N, D, p, k, q, w)
