@@ -182,6 +182,8 @@ class PolyTensorField:
     def from_components(cls, N, D, p, q, variance, components, validate=True):
         """Build a field from full components keyed by (index tuple, exponent)."""
         Y = max_diagram(N, p)
+        if D < 1:
+            raise ShapeError(f"field dimension must be at least 1, got {D}")
         slices: dict = {}
         for (idx, exp), v in components.items():
             if len(exp) != D or min(exp) < 0:
@@ -197,9 +199,10 @@ class PolyTensorField:
         data: dict = {}
         for exp, comp in slices.items():
             T = Tensor(D, p, variance, comp, Y)
-            if validate and not tc.schur_conditions_ok(Y, T):
+            wvec = tc._typed_wedge(Y, T) if validate else tc.tensor_to_wedge(Y, T, validate=False)
+            if wvec is None:
                 raise ShapeError(f"slice at exponent {exp} does not have symmetry type {Y}")
-            for key, v in tc.tensor_to_wedge(Y, T, validate=validate).items():
+            for key, v in wvec.items():
                 data[(_pad(key, N - 1), exp)] = v
         return cls(N, D, p, q, variance, data)
 
@@ -227,11 +230,12 @@ class PolyTensorField:
     @classmethod
     def from_json(cls, text: str) -> "PolyTensorField":
         doc = json.loads(text)
-        comps = {
-            (tc._json_ints(e["idx"], "idx"), tc._json_ints(e["exp"], "exp")): tc._entry_value(e)
-            for e in doc["entries"]
-        }
+        comps = tc._json_entries(
+            doc, lambda e: (tc._json_ints(e["idx"], "idx"), tc._json_ints(e["exp"], "exp")))
         N, D, p, q = (tc._json_int(doc[k], k) for k in ("N", "dim", "degree", "poly_degree"))
+        shape, Y = doc.get("shape"), max_diagram(N, p)
+        if shape is not None and tc._json_ints(shape, "shape") != Y.rows:
+            raise ShapeError(f"shape {shape} is not the degree-{p} type {Y}")
         return cls.from_components(N, D, p, q, doc["variance"], comps)
 
 

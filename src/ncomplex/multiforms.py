@@ -140,11 +140,8 @@ class Multiform:
         import json
 
         doc = json.loads(text)
-        data = {
-            (tuple(tc._json_ints(s, "slot") for s in e["slots"]), tc._json_ints(e["exp"], "exp")):
-                tc._entry_value(e)
-            for e in doc["entries"]
-        }
+        data = tc._json_entries(doc, lambda e: (
+            tuple(tc._json_ints(s, "slot") for s in e["slots"]), tc._json_ints(e["exp"], "exp")))
         return cls(tc._json_int(doc["N"], "N"), tc._json_int(doc["dim"], "dim"), data)
 
 

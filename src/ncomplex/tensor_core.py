@@ -16,6 +16,13 @@ column-wise Hodge star, a signed permutation of slot keys, because the
 group sums grow factorially with the number of cells. `young_project`,
 `symmetrizer_support`, `projector_rank` and `_symmetrizer_columns` keep
 the group-sum route as the independent oracle.
+
+Membership in a symmetry type is checked on slot coordinates too:
+`tensor_to_wedge` proves column antisymmetry while it reads them, and
+`_exchange_ok` checks the exchange conditions by the coset factorization
+of each antisymmetrizer, a few lookups per slot key where the permutation
+sum over full components grows factorially with the column height. The
+tests keep that permutation sum as the oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from . import linalg
 from .diagrams import Diagram, as_diagram, contract_shape, max_diagram, schur_dim, standard_count
@@ -67,6 +74,17 @@ def _entry_value(entry: dict) -> Fraction:
     if not den:
         raise ShapeError("entry has a zero denominator")
     return Fraction(_json_int(entry["num"], "num"), den)
+
+
+def _json_entries(doc: dict, key_of) -> dict:
+    """The values of a document's entries keyed by key_of(entry); a key may occur once."""
+    out: dict = {}
+    for e in doc["entries"]:
+        key = key_of(e)
+        if key in out:
+            raise ShapeError(f"entry {key} is listed more than once")
+        out[key] = _entry_value(e)
+    return out
 
 
 class Tensor:
@@ -157,7 +175,7 @@ class Tensor:
     @classmethod
     def from_json(cls, text: str) -> "Tensor":
         doc = json.loads(text)
-        comps = {_json_ints(e["idx"], "idx"): _entry_value(e) for e in doc["entries"]}
+        comps = _json_entries(doc, lambda e: _json_ints(e["idx"], "idx"))
         shape = doc.get("shape")
         if shape is not None:
             shape = _json_ints(shape, "shape")
@@ -298,47 +316,62 @@ def young_project(Y, T: Tensor) -> Tensor:
 def schur_conditions_ok(Y, T: Tensor) -> bool:
     """Explicit membership test for symmetry type Y.
 
-    Checks antisymmetry within every column block, and that completely
-    antisymmetrizing a column block together with the first entry of any
-    column to its right kills the tensor. The second family only needs
-    first entries because of the column antisymmetry.
+    T has type Y when it is antisymmetric within every column block and
+    completely antisymmetrizing a column block together with one entry of
+    any column to its right kills it. `tensor_to_wedge` proves the first
+    family while it reads the slot coordinates, and `_exchange_ok` checks
+    the second on those coordinates, with c_j * (c_i + 1) lookups per slot
+    key and column pair instead of a (c_i + 1)! permutation sum per full
+    component. The tests keep the permutation sum as the oracle.
     """
     Y = as_diagram(Y)
-    if T.degree != Y.size:
-        return False
-    if Y.size == 0:
-        return True
-    blocks = _column_blocks(Y.rows)
+    return T.degree == Y.size and _typed_wedge(Y, T) is not None
 
-    comp = T.components
-    for I, v in comp.items():
-        for block in blocks:
-            vals = [I[k] for k in block]
-            if len(set(vals)) < len(vals):
-                if v:
-                    return False
-                continue
-            order = sorted(range(len(vals)), key=lambda t: vals[t])
-            sign = _perm_sign(tuple(order))
-            K = list(I)
-            for t, o in enumerate(order):
-                K[block[t]] = vals[o]
-            if comp.get(tuple(K), Fraction(0)) * sign != v:
-                return False
 
-    for ci in range(len(blocks) - 1):
-        for cj in range(ci + 1, len(blocks)):
-            positions = list(blocks[ci]) + [blocks[cj][0]]
-            for I in comp:
-                total = Fraction(0)
-                vals = [I[k] for k in positions]
-                for perm in itertools.permutations(range(len(positions))):
-                    K = list(I)
-                    for t, o in enumerate(perm):
-                        K[positions[t]] = vals[o]
-                    total += _perm_sign(perm) * comp.get(tuple(K), Fraction(0))
-                if total:
-                    return False
+def _typed_wedge(Y: Diagram, T: Tensor):
+    """The slot coordinates of T when T has symmetry type Y, else None."""
+    try:
+        wvec = tensor_to_wedge(Y, T)
+    except ShapeError:
+        return None
+    return wvec if _exchange_ok(Y.rows, wvec) else None
+
+
+def _exchange_ok(rows: tuple[int, ...], wvec: dict) -> bool:
+    """Whether a column-antisymmetric tensor meets every exchange condition.
+
+    wvec holds the slot coordinates. For columns i < j the antisymmetrizer
+    of column i plus the first cell y of column j factors through the
+    cosets of column i's group: A = (e - sum_t (x_t y)) A_i, where x_t runs
+    over the cells of column i. On a column-antisymmetric tensor A_i is a
+    scalar, so the condition is T = sum_t (x_t y) T, and by the same
+    antisymmetry it suffices at the index tuples whose column i is the
+    sorted set S_i and whose column j is y followed by the rest of S_j
+    sorted, where T is (-1)^a w[S] for y at position a of S_j. Nonzero
+    values of A T sit in the orbit of a support key, so
+    the keys S of wvec suffice. When y lies in S_i the condition holds
+    trivially, and a term whose x_t lies in S_j vanishes.
+    """
+    n_cols = len(_column_blocks(rows))
+    for S, v in wvec.items():
+        for i in range(n_cols - 1):
+            Si = S[i]
+            for j in range(i + 1, n_cols):
+                Sj = S[j]
+                for a, y in enumerate(Sj):
+                    if y in Si:
+                        continue
+                    rest = Sj[:a] + Sj[a + 1:]
+                    total = 0
+                    for t, x in enumerate(Si):
+                        if x in rest:
+                            continue
+                        col_i, sign_i = _sort_block(Si[:t] + (y,) + Si[t + 1:])
+                        col_j, sign_j = _sort_block((x,) + rest)
+                        key = S[:i] + (col_i,) + S[i + 1:j] + (col_j,) + S[j + 1:]
+                        total += sign_i * sign_j * wvec.get(key, 0)
+                    if total != (-v if a % 2 else v):
+                        return False
     return True
 
 
@@ -560,10 +593,9 @@ def tensor_to_wedge(Y, T: Tensor, validate: bool = True) -> dict:
                 raise ShapeError("tensor components are not antisymmetric within columns")
         else:
             wvec[key] = val
-    if validate:
-        expected = sum(1 for S in wvec for _ in itertools.product(*[itertools.permutations(b) for b in S]))
-        if expected != len(T.components):
-            raise ShapeError("tensor components are not antisymmetric within columns")
+    if validate and len(wvec) * prod(factorial(len(b)) for b in blocks) != len(T.components):
+        # each key accounts for one full component per permutation of its columns
+        raise ShapeError("tensor components are not antisymmetric within columns")
     return {k: v for k, v in wvec.items() if v}
 
 

@@ -70,10 +70,24 @@ def _with_entry(doc_text, **changes):
     return json.dumps(doc)
 
 
+def _with_header(doc_text, **changes):
+    doc = json.loads(doc_text)
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def _repeat_entry(doc_text, idx, nums):
+    """The document with its first entry at idx, listed once per value in nums."""
+    doc = json.loads(doc_text)
+    doc["entries"] = [dict(doc["entries"][0], idx=idx, num=n) for n in nums]
+    return json.dumps(doc)
+
+
 def test_malformed_entries_exit_2_without_traceback():
     from ncomplex.tensor_core import Tensor
 
     F = scalar_field(3, 2, {(2, 0): Fraction(3)}).to_json()
+    G = PolyTensorField.from_components(3, 2, 1, 1, "co", {((1,), (1, 0)): 1}).to_json()
     T = Tensor(2, 2, "co", {(1, 2): 1}).to_json()
     cases = [
         (["diff"], _with_entry(F, den="0")),
@@ -90,6 +104,11 @@ def test_malformed_entries_exit_2_without_traceback():
         (["diff"], _with_entry(F, num="1.5")),
         (["project", "--shape", "1,1"], _with_entry(T, idx=[1.9, 2])),
         (["project", "--shape", "1,1"], _with_entry(T, idx="12")),
+        # a repeated entry, a shape that is not the field's type, no dimension
+        (["project", "--shape", "1,1"], _repeat_entry(T, [2, 1], ["1", "5"])),
+        (["diff"], _repeat_entry(F, [], ["3", "3"])),
+        (["diff"], _with_header(G, shape=[9, 9])),
+        (["diff"], _with_header(F, dim=0, entries=[{"idx": [], "exp": [], "num": "1", "den": "1"}])),
     ]
     for argv, doc in cases:
         r = invoke([*argv, "--input", "-"], stdin=doc)
@@ -97,6 +116,7 @@ def test_malformed_entries_exit_2_without_traceback():
         assert r.stdout == ""
         assert r.stderr.startswith("error:")
         assert "Traceback" not in r.stderr
+    assert "dimension must be at least 1, got 0" in r.stderr  # the last case
 
 
 def test_zero_entries_are_validated():

@@ -87,6 +87,8 @@ GOLDEN = [
      "effedea8e5bd8ed3565572c20816c043f73df7423511376b8ef412db1aa1b0b8"),
     (["spin2", "--D", "3"], None, 0,
      "c73529ab42e891a0bd7f25539877281daf552a624091058bd4a04442c5d4d6be"),
+    (["spin2", "--D", "4", "--seed", "0"], None, 0,
+     "557ef7f2e68e3a468b23d804eba9d8670c968f6ba32133a98944612379b54c04"),
     (["spin2", "--D", "2"], "co", 0,
      "3b9ffe21270a40714e8cc145d3e21549f2f97239f3d48d40db0367c06cb32969"),
     (["spinS", "--S", "2", "--D", "2", "--q", "3"], None, 0,

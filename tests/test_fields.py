@@ -250,3 +250,10 @@ def test_from_components_validates_symmetry():
         PolyTensorField.from_components(
             3, 2, 2, 0, "co", {((1, 2), (0, 0)): Fraction(1)}
         )
+    # antisymmetric in its column of shape (2, 1), but antisymmetrizing that
+    # column with the cell to its right does not kill it
+    exchange_only = {((1, 2, 3), (0, 1, 0)): 1, ((2, 1, 3), (0, 1, 0)): -1}
+    with pytest.raises(ShapeError, match=r"slice at exponent \(0, 1, 0\)"):
+        PolyTensorField.from_components(3, 3, 3, 1, "co", exchange_only)
+    in_type = {((1, 2, 1), (0, 1, 0)): 1, ((2, 1, 1), (0, 1, 0)): -1}
+    assert not PolyTensorField.from_components(3, 3, 3, 1, "co", in_type).is_zero

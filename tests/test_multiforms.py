@@ -190,3 +190,7 @@ def test_vacuous_pass_below_order_threshold():
 def test_multiform_json_round_trip():
     w = Multiform(4, 2, {(((1,), (), (2,)), (1, 0)): Fraction(-2, 3)})
     assert Multiform.from_json(w.to_json()) == w
+    doc = json.loads(w.to_json())
+    doc["entries"].append(dict(doc["entries"][0], num="5"))
+    with pytest.raises(ShapeError, match="more than once"):
+        Multiform.from_json(json.dumps(doc))

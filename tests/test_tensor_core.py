@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -17,6 +18,7 @@ from ncomplex.tensor_core import (
     projector_rank,
     schur_basis,
     schur_conditions_ok,
+    schur_wedge_basis,
     tensor_from_wedge,
     tensor_to_wedge,
     wedge_keys,
@@ -97,6 +99,85 @@ def test_checker_rejects_wrong_symmetry():
     anti = Tensor(2, 2, "co", {(1, 2): 1, (2, 1): -1})
     assert schur_conditions_ok(Y, anti)
     assert not schur_conditions_ok(Diagram((2,)), anti)
+
+
+def _parity(perm):
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+
+
+def _schur_conditions_by_permutations(Y, T):
+    """The membership test summed over permutations of full components.
+
+    Antisymmetry within each column, then for every column pair i < j the
+    complete antisymmetrization of column i with the first cell of column j
+    at every component, as (c_i + 1)! signed lookups.
+    """
+    blocks, start = [], 0
+    for c in Y.columns():
+        blocks.append(list(range(start, start + c)))
+        start += c
+    comp = T.components
+
+    def permuted(I, positions, perm):
+        K = list(I)
+        for t, o in enumerate(perm):
+            K[positions[t]] = I[positions[o]]
+        return tuple(K)
+
+    for I, v in comp.items():
+        for block in blocks:
+            for perm in itertools.permutations(range(len(block))):
+                sign = -1 if _parity(perm) else 1
+                if comp.get(permuted(I, block, perm), 0) != sign * v:
+                    return False
+    for i, j in itertools.combinations(range(len(blocks)), 2):
+        positions = blocks[i] + [blocks[j][0]]
+        for I in comp:
+            total = sum((-1 if _parity(perm) else 1) * comp.get(permuted(I, positions, perm), 0)
+                        for perm in itertools.permutations(range(len(positions))))
+            if total:
+                return False
+    return True
+
+
+def test_checker_matches_permutation_oracle():
+    # every shape of at most three columns and six cells, D <= 4: in-type
+    # basis combinations, each with one full component perturbed, and
+    # column-antisymmetric slot vectors that mostly break only the exchange
+    # condition
+    rng = random.Random(9)
+    verdicts = {True: 0, False: 0}
+    exchange_only = 0
+    for D in range(1, 5):
+        for n in range(1, 7):
+            for Y in partitions(n):
+                if Y.n_cols > 3 or Y.n_rows > D:
+                    continue
+                keys = wedge_keys(Y.rows, D)
+                basis = schur_wedge_basis(Y.rows, D)
+                in_type = {}
+                for b in rng.sample(basis, min(len(basis), 2)):
+                    c = rng.randint(1, 3)
+                    for S, v in b.items():
+                        in_type[S] = in_type.get(S, 0) + c * v
+                T = tensor_from_wedge(Y, D, in_type)
+                perturbed = dict(T.components)
+                idx = tuple(rng.randint(1, D) for _ in range(n))
+                perturbed[idx] = perturbed.get(idx, 0) + 1
+                cases = [T, Tensor(D, n, "co", perturbed)]
+                for _ in range(3):
+                    picked = rng.sample(keys, min(len(keys), rng.randint(1, 3)))
+                    cases.append(tensor_from_wedge(Y, D, {S: rng.randint(-2, 2) or 1 for S in picked}))
+                for k, case in enumerate(cases):
+                    expected = _schur_conditions_by_permutations(Y, case)
+                    assert schur_conditions_ok(Y, case) == expected, (Y.rows, D, k)
+                    verdicts[expected] += 1
+                    exchange_only += k >= 2 and not expected
+                assert _schur_conditions_by_permutations(Y, T), (Y.rows, D)
+                if Y.n_rows > 1:  # one changed component breaks a column of height >= 2
+                    assert not _schur_conditions_by_permutations(Y, cases[1]), (Y.rows, D)
+    assert verdicts[True] >= 100 and verdicts[False] >= 90, verdicts
+    assert exchange_only >= 50, exchange_only
 
 
 def test_projector_rank_small_shapes():
