@@ -26,7 +26,10 @@ from .errors import ShapeError
 
 
 def _parse_ints(text):
-    return tuple(int(x) for x in text.split(",") if x != "")
+    try:
+        return tuple(int(x) for x in text.split(",") if x != "")
+    except ValueError:
+        raise UsageError(f"expected comma-separated integers, got {text!r}")
 
 
 def _read_text(path):
@@ -70,8 +73,8 @@ def _cmd_dim(args):
 
 
 def _cmd_project(args):
-    T = _load(args.input, tc.Tensor.from_json, "tensor")
     Y = Diagram(_parse_ints(args.shape))
+    T = _load(args.input, tc.Tensor.from_json, "tensor")
     _emit(tc.young_project(Y, T).to_json())
     return 0
 
@@ -145,6 +148,8 @@ def _cmd_green(args):
 
 
 def _cmd_spin2(args):
+    if args.qmax < 0:
+        raise UsageError(f"--qmax must be nonnegative, got {args.qmax}")
     rng = random.Random(args.seed)
     results = {"D": args.D, "seed": args.seed}
     X = fl.random_field(3, args.D, 1, args.qmax + 2, rng)

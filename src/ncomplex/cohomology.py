@@ -456,7 +456,7 @@ def cocycle_from_two_form(omega: PolyTensorField) -> PolyTensorField:
     for m, (i, j), e, v in _partials(omega.full_components(), D):
         for idx, c in (((i, j, m), 2), ((m, j, i), 1), ((j, m, i), -1)):
             linalg.add_to(comps, {(idx, e): v}, c)
-    return PolyTensorField.from_components(3, D, 3, q - 1, CO, comps, validate=True)
+    return PolyTensorField.from_components(3, D, 3, q - 1, CO, comps)
 
 
 def two_form_cocycle_is_trivial(t: PolyTensorField) -> bool:

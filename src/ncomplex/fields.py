@@ -19,7 +19,9 @@ literal gauge and two-form operators and `young_derivative` scatter its
 entries to the index positions their formulas name.
 `young_derivative` keeps the alternative route (raw derivative plus full
 symmetrizer) as an independent reference; the two agree up to a nonzero
-constant on every block, which the test suite pins down.
+constant on every block, which the test suite pins down. The duality
+`dual_star_field` applies `tc._hodge_star`, the one column-wise Hodge
+star, to each slot key.
 
 The torus weight of an entry (`weight`) is the index content of its slot
 key plus its exponent vector. Inserting mu adds e_mu to the content and
@@ -179,8 +181,8 @@ class PolyTensorField:
         return sign * self.data.get((_pad(key, self.N - 1), tuple(exp)), Fraction(0))
 
     @classmethod
-    def from_components(cls, N, D, p, q, variance, components, validate=True):
-        """Build a field from full components keyed by (index tuple, exponent)."""
+    def from_components(cls, N, D, p, q, variance, components):
+        """Build a field from full components keyed by (index tuple, exponent), type-checked."""
         Y = max_diagram(N, p)
         if D < 1:
             raise ShapeError(f"field dimension must be at least 1, got {D}")
@@ -198,8 +200,7 @@ class PolyTensorField:
             slices.setdefault(tuple(exp), {})[tuple(idx)] = v
         data: dict = {}
         for exp, comp in slices.items():
-            T = Tensor(D, p, variance, comp, Y)
-            wvec = tc._typed_wedge(Y, T) if validate else tc.tensor_to_wedge(Y, T, validate=False)
+            wvec = tc._typed_wedge(Y, Tensor(D, p, variance, comp, Y))
             if wvec is None:
                 raise ShapeError(f"slice at exponent {exp} does not have symmetry type {Y}")
             for key, v in wvec.items():
@@ -573,20 +574,16 @@ def delta_unprojected(F: PolyTensorField) -> PolyTensorField:
 
 
 def dual_star_field(F: PolyTensorField) -> PolyTensorField:
-    """Epsilon duality applied slice by slice; flips the variance."""
+    """Epsilon duality: `tc._hodge_star` on each padded slot key; flips the variance."""
     N, D = F.N, F.D
     p2 = _top_degree(N, D) - F.p
     if p2 < 0:
         raise ShapeError("degree out of range for duality")
-    Y2 = max_diagram(N, p2)
-    variance2 = CONTRA if F.variance == CO else CO
     data: dict = {}
-    for exp in F.exponents():
-        T = F.tensor_slice(exp)
-        T2 = tc.dual_star(N, T)
-        for key, v in tc.tensor_to_wedge(Y2, T2, validate=False).items():
-            data[(_pad(key, N - 1), exp)] = v
-    return PolyTensorField(N, D, p2, F.q, variance2, data)
+    for (key, exp), v in F.data.items():
+        key2, c = tc._hodge_star(key, D)
+        data[(key2, exp)] = c * v
+    return PolyTensorField(N, D, p2, F.q, CONTRA if F.variance == CO else CO, data)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,9 @@ test fixtures.
 
 Index groups are always column-read: a curvature-symmetry tensor is
 stored as R[(a, b, c, d)] with (a, b) the first antisymmetric column and
-(c, d) the second.
+(c, d) the second. Stress potentials dualize through
+`fields.dual_star_field`, the one slot-key Hodge star; no epsilon tensor
+is built here.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from . import tensor_core as tc
 from .cohomology import solve_preimage
 from .errors import ShapeError, VerificationError
 from .fields import (
@@ -32,6 +33,7 @@ from .fields import (
     block_basis,
     block_dim,
     d_power,
+    dual_star_field,
     n_diff,
 )
 
@@ -147,52 +149,29 @@ def stress_potential(T: PolyTensorField) -> PolyTensorField:
     """Curvature-symmetry potential of a conserved symmetric two-tensor.
 
     Returns R with double divergence exactly T. The construction dualizes
-    T into the top-minus-two degree of the order-3 complex, solves for a
-    double-differential potential there, and dualizes back; the residual
-    is checked to vanish identically.
+    T into the top-minus-two degree of the order-3 complex
+    (`dual_star_field`), solves for a double-differential potential there,
+    and dualizes back. One rescaling absorbs the constants of the two
+    dualities, and the residual is checked to vanish identically.
     """
     if T.N != 3 or T.p != 2 or T.variance != CONTRA:
         raise ShapeError("expected a contravariant symmetric two-tensor field")
     D, q = T.D, T.q
     if D < 2:
         raise ShapeError("dualization needs at least two dimensions")
-    div = divergence(T)
-    if div:
+    if divergence(T):
         raise ShapeError("the input is not divergence free")
     if T.is_zero:
         return PolyTensorField.zero(3, D, 4, q + 2, CONTRA)
 
-    # epsilon split after its first index and after its first two indices
-    eps = tc.epsilon(D).components
-    lead: dict = {}
-    pairs: dict = {}
-    for idx, sign in eps.items():
-        lead.setdefault(idx[0], []).append((idx[1:], sign))
-        pairs.setdefault(idx[2:], []).append((idx[:2], sign))
-
     # tau has degree 2(D-1) with two columns of height D-1
-    tau_comps: dict = {}
-    for ((mu, nu), exp), v in T.full_components().items():
-        for m_rest, sm in lead[mu]:
-            linalg.add_to(tau_comps, {(m_rest + n_rest, exp): sn
-                                      for n_rest, sn in lead[nu]}, v * sm)
-    tau = PolyTensorField.from_components(3, D, 2 * (D - 1), q, CO, tau_comps)
+    tau = dual_star_field(T)
     if not n_diff(tau).is_zero:
         raise VerificationError("dualized conserved tensor is not closed")
-
-    rho = solve_preimage(tau, 1)
-
-    # back to curvature symmetry: contract rho with two epsilons; the two
-    # epsilon index pairs are the two antisymmetric columns
-    R_comps: dict = {}
-    for (idx, exp), v in rho.full_components().items():
-        for m12, sm in pairs.get(idx[: D - 2], ()):
-            linalg.add_to(R_comps, {(m12 + n12, exp): sn
-                                    for n12, sn in pairs.get(idx[D - 2:], ())}, v * sm)
-    R = PolyTensorField.from_components(3, D, 4, q + 2, CONTRA, R_comps)
+    R = dual_star_field(solve_preimage(tau, 1))
 
     got = _double_divergence(R)
-    target = {k: v for k, v in T.full_components().items()}
+    target = T.full_components()
     c = linalg.proportionality([(got, target)])
     if not c:
         raise VerificationError("potential does not reproduce the input")

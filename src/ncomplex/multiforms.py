@@ -455,4 +455,5 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
 def _all_multidegrees(N, D):
     from itertools import product
 
+    BlockLabel(N, D, 0, 0).validate()
     return list(product(range(D + 1), repeat=N - 1))

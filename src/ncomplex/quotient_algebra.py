@@ -21,7 +21,7 @@ from functools import lru_cache
 from . import linalg
 from .diagrams import max_diagram, schur_dim
 from .errors import ShapeError
-from .fields import _insertion, _pad, _strip, _top_degree
+from .fields import BlockLabel, _insertion, _pad, _schur_vectors, _strip, _top_degree
 from .multiforms import CheckReport
 from .tensor_core import CONTRA, Tensor, tensor_from_wedge, tensor_to_wedge
 
@@ -94,20 +94,6 @@ def act(N: int, T: Tensor, word) -> Tensor:
 
 
 @lru_cache(maxsize=None)
-def _graded_basis(N, D, p):
-    """Slot-coordinate basis of the degree-p symmetry type."""
-    from .tensor_core import schur_wedge_basis
-
-    Y = max_diagram(N, p)
-    if schur_dim(Y, D) == 0:
-        return ()
-    if Y.size == 0:
-        return ({_pad((), N - 1): 1},)
-    return tuple({_pad(k, N - 1): c for k, c in vec.items()}
-                 for vec in schur_wedge_basis(Y.rows, D))
-
-
-@lru_cache(maxsize=None)
 def _word_action_column(N, D, letters: tuple):
     """Stacked action of one word over every degree, as a sparse column.
 
@@ -115,7 +101,7 @@ def _word_action_column(N, D, letters: tuple):
     """
     col: dict = {}
     for p in range(0, _top_degree(N, D) - len(letters) + 1):
-        for j, vec in enumerate(_graded_basis(N, D, p)):
+        for j, vec in enumerate(_schur_vectors(N, D, p)):
             for k, v in _act_vec(N, D, p, vec, letters).items():
                 col[(p, j, k)] = v
     return col
@@ -220,6 +206,7 @@ def relation_checks(N: int, D: int, degree_cap: int | None = None, rng=None) -> 
     relations, the bounded comparison of the generated ideal against the
     full kernel, and cyclicity of the degree-zero generator.
     """
+    BlockLabel(N, D, 0, 0).validate()
     if degree_cap is None:
         degree_cap = 2 * N - 2
     if degree_cap < 0:

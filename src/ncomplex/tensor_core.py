@@ -9,13 +9,21 @@ those canonical components form a far smaller coordinate space. The
 conversion helpers and the cached projector matrices below are the bridge
 between the two pictures.
 
+The column-wise epsilon duality has one definition, `_hodge_star`: a
+slot key goes to its column complements read right to left, times an
+integer factor. `_dual_columns` uses its key part, and
+`fields.dual_star_field` (with `gauge.stress_potential` on top of it)
+uses both parts. `dual_star`, `contract_tensor` and `epsilon_power`
+keep the contraction with the epsilon power on full components as the
+test oracle.
+
 A projector matrix is summed over the row and column groups only for the
-smaller side of the column-wise epsilon duality: a shape filling more
-than half of its k-by-D box is read off its complement through the
-column-wise Hodge star, a signed permutation of slot keys, because the
-group sums grow factorially with the number of cells. `young_project`,
-`symmetrizer_support`, `projector_rank` and `_symmetrizer_columns` keep
-the group-sum route as the independent oracle.
+smaller side of that duality: a shape filling more than half of its
+k-by-D box is read off its complement through the Hodge star, because
+the group sums grow factorially with the number of cells.
+`young_project`, `symmetrizer_support`, `projector_rank` and
+`_symmetrizer_columns` keep the group-sum route as the independent
+oracle.
 
 Membership in a symmetry type is checked on slot coordinates too:
 `tensor_to_wedge` proves column antisymmetry while it reads them, and
@@ -434,14 +442,24 @@ def projector_columns(rows: tuple[int, ...], D: int):
     return _symmetrizer_columns(rows, D)
 
 
-def _complement_key(S, D: int, n_cols: int):
-    """The slot key of the column-wise complement of S.
+@lru_cache(maxsize=None)
+def _hodge_star(S, D: int):
+    """The column-wise Hodge star of a slot key: (dual key, integer factor).
 
-    Column j goes to its complement in 1..D, the columns are read right to
-    left, and the empty complements of full columns (all last) are dropped.
+    Column j goes to its complement C_j in 1..D and the columns are read
+    right to left, so a full column leaves an empty one at the end and an
+    empty (padding) column a full one. The factor is the product over
+    columns of |S_j|! * sign(C_j followed by S_j reversed): contracting the
+    epsilon power into the |S_j|! signed permutations of each column, as
+    `dual_star` does on full components, gives that factor times the
+    slot coordinate at the dual key.
     """
-    key = tuple(tuple(i for i in range(1, D + 1) if i not in block) for block in reversed(S))
-    return key[:n_cols]
+    key, factor = [], 1
+    for block in reversed(S):
+        comp = tuple(i for i in range(1, D + 1) if i not in block)
+        key.append(comp)
+        factor *= factorial(len(block)) * _perm_sign(tuple(i - 1 for i in comp + block[::-1]))
+    return tuple(key), factor
 
 
 def _dual_columns(rows: tuple[int, ...], D: int):
@@ -450,19 +468,19 @@ def _dual_columns(rows: tuple[int, ...], D: int):
     The complement mu has columns D - c_k, ..., D - c_1 (zeros dropped).
     The type occurs once in the tensor product of the column exterior
     powers, so columns / lam is the orthogonal projector onto it. The
-    column-wise Hodge star, e_S -> sign(S_j + S_j^c) e_{S^c} in each
-    column, is an equivariant signed permutation of slot keys carrying
-    that component onto mu's, so
-    M[S'][S] = s(S) s(S') lam * M_mu[h(S')][h(S)] / lam_mu. The signs
-    cancel: the projector commutes with diagonal matrices, so M[S'][S] is
-    nonzero only when S and S' hold the same multiset of indices, and
-    then s(S) = s(S') because each is (-1)^(sum of the indices) times a
-    sign fixed by the shape.
+    column-wise Hodge star h (`_hodge_star`) is an equivariant permutation
+    of slot keys carrying that component onto mu's, with the sign s(S) of
+    its factor (the rest of the factor depends on the shape only), so
+    M[S'][S] = s(S) s(S') lam * M_mu[h(S')][h(S)] / lam_mu. Only the key
+    part is needed: the projector commutes with diagonal matrices, so
+    M[S'][S] is nonzero only when S and S' hold the same multiset of
+    indices, and then s(S) = s(S') because each is (-1)^(sum of the
+    indices) times a sign fixed by the shape.
     """
     mu_cols = tuple(D - c for c in reversed(Diagram(rows).columns()) if c < D)
     mu_M, mu_lam = projector_columns(Diagram(mu_cols).columns(), D)
     lam = normalization(Diagram(rows))
-    star = {S: _complement_key(S, D, len(mu_cols)) for S in wedge_keys(rows, D)}
+    star = {S: _hodge_star(S, D)[0][:len(mu_cols)] for S in wedge_keys(rows, D)}
     back = {hS: S for S, hS in star.items()}
     cols: dict = {}
     for S, hS in star.items():
@@ -666,7 +684,8 @@ def dual_star(N: int, T: Tensor) -> Tensor:
 
     A covariant tensor is contracted into the contravariant epsilon power
     and vice versa. The shape must belong to the maximally-filled family
-    for the given N.
+    for the given N. This full-component route is the test oracle of
+    `_hodge_star`.
     """
     D = T.dim
     if T.degree > (N - 1) * D:

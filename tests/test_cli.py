@@ -49,7 +49,20 @@ def test_usage_error_exit_code(capsys):
                  ["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1",
                   "--multidegree", "1,-1"],
                  ["theorem2", "--N", "3", "--D", "0", "--K", "1", "--m", "1"],
-                 ["algebra", "--cap", "-1"]):
+                 ["algebra", "--cap", "-1"],
+                 # integer lists that are not integers
+                 ["dim", "--shape", "a", "--D", "3"],
+                 ["project", "--shape", "1,x"],
+                 ["theorem2", "--N", "3", "--D", "2", "--K", "a", "--m", "1"],
+                 ["theorem2", "--N", "3", "--D", "2", "--K", "1", "--m", "1",
+                  "--multidegree", "x"],
+                 ["spin2", "--D", "2", "--qmax", "-1"],
+                 ["spin2", "--D", "2", "--qmax", "-2"],
+                 # blocks with no complex, before any multidegree or word is listed
+                 ["theorem2", "--N", "0", "--D", "2", "--K", "1", "--m", "1"],
+                 ["theorem2", "--N", "3", "--D", "-1", "--K", "1", "--m", "1"],
+                 ["algebra", "--N", "-1", "--cap", "0"],
+                 ["algebra", "--N", "3", "--D", "-1"]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -313,3 +326,50 @@ def test_json_documents_fuzz(project, changes, dim):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:")
+
+
+def _assert_clean_exit(argv):
+    """Run in process: exit 0, 1 or 2 without an escaping exception; exit 2 prints only an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert "error:" in err.getvalue(), (argv, err.getvalue())
+
+
+def _opts(name, **values):
+    """argv for a subcommand; None drops an option, and --opt=value keeps a leading '-' a value."""
+    return [name] + [f"--{k}={v}" for k, v in values.items() if v is not None]
+
+
+_INTS = st.integers(-2, 5)
+_SMALL_D = st.integers(-1, 2)
+# short comma lists with stray letters, signs and empty fields
+_INT_LIST = st.text(alphabet="0123,-a ", max_size=4)
+
+_SUBCOMMAND_ARGV = st.one_of(
+    st.builds(lambda shape, D: _opts("dim", shape=shape, D=D), _INT_LIST, st.integers(-1, 4)),
+    st.builds(lambda N, D, p, q: _opts("green", N=N, D=D, p=p, q=q),
+              st.integers(-1, 4), _SMALL_D, _INTS, st.integers(-1, 2)),
+    st.builds(lambda S, D, q: _opts("spinS", S=S, D=D, q=q),
+              st.integers(-1, 3), _SMALL_D, st.integers(-1, 3)),
+    st.builds(lambda D, qmax: _opts("spin2", D=D, qmax=qmax), _SMALL_D, st.integers(-2, 1)),
+    st.builds(lambda N, D, k, l, qmax: _opts("hexagon", N=N, D=D, k=k, l=l, qmax=qmax),
+              st.integers(-1, 4), _SMALL_D, st.integers(-1, 3), st.integers(-1, 3),
+              st.integers(-2, 2)),
+    st.builds(lambda N, D, K, m, md, qcap: _opts("theorem2", N=N, D=D, K=K, m=m,
+                                                  multidegree=md, qcap=qcap),
+              st.integers(-1, 4), _SMALL_D, _INT_LIST, st.integers(-1, 3),
+              st.none() | _INT_LIST, st.integers(-2, 2)),
+    st.builds(lambda N, D, cap: _opts("algebra", N=N, D=D, cap=cap),
+              st.integers(-1, 4), _SMALL_D, st.none() | st.integers(-1, 5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_SUBCOMMAND_ARGV)
+def test_subcommand_arguments_fuzz(argv):
+    _assert_clean_exit(argv)

@@ -79,6 +79,10 @@ GOLDEN = [
      "9791ff4e3dc47b8798d3114c092e369f462683f0cf5852a052cd265b1557b2aa"),
     (["dual"], "co", 0,
      "ab87a584b5e8ad0bb24ad9d5a57c92e6fb7e3b48647a3c11197e7ca2f612ecb3"),
+    (["dual"], "contra", 0,
+     "13b967adfa68cf7530c20f050f66446cad971360431e5811a3305980ff25f8ff"),
+    (["dual"], "co4", 0,
+     "45a17f9b4bc52bca27cc194dad9c92fe229762c0712cd8e8f328ececbeb7f86a"),
     (["stress-potential"], "stress", 0,
      "2d43e7a7fa5a220d9a53320f26ca6670b1bbc052ef6f56fd07db863d27ae4fe8"),
     (["green", "--N", "3", "--D", "2", "--p", "1", "--q", "2"], None, 0,

@@ -24,7 +24,7 @@ from ncomplex.fields import (
     star_relation_constants,
     young_derivative,
 )
-from ncomplex.tensor_core import schur_conditions_ok
+from ncomplex.tensor_core import dual_star, schur_conditions_ok, tensor_to_wedge
 
 
 def divergence_reference(F):
@@ -187,6 +187,23 @@ def test_duality_is_a_bijection_per_degree():
             images = [dual_star_field(b).data for b in basis]
             assert linalg.rank(images) == block_dim(N, D, p, 1)
             assert block_dim(N, D, (N - 1) * D - p, 1) == block_dim(N, D, p, 1)
+
+
+def test_dual_star_field_matches_slicewise_epsilon_contraction():
+    # the slot-key star against dual_star on each monomial's full components
+    rng = random.Random(12)
+    for N, D in ((2, 3), (3, 2), (3, 3), (4, 2)):
+        for p in range((N - 1) * D + 1):
+            for variance in ("co", "contra"):
+                F = random_field(N, D, p, 2, rng, variance)
+                G = dual_star_field(F)
+                data = {}
+                for exp in F.exponents():
+                    T2 = dual_star(N, F.tensor_slice(exp))
+                    for key, v in tensor_to_wedge(G.shape, T2).items():
+                        data[(key + ((),) * (N - 1 - len(key)), exp)] = v
+                assert (G.p, G.variance) == ((N - 1) * D - p, T2.variance)
+                assert G.data == data
 
 
 def test_double_dual_sign_law_order_two():

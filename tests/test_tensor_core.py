@@ -5,10 +5,11 @@ from math import comb, factorial, prod
 
 import pytest
 
-from ncomplex.diagrams import Diagram, partitions, schur_dim
+from ncomplex.diagrams import Diagram, max_diagram, partitions, schur_dim
 from ncomplex.errors import ShapeError
 from ncomplex.tensor_core import (
     Tensor,
+    _hodge_star,
     _symmetrizer_columns,
     contract_tensor,
     dual_star,
@@ -260,6 +261,21 @@ def test_contraction_requires_opposite_variance_and_shapes():
 def test_dual_star_scalar_gives_epsilon_power():
     one = Tensor(2, 0, "co", {(): 1}, Diagram(()))
     assert dual_star(3, one) == epsilon_power(3, 2)
+
+
+def test_hodge_star_on_slot_keys_matches_epsilon_contraction():
+    # every slot key of every filled type, both variances, against the
+    # full-component contraction with the epsilon power
+    for N, D_max in ((2, 4), (3, 3), (4, 3)):
+        for D in range(1, D_max + 1):
+            for p in range((N - 1) * D + 1):
+                Y, Y2 = max_diagram(N, p), max_diagram(N, (N - 1) * D - p)
+                for variance in ("co", "contra"):
+                    for S in wedge_keys(Y.rows, D):
+                        key, c = _hodge_star(S + ((),) * (N - 1 - len(S)), D)
+                        assert len(key) == N - 1 and not any(key[Y2.n_cols:])
+                        T = tensor_from_wedge(Y, D, {S: 1}, variance)
+                        assert tensor_to_wedge(Y2, dual_star(N, T)) == {key[:Y2.n_cols]: c}
 
 
 def test_dual_star_shape_guard():
