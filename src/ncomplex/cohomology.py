@@ -346,7 +346,7 @@ def _induced_matrix(N, D, src, dst, d_steps):
 
 
 def _exactness_at(prev_cols, next_cols, mid_dim):
-    """rank(incoming) + rank(outgoing) = dim and the composite vanishes."""
+    """rank(incoming) + rank(outgoing) = dim; `_composites_vanish` checks the composites."""
     return linalg.rank(prev_cols) + linalg.rank(next_cols) == mid_dim
 
 
@@ -360,9 +360,6 @@ def hexagon_check(N, D, k, l, q_max) -> SuiteReport:
     """
     BlockLabel(N, D, 0, q_max).validate()
     rep = SuiteReport("hexagon", {"N": N, "D": D, "k": k, "l": l, "q_max": q_max})
-    if N == 2:
-        rep.expect("degenerate (no admissible k, l)", True, True)
-        return rep
     if k < 1 or l < 1 or k + l > N - 1:
         raise ShapeError(f"need k, l >= 1 and k + l <= {N - 1}")
     nodes_kl = [

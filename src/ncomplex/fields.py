@@ -6,6 +6,9 @@ vector over pairs (slot key, exponent vector): the slot key lists the
 strictly increasing index set of each column, padded with empty slots up
 to N - 1, and the exponent vector records one monomial. This canonical
 storage makes the differential a small cached matrix multiplication.
+Full components go through the codec of `tensor_core`:
+`full_components` expands each padded key by `tc._column_perms`, and
+`from_components` reads each exponent slice back by `tc._read_slots`.
 
 The degree-raising differential is realized by a graded insertion of the
 derivative index into the column that row filling grows, followed by the
@@ -66,10 +69,6 @@ class BlockLabel(NamedTuple):
 
 def _pad(key, width: int):
     return tuple(key) + ((),) * (width - len(key))
-
-
-def _strip(key, n_cols: int):
-    return tuple(key[:n_cols])
 
 
 @lru_cache(maxsize=None)
@@ -164,9 +163,8 @@ class PolyTensorField:
     def tensor_slice(self, exp) -> Tensor:
         """The tensor multiplying one monomial."""
         exp = tuple(exp)
-        Y = self.shape
-        wvec = {_strip(k, Y.n_cols): v for (k, e), v in self.data.items() if e == exp}
-        return tc.tensor_from_wedge(Y, self.D, wvec, self.variance)
+        wvec = {k: v for (k, e), v in self.data.items() if e == exp}
+        return tc.tensor_from_wedge(self.shape, self.D, wvec, self.variance)
 
     def exponents(self) -> list:
         return sorted({e for _, e in self.data})
@@ -192,15 +190,14 @@ class PolyTensorField:
                 raise ShapeError(f"exponent {exp} is not a monomial in {D} variables")
             if sum(exp) != q:
                 raise ShapeError(f"exponent {exp} is not homogeneous of degree {q}")
-            if len(idx) != p or (idx and not 1 <= min(idx) <= max(idx) <= D):
-                raise ShapeError(f"bad index tuple {tuple(idx)} for degree {p}, dim {D}")
+            idx = tc._check_index(tuple(idx), p, D)
             v = Fraction(v)
             if not v:
                 continue
-            slices.setdefault(tuple(exp), {})[tuple(idx)] = v
+            slices.setdefault(tuple(exp), {})[idx] = v
         data: dict = {}
         for exp, comp in slices.items():
-            wvec = tc._typed_wedge(Y, Tensor(D, p, variance, comp, Y))
+            wvec = tc._typed_wedge(Y.rows, comp)
             if wvec is None:
                 raise ShapeError(f"slice at exponent {exp} does not have symmetry type {Y}")
             for key, v in wvec.items():
@@ -208,13 +205,9 @@ class PolyTensorField:
         return cls(N, D, p, q, variance, data)
 
     def full_components(self) -> dict:
-        """All nonzero (index tuple, exponent) components."""
-        out: dict = {}
-        for exp in self.exponents():
-            T = self.tensor_slice(exp)
-            for idx, v in T.components.items():
-                out[(idx, exp)] = v
-        return out
+        """All nonzero (index tuple, exponent) components, expanded by `tc._column_perms`."""
+        return {(idx, exp): sign * v for (key, exp), v in self.data.items()
+                for idx, sign in tc._column_perms(key)}
 
     def to_json(self) -> str:
         entries = [
@@ -309,7 +302,7 @@ def _projected(table, N: int, D: int, Y: Diagram):
     Mcols, lam = tc.projector_columns(Y.rows, D)
     return {
         mu: {key: [(_pad(k2, N - 1), s * c) for k1, s in targets
-                   for k2, c in Mcols[_strip(k1, Y.n_cols)].items()]
+                   for k2, c in Mcols[k1[:Y.n_cols]].items()]
              for key, targets in col.items()}
         for mu, col in table.items()
     }, lam
@@ -460,7 +453,7 @@ def young_derivative(F: PolyTensorField) -> PolyTensorField:
     data: dict = {}
     for exp2, comps in raw_slices.items():
         T1 = tc.young_project(Y1, Tensor(D, p + 1, F.variance, comps))
-        for key, v in tc.tensor_to_wedge(Y1, T1, validate=False).items():
+        for key, v in tc.tensor_to_wedge(Y1, T1).items():
             data[(_pad(key, N - 1), exp2)] = sign * v
     return PolyTensorField(N, D, p + 1, q - 1, F.variance, data)
 
@@ -537,10 +530,10 @@ def block_basis(N, D, p, q, variance=CO) -> list[PolyTensorField]:
     ]
 
 
-def random_field(N, D, p, q, rng, variance=CO, span=5) -> PolyTensorField:
-    """Small-integer random combination of block basis fields."""
+def random_field(N, D, p, q, rng, variance=CO) -> PolyTensorField:
+    """Random combination of block basis fields with coefficients in -5..5."""
     basis = _block_int_basis(N, D, p, q)
-    coeffs = {j: rng.randint(-span, span) for j in range(len(basis))}
+    coeffs = {j: rng.randint(-5, 5) for j in range(len(basis))}
     return PolyTensorField(N, D, p, q, variance, linalg.combine(coeffs, basis))
 
 
@@ -658,5 +651,5 @@ def field_product(F: PolyTensorField, G: PolyTensorField) -> PolyTensorField:
                 linalg.add_to(comps, {I + J: b for J, b in Tg.components.items()}, a)
             proj = tc.young_project(Y, Tensor(D, p, F.variance, comps))
             linalg.add_to(data, {(_pad(key, N - 1), exp): v for key, v in
-                                 tc.tensor_to_wedge(Y, proj, validate=False).items()})
+                                 tc.tensor_to_wedge(Y, proj).items()})
     return PolyTensorField(N, D, p, q, F.variance, data)

@@ -391,8 +391,8 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
     """
     BlockLabel(N, D, 0, q_cap).validate()
     md = tuple(multidegree)
-    if len(md) != N - 1 or any(a < 0 for a in md):
-        raise ShapeError(f"multidegree {md} needs {N - 1} nonnegative entries")
+    if len(md) != N - 1 or any(not 0 <= a <= D for a in md):
+        raise ShapeError(f"multidegree {md} needs {N - 1} entries in 0..{D}")
     K = tuple(sorted(set(K)))
     if not K or any(not 1 <= i <= N - 1 for i in K):
         raise ShapeError(f"bad slot subset {K}")

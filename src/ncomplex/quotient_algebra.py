@@ -21,7 +21,7 @@ from functools import lru_cache
 from . import linalg
 from .diagrams import max_diagram, schur_dim
 from .errors import ShapeError
-from .fields import BlockLabel, _insertion, _pad, _schur_vectors, _strip, _top_degree
+from .fields import BlockLabel, _insertion, _pad, _schur_vectors, _top_degree
 from .multiforms import CheckReport
 from .tensor_core import CONTRA, Tensor, tensor_from_wedge, tensor_to_wedge
 
@@ -89,8 +89,7 @@ def act(N: int, T: Tensor, word) -> Tensor:
     if p_out > _top_degree(N, D) or not vec:
         deg = min(p, _top_degree(N, D))
         return Tensor(D, deg, CONTRA, {}, max_diagram(N, deg))
-    Y = max_diagram(N, p)
-    return tensor_from_wedge(Y, D, {_strip(k, Y.n_cols): v for k, v in vec.items()}, CONTRA)
+    return tensor_from_wedge(max_diagram(N, p), D, vec, CONTRA)
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,11 @@ entries in 1..D, laid out in the column reading order of the attached
 diagram. For anything heavy the package works in "slot" coordinates: a
 tensor that is antisymmetric within each column block is determined by
 its components at keys whose column blocks are strictly increasing, and
-those canonical components form a far smaller coordinate space. The
-conversion helpers and the cached projector matrices below are the bridge
-between the two pictures.
+those canonical components form a far smaller coordinate space. One
+codec bridges the two pictures: `_column_perms` (cached) is the only
+expansion of a slot key into its signed full index tuples, and
+`_read_slots` is the only reader of full components back into slot
+coordinates, proving column antisymmetry as it reads.
 
 The column-wise epsilon duality has one definition, `_hodge_star`: a
 slot key goes to its column complements read right to left, times an
@@ -26,7 +28,7 @@ the group sums grow factorially with the number of cells.
 oracle.
 
 Membership in a symmetry type is checked on slot coordinates too:
-`tensor_to_wedge` proves column antisymmetry while it reads them, and
+`_read_slots` proves column antisymmetry while it reads them, and
 `_exchange_ok` checks the exchange conditions by the coset factorization
 of each antisymmetrizer, a few lookups per slot key where the permutation
 sum over full components grows factorially with the column height. The
@@ -95,6 +97,13 @@ def _json_entries(doc: dict, key_of) -> dict:
     return out
 
 
+def _check_index(idx: tuple, degree: int, dim: int) -> tuple:
+    """A full index tuple of the given length with int entries in 1..dim, else ShapeError."""
+    if len(idx) != degree or any(type(i) is not int or not 1 <= i <= dim for i in idx):
+        raise ShapeError(f"bad index tuple {idx} for degree {degree}, dim {dim}")
+    return idx
+
+
 class Tensor:
     """Degree-p tensor over dimension D with exact rational components.
 
@@ -115,10 +124,7 @@ class Tensor:
             )
         comps = {}
         for idx, v in (components or {}).items():
-            idx = tuple(idx)
-            if len(idx) != self.degree or any(
-                    type(i) is not int or i < 1 or i > self.dim for i in idx):
-                raise ShapeError(f"bad index tuple {idx} for degree {self.degree}, dim {self.dim}")
+            idx = _check_index(tuple(idx), self.degree, self.dim)
             v = Fraction(v)
             if v:
                 comps[idx] = v
@@ -326,23 +332,23 @@ def schur_conditions_ok(Y, T: Tensor) -> bool:
 
     T has type Y when it is antisymmetric within every column block and
     completely antisymmetrizing a column block together with one entry of
-    any column to its right kills it. `tensor_to_wedge` proves the first
+    any column to its right kills it. `_read_slots` proves the first
     family while it reads the slot coordinates, and `_exchange_ok` checks
     the second on those coordinates, with c_j * (c_i + 1) lookups per slot
     key and column pair instead of a (c_i + 1)! permutation sum per full
     component. The tests keep the permutation sum as the oracle.
     """
     Y = as_diagram(Y)
-    return T.degree == Y.size and _typed_wedge(Y, T) is not None
+    return T.degree == Y.size and _typed_wedge(Y.rows, T.components) is not None
 
 
-def _typed_wedge(Y: Diagram, T: Tensor):
-    """The slot coordinates of T when T has symmetry type Y, else None."""
+def _typed_wedge(rows: tuple[int, ...], comps: dict):
+    """The slot coordinates of full components {index tuple: value} of type rows, else None."""
     try:
-        wvec = tensor_to_wedge(Y, T)
+        wvec = _read_slots(rows, comps)
     except ShapeError:
         return None
-    return wvec if _exchange_ok(Y.rows, wvec) else None
+    return wvec if _exchange_ok(rows, wvec) else None
 
 
 def _exchange_ok(rows: tuple[int, ...], wvec: dict) -> bool:
@@ -506,13 +512,9 @@ def _symmetrizer_columns(rows: tuple[int, ...], D: int):
     rperms = row_group(rows)
     cols: dict = {}
     for S in wedge_keys(rows, D):
-        base = tuple(i for block in S for i in block)
-        full: dict = {}
-        for q, sq in column_group(rows):
-            full[_place(base, q)] = sq
         summed: dict = {}
         for p in rperms:
-            for J, v in full.items():
+            for J, v in _column_perms(S):
                 K = _place(J, p)
                 summed[K] = summed.get(K, 0) + v
         out: dict = {}
@@ -566,55 +568,57 @@ def projector_rank(Y, D: int) -> int:
     return ech.rank
 
 
+@lru_cache(maxsize=None)
+def _column_perms(S) -> tuple:
+    """The signed full index tuples ((index tuple, sign), ...) of slot key S.
+
+    One per permutation within each column, the last column varying
+    fastest; an empty (padding) column adds nothing. The one expansion of
+    slot coordinates, inverted by `_read_slots`.
+    """
+    out = [((), 1)]
+    for block in S:
+        perms = [(tuple(block[o] for o in order), _perm_sign(order))
+                 for order in itertools.permutations(range(len(block)))]
+        out = [(idx + perm, sign * s) for idx, sign in out for perm, s in perms]
+    return tuple(out)
+
+
 def tensor_from_wedge(Y, D, wvec: dict, variance=CO) -> Tensor:
-    """Expand canonical slot coordinates into full components."""
+    """Expand canonical (or padded) slot coordinates into full components."""
     Y = as_diagram(Y)
-    comps: dict = {}
-    for S, v in wvec.items():
-        v = Fraction(v)
-        if not v:
-            continue
-        per_col = []
-        for block in S:
-            per_col.append([(perm, _perm_sign_of_sorted(block, perm)) for perm in itertools.permutations(block)])
-        for choice in itertools.product(*per_col):
-            idx = tuple(i for perm, _ in choice for i in perm)
-            sign = 1
-            for _, sg in choice:
-                sign *= sg
-            comps[idx] = sign * v
+    comps = {idx: sign * v for S, v in wvec.items() for idx, sign in _column_perms(S)}
     return Tensor(D, Y.size, variance, comps, Y)
 
 
-def _perm_sign_of_sorted(sorted_block, perm) -> int:
-    order = tuple(sorted_block.index(x) for x in perm)
-    return _perm_sign(order)
+def _read_slots(rows: tuple[int, ...], comps: dict) -> dict:
+    """The slot coordinates of nonzero full components {index tuple: value}.
+
+    The one way back from full components. ShapeError unless comps is
+    antisymmetric within each column: no repeated index in a column, one
+    value per key up to sign, and all Π c! permutations of each key present.
+    """
+    blocks = _column_blocks(rows)
+    wvec: dict = {}
+    for I, v in comps.items():
+        res = _canonicalize(I, blocks)
+        if res is None:
+            raise ShapeError("tensor has a nonzero component with a repeated column index")
+        key, sign = res
+        val = sign * v
+        if wvec.setdefault(key, val) != val:
+            raise ShapeError("tensor components are not antisymmetric within columns")
+    if len(wvec) * prod(factorial(len(b)) for b in blocks) != len(comps):
+        raise ShapeError("tensor components are not antisymmetric within columns")
+    return wvec
 
 
-def tensor_to_wedge(Y, T: Tensor, validate: bool = True) -> dict:
+def tensor_to_wedge(Y, T: Tensor) -> dict:
     """Read canonical slot coordinates off a column-antisymmetric tensor."""
     Y = as_diagram(Y)
     if T.degree != Y.size:
         raise ShapeError(f"degree {T.degree} tensor cannot carry shape {Y}")
-    blocks = _column_blocks(Y.rows)
-    wvec: dict = {}
-    for I, v in T.components.items():
-        res = _canonicalize(I, blocks)
-        if res is None:
-            if validate and v:
-                raise ShapeError("tensor has a nonzero component with a repeated column index")
-            continue
-        key, sign = res
-        val = sign * v
-        if key in wvec:
-            if validate and wvec[key] != val:
-                raise ShapeError("tensor components are not antisymmetric within columns")
-        else:
-            wvec[key] = val
-    if validate and len(wvec) * prod(factorial(len(b)) for b in blocks) != len(T.components):
-        # each key accounts for one full component per permutation of its columns
-        raise ShapeError("tensor components are not antisymmetric within columns")
-    return {k: v for k, v in wvec.items() if v}
+    return _read_slots(Y.rows, T.components)
 
 
 def schur_basis(Y, D: int) -> list[Tensor]:

@@ -44,10 +44,14 @@ def test_usage_error_exit_code(capsys):
                  ["poincare", "--N", "3", "--D", "0"],
                  ["poincare", "--N", "3", "--D", "2", "--nmax", "-1"],
                  ["hexagon", "--N", "3", "--D", "3", "--qmax", "-2"],
+                 ["hexagon", "--N", "2", "--D", "2"],
                  ["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1",
                   "--qcap", "-1"],
                  ["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1",
                   "--multidegree", "1,-1"],
+                 # a slot holds at most D indices
+                 ["theorem2", "--N", "3", "--D", "2", "--K", "1", "--m", "1",
+                  "--multidegree", "3,0"],
                  ["theorem2", "--N", "3", "--D", "0", "--K", "1", "--m", "1"],
                  ["algebra", "--cap", "-1"],
                  # integer lists that are not integers

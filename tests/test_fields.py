@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -260,6 +261,29 @@ def test_json_round_trip_and_components():
     T = F.tensor_slice(exp)
     for idx, v in T.components.items():
         assert F.component(idx, exp) == v
+
+
+def test_full_components_match_slicewise_expansion():
+    rng = random.Random(17)
+    for N, D, p, q in ((2, 3, 1, 2), (3, 2, 2, 2), (3, 3, 3, 1), (4, 2, 4, 2), (4, 3, 2, 1)):
+        for variance in ("co", "contra"):
+            F = random_field(N, D, p, q, rng, variance)
+            slices = {(idx, exp): v for exp in F.exponents()
+                      for idx, v in F.tensor_slice(exp).components.items()}
+            assert F.full_components() == slices
+            # every index tuple, read back one component at a time through
+            # `component`'s own canonicalization, independent of the expansion
+            full = F.full_components()
+            for exp in F.exponents():
+                for idx in itertools.product(range(1, D + 1), repeat=p):
+                    assert full.get((idx, exp), 0) == F.component(idx, exp)
+            assert PolyTensorField.from_components(N, D, p, q, variance, slices) == F
+
+
+def test_from_components_rejects_non_int_index_entries():
+    for idx in ((1.5,), (True,)):
+        with pytest.raises(ShapeError, match="bad index tuple"):
+            PolyTensorField.from_components(3, 2, 1, 0, "co", {(idx, (0, 0)): 1})
 
 
 def test_from_components_validates_symmetry():

@@ -9,6 +9,7 @@ from ncomplex.diagrams import Diagram, max_diagram, partitions, schur_dim
 from ncomplex.errors import ShapeError
 from ncomplex.tensor_core import (
     Tensor,
+    _column_perms,
     _hodge_star,
     _symmetrizer_columns,
     contract_tensor,
@@ -292,6 +293,36 @@ def test_wedge_round_trip():
         T = young_project(Y, random_tensor(Y, 3, rng))
         w = tensor_to_wedge(Y, T)
         assert tensor_from_wedge(Y, 3, w) == T
+
+
+def _expand_by_permutations(S):
+    """Every column of S permuted, signed by its inversion count."""
+    out = {}
+    for choice in itertools.product(*(itertools.permutations(block) for block in S)):
+        inversions = sum(a > b for perm in choice for a, b in itertools.combinations(perm, 2))
+        out[tuple(i for perm in choice for i in perm)] = (-1) ** inversions
+    return out
+
+
+def test_slot_codec_matches_permutation_expansion():
+    # every slot key of every filled type, bare and padded to N - 1 columns
+    rng = random.Random(3)
+    for N in (2, 3, 4):
+        for D in range(1, 5):
+            for p in range((N - 1) * D + 1):
+                Y = max_diagram(N, p)
+                keys = wedge_keys(Y.rows, D)
+                for S in keys:
+                    want = _expand_by_permutations(S)
+                    for key in (S, S + ((),) * (N - 1 - len(S))):
+                        got = _column_perms(key)
+                        assert len(got) == len(want) and dict(got) == want, (N, D, key)
+                wvec = {S: rng.randint(-3, 3) for S in keys}
+                comps = {idx: sign * v for S, v in wvec.items() if v
+                         for idx, sign in _expand_by_permutations(S).items()}
+                assert tensor_from_wedge(Y, D, wvec).components == comps
+                T = Tensor(D, p, "co", comps)
+                assert tensor_to_wedge(Y, T) == {S: v for S, v in wvec.items() if v}
 
 
 def test_wedge_keys_shape():
