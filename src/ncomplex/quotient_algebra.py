@@ -9,7 +9,9 @@ dimensions of the action, which keeps the whole module linear algebra.
 A word's action on every graded basis vector at once is one stacked
 sparse column; ranks of these columns give the kernel and image
 dimensions, and an element of the tensor algebra acts as zero exactly
-when the same combination of its words' columns is empty.
+when the same combination of its words' columns is empty. A word's column
+is its prefix's cached column with one more letter inserted, so words
+that share a prefix share the work of applying it.
 """
 
 from __future__ import annotations
@@ -46,19 +48,6 @@ def _insert_index(N, D, p, vec, mu):
     return out
 
 
-def _act_vec(N, D, p, vec, letters):
-    """Apply a word of base indices to a slot vector of degree p, unscaled."""
-    cur, cp = vec, p
-    for mu in letters:
-        if cp >= _top_degree(N, D):
-            return {}
-        cur = _insert_index(N, D, cp, cur, mu)
-        cp += 1
-        if not cur:
-            return {}
-    return cur
-
-
 def act(N: int, T: Tensor, word) -> Tensor:
     """Right action of a word of vectors on a graded element.
 
@@ -92,16 +81,44 @@ def act(N: int, T: Tensor, word) -> Tensor:
     return tensor_from_wedge(max_diagram(N, p), D, vec, CONTRA)
 
 
+def _column_slices(N, D, letters: tuple) -> list:
+    """The nonzero (p, j) slices of a word's column, in column order.
+
+    The empty word's slices are the graded Schur basis itself; any other
+    word's are read off its cached column, where one slice's entries are
+    adjacent.
+    """
+    if not letters:
+        return [(p, j, vec) for p in range(_top_degree(N, D) + 1)
+                for j, vec in enumerate(_schur_vectors(N, D, p))]
+    slices: list = []
+    last = None
+    for (p, j, k), v in _word_action_column(N, D, letters).items():
+        if (p, j) != last:
+            last, vec = (p, j), {}
+            slices.append((p, j, vec))
+        vec[k] = v
+    return slices
+
+
 @lru_cache(maxsize=None)
 def _word_action_column(N, D, letters: tuple):
-    """Stacked action of one word over every degree, as a sparse column.
+    """Stacked action of one word on every graded basis vector, as a sparse column.
 
-    Cached: a word recurs in many relations, and callers only read the column.
+    Entry (p, j, k) is slot key k of the word applied to the j-th Schur
+    vector of degree p, unscaled. The column is built from its prefix's
+    cached column by inserting the last letter into each nonzero slice,
+    so a word costs one insertion per slice; a slice that would leave
+    the top degree drops out.
     """
+    if not letters:
+        return {(p, j, k): v for p, j, vec in _column_slices(N, D, letters)
+                for k, v in vec.items()}
+    n, mu = len(letters), letters[-1]
     col: dict = {}
-    for p in range(0, _top_degree(N, D) - len(letters) + 1):
-        for j, vec in enumerate(_schur_vectors(N, D, p)):
-            for k, v in _act_vec(N, D, p, vec, letters).items():
+    for p, j, vec in _column_slices(N, D, letters[:-1]):
+        if p + n - 1 < _top_degree(N, D):
+            for k, v in _insert_index(N, D, p + n - 1, vec, mu).items():
                 col[(p, j, k)] = v
     return col
 
@@ -245,15 +262,16 @@ def relation_checks(N: int, D: int, degree_cap: int | None = None, rng=None) -> 
                     {"ideal": ideal_n, "kernel": kernel_n},
                 )
 
+    # images of the unit under every word of length n, in lexicographic word order
+    images = [{_pad((), N - 1): 1}]
     for n in range(0, degree_cap + 1):
         if n > _top_degree(N, D):
             break
-        cols = []
-        for letters in itertools.product(range(1, D + 1), repeat=n):
-            img = _act_vec(N, D, 0, {_pad((), N - 1): 1}, letters)
-            cols.append(img)
+        if n:
+            images = [_insert_index(N, D, n - 1, img, mu)
+                      for img in images for mu in range(1, D + 1)]
         rep.record(
             f"unit generates degree {n}",
-            linalg.rank(cols) == schur_dim(max_diagram(N, n), D),
+            linalg.rank(images) == schur_dim(max_diagram(N, n), D),
         )
     return rep

@@ -59,6 +59,10 @@ GOLDEN = [
      "0923fd775e1b5d74d38fcf23dba738b89203dbaa9b0efe271833363769b967d8"),
     (["algebra", "--N", "4", "--D", "2"], None, 0,
      "45100b551a0761afdce2f4eeb369d6f2d6519eba54996ddd8f6862ad97f4c19a"),
+    (["algebra", "--N", "3", "--D", "3"], None, 0,
+     "41c05fa4b5e6dbd4322e427fee39ec5d17ae1c4a81eb98ff0399d0fb98f866d9"),
+    (["algebra", "--N", "4", "--D", "3"], None, 0,
+     "6d03491a46a03847a530ef550b36a7f6efeb9ae566bfbfe1c7a28ae201afeb77"),
     (["cohomology", "--N", "3", "--D", "3", "--qmax", "3", "--format", "json"], None, 0,
      "203f8f4046afc48e097969f372717dea3222a0652ed50581cddb967683cddab4"),
     (["cohomology", "--N", "2", "--D", "3", "--qmax", "3"], None, 0,

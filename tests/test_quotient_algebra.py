@@ -1,14 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from ncomplex import linalg, quotient_algebra
 from ncomplex.diagrams import max_diagram, schur_dim
 from ncomplex.errors import ShapeError
+from ncomplex.fields import _insertion, _schur_vectors, _top_degree
 from ncomplex.quotient_algebra import (
     _cyclic_generators,
     _ideal_dim,
+    _insert_index,
     _quartic_generators,
+    _word_action_column,
     act,
     image_dims,
     kernel_dim,
@@ -16,7 +21,7 @@ from ncomplex.quotient_algebra import (
     symmetrized_power_check,
     unit_element,
 )
-from ncomplex.tensor_core import Tensor
+from ncomplex.tensor_core import CONTRA, Tensor, tensor_from_wedge
 
 
 def rand_vec(D, rng):
@@ -151,12 +156,80 @@ def test_unit_is_cyclic_over_every_degree():
     rep = relation_checks(3, 2, 3)
     gen_entries = [e for e in rep.entries if e["label"].startswith("unit generates")]
     assert gen_entries and all(e["pass"] for e in gen_entries)
-    # direct spot check at order 4
-    from ncomplex import linalg
-    from ncomplex.quotient_algebra import _act_vec, _pad
-    import itertools
-
-    cols = []
-    for letters in itertools.product((1, 2), repeat=3):
-        cols.append(_act_vec(4, 2, 0, {_pad((), 3): 1}, letters))
+    # direct spot check at order 4, through the public tensor action; the
+    # factor lam per letter does not change the rank
+    u = unit_element(4, 2)
+    cols = [act(4, u, word).components
+            for word in itertools.product(((1, 0), (0, 1)), repeat=3)]
     assert linalg.rank(cols) == schur_dim(max_diagram(4, 3), 2)
+
+
+def _act_vec(N, D, p, vec, letters):
+    """Apply a word to a slot vector of degree p letter by letter, unscaled."""
+    cur, cp = vec, p
+    for mu in letters:
+        if cp >= _top_degree(N, D):
+            return {}
+        cur = _insert_index(N, D, cp, cur, mu)
+        cp += 1
+        if not cur:
+            return {}
+    return cur
+
+
+def _letter_by_letter_column(N, D, letters):
+    """A word's stacked column, each entry applying the whole word afresh."""
+    col = {}
+    for p in range(0, _top_degree(N, D) - len(letters) + 1):
+        for j, vec in enumerate(_schur_vectors(N, D, p)):
+            for k, v in _act_vec(N, D, p, vec, letters).items():
+                col[(p, j, k)] = v
+    return col
+
+
+def test_word_action_column_matches_letter_by_letter_oracle(monkeypatch):
+    inserted_at = []
+
+    def recording_insert(N, D, p, vec, mu):
+        inserted_at.append(p - _top_degree(N, D))
+        return _insert_index(N, D, p, vec, mu)
+
+    monkeypatch.setattr(quotient_algebra, "_insert_index", recording_insert)
+    _word_action_column.cache_clear()
+    rng = random.Random(5)
+    for N in (2, 3, 4):
+        for D in (1, 2, 3):
+            top = _top_degree(N, D)
+            words = [w for n in range(min(4, top) + 1)
+                     for w in itertools.product(range(1, D + 1), repeat=n)]
+            inserted_at.clear()
+            want = {}
+            for letters in words:
+                col = _word_action_column(N, D, letters)
+                want[letters] = _letter_by_letter_column(N, D, letters)
+                assert list(col.items()) == list(want[letters].items()), (N, D, letters)
+                assert all(type(v) is int for v in col.values())
+            # one insertion per nonzero slice of the prefix, none from the top degree
+            assert max(inserted_at, default=-1) < 0
+            assert len(inserted_at) == sum(
+                len({(p, j) for p, j, _ in want[w[:-1]] if p + len(w) - 1 < top})
+                for w in words if w)
+            # the public action on tensors divides by lam at every letter
+            for letters in rng.sample(words, min(6, len(words))):
+                col = _word_action_column(N, D, letters)
+                basis = [tuple(int(i == mu) for i in range(1, D + 1)) for mu in letters]
+                for p in range(top - len(letters) + 1):
+                    lam = 1
+                    for i in range(len(letters)):
+                        lam *= _insertion(N, D, p + i)[1]
+                    for j, vec in enumerate(_schur_vectors(N, D, p)):
+                        T = tensor_from_wedge(max_diagram(N, p), D, vec, CONTRA)
+                        got = act(N, T, basis)
+                        image = {k: Fraction(v, lam) for (pp, jj, k), v in col.items()
+                                 if (pp, jj) == (p, j)}
+                        if image:
+                            expected = tensor_from_wedge(max_diagram(N, p + len(letters)),
+                                                         D, image, CONTRA)
+                            assert got.components == expected.components, (N, D, letters, p, j)
+                        else:
+                            assert got.is_zero, (N, D, letters, p, j)
