@@ -16,7 +16,10 @@ projection onto the irreducible symmetry type; the codifferential
 contracts one out the same way. `_insert_table` alone owns the slot sign
 convention: `_contract_table` reverses it, `_projected` composes a table
 with the projector, and `_apply_slot` applies a table while
-differentiating the monomial, here and in `multiforms`. `_partials` alone
+differentiating the monomial, here and in `multiforms`. `_d_k_int` is the
+one d^k chain on slot vectors: `d_power` (and through it `n_diff`),
+`lemma4_check` and the cocycles and induced maps of `cohomology` apply
+powers of d through it. `_partials` alone
 owns the derivative of full components (index tuple, exponent): the
 literal gauge and two-form operators and `young_derivative` scatter its
 entries to the index positions their formulas name.
@@ -42,6 +45,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 from typing import NamedTuple
 
 from . import linalg
@@ -74,6 +78,8 @@ def _pad(key, width: int):
 @lru_cache(maxsize=None)
 def monomials(D: int, q: int) -> tuple:
     """Exponent vectors of the homogeneous degree-q monomials, lex sorted."""
+    if D < 1:
+        raise ShapeError(f"monomials need at least one variable, got D={D}")
     if q < 0:
         return ()
 
@@ -389,25 +395,38 @@ def _apply_d_int(N, D, p, vec: dict) -> dict:
     return _apply_slot(_insertion(N, D, p)[0], vec, D)
 
 
+def _d_k_int(N, D, p, q, vec: dict, k: int) -> dict:
+    """k differential steps on a slot vector, step i scaled by the lam of degree p + i.
+
+    The one d^k chain: it stops at the top degree, at polynomial degree
+    zero or at a zero vector, so its cost does not grow with k.
+    """
+    cur, cp, cq = vec, p, q
+    for _ in range(k):
+        if not cur or cp >= _top_degree(N, D) or cq == 0:
+            return {}
+        cur = _apply_d_int(N, D, cp, cur)
+        cp, cq = cp + 1, cq - 1
+    return cur
+
+
 def n_diff(F: PolyTensorField) -> PolyTensorField:
     """The degree-raising differential; N-th powers vanish identically."""
-    N, D = F.N, F.D
-    if F.p >= _top_degree(N, D) or F.q == 0:
-        return PolyTensorField.zero(N, D, min(F.p + 1, _top_degree(N, D)),
-                                    max(F.q - 1, 0), F.variance)
-    _, lam = _insertion(N, D, F.p)
-    raw = _apply_d_int(N, D, F.p, F.data)
-    data = {k: Fraction(v) / lam for k, v in raw.items()}
-    return PolyTensorField(N, D, F.p + 1, F.q - 1, F.variance, data)
+    return d_power(F, 1)
 
 
 def d_power(F: PolyTensorField, k: int) -> PolyTensorField:
+    """d^k F: `_d_k_int` on the data, divided once by the product of the step lams."""
     if k < 0:
         raise ShapeError(f"power {k} must be nonnegative")
-    out = F
-    for _ in range(k):
-        out = n_diff(out)
-    return out
+    if k == 0:
+        return F
+    N, D, p = F.N, F.D, F.p
+    raw = _d_k_int(N, D, p, F.q, F.data, k)
+    # a nonzero result took all k steps, so k is at most the top degree here
+    lam = prod(_insertion(N, D, p + i)[1] for i in range(k)) if raw else 1
+    return PolyTensorField(N, D, min(p + k, _top_degree(N, D)), max(F.q - k, 0), F.variance,
+                           {key: Fraction(v) / lam for key, v in raw.items()})
 
 
 def nabla(F: PolyTensorField):

@@ -36,6 +36,8 @@ from .fields import (
     BlockLabel,
     PolyTensorField,
     _apply_slot,
+    _block_int_basis,
+    _d_k_int,
     _insert_table,
     _projected,
     _slot_keys,
@@ -259,17 +261,15 @@ def lemma4_check(N: int, D: int, n: int, q: int) -> bool:
     differential kills a field exactly when every k-fold slot product
     kills its embedding, for every k. Verified on the full block basis.
     """
-    from .fields import d_power
-
     p = (N - 1) * n
-    basis = block_basis(N, D, p, q)
+    basis = _block_int_basis(N, D, p, q)
     if not basis:
         return True
     md = _staircase(N, p)
     for k in range(1, N):
-        lhs_cols = [d_power(b, k).data for b in basis]
+        lhs_cols = [_d_k_int(N, D, p, q, b, k) for b in basis]
         products = tuple(combinations(range(1, N), k))
-        rhs_cols = [_stacked(products, md, b.data, D) for b in basis]
+        rhs_cols = [_stacked(products, md, b, D) for b in basis]
         left_null = linalg.nullspace(lhs_cols)
         right_null = linalg.nullspace(rhs_cols)
         if len(left_null) != len(right_null):

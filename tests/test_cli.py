@@ -377,3 +377,17 @@ _SUBCOMMAND_ARGV = st.one_of(
 @given(argv=_SUBCOMMAND_ARGV)
 def test_subcommand_arguments_fuzz(argv):
     _assert_clean_exit(argv)
+
+
+def test_diff_power_stops_when_the_field_dies(tmp_path):
+    # d^k of a degree-0 field is zero past its polynomial degree; a huge power
+    # must not iterate beyond that
+    path = tmp_path / "f.json"
+    path.write_text(scalar_field(3, 2, {(2, 1): 1, (0, 3): -2}).to_json(), encoding="utf-8")
+    r = subprocess.run(
+        [sys.executable, "-m", "ncomplex", "diff", "--power", "1000000000", "--input", str(path)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert (doc["degree"], doc["poly_degree"], doc["entries"]) == (4, 0, [])

@@ -46,6 +46,21 @@ GOLDEN = [
      "eaa3f1f8c6910c88c73bd911fa320732c2982a4e272e3e74432c0155483f678d"),
     (["hexagon", "--N", "3", "--D", "2", "--qmax", "2", "--format", "json"], None, 0,
      "7055ab525dbd29622a8627278766b27363c9333c56d07b374171403f6f090fb3"),
+    (["hexagon", "--N", "4", "--D", "2", "--k", "1", "--l", "2", "--qmax", "3"], None, 0,
+     "d4d12cd79486af9e0a2d804362fad72ac11915f60cc201b8de36a7d219bc59c9"),
+    (["hexagon", "--N", "4", "--D", "2", "--k", "1", "--l", "2", "--qmax", "3",
+      "--format", "json"], None, 0,
+     "c65c36e69c98520337adcbb8bf66669113e02c0227bcf97a68211f7af21652b9"),
+    (["hexagon", "--N", "4", "--D", "3", "--k", "2", "--l", "1", "--qmax", "2"], None, 0,
+     "62deaae30b98bee17a2e4c63dd58c2e44330a9ced5a517eefd9a0ad0522949a8"),
+    (["hexagon", "--N", "4", "--D", "3", "--k", "2", "--l", "1", "--qmax", "2",
+      "--format", "json"], None, 0,
+     "847b7498100d79ba264ed16b079964ceb2fe405958248505a20e898544b22049"),
+    (["hexagon", "--N", "5", "--D", "2", "--k", "2", "--l", "2", "--qmax", "2"], None, 0,
+     "42728f54281573d14b7de984ef3072138333bab714c4e13d0ad3e3334cb56059"),
+    (["hexagon", "--N", "5", "--D", "2", "--k", "2", "--l", "2", "--qmax", "2",
+      "--format", "json"], None, 0,
+     "fa824ee4f3afb3b8fd2da8a627e01d355cb8eb29548000b921fd1f4d0d6ce922"),
     (["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1", "--qcap", "2"], None, 0,
      "a4307511fe05353fec97a88c883bf87c8ce5b0c41b9948cc329ddebb773e60c0"),
     (["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1", "--qcap", "2",
@@ -81,6 +96,10 @@ GOLDEN = [
      "1bfc862acd35fbe471f9053d9ffb73e55a4ae6f9d405689552d172c2586cdcd0"),
     (["diff", "--power", "2"], "co4", 0,
      "9791ff4e3dc47b8798d3114c092e369f462683f0cf5852a052cd265b1557b2aa"),
+    (["diff", "--power", "3"], "co", 0,
+     "1fc590ae5e0cda2593b9c2aee72b1392cf8de085952c69f04da660b6fac5180e"),
+    (["diff", "--power", "3"], "co4", 0,
+     "cfdeb4c1dc13f3a603a505e74d380d49ab7dbbfc0caa2713244c5f97a93416f6"),
     (["dual"], "co", 0,
      "ab87a584b5e8ad0bb24ad9d5a57c92e6fb7e3b48647a3c11197e7ca2f612ecb3"),
     (["dual"], "contra", 0,

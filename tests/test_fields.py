@@ -52,6 +52,32 @@ def test_monomials_sorted_and_complete():
     assert len(monomials(3, 4)) == 15
 
 
+def test_monomials_reject_no_variables():
+    with pytest.raises(ShapeError):
+        monomials(0, 2)
+
+
+def test_d_power_equals_iterated_single_steps():
+    # d^k in one chain against k single steps, labels included
+    rng = random.Random(13)
+    nonzero = 0
+    for N in (2, 3, 4):
+        for D in (1, 2, 3):
+            top = (N - 1) * D
+            for p in range(top + 1):
+                for q in range(4):
+                    for F in (random_field(N, D, p, q, rng), PolyTensorField.zero(N, D, p, q)):
+                        G = F
+                        for k in range(N + 2):
+                            H = d_power(F, k)
+                            assert H == G, (N, D, p, q, k)
+                            if k:
+                                assert (H.p, H.q) == (min(p + k, top), max(q - k, 0))
+                            nonzero += not H.is_zero
+                            G = d_power(G, 1)
+    assert nonzero > 300
+
+
 def test_nabla_examples():
     # constants die
     assert n_diff(scalar_field(3, 2, {(0, 0): 1})).is_zero
