@@ -372,10 +372,7 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShapeError as exc:
+    except (UsageError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

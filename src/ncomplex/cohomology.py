@@ -18,13 +18,15 @@ Poincare suite, the hexagon sequences, the odd-degree isomorphisms and the
 two-form triviality test all run on weight spaces: an induced map between
 cohomology blocks has rank rank(d^s Z_w + B_w) - rank(B_w) on weight w,
 with Z_w the cocycles of the source and B_w the coboundaries of the target.
-Only `solve_preimage` works on the whole block, because the particular
-potential it returns depends on the block basis order.
+`solve_preimage` solves each weight part of its field on its own; the
+weight bases keep block order, so the particular potential is the one a
+whole-block solve would return. Killing tensor counts are Ker d^k on the
+block (m, q) of the order m + k + 1 complex, where every degree up to
+m + k is a one-row type and d^k is the symmetrized k-th derivative.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -37,15 +39,17 @@ from .fields import (
     BlockLabel,
     PolyTensorField,
     _apply_d_int,
+    _by_weight,
     _d_k_int,
+    _d_k_scale,
     _partials,
     _top_degree,
     _weight_basis,
+    # unused here; the name stays because bench/spans.py wraps this binding
     block_basis,
     d_power,
     monomials,
     n_diff,
-    weight,
 )
 from .multiforms import CheckReport
 
@@ -215,6 +219,8 @@ def solve_preimage(F: PolyTensorField, k: int) -> PolyTensorField:
     Given d^k F = 0 with F of tensor degree (N-1)n, n >= 1, returns alpha
     with d^(N-k) alpha = F and an identically zero residual. Failure to
     solve would falsify the vanishing theorem on the block, so it raises.
+    Each weight part of F is solved against the scaled d^(N-k) images of
+    its weight basis, and the sum is multiplied once by their scale.
     """
     N, D = F.N, F.D
     if not 1 <= k <= N - 1:
@@ -226,62 +232,36 @@ def solve_preimage(F: PolyTensorField, k: int) -> PolyTensorField:
     src_p, src_q = F.p - (N - k), F.q + (N - k)
     if src_p < 0:
         raise ShapeError("no source block below degree zero")
-    basis = block_basis(N, D, src_p, src_q, F.variance)
-    cols = [d_power(b, N - k).data for b in basis]
-    sol = linalg.solve(cols, F.data)
-    if sol is None:
-        raise VerificationError(
-            f"no preimage on block (p={F.p}, q={F.q}); vanishing fails"
-        )
-    alpha = PolyTensorField(N, D, src_p, src_q, F.variance,
-                            linalg.combine(sol, [b.data for b in basis]))
+    data: dict = {}
+    for w, part in _by_weight(F.data).items():
+        basis = _weight_basis(N, D, src_p, src_q, w)
+        sol = linalg.solve([_d_k_int(N, D, src_p, src_q, v, N - k) for v in basis], part)
+        if sol is None:
+            raise VerificationError(
+                f"no preimage on block (p={F.p}, q={F.q}); vanishing fails"
+            )
+        linalg.add_to(data, linalg.combine(sol, basis))
+    alpha = PolyTensorField(N, D, src_p, src_q, F.variance, data).scale(
+        _d_k_scale(N, D, src_p, N - k))
     if d_power(alpha, N - k) != F:  # pragma: no cover - solve is exact
         raise VerificationError("preimage residual is nonzero")
     return alpha
 
 
 # ---------------------------------------------------------------------------
-# Killing-type solver
-
-def _multisets(D, m):
-    return list(itertools.combinations_with_replacement(range(1, D + 1), m))
-
+# Killing tensors
 
 def killing_dim(D: int, m: int, k: int, q: int) -> int:
     """Dimension of degree-q symmetric m-tensor fields killed by the
     fully symmetrized k-th derivative.
 
     Solutions exist only below polynomial degree k + m; the case k = 1
-    recovers Killing vectors and tensors of the flat metric.
+    recovers Killing vectors and tensors of the flat metric. Counted as
+    Ker d^k on the block (m, q) of the order m + k + 1 complex.
     """
-    if q < 0:
-        return 0
-    unknowns = [(T, a) for T in _multisets(D, m) for a in monomials(D, q)]
-    if q < k:
-        return len(unknowns)
-    cols = []
-    for T, a in unknowns:
-        col: dict = {}
-        for M in _multisets(D, k + m):
-            for pi in itertools.permutations(range(k + m)):
-                tensor_part = tuple(sorted(M[pi[j]] for j in range(k, k + m)))
-                if tensor_part != T:
-                    continue
-                coeff = 1
-                exp = list(a)
-                ok = True
-                for j in range(k):
-                    mu = M[pi[j]] - 1
-                    if exp[mu] == 0:
-                        ok = False
-                        break
-                    coeff *= exp[mu]
-                    exp[mu] -= 1
-                if not ok:
-                    continue
-                linalg.add_to(col, {(M, tuple(exp)): coeff})
-        cols.append(col)
-    return len(unknowns) - linalg.rank(cols)
+    if D < 1 or m < 0 or k < 1:
+        raise ShapeError(f"need D >= 1, m >= 0 and k >= 1, got D={D} m={m} k={k}")
+    return _ker_im(m + k + 1, D, m, k, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +304,10 @@ def hexagon_check(N, D, k, l, q_max) -> SuiteReport:
     For each homogeneous degree q the sequence
     0 -> H^(k-1)_(l) -> H^(k-1)_(N-k) -> H^(k+l-1)_(N-k-l) -> H^(k+l-1)_(N-l) -> 0
     is checked by ranks: injectivity, matching ranks at both middle
-    nodes, surjectivity, and vanishing composites.
+    nodes, surjectivity, and vanishing composites. The composites vanish
+    by construction (node 0 is Ker d^l, and d^l of node 1 lands in the
+    coboundaries of node 3), so that entry checks only the rank code; it
+    stays because the report prints it.
     """
     BlockLabel(N, D, 0, q_max).validate()
     rep = SuiteReport("hexagon", {"N": N, "D": D, "k": k, "l": l, "q_max": q_max})
@@ -409,8 +392,5 @@ def two_form_cocycle_is_trivial(t: PolyTensorField) -> bool:
         return True
     if not n_diff(t).is_zero:
         raise ShapeError("the field is not a cocycle")
-    parts: dict = {}
-    for (key, exp), v in t.data.items():
-        parts.setdefault(weight(key, exp), {})[(key, exp)] = v
     return all(linalg.Echelon(_image_vectors(t.N, t.D, 1, t.q + 2, 2, w)).contains(part)
-               for w, part in parts.items())
+               for w, part in _by_weight(t.data).items())

@@ -18,8 +18,8 @@ convention: `_contract_table` reverses it, `_projected` composes a table
 with the projector, and `_apply_slot` applies a table while
 differentiating the monomial, here and in `multiforms`. `_d_k_int` is the
 one d^k chain on slot vectors: `d_power` (and through it `n_diff`),
-`lemma4_check` and the cocycles and induced maps of `cohomology` apply
-powers of d through it. `_partials` alone
+`lemma4_check` and the cocycles, induced maps and preimages of
+`cohomology` apply powers of d through it. `_partials` alone
 owns the derivative of full components (index tuple, exponent): the
 literal gauge and two-form operators and `young_derivative` scatter its
 entries to the index positions their formulas name.
@@ -36,7 +36,9 @@ only permutes indices, so the differential and the slot differentials
 preserve weight. Each
 Schur basis vector has a single content c, so the weight-w part of a block
 is spanned by the Schur vectors of content c times the monomial x^(w - c);
-`_weight_basis` builds it that way, without filtering the whole block.
+`_weight_basis` builds it that way, without filtering the whole block, and
+lists it in block order, so a solve on it returns the particular solution
+of the whole block. `_by_weight` splits a slot vector into weight parts.
 """
 
 from __future__ import annotations
@@ -415,8 +417,13 @@ def n_diff(F: PolyTensorField) -> PolyTensorField:
     return d_power(F, 1)
 
 
+def _d_k_scale(N, D, p, k) -> int:
+    """The product of the step lams of k `_d_k_int` steps from degree p."""
+    return prod(_insertion(N, D, p + i)[1] for i in range(k))
+
+
 def d_power(F: PolyTensorField, k: int) -> PolyTensorField:
-    """d^k F: `_d_k_int` on the data, divided once by the product of the step lams."""
+    """d^k F: `_d_k_int` on the data, divided once by `_d_k_scale`."""
     if k < 0:
         raise ShapeError(f"power {k} must be nonnegative")
     if k == 0:
@@ -424,7 +431,7 @@ def d_power(F: PolyTensorField, k: int) -> PolyTensorField:
     N, D, p = F.N, F.D, F.p
     raw = _d_k_int(N, D, p, F.q, F.data, k)
     # a nonzero result took all k steps, so k is at most the top degree here
-    lam = prod(_insertion(N, D, p + i)[1] for i in range(k)) if raw else 1
+    lam = _d_k_scale(N, D, p, k) if raw else 1
     return PolyTensorField(N, D, min(p + k, _top_degree(N, D)), max(F.q - k, 0), F.variance,
                            {key: Fraction(v) / lam for key, v in raw.items()})
 
@@ -508,30 +515,39 @@ def _block_int_basis(N: int, D: int, p: int, q: int) -> tuple:
                  for s in _schur_vectors(N, D, p) for e in monomials(D, q))
 
 
+def _by_weight(vec: dict) -> dict:
+    """Split a slot vector into its weight parts, {w: part}."""
+    parts: dict = {}
+    for (key, exp), v in vec.items():
+        parts.setdefault(weight(key, exp), {})[(key, exp)] = v
+    return parts
+
+
 @lru_cache(maxsize=None)
-def _schur_by_content(N: int, D: int, p: int) -> dict:
-    """The Schur vectors of degree p grouped by their index content."""
+def _schur_by_content(N: int, D: int, p: int) -> tuple:
+    """(index content, Schur vector) for each Schur vector of degree p, in basis order."""
     zero = (0,) * D
-    groups: dict = {}
+    out = []
     for s in _schur_vectors(N, D, p):
         contents = {weight(k, zero) for k in s}
         if len(contents) != 1:
             raise VerificationError(f"Schur vector at N={N} D={D} p={p} is not a weight vector")
-        groups.setdefault(contents.pop(), []).append(s)
-    return groups
+        out.append((contents.pop(), s))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _weight_basis(N: int, D: int, p: int, q: int, w: tuple) -> tuple:
-    """Integer basis of the weight-w part of block (p, q).
+    """Integer basis of the weight-w part of block (p, q), in block order.
 
-    The Schur vectors of content c times the monomial of exponent w - c.
+    Each Schur vector of content c times the monomial of exponent w - c;
+    these are the weight-w vectors of `_block_int_basis`, in its order.
     """
     out = []
-    for c, svecs in _schur_by_content(N, D, p).items():
+    for c, s in _schur_by_content(N, D, p):
         e = tuple(a - b for a, b in zip(w, c))
         if min(e) >= 0:
-            out += [{(k, e): v for k, v in s.items()} for s in svecs]
+            out.append({(k, e): v for k, v in s.items()})
     return tuple(out)
 
 
@@ -623,6 +639,7 @@ def star_relation_constants(N: int, D: int, q_values=(1, 2)) -> dict:
     delta = c * (star compose d compose star inverse) on degree n,
     verified on full block bases over the given polynomial degrees.
     """
+    BlockLabel(N, D, 0, 0).validate()
     out = {}
     for n in range(1, _top_degree(N, D) + 1):
         pairs = []

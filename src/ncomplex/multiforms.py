@@ -36,13 +36,13 @@ from .fields import (
     BlockLabel,
     PolyTensorField,
     _apply_slot,
-    _block_int_basis,
     _d_k_int,
     _insert_table,
     _projected,
     _slot_keys,
     _slot_map,
     _staircase,
+    _weight_basis,
     block_basis,
     monomials,
     n_diff,
@@ -259,24 +259,23 @@ def lemma4_check(N: int, D: int, n: int, q: int) -> bool:
 
     On the rectangular block of degree (N-1)*n, the k-th power of the
     differential kills a field exactly when every k-fold slot product
-    kills its embedding, for every k. Verified on the full block basis.
+    kills its embedding, for every k. Both maps keep the torus weight, so
+    the two kernels are compared on every weight space of the block.
     """
     p = (N - 1) * n
-    basis = _block_int_basis(N, D, p, q)
-    if not basis:
-        return True
+    BlockLabel(N, D, p, q).validate()
     md = _staircase(N, p)
     for k in range(1, N):
-        lhs_cols = [_d_k_int(N, D, p, q, b, k) for b in basis]
         products = tuple(combinations(range(1, N), k))
-        rhs_cols = [_stacked(products, md, b, D) for b in basis]
-        left_null = linalg.nullspace(lhs_cols)
-        right_null = linalg.nullspace(rhs_cols)
-        if len(left_null) != len(right_null):
-            return False
-        ech = linalg.Echelon(left_null)
-        if not all(ech.contains(v) for v in right_null):
-            return False
+        for w in monomials(D, p + q):
+            basis = _weight_basis(N, D, p, q, w)
+            left_null = linalg.nullspace([_d_k_int(N, D, p, q, b, k) for b in basis])
+            right_null = linalg.nullspace([_stacked(products, md, b, D) for b in basis])
+            if len(left_null) != len(right_null):
+                return False
+            ech = linalg.Echelon(left_null)
+            if not all(ech.contains(v) for v in right_null):
+                return False
     return True
 
 
@@ -430,8 +429,8 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     """
     BlockLabel(N, D, 0, q_cap).validate()
     K = tuple(sorted(set(K)))
-    if i in K or not 1 <= i <= N - 1:
-        raise ShapeError(f"slot {i} must avoid K={K}")
+    if any(not 1 <= j <= N - 1 for j in K + (i,)) or i in K:
+        raise ShapeError(f"slots K={K} and i={i} must lie in 1..{N - 1}, with i outside K")
     k = len(K)
     rep = CheckReport("relative_cohomology",
                       {"N": N, "D": D, "K": K, "i": i, "q_cap": q_cap})

@@ -1,12 +1,12 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from ncomplex import linalg
-from ncomplex import fields
+from ncomplex import cohomology, fields, linalg, multiforms
 from ncomplex.cohomology import (
     CohomologyTable,
     _dominant_weights,
@@ -108,6 +108,34 @@ def test_solve_preimage_curvature_block():
         assert d_power(alpha, 2) == F
 
 
+def _whole_block_preimage(F, k):
+    """The whole-block solve: d^(N-k) of every block basis field as one column list."""
+    N, src_p, src_q = F.N, F.p - (F.N - k), F.q + (F.N - k)
+    basis = block_basis(N, F.D, src_p, src_q, F.variance)
+    sol = linalg.solve([d_power(b, N - k).data for b in basis], F.data)
+    return PolyTensorField(N, F.D, src_p, src_q, F.variance,
+                           linalg.combine(sol, [b.data for b in basis]))
+
+
+def test_solve_preimage_matches_whole_block_solve():
+    # the particular potential depends on the column order, so this pins
+    # that each weight basis lists its vectors in block order
+    rng = random.Random(14)
+    solved = 0
+    for N in (2, 3, 4):
+        for D in (1, 2, 3):
+            for p in range(N - 1, _top_degree(N, D) + 1, N - 1):
+                for k in range(1, N):
+                    for q in range(3):
+                        if p - (N - k) < 0:
+                            continue
+                        F = d_power(random_field(N, D, p - (N - k), q + N - k, rng), N - k)
+                        alpha = solve_preimage(F, k)
+                        assert alpha == _whole_block_preimage(F, k), (N, D, p, k, q)
+                        solved += not F.is_zero
+    assert solved > 100
+
+
 def test_solve_preimage_guards():
     rng = random.Random(1)
     F = random_field(3, 2, 1, 2, rng)
@@ -131,6 +159,48 @@ def test_killing_dimensions():
     # total matches the rotation-plus-translation count for vectors
     total = sum(killing_dim(3, 1, 1, q) for q in range(4))
     assert total == 3 * (3 + 1) // 2  # D(D+1)/2 with D = 3
+
+
+def _killing_oracle(D, m, k, q):
+    """The permutation solver: the symmetrized k-th derivative summed over (k+m)! orders."""
+    def multisets(n):
+        return list(itertools.combinations_with_replacement(range(1, D + 1), n))
+
+    unknowns = [(T, a) for T in multisets(m) for a in monomials(D, q)]
+    if q < k:
+        return len(unknowns)
+    cols = []
+    for T, a in unknowns:
+        col: dict = {}
+        for M in multisets(k + m):
+            for pi in itertools.permutations(range(k + m)):
+                if tuple(sorted(M[pi[j]] for j in range(k, k + m))) != T:
+                    continue
+                coeff, exp = 1, list(a)
+                for j in range(k):
+                    mu = M[pi[j]] - 1
+                    coeff *= exp[mu]
+                    exp[mu] = max(exp[mu] - 1, 0)
+                if coeff:
+                    linalg.add_to(col, {(M, tuple(exp)): coeff})
+        cols.append(col)
+    return len(unknowns) - linalg.rank(cols)
+
+
+def test_killing_dim_matches_permutation_solver():
+    cases = [(D, m, k, q) for D in (1, 2, 3, 4) for m in range(4) for k in range(1, 5 - m)
+             for q in range(5) if m + k <= (4 if D <= 3 else 3)]
+    dims = [killing_dim(*c) for c in cases]
+    assert dims == [_killing_oracle(*c) for c in cases]
+    assert len(cases) == 180 and sum(d > 0 for d in dims) == 94
+
+
+def test_killing_dim_rejects_bad_arguments():
+    # D < 1, m < 0 and k < 1 have no symmetric tensors or derivative to count
+    for args in ((0, 1, 1, 1), (3, -1, 1, 1), (3, 1, 0, 1), (3, 1, -1, 1)):
+        with pytest.raises(ShapeError):
+            killing_dim(*args)
+    assert killing_dim(3, 1, 1, -1) == 0
 
 
 def test_killing_matches_cohomology_blocks():
@@ -366,9 +436,41 @@ def test_weight_spaces_partition_each_block():
         # a coordinate permutation maps each weight space onto an equal one
         assert sum(orbit * dims[w] for w, orbit in _dominant_weights(D, p + q)) == \
             block_dim(N, D, p, q)
+        in_block = {}
+        for vec in _block_int_basis(N, D, p, q):
+            (w,) = {weight(key, exp) for key, exp in vec}
+            in_block.setdefault(w, []).append(vec)
         for w in dims:
             for vec in _weight_basis(N, D, p, q, w):
                 assert {weight(key, exp) for key, exp in vec} == {w}
+            # block order: a solve on a weight space picks the whole block's solution
+            assert list(_weight_basis(N, D, p, q, w)) == in_block.get(w, [])
+
+
+def test_no_whole_block_route():
+    # every block computation runs on weight spaces: with the whole-block
+    # bases raising at each binding, all of them still answer
+    rng = random.Random(5)
+    closed = d_power(random_field(3, 3, 1, 3, rng), 1)
+    cocycle = cocycle_from_two_form(random_field(2, 3, 2, 2, rng))
+    refuse = mock.Mock(side_effect=AssertionError("whole-block basis built"))
+    patches = [mock.patch.object(mod, name, refuse) for mod in (fields, cohomology, multiforms)
+               for name in ("_block_int_basis", "block_basis") if hasattr(mod, name)]
+    for patch in patches:
+        patch.start()
+    try:
+        assert compute_table(3, 2, 2).entries
+        assert poincare_suite(3, 3, 2, 2).ok
+        assert hexagon_check(4, 2, 1, 2, 2).ok
+        assert odd_isomorphism_check(3, 1, 2).ok
+        two_form_cocycle_is_trivial(cocycle)
+        assert d_power(solve_preimage(closed, 2), 1) == closed
+        assert killing_dim(3, 2, 1, 1) == 8
+        assert multiforms.lemma4_check(3, 2, 1, 2)
+    finally:
+        for patch in patches:
+            patch.stop()
+    assert not refuse.called
 
 
 def test_mixed_schur_vector_is_rejected():

@@ -264,6 +264,8 @@ def test_star_relation_constants_pinned():
     }
     cs2 = star_relation_constants(2, 2)
     assert cs2 == {1: Fraction(-1, 2), 2: Fraction(1)}
+    with pytest.raises(ShapeError):
+        star_relation_constants(3, 0)  # no degrees at all, not an empty verdict
 
 
 def test_field_product_bilinear_not_assumed_associative():

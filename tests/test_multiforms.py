@@ -3,15 +3,26 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from ncomplex import linalg
 from ncomplex.errors import ShapeError
-from ncomplex.fields import PolyTensorField, block_basis, n_diff, random_field
+from ncomplex.fields import (
+    PolyTensorField,
+    _block_int_basis,
+    _d_k_int,
+    _staircase,
+    _weight_basis,
+    block_basis,
+    monomials,
+    n_diff,
+    random_field,
+)
 from ncomplex.multiforms import (
     Multiform,
+    _stacked,
     d_slot,
     embed_field,
     green_factor,
@@ -137,6 +148,26 @@ def test_lemma4_equivalence_small_blocks():
         for q in (1, 2):
             assert lemma4_check(3, 2, n, q)
     assert lemma4_check(4, 2, 1, 2)
+    # q < 0, D < 1 and a degree above the top are no blocks at all
+    for args in ((3, 2, 1, -1), (3, 0, 1, 1), (3, 2, 5, 1), (3, 2, -1, 1)):
+        with pytest.raises(ShapeError):
+            lemma4_check(*args)
+
+
+def test_lemma4_weight_kernels_add_up_to_the_block():
+    # both maps keep the torus weight, so the kernels on the weight spaces
+    # add up to the kernels on the whole block
+    for N, D, n, q in [(3, 2, n, q) for n in (1, 2) for q in (1, 2)] + [(4, 2, 1, 2)]:
+        p = (N - 1) * n
+        md = _staircase(N, p)
+        for k in range(1, N):
+            products = tuple(combinations(range(1, N), k))
+            for op in (lambda b: _d_k_int(N, D, p, q, b, k),
+                       lambda b: _stacked(products, md, b, D)):
+                whole = linalg.nullspace([op(b) for b in _block_int_basis(N, D, p, q)])
+                parts = [linalg.nullspace([op(b) for b in _weight_basis(N, D, p, q, w)])
+                         for w in monomials(D, p + q)]
+                assert sum(map(len, parts)) == len(whole) > 0, (N, D, n, q, k)
 
 
 def test_theorem2_examples():
@@ -168,6 +199,10 @@ def test_relative_cohomology_examples():
     assert relative_cohomology_check(4, 2, (2, 3), 1, 3).ok
     with pytest.raises(ShapeError):
         relative_cohomology_check(3, 2, (1,), 1, 3)
+    # every slot of K must exist: 0 and N are outside 1..N-1
+    for K in ((5,), (0,), (3,), (2, 3)):
+        with pytest.raises(ShapeError):
+            relative_cohomology_check(3, 2, K, 1, 2)
 
 
 def test_relative_check_verdicts_are_pinned():
