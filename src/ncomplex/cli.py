@@ -22,7 +22,7 @@ from . import multiforms as mf
 from . import quotient_algebra as qa
 from . import tensor_core as tc
 from .diagrams import Diagram, schur_dim
-from .errors import ShapeError
+from .errors import ShapeError, VerificationError
 
 
 def _parse_ints(text):
@@ -162,9 +162,9 @@ def _cmd_spin2(args):
             chain_ok = False
     results["cyclic_identity_of_curvatures_vanishes"] = chain_ok
     ok = ok and chain_ok
-    c1, c2, c3 = gg.spin2_constants(args.D, min(args.qmax + 2, 3))
-    results["constants"] = {"d1_vs_d": str(c1), "d2_vs_d2": str(c2),
-                            "d3_vs_d": str(c3) if c3 is not None else None}
+    consts = gg.spin2_constants(args.D, min(args.qmax + 2, 3))
+    results["constants"] = {name: None if c is None else str(c) for name, c in
+                            zip(("d1_vs_d", "d2_vs_d2", "d3_vs_d"), consts)}
     if args.input:
         X = _load(args.input, fl.PolyTensorField.from_json, "field")
         h = gg.spin2_d1(X)
@@ -241,7 +241,7 @@ def _cmd_verify_all(args):
             F = fl.random_field(N, D, p, 2, rng)
             try:
                 mf.green_factor(F)
-            except Exception:
+            except VerificationError:
                 g_ok = False
     run("slot realization of the differential", g_ok)
 
@@ -375,6 +375,9 @@ def run(argv) -> int:
     except (UsageError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -15,19 +15,19 @@ derivative index into the column that row filling grows, followed by the
 projection onto the irreducible symmetry type; the codifferential
 contracts one out the same way. `_insert_table` alone owns the slot sign
 convention: `_contract_table` reverses it, `_projected` composes a table
-with the projector, and `_apply_slot` applies a table while
-differentiating the monomial, here and in `multiforms`. `_d_k_int` is the
-one d^k chain on slot vectors: `d_power` (and through it `n_diff`),
-`lemma4_check` and the cocycles, induced maps and preimages of
-`cohomology` apply powers of d through it. `_partials` alone
-owns the derivative of full components (index tuple, exponent): the
-literal gauge and two-form operators and `young_derivative` scatter its
-entries to the index positions their formulas name.
-`young_derivative` keeps the alternative route (raw derivative plus full
-symmetrizer) as an independent reference; the two agree up to a nonzero
-constant on every block, which the test suite pins down. The duality
-`dual_star_field` applies `tc._hodge_star`, the one column-wise Hodge
-star, to each slot key.
+with the projector (`_pi_columns` is the projector alone, on padded keys),
+and `_apply_slot` applies a table while differentiating the monomial,
+here and in `multiforms`. `_d_k_int` is the one d^k chain on slot
+vectors: `d_power` (and through it `n_diff`), `lemma4_check` and the
+cocycles, induced maps and preimages of `cohomology` apply powers of d
+through it. `_partials` alone owns the derivative of full components
+(index tuple, exponent): the literal gauge and two-form operators and
+`young_derivative` scatter its entries to the index positions their
+formulas name. `young_derivative` keeps the alternative route (raw
+derivative plus full symmetrizer) as an independent reference; the two
+agree up to a nonzero constant on every block, which the test suite pins
+down. The duality `dual_star_field` applies `tc._hodge_star`, the one
+column-wise Hodge star, to each slot key.
 
 The torus weight of an entry (`weight`) is the index content of its slot
 key plus its exponent vector. Inserting mu adds e_mu to the content and
@@ -314,6 +314,14 @@ def _projected(table, N: int, D: int, Y: Diagram):
              for key, targets in col.items()}
         for mu, col in table.items()
     }, lam
+
+
+@lru_cache(maxsize=None)
+def _pi_columns(N: int, D: int, p: int):
+    """(cols, lam): the unnormalized Young projector onto the degree-p type, on padded keys."""
+    identity = {0: {key: [(key, 1)] for key in _slot_keys(D, _staircase(N, p))}}
+    table, lam = _projected(identity, N, D, max_diagram(N, p))
+    return table[0], lam
 
 
 def _apply_slot(table, vec: dict, D: int) -> dict:

@@ -6,9 +6,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncomplex import multiforms as mf
 from ncomplex.cli import run
+from ncomplex.errors import VerificationError
 from ncomplex.fields import PolyTensorField, scalar_field
 
 
@@ -206,6 +209,26 @@ def test_spin2_verdicts(capsys):
     assert doc["cyclic_identity_of_curvatures_vanishes"] is True
 
 
+def test_spin2_constants_without_a_block_are_json_null(capsys):
+    # at D = 1 the blocks of degrees 4 and 5 are empty, so d2 and d3 have no constant
+    assert run(["spin2", "--D", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["constants"] == {"d1_vs_d": "-2", "d2_vs_d2": None, "d3_vs_d": None}
+
+
+def test_verification_failure_exits_1_without_traceback(monkeypatch):
+    def fail(F):
+        raise VerificationError("planted")
+
+    monkeypatch.setattr(mf, "green_factor", fail)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["green", "--N", "3", "--D", "2", "--p", "1", "--q", "2"])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue() == "verification failed: planted\n"
+
+
 def test_spins_verdicts(capsys):
     assert run(["spinS", "--S", "2", "--D", "2", "--q", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -248,6 +271,24 @@ def test_verify_all_small(capsys):
     out = capsys.readouterr().out
     assert "RESULT: PASS" in out
     assert "seed: 0" in out
+
+
+def test_verify_all_fails_only_on_verification_errors(monkeypatch, capsys):
+    def raising(exc):
+        def green_factor(F):
+            raise exc
+        return green_factor
+
+    # a programming error is not a failed theorem: it escapes
+    monkeypatch.setattr(mf, "green_factor", raising(TypeError("planted")))
+    with pytest.raises(TypeError):
+        run(["verify-all", "--small"])
+    capsys.readouterr()
+    monkeypatch.setattr(mf, "green_factor", raising(VerificationError("planted")))
+    assert run(["verify-all", "--small"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  slot realization of the differential" in out
+    assert "RESULT: FAIL" in out
 
 
 def test_hexagon_cli(capsys):
@@ -357,7 +398,7 @@ _INT_LIST = st.text(alphabet="0123,-a ", max_size=4)
 _SUBCOMMAND_ARGV = st.one_of(
     st.builds(lambda shape, D: _opts("dim", shape=shape, D=D), _INT_LIST, st.integers(-1, 4)),
     st.builds(lambda N, D, p, q: _opts("green", N=N, D=D, p=p, q=q),
-              st.integers(-1, 4), _SMALL_D, _INTS, st.integers(-1, 2)),
+              st.integers(-1, 4), st.integers(-1, 3), _INTS, st.integers(-1, 2)),
     st.builds(lambda S, D, q: _opts("spinS", S=S, D=D, q=q),
               st.integers(-1, 3), _SMALL_D, st.integers(-1, 3)),
     st.builds(lambda D, qmax: _opts("spin2", D=D, qmax=qmax), _SMALL_D, st.integers(-2, 1)),

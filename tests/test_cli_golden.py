@@ -112,6 +112,11 @@ GOLDEN = [
      "e0cce7785f076355fceedb265606122beda2ff35fa08d0e1fbcf22f4c6a3dd80"),
     (["green", "--N", "4", "--D", "2", "--p", "2", "--q", "2"], None, 0,
      "effedea8e5bd8ed3565572c20816c043f73df7423511376b8ef412db1aa1b0b8"),
+    (["green", "--N", "3", "--D", "4", "--p", "3", "--q", "3"], None, 0,
+     "ece440566702f9a204a8b8312f845c9a6d62206ec394a8f9bb62151a476e5c4c"),
+    # p = 3 is well filled at N = 4, so this also runs the d = d_1 identity
+    (["green", "--N", "4", "--D", "3", "--p", "3", "--q", "2"], None, 0,
+     "c267570b8e4aefbe8faeb72c40b3aa2af93aa60134a307d4cb8e5ec4a73fbce0"),
     (["spin2", "--D", "3"], None, 0,
      "c73529ab42e891a0bd7f25539877281daf552a624091058bd4a04442c5d4d6be"),
     (["spin2", "--D", "4", "--seed", "0"], None, 0,

@@ -8,7 +8,8 @@ from itertools import combinations, product
 import pytest
 
 from ncomplex import linalg
-from ncomplex.errors import ShapeError
+from ncomplex import multiforms as mf
+from ncomplex.errors import ShapeError, VerificationError
 from ncomplex.fields import (
     PolyTensorField,
     _block_int_basis,
@@ -131,6 +132,67 @@ def test_green_factor_all_blocks_consistent():
             F = random_field(N, D, p, 2, rng)
             c = green_factor(F)
             assert c != 0
+
+
+def _green_factor_by_fields(F):
+    """The Fraction route: each basis field through n_diff, d_slot and project_pi."""
+    N, D, p, q = F.N, F.D, F.p, F.q
+    i = p % (N - 1)
+    pairs = []
+    for b in block_basis(N, D, p, q) + ([F] if not F.is_zero else []):
+        w = d_slot(i + 1, embed_field(b))
+        pairs.append((n_diff(b).data, {} if w.is_zero else project_pi(w).data))
+    return linalg.proportionality(pairs)
+
+
+def test_green_factor_matches_the_field_route():
+    rng = random.Random(5)
+    for N in (2, 3, 4):
+        for D in (1, 2, 3):
+            for p in range((N - 1) * D):
+                for q in (1, 2):
+                    for F in (random_field(N, D, p, q, rng), PolyTensorField.zero(N, D, p, q)):
+                        assert green_factor(F) == _green_factor_by_fields(F), (N, D, p, q)
+
+
+def test_green_factor_catches_a_wrong_slot_product(monkeypatch):
+    slot_product = mf._slot_product
+
+    def negate_one(J, md, vec, D):
+        out = dict(slot_product(J, md, vec, D))
+        if out:
+            k = next(iter(out))
+            out[k] = -out[k]
+        return out
+
+    monkeypatch.setattr(mf, "_slot_product", negate_one)
+    rng = random.Random(6)
+    # (3, 2, 1) projects; (3, 3, 2) and (4, 3, 3) are well filled
+    for N, D, p in ((3, 2, 1), (3, 3, 2), (4, 3, 3)):
+        with pytest.raises(VerificationError):
+            green_factor(random_field(N, D, p, 2, rng))
+
+
+def test_green_factor_builds_no_field_per_basis_vector(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("green_factor left the integer slot route")
+
+    for name in ("block_basis", "n_diff", "d_slot", "embed_field", "project_pi",
+                 "Multiform", "PolyTensorField"):
+        monkeypatch.setattr(mf, name, forbidden)
+    rng = random.Random(7)
+    for N, D, p in ((3, 2, 1), (3, 3, 2), (4, 2, 2), (4, 3, 3)):
+        assert green_factor(random_field(N, D, p, 2, rng))
+
+
+def test_green_factor_rejects_entries_outside_the_block():
+    # a key of degree 2 in a degree-1 field, and an index outside 1..D
+    for key in (((1, 2), ()), ((3,), ())):
+        F = PolyTensorField(3, 2, 1, 2, "co", {(key, (2, 0)): 1})
+        with pytest.raises(ShapeError):
+            green_factor(F)
+    with pytest.raises(ShapeError):
+        green_factor(random_field(3, 2, 1, 0, random.Random(0)))
 
 
 def test_first_slot_cocycles_close_all_slots_when_filled():
