@@ -368,6 +368,10 @@ def run(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        # argparse reads an option value of exactly "--" as an empty list
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                ap.error(f"argument --{name}: expected one argument")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -27,10 +27,8 @@ m + k is a one-row type and d^k is the symmetrized k-th derivative.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
 
 from . import linalg
 from .errors import ShapeError, VerificationError
@@ -42,6 +40,7 @@ from .fields import (
     _by_weight,
     _d_k_int,
     _d_k_scale,
+    _dominant_weights,
     _partials,
     _top_degree,
     _weight_basis,
@@ -67,19 +66,6 @@ def _image_vectors(N, D, p, q, k, w):
         return ()
     images = (_apply_d_int(N, D, cp, u) for u in _image_vectors(N, D, p, q, k - 1, w))
     return tuple(v for v in images if v)
-
-
-@lru_cache(maxsize=None)
-def _dominant_weights(D, n) -> tuple:
-    """(w, |S_D w|) for each nonincreasing weight w of total degree n."""
-    out = []
-    for w in monomials(D, n):
-        if all(a >= b for a, b in zip(w, w[1:])):
-            orbit = factorial(D)
-            for m in Counter(w).values():
-                orbit //= factorial(m)
-            out.append((w, orbit))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

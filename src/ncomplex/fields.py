@@ -39,15 +39,19 @@ is spanned by the Schur vectors of content c times the monomial x^(w - c);
 `_weight_basis` builds it that way, without filtering the whole block, and
 lists it in block order, so a solve on it returns the particular solution
 of the whole block. `_by_weight` splits a slot vector into weight parts.
+`_dominant_weights` lists the nonincreasing weights of one degree with
+the sizes of their S_D orbits, the only weights `cohomology` and the
+splitting checks of `multiforms` eliminate on.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import factorial, prod
 from typing import NamedTuple
 
 from . import linalg
@@ -97,7 +101,11 @@ def monomials(D: int, q: int) -> tuple:
 
 
 class PolyTensorField:
-    """Homogeneous polynomial tensor field of maximally filled type."""
+    """Homogeneous polynomial tensor field of maximally filled type.
+
+    Every entry is checked when the field is built: its key is a padded
+    slot key of degree p, its exponent a degree-q monomial in D variables.
+    """
 
     __slots__ = ("N", "D", "p", "q", "variance", "data")
 
@@ -111,9 +119,16 @@ class PolyTensorField:
             v = Fraction(v)
             if not v:
                 continue
-            clean[(tuple(tuple(s) for s in key), tuple(exp))] = v
-        if clean and self.p > (self.N - 1) * self.D:
-            raise ShapeError(f"degree {self.p} exceeds the top degree of the complex")
+            key, exp = tuple(tuple(s) for s in key), tuple(exp)
+            if self.p > _top_degree(self.N, self.D):
+                raise ShapeError(f"degree {self.p} exceeds the top degree of the complex")
+            if key not in _slot_key_set(self.N, self.D, self.p):
+                raise ShapeError(f"key {key} is not a slot key of degree {self.p}")
+            if (len(exp) != self.D or sum(exp) != self.q
+                    or not all(type(a) is int and a >= 0 for a in exp)):
+                raise ShapeError(f"exponent {exp} is not a degree-{self.q} monomial "
+                                 f"in {self.D} variables")
+            clean[(key, exp)] = v
         self.data = clean
 
     @classmethod
@@ -265,6 +280,12 @@ def _staircase(N: int, p: int) -> tuple:
     """Slot sizes of the degree-p symmetry type, padded to N - 1 slots."""
     Y = max_diagram(N, p)
     return Y.columns() + (0,) * (N - 1 - Y.n_cols)
+
+
+@lru_cache(maxsize=None)
+def _slot_key_set(N: int, D: int, p: int) -> frozenset:
+    """The padded slot keys of degree p, the keys a field of degree p may carry."""
+    return frozenset(_slot_keys(D, _staircase(N, p)))
 
 
 @lru_cache(maxsize=None)
@@ -541,6 +562,19 @@ def _schur_by_content(N: int, D: int, p: int) -> tuple:
         if len(contents) != 1:
             raise VerificationError(f"Schur vector at N={N} D={D} p={p} is not a weight vector")
         out.append((contents.pop(), s))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _dominant_weights(D, n) -> tuple:
+    """(w, |S_D w|) for each nonincreasing weight w of total degree n."""
+    out = []
+    for w in monomials(D, n):
+        if all(a >= b for a, b in zip(w, w[1:])):
+            orbit = factorial(D)
+            for m in Counter(w).values():
+                orbit //= factorial(m)
+            out.append((w, orbit))
     return tuple(out)
 
 

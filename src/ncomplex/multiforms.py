@@ -13,12 +13,16 @@ validated public face on `Multiform`s. `project_pi` and `green_factor`
 apply the projector table `fields._pi_columns`.
 
 The rank checks at the bottom of this module certify the two splitting
-statements that drive the generalized vanishing theorem, block by block:
-cocycle systems against sums of slot-differential ranges, and the
-relative single-slot version in the quotient by the other slots. They
-run on plain integer slot vectors through `_slot_product`; only the unit
-basis of the block `theorem2_check` is asked about is built as
-`Multiform`s.
+statements that drive the generalized vanishing theorem: cocycle systems
+against sums of slot-differential ranges, and the relative single-slot
+version in the quotient by the other slots. Every slot product keeps the
+torus weight of an entry (`fields.weight`) and commutes with index
+permutations, so both checks run one dominant (nonincreasing) weight at
+a time and count each by the size of its S_D orbit, as the cohomology
+tables do. They run on the integer unit vectors of one weight space
+(`_weight_units`) through `_slot_product`; only the unit basis of the
+block `theorem2_check` is asked about is built as `Multiform`s, to
+validate it. `lemma4_check` runs on the dominant weights too.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import linalg
@@ -39,6 +44,7 @@ from .fields import (
     _apply_slot,
     _block_int_basis,
     _d_k_int,
+    _dominant_weights,
     _insert_table,
     _pi_columns,
     _slot_keys,
@@ -46,6 +52,7 @@ from .fields import (
     _staircase,
     _weight_basis,
     monomials,
+    weight,
     # unused here; the names stay because bench/spans.py wraps these bindings
     block_basis,
     n_diff,
@@ -226,8 +233,6 @@ def green_factor(F: PolyTensorField) -> Fraction:
         raise ShapeError("the relation needs a block with a nonzero differential")
     i = p % (N - 1)
     md = _staircase(N, p)
-    if not {key for key, _ in F.data} <= set(_slot_keys(D, md)):
-        raise ShapeError(f"field entries are not slot keys of degree {p}")
     cols, lam = _pi_columns(N, D, p + 1)
     pairs, filled = [], True
     for u in _block_int_basis(N, D, p, q) + ((F.data,) if F.data else ()):
@@ -251,15 +256,17 @@ def lemma4_check(N: int, D: int, n: int, q: int) -> bool:
 
     On the rectangular block of degree (N-1)*n, the k-th power of the
     differential kills a field exactly when every k-fold slot product
-    kills its embedding, for every k. Both maps keep the torus weight, so
-    the two kernels are compared on every weight space of the block.
+    kills its embedding, for every k. Both maps keep the torus weight and
+    commute with index permutations, so the two kernels are compared on
+    the weight spaces of the dominant weights, which stand for their S_D
+    orbits.
     """
     p = (N - 1) * n
     BlockLabel(N, D, p, q).validate()
     md = _staircase(N, p)
     for k in range(1, N):
         products = tuple(combinations(range(1, N), k))
-        for w in monomials(D, p + q):
+        for w, _ in _dominant_weights(D, p + q):
             basis = _weight_basis(N, D, p, q, w)
             left_null = linalg.nullspace([_d_k_int(N, D, p, q, b, k) for b in basis])
             right_null = linalg.nullspace([_stacked(products, md, b, D) for b in basis])
@@ -287,6 +294,31 @@ def _units(D, md, q) -> list:
     if any(a < 0 or a > D for a in md):
         return []
     return [{(key, e): 1} for key in _slot_keys(D, md) for e in monomials(D, q)]
+
+
+def _weight_units(D, md, q, w) -> list:
+    """Integer unit slot vectors {(key, w - content(key)): 1} of weight w in block (md, q).
+
+    None when a slot size leaves 0..D; w has total degree sum(md) + q.
+    """
+    if any(a < 0 or a > D for a in md):
+        return []
+    out = []
+    for c, keys in _keys_by_content(D, md).items():
+        e = tuple(a - b for a, b in zip(w, c))
+        if min(e) >= 0:
+            out.extend({(key, e): 1} for key in keys)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _keys_by_content(D, md) -> dict:
+    """The slot keys of sizes md grouped by index content, {content: keys}."""
+    zero = (0,) * D
+    groups: dict = {}
+    for key in _slot_keys(D, md):
+        groups.setdefault(weight(key, zero), []).append(key)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +366,6 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _range_into(D, md, q, J) -> list:
-    """Nonzero images under d_J of the unit basis of the block d_J maps into (md, q).
-
-    That source block is (md - sum of e_j over J, q + len(J)); it is empty,
-    and so is the answer, when a source slot would go negative. Zero images
-    are dropped: as extra columns in `_cocycles` each would bring a kernel
-    vector of its own into the nullspace basis.
-    """
-    src = tuple(a - (j in J) for j, a in enumerate(md, 1))
-    images = (_slot_product(J, src, u, D) for u in _units(D, src, q + len(J)))
-    return [g for g in images if g]
-
-
 def _stacked(products, md, vec: dict, D: int) -> dict:
     """One column stacking the images of vec under each slot product J, keyed (J, key)."""
     out: dict = {}
@@ -361,6 +380,8 @@ def _cocycles(units, cols) -> list:
 
     cols starts with one column per unit; further columns (generators of a
     quotient) may absorb part of the combination but are not kept in it.
+    The nullspace rows are echelonized by column, so their number is the
+    dimension of the space of such combinations.
     """
     out = []
     for comb in linalg.nullspace(cols):
@@ -370,13 +391,36 @@ def _cocycles(units, cols) -> list:
     return out
 
 
+def _weight_range(D, J, md, q, w) -> list:
+    """Nonzero images under d_J of the weight-w units of the block d_J maps into (md, q).
+
+    That source block is (md - sum of e_j over J, q + len(J)); it is empty,
+    and so is the answer, when a source slot would go negative. Zero images
+    are dropped: as extra columns in `_cocycles` each would bring a kernel
+    vector of its own into the nullspace basis.
+    """
+    src = tuple(a - (j in J) for j, a in enumerate(md, 1))
+    images = (_slot_product(J, src, u, D) for u in _weight_units(D, src, q + len(J), w))
+    return [g for g in images if g]
+
+
+def _split_weight(units, cols, generators):
+    """(number of cocycles, rank of generators, whether the cocycles lie in their span)."""
+    z_vectors = _cocycles(units, cols)
+    ech = linalg.Echelon(generators)
+    return len(z_vectors), ech.rank, all(ech.contains(z) for z in z_vectors)
+
+
 def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
     """Splitting of simultaneous cocycles into slot-differential ranges.
 
     For the given multidegree and every homogeneous polynomial degree up
     to q_cap, computes the joint kernel of all m-fold slot products over
     K and verifies it lies in the span of the (len(K) - m + 1)-fold
-    products, allowing a free polynomial part below degree m.
+    products, allowing a free polynomial part below degree m. Every slot
+    product keeps the torus weight and commutes with index permutations,
+    so the check runs on the dominant weights only, each counted by the
+    size of its S_D orbit in `cocycles` and `generator_rank`.
     """
     BlockLabel(N, D, 0, q_cap).validate()
     md = tuple(multidegree)
@@ -395,17 +439,22 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
         if q <= m - 1:
             rep.record(f"q={q}", True, "free polynomial part")
             continue
-        # the requested block is validated as Multiforms, the source blocks
-        # of the ranges stay plain integer vectors
-        units = [w.data for w in multiform_basis(N, D, md, q)]
-        if not units:
+        # the requested block is validated as Multiforms
+        if not multiform_basis(N, D, md, q):
             rep.record(f"q={q}", True, "empty block")
             continue
-        z_vectors = _cocycles(units, [_stacked(products, md, u, D) for u in units])
-        ech = linalg.Echelon(g for J in ranges for g in _range_into(D, md, q, J))
-        passed = all(ech.contains(z) for z in z_vectors)
-        rep.record(f"q={q}", passed,
-                   {"cocycles": len(z_vectors), "generator_rank": ech.rank})
+        cocycles = rank = 0
+        passed = True
+        for w, orbit in _dominant_weights(D, sum(md) + q):
+            units = _weight_units(D, md, q, w)
+            if not units:
+                continue
+            n_z, n_g, ok = _split_weight(
+                units, [_stacked(products, md, u, D) for u in units],
+                (g for J in ranges for g in _weight_range(D, J, md, q, w)))
+            cocycles, rank = cocycles + orbit * n_z, rank + orbit * n_g
+            passed = passed and ok
+        rep.record(f"q={q}", passed, {"cocycles": cocycles, "generator_rank": rank})
     return rep
 
 
@@ -415,7 +464,10 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     Works in the quotient by the ranges of the slots in K: cocycles of
     order len(K) + 1 relative to that quotient must be differentials of
     elements of order len(K) + 2 up to the quotient. Checked per
-    multidegree and homogeneous polynomial degree.
+    multidegree and homogeneous polynomial degree, on the dominant
+    weights only: the slot differentials keep the torus weight and
+    commute with index permutations, so each dominant weight stands for
+    its S_D orbit, counted by the orbit size in `cocycles`.
     """
     BlockLabel(N, D, 0, q_cap).validate()
     K = tuple(sorted(set(K)))
@@ -425,19 +477,22 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     rep = CheckReport("relative_cohomology",
                       {"N": N, "D": D, "K": K, "i": i, "q_cap": q_cap})
     for md in _all_multidegrees(N, D):
+        # d_i and the quotient generators both land in (md + e_i, q - 1)
+        md_i = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
         for q in range(k + 1, q_cap + 1):
-            units = _units(D, md, q)
-            if not units:
-                continue
-            # d_i and the quotient generators both land in (md + e_i, q - 1)
-            md_i = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
-            quotient = [g for j in K for g in _range_into(D, md_i, q - 1, (j,))]
-            z_vectors = _cocycles(units, [_slot_product((i,), md, u, D) for u in units]
-                                  + quotient)
-            ech = linalg.Echelon(g for j in (i,) + K for g in _range_into(D, md, q, (j,)))
-            passed = all(ech.contains(z) for z in z_vectors)
-            rep.record(f"md={md} q={q}", passed,
-                       {"cocycles": len(z_vectors)})
+            cocycles = 0
+            passed = True
+            for w, orbit in _dominant_weights(D, sum(md) + q):
+                units = _weight_units(D, md, q, w)
+                if not units:
+                    continue
+                quotient = [g for j in K for g in _weight_range(D, (j,), md_i, q - 1, w)]
+                n_z, _, ok = _split_weight(
+                    units, [_slot_product((i,), md, u, D) for u in units] + quotient,
+                    (g for j in (i,) + K for g in _weight_range(D, (j,), md, q, w)))
+                cocycles += orbit * n_z
+                passed = passed and ok
+            rep.record(f"md={md} q={q}", passed, {"cocycles": cocycles})
     return rep
 
 

@@ -420,6 +420,16 @@ def test_subcommand_arguments_fuzz(argv):
     _assert_clean_exit(argv)
 
 
+def test_option_value_double_dash_is_a_usage_error():
+    # argparse reads "--opt=--" as an empty list, which no handler accepts
+    for argv in (["dim", "--shape=--", "--D=0"], ["dim", "--shape=2,1", "--D=--"],
+                 ["theorem2", "--N=3", "--D=2", "--K=--", "--m=1"],
+                 ["theorem2", "--N=3", "--D=2", "--K=1", "--m=1", "--multidegree=--"],
+                 ["cohomology", "--N=3", "--D=2", "--format=--"]):
+        _assert_clean_exit(argv)
+        assert run(argv) == 2, argv
+
+
 def test_diff_power_stops_when_the_field_dies(tmp_path):
     # d^k of a degree-0 field is zero past its polynomial degree; a huge power
     # must not iterate beyond that

@@ -68,6 +68,13 @@ GOLDEN = [
      "b51ed133becadb2afc6e142032c1c38dc98b992bfc4a2f5023586ecf779e403e"),
     (["theorem2", "--N", "4", "--D", "2", "--K", "1,2,3", "--m", "2", "--qcap", "2"], None, 0,
      "3b15cd461af954b568c98a10c264277598e74bc53cb59c69c2692c5b7c077e61"),
+    # JSON runs pin the orbit-weighted cocycle and generator counts at D = 3
+    (["theorem2", "--N", "4", "--D", "3", "--K", "1,2,3", "--m", "2", "--qcap", "3",
+      "--format", "json"], None, 0,
+     "4b3774b9b154f2a5d237023b832318daea435ee527971c4b9f90c3136aad10a3"),
+    (["theorem2", "--N", "3", "--D", "3", "--K", "1,2", "--m", "1", "--qcap", "3",
+      "--format", "json"], None, 0,
+     "1b07c023e5c543aead3e1bc6c113a6ec0d71a4693507c0064046247c38f320ff"),
     (["algebra", "--N", "3", "--D", "2"], None, 1,
      "2ea49ed141f9e149bc83a78797797604d5d8977d12397b9dee78b6de5458649d"),
     (["algebra", "--N", "3", "--D", "2", "--format", "json"], None, 1,

@@ -9,7 +9,6 @@ import pytest
 from ncomplex import cohomology, fields, linalg, multiforms
 from ncomplex.cohomology import (
     CohomologyTable,
-    _dominant_weights,
     _d_k_int,
     _image_vectors,
     _ker_im,
@@ -29,6 +28,7 @@ from ncomplex.errors import ShapeError, VerificationError
 from ncomplex.fields import (
     PolyTensorField,
     _block_int_basis,
+    _dominant_weights,
     _top_degree,
     _weight_basis,
     block_basis,

@@ -46,6 +46,28 @@ def test_block_label_validation():
         BlockLabel(3, 2, 5, 1).validate()
 
 
+def test_field_entries_are_checked_at_construction():
+    good = {(((1,), ()), (2, 0)): 1}
+    assert PolyTensorField(3, 2, 1, 2, "co", good).data == {(((1,), ()), (2, 0)): 1}
+    # zero values are dropped before any check
+    assert PolyTensorField(3, 2, 1, 2, "co", {(((7,), ()), (9,)): 0}).is_zero
+    bad_entries = (
+        (((3,), ()), (2, 0)),        # index above D
+        (((1, 2), ()), (2, 0)),      # a degree-2 key in a degree-1 field
+        (((1,),), (2, 0)),           # not padded to N - 1 slots
+        (((2, 1), ()), (2, 0)),      # slot not strictly increasing
+        (((1,), ()), (1, 0)),        # exponent of the wrong degree
+        (((1,), ()), (2, 0, 0)),     # exponent in the wrong number of variables
+        (((1,), ()), (3, -1)),       # negative exponent
+        (((1,), ()), (2.0, 0)),      # non-integer exponent
+    )
+    for key, exp in bad_entries:
+        with pytest.raises(ShapeError):
+            PolyTensorField(3, 2, 1, 2, "co", {(key, exp): 1})
+    with pytest.raises(ShapeError, match="top degree"):
+        PolyTensorField(3, 2, 5, 1, "co", {(((1, 2), (1, 2), (1,)), (1, 0)): 1})
+
+
 def test_monomials_sorted_and_complete():
     ms = monomials(2, 3)
     assert ms == ((0, 3), (1, 2), (2, 1), (3, 0))

@@ -20,6 +20,7 @@ from ncomplex.fields import (
     monomials,
     n_diff,
     random_field,
+    weight,
 )
 from ncomplex.multiforms import (
     Multiform,
@@ -186,11 +187,11 @@ def test_green_factor_builds_no_field_per_basis_vector(monkeypatch):
 
 
 def test_green_factor_rejects_entries_outside_the_block():
-    # a key of degree 2 in a degree-1 field, and an index outside 1..D
+    # a key of degree 2 in a degree-1 field, and an index outside 1..D, are
+    # refused when the field is built
     for key in (((1, 2), ()), ((3,), ())):
-        F = PolyTensorField(3, 2, 1, 2, "co", {(key, (2, 0)): 1})
         with pytest.raises(ShapeError):
-            green_factor(F)
+            PolyTensorField(3, 2, 1, 2, "co", {(key, (2, 0)): 1})
     with pytest.raises(ShapeError):
         green_factor(random_field(3, 2, 1, 0, random.Random(0)))
 
@@ -230,6 +231,153 @@ def test_lemma4_weight_kernels_add_up_to_the_block():
                 parts = [linalg.nullspace([op(b) for b in _weight_basis(N, D, p, q, w)])
                          for w in monomials(D, p + q)]
                 assert sum(map(len, parts)) == len(whole) > 0, (N, D, n, q, k)
+
+
+def _lemma4_all_weights(N, D, n, q):
+    """lemma4_check on every weight of the block, not only the dominant ones."""
+    p = (N - 1) * n
+    md = _staircase(N, p)
+    for k in range(1, N):
+        products = tuple(combinations(range(1, N), k))
+        for w in monomials(D, p + q):
+            basis = _weight_basis(N, D, p, q, w)
+            left_null = linalg.nullspace([mf._d_k_int(N, D, p, q, b, k) for b in basis])
+            right_null = linalg.nullspace([_stacked(products, md, b, D) for b in basis])
+            if len(left_null) != len(right_null):
+                return False
+            ech = linalg.Echelon(left_null)
+            if not all(ech.contains(v) for v in right_null):
+                return False
+    return True
+
+
+def test_lemma4_dominant_weights_match_all_weights(monkeypatch):
+    cases = [(3, 2, n, q) for n in (1, 2) for q in (1, 2)] + [
+        (3, 3, 1, 1), (3, 3, 1, 2), (3, 3, 2, 1), (4, 2, 1, 2), (4, 3, 1, 1)]
+    for N, D, n, q in cases:
+        assert lemma4_check(N, D, n, q) == _lemma4_all_weights(N, D, n, q), (N, D, n, q)
+    # d^k set to zero on one S_D orbit of weights still commutes with index
+    # permutations, and breaks the lemma on that orbit alone, where d^k acts:
+    # a route that skipped a dominant weight would miss it
+    d_k_int = mf._d_k_int
+    broken = []
+    for w0, _ in mf._dominant_weights(3, 4):
+        def zero_on_orbit(N, D, p, q, vec, k):
+            w = weight(*next(iter(vec))) if vec else ()
+            return {} if tuple(sorted(w, reverse=True)) == w0 else d_k_int(N, D, p, q, vec, k)
+
+        monkeypatch.setattr(mf, "_d_k_int", zero_on_orbit)
+        verdict = lemma4_check(3, 3, 1, 2)
+        assert verdict == _lemma4_all_weights(3, 3, 1, 2), w0
+        if not verdict:
+            broken.append(w0)
+    assert broken == [(2, 1, 1), (2, 2, 0), (3, 1, 0)]
+    # the kernels of both maps on a weight space have the dimensions of those
+    # on the dominant weight of its S_D orbit
+    for N, D, n, q in ((3, 3, 1, 2), (4, 3, 1, 1)):
+        p = (N - 1) * n
+        md = _staircase(N, p)
+        for k in range(1, N):
+            products = tuple(combinations(range(1, N), k))
+            for op in (lambda b: _d_k_int(N, D, p, q, b, k),
+                       lambda b: _stacked(products, md, b, D)):
+                def nullity(w):
+                    return len(linalg.nullspace([op(b) for b in _weight_basis(N, D, p, q, w)]))
+                for w in monomials(D, p + q):
+                    assert nullity(w) == nullity(tuple(sorted(w, reverse=True))), (N, D, k, w)
+
+
+def _range_into(D, md, q, J):
+    """Nonzero images under d_J of the unit basis of the block d_J maps into (md, q)."""
+    src = tuple(a - (j in J) for j, a in enumerate(md, 1))
+    images = (mf._slot_product(J, src, u, D) for u in mf._units(D, src, q + len(J)))
+    return [g for g in images if g]
+
+
+def _theorem2_whole_block(N, D, K, m, md, q_cap):
+    """theorem2_check with one nullspace and one range echelon per whole block."""
+    K = tuple(sorted(set(K)))
+    rep = mf.CheckReport("theorem2", {"N": N, "D": D, "K": K, "m": m,
+                                      "multidegree": tuple(md), "q_cap": q_cap})
+    products = tuple(combinations(K, m))
+    ranges = tuple(combinations(K, len(K) - m + 1))
+    for q in range(0, q_cap + 1):
+        if q <= m - 1:
+            rep.record(f"q={q}", True, "free polynomial part")
+            continue
+        units = mf._units(D, md, q)
+        z_vectors = mf._cocycles(units, [_stacked(products, md, u, D) for u in units])
+        ech = linalg.Echelon(g for J in ranges for g in _range_into(D, md, q, J))
+        rep.record(f"q={q}", all(ech.contains(z) for z in z_vectors),
+                   {"cocycles": len(z_vectors), "generator_rank": ech.rank})
+    return rep
+
+
+def _relative_whole_block(N, D, K, i, q_cap):
+    """relative_cohomology_check with one nullspace and one echelon per whole block."""
+    K = tuple(sorted(set(K)))
+    rep = mf.CheckReport("relative_cohomology",
+                         {"N": N, "D": D, "K": K, "i": i, "q_cap": q_cap})
+    for md in mf._all_multidegrees(N, D):
+        for q in range(len(K) + 1, q_cap + 1):
+            units = mf._units(D, md, q)
+            md_i = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
+            quotient = [g for j in K for g in _range_into(D, md_i, q - 1, (j,))]
+            z_vectors = mf._cocycles(
+                units, [mf._slot_product((i,), md, u, D) for u in units] + quotient)
+            ech = linalg.Echelon(g for j in (i,) + K for g in _range_into(D, md, q, (j,)))
+            rep.record(f"md={md} q={q}", all(ech.contains(z) for z in z_vectors),
+                       {"cocycles": len(z_vectors)})
+    return rep
+
+
+def test_theorem2_weight_route_matches_the_whole_block():
+    cases = [(3, 2, K, m, md, 3) for K in ((1,), (1, 2)) for m in range(1, len(K) + 1)
+             for md in product(range(3), repeat=2)]
+    cases += [(3, 3, (1, 2), m, md, 3) for m in (1, 2) for md in ((0, 0), (1, 0), (2, 1), (3, 2))]
+    cases += [(4, 3, (1, 2, 3), 2, (1, 1, 1), 3), (4, 3, (1, 3), 1, (2, 0, 1), 2)]
+    cases += [(3, 4, (1, 2), 1, md, 2) for md in ((1, 0), (2, 2), (4, 1))]
+    orbits = set()
+    for N, D, K, m, md, q_cap in cases:
+        got = theorem2_check(N, D, K, m, md, q_cap)
+        assert got.to_json() == _theorem2_whole_block(N, D, K, m, md, q_cap).to_json(), (
+            N, D, K, m, md)
+        orbits |= {o for q in range(m, q_cap + 1)
+                   for w, o in mf._dominant_weights(D, sum(md) + q)
+                   if mf._weight_units(D, md, q, w)}
+    # D = 2 alone would only reach orbits of sizes 1 and 2
+    assert orbits >= {1, 2, 3, 4, 6, 12, 24}
+
+
+def test_relative_weight_route_matches_the_whole_block():
+    cases = ((3, 2, (), 1, 3), (3, 2, (2,), 1, 3), (4, 2, (2, 3), 1, 3), (4, 2, (1,), 3, 3),
+             (3, 3, (), 2, 3), (3, 3, (1,), 2, 3), (3, 4, (2,), 1, 2))
+    for c in cases:
+        assert relative_cohomology_check(*c).to_json() == _relative_whole_block(*c).to_json(), c
+
+
+def test_weight_routes_agree_on_failing_verdicts(monkeypatch):
+    slot_product = mf._slot_product
+    # zero maps commute with index permutations, so both routes still apply;
+    # without the range d_1 d_2, or without d_1, the splittings fail
+    monkeypatch.setattr(mf, "_slot_product",
+                        lambda J, md, vec, D: {} if len(J) == 2 else slot_product(J, md, vec, D))
+    got = theorem2_check(3, 3, (1, 2), 1, (1, 1), 3)
+    assert got.failures
+    assert got.to_json() == _theorem2_whole_block(3, 3, (1, 2), 1, (1, 1), 3).to_json()
+    monkeypatch.setattr(mf, "_slot_product",
+                        lambda J, md, vec, D: {} if J == (1,) else slot_product(J, md, vec, D))
+    got = relative_cohomology_check(3, 3, (2,), 1, 2)
+    assert got.failures
+    assert got.to_json() == _relative_whole_block(3, 3, (2,), 1, 2).to_json()
+
+
+def test_weight_units_split_the_block_units():
+    for D, md, q in ((2, (1, 1), 2), (3, (2, 1), 2), (3, (0, 3), 1), (4, (2, 2), 1)):
+        units = [u for w in monomials(D, sum(md) + q) for u in mf._weight_units(D, md, q, w)]
+        assert sorted(map(sorted, units)) == sorted(map(sorted, mf._units(D, md, q)))
+    assert mf._weight_units(2, (3, 0), 0, (2, 1)) == []
+    assert mf._weight_units(2, (-1, 1), 2, (2, 1)) == []
 
 
 def test_theorem2_examples():
