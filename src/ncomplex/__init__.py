@@ -70,7 +70,6 @@ from .gauge import (
 )
 from .quotient_algebra import act, kernel_dim, relation_checks, unit_element
 from .tensor_core import (
-    Rational,
     Tensor,
     contract_tensor,
     dual_star,

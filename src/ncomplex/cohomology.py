@@ -361,12 +361,11 @@ def cocycle_from_two_form(omega: PolyTensorField) -> PolyTensorField:
     D, q = omega.D, omega.q
     if q == 0:
         return PolyTensorField.zero(3, D, 3, 0, CO)
-    comps: dict = {}
     # t_abc = 2 d_c w_ab + d_a w_cb - d_b w_ca; each entry is d_m w_ij, read
-    # once as each term, one add per term because two targets may coincide
-    for m, (i, j), e, v in _partials(omega.full_components(), D):
-        for idx, c in (((i, j, m), 2), ((m, j, i), 1), ((j, m, i), -1)):
-            linalg.add_to(comps, {(idx, e): v}, c)
+    # once as each term
+    comps = linalg.accumulate(((idx, e), c * v)
+                              for m, (i, j), e, v in _partials(omega.full_components(), D)
+                              for idx, c in (((i, j, m), 2), ((m, j, i), 1), ((j, m, i), -1)))
     return PolyTensorField.from_components(3, D, 3, q - 1, CO, comps)
 
 

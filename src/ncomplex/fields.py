@@ -17,7 +17,10 @@ contracts one out the same way. `_insert_table` alone owns the slot sign
 convention: `_contract_table` reverses it, `_projected` composes a table
 with the projector (`_pi_columns` is the projector alone, on padded keys),
 and `_apply_slot` applies a table while differentiating the monomial,
-here and in `multiforms`. `_d_k_int` is the one d^k chain on slot
+here and in `multiforms`; `_slot_map` applies one without
+differentiating. `_apply_slot` is the d kernel, so it keeps its sum
+inline; every other sparse map here sums its terms through
+`linalg.accumulate`. `_d_k_int` is the one d^k chain on slot
 vectors: `d_power` (and through it `n_diff`), `lemma4_check` and the
 cocycles, induced maps and preimages of `cohomology` apply powers of d
 through it. `_partials` alone owns the derivative of full components
@@ -27,7 +30,10 @@ formulas name. `young_derivative` keeps the alternative route (raw
 derivative plus full symmetrizer) as an independent reference; the two
 agree up to a nonzero constant on every block, which the test suite pins
 down. The duality `dual_star_field` applies `tc._hodge_star`, the one
-column-wise Hodge star, to each slot key.
+column-wise Hodge star, to each slot key. Field entries are checked by
+their structure (`_check_entry`, shared with `multiforms.Multiform`),
+never against a list of the slot keys of a degree, which grows as a
+power of D.
 
 The torus weight of an entry (`weight`) is the index content of its slot
 key plus its exponent vector. Inserting mu adds e_mu to the content and
@@ -100,6 +106,23 @@ def monomials(D: int, q: int) -> tuple:
     return tuple(sorted(gen(D, q)))
 
 
+def _check_entry(N: int, D: int, key, exp) -> tuple:
+    """(key, exp) as tuples: N - 1 strictly increasing slots of ints in 1..D and D
+    nonnegative int exponents, checked by structure alone; else ShapeError."""
+    key, exp = tuple(map(tuple, key)), tuple(exp)
+    if len(key) != N - 1:
+        raise ShapeError(f"key {key} does not have {N - 1} slots")
+    for s in key:
+        for i in s:
+            if type(i) is not int:
+                raise ShapeError(f"slot {s} has an index that is not an int")
+        if s and not (1 <= s[0] and s[-1] <= D and all(map(int.__lt__, s, s[1:]))):
+            raise ShapeError(f"slot {s} is not a strictly increasing index set in 1..{D}")
+    if len(exp) != D or not all(type(a) is int for a in exp) or min(exp) < 0:
+        raise ShapeError(f"exponent {exp} is not a monomial in {D} variables")
+    return key, exp
+
+
 class PolyTensorField:
     """Homogeneous polynomial tensor field of maximally filled type.
 
@@ -119,15 +142,13 @@ class PolyTensorField:
             v = Fraction(v)
             if not v:
                 continue
-            key, exp = tuple(tuple(s) for s in key), tuple(exp)
             if self.p > _top_degree(self.N, self.D):
                 raise ShapeError(f"degree {self.p} exceeds the top degree of the complex")
-            if key not in _slot_key_set(self.N, self.D, self.p):
+            key, exp = _check_entry(self.N, self.D, key, exp)
+            if tuple(map(len, key)) != _staircase(self.N, self.p):
                 raise ShapeError(f"key {key} is not a slot key of degree {self.p}")
-            if (len(exp) != self.D or sum(exp) != self.q
-                    or not all(type(a) is int and a >= 0 for a in exp)):
-                raise ShapeError(f"exponent {exp} is not a degree-{self.q} monomial "
-                                 f"in {self.D} variables")
+            if sum(exp) != self.q:
+                raise ShapeError(f"exponent {exp} is not of degree {self.q}")
             clean[(key, exp)] = v
         self.data = clean
 
@@ -191,15 +212,6 @@ class PolyTensorField:
 
     def exponents(self) -> list:
         return sorted({e for _, e in self.data})
-
-    def component(self, idx, exp) -> Fraction:
-        """Full component at a column-read index tuple and monomial."""
-        Y = self.shape
-        res = tc._canonicalize(tuple(idx), tc._column_blocks(Y.rows))
-        if res is None:
-            return Fraction(0)
-        key, sign = res
-        return sign * self.data.get((_pad(key, self.N - 1), tuple(exp)), Fraction(0))
 
     @classmethod
     def from_components(cls, N, D, p, q, variance, components):
@@ -276,16 +288,11 @@ def _slot_keys(D: int, multidegree) -> tuple:
     return tuple(product(*(combinations(range(1, D + 1), a) for a in multidegree)))
 
 
+@lru_cache(maxsize=None)
 def _staircase(N: int, p: int) -> tuple:
     """Slot sizes of the degree-p symmetry type, padded to N - 1 slots."""
     Y = max_diagram(N, p)
     return Y.columns() + (0,) * (N - 1 - Y.n_cols)
-
-
-@lru_cache(maxsize=None)
-def _slot_key_set(N: int, D: int, p: int) -> frozenset:
-    """The padded slot keys of degree p, the keys a field of degree p may carry."""
-    return frozenset(_slot_keys(D, _staircase(N, p)))
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +355,7 @@ def _pi_columns(N: int, D: int, p: int):
 def _apply_slot(table, vec: dict, D: int) -> dict:
     """Differentiate each monomial along mu and send its key through table[mu]."""
     out: dict = {}
-    # inline, not linalg.add_to: a call per entry slows every application of d
+    # inline, not linalg.accumulate: a generator of terms slows every application of d
     for (key, exp), v in vec.items():
         for mu in range(1, D + 1):
             em = exp[mu - 1]
@@ -379,17 +386,8 @@ def _partials(components: dict, D: int):
 
 def _slot_map(cols: dict, vec: dict) -> dict:
     """Send each key of a slot vector through cols, keeping its monomial."""
-    out: dict = {}
-    # inline, not linalg.add_to: a call per entry slows the projection pi
-    for (key, exp), v in vec.items():
-        for k2, c in cols[key]:
-            kk = (k2, exp)
-            acc = out.get(kk, 0) + v * c
-            if acc:
-                out[kk] = acc
-            else:
-                out.pop(kk, None)
-    return out
+    return linalg.accumulate(((k2, exp), v * c)
+                             for (key, exp), v in vec.items() for k2, c in cols[key])
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +491,16 @@ def young_derivative(F: PolyTensorField) -> PolyTensorField:
     offsets = [0]
     for m in cols1:
         offsets.append(offsets[-1] + m)
-    old_pos = [offsets[c] + r for (r, c) in Y.cells()]
-    new_cell_col = p % (N - 1)
-    new_pos = offsets[new_cell_col] + cols1[new_cell_col] - 1
+    new_col = p % (N - 1)
+    # the old indices keep their cells, the derivative index fills the new one
+    cells = (*(offsets[c] + r for (r, c) in Y.cells()), offsets[new_col] + cols1[new_col] - 1)
 
     sign = -1 if p % 2 else 1
+    raw = linalg.accumulate(((exp2, tc._place(I + (mu,), cells)), v)
+                            for mu, I, exp2, v in _partials(F.full_components(), D))
     raw_slices: dict = {}
-    for mu, I, exp2, v in _partials(F.full_components(), D):
-        J = [0] * (p + 1)
-        for i, pos in enumerate(old_pos):
-            J[pos] = I[i]
-        J[new_pos] = mu
-        linalg.add_to(raw_slices.setdefault(exp2, {}), {tuple(J): v})
+    for (exp2, J), v in raw.items():
+        raw_slices.setdefault(exp2, {})[J] = v
     data: dict = {}
     for exp2, comps in raw_slices.items():
         T1 = tc.young_project(Y1, Tensor(D, p + 1, F.variance, comps))

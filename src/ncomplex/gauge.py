@@ -4,12 +4,12 @@ The three classical operators of linearized gravity are implemented
 literally from their component formulas: symmetrized gradient, curvature
 double derivative, and the cyclic first-derivative identity. Each formula
 is applied as a scatter over the support of the derivative
-(`fields._partials`): every derivative entry is added, with its sign, at
-the index permutations the formula names, one add per term because two
-targets coincide when two indices are equal. Each operator agrees with the
-corresponding power of the canonical differential up to one nonzero
-rational constant per operator, computed at runtime and pinned in the
-test fixtures.
+(`fields._partials`): every derivative entry is sent, with its sign, to
+the index permutations the formula names, and `linalg.accumulate` sums
+the terms whose targets coincide when two indices are equal. Each
+operator agrees with the corresponding power of the canonical
+differential up to one nonzero rational constant per operator, computed
+at runtime and pinned in the test fixtures.
 
 Index groups are always column-read: a curvature-symmetry tensor is
 stored as R[(a, b, c, d)] with (a, b) the first antisymmetric column and
@@ -51,10 +51,9 @@ def spin2_d1(X: PolyTensorField) -> PolyTensorField:
     D, q = X.D, X.q
     if q == 0:
         return PolyTensorField.zero(3, D, 2, 0)
-    comps: dict = {}
-    for a, (b,), exp, v in _partials(X.full_components(), D):
-        for idx in ((a, b), (b, a)):
-            linalg.add_to(comps, {(idx, exp): v})
+    comps = linalg.accumulate(((idx, exp), v)
+                              for a, (b,), exp, v in _partials(X.full_components(), D)
+                              for idx in ((a, b), (b, a)))
     return PolyTensorField.from_components(3, D, 2, q - 1, CO, comps)
 
 
@@ -68,12 +67,10 @@ def spin2_d2(h: PolyTensorField) -> PolyTensorField:
     if q < 2:
         return PolyTensorField.zero(3, D, 4, 0)
     first = {((m,) + idx, exp): v for m, idx, exp, v in _partials(h.full_components(), D)}
-    comps: dict = {}
     # each entry is d_m d_n h_ij, read once as each term of the formula
-    for n, (m, i, j), exp, v in _partials(first, D):
-        for idx, c in (((m, i, n, j), 1), ((i, m, j, n), 1),
-                       ((i, m, n, j), -1), ((m, i, j, n), -1)):
-            linalg.add_to(comps, {(idx, exp): v}, c)
+    comps = linalg.accumulate(((idx, exp), c * v) for n, (m, i, j), exp, v in _partials(first, D)
+                              for idx, c in (((m, i, n, j), 1), ((i, m, j, n), 1),
+                                             ((i, m, n, j), -1), ((m, i, j, n), -1)))
     return PolyTensorField.from_components(3, D, 4, q - 2, CO, comps)
 
 
@@ -86,11 +83,10 @@ def spin2_d3(R: PolyTensorField) -> PolyTensorField:
     D, q = R.D, R.q
     if q == 0:
         return PolyTensorField.zero(3, D, 5, 0)
-    comps: dict = {}
     # each entry is d_m R_ijkl, read once as each term of the formula
-    for m, (i, j, k, l), exp, v in _partials(R.full_components(), D):
-        for idx in ((m, i, j, k, l), (j, m, i, k, l), (i, j, m, k, l)):
-            linalg.add_to(comps, {(idx, exp): v})
+    comps = linalg.accumulate(((idx, exp), v)
+                              for m, (i, j, k, l), exp, v in _partials(R.full_components(), D)
+                              for idx in ((m, i, j, k, l), (j, m, i, k, l), (i, j, m, k, l)))
     return PolyTensorField.from_components(3, D, 5, q - 1, CO, comps)
 
 
@@ -138,11 +134,9 @@ def divergence(T: PolyTensorField) -> dict:
     """Contraction of a derivative into the first index, full components."""
     if T.variance != CONTRA:
         raise ShapeError("divergence acts on contravariant fields")
-    out: dict = {}
-    for mu, idx, exp, v in _partials(T.full_components(), T.D):
-        if mu == idx[0]:
-            linalg.add_to(out, {(idx[1:], exp): v})
-    return out
+    return linalg.accumulate(((idx[1:], exp), v)
+                             for mu, idx, exp, v in _partials(T.full_components(), T.D)
+                             if mu == idx[0])
 
 
 def stress_potential(T: PolyTensorField) -> PolyTensorField:
@@ -183,8 +177,6 @@ def stress_potential(T: PolyTensorField) -> PolyTensorField:
 
 def _double_divergence(R: PolyTensorField) -> dict:
     """Components of the double divergence on first and third indices."""
-    out: dict = {}
-    for mu, (m, rho, n), exp, v in _partials(divergence(R), R.D):
-        if mu == rho:
-            linalg.add_to(out, {((m, n), exp): v})
-    return out
+    return linalg.accumulate((((m, n), exp), v)
+                             for mu, (m, rho, n), exp, v in _partials(divergence(R), R.D)
+                             if mu == rho)

@@ -1,11 +1,17 @@
 """Exact sparse linear algebra over the rationals.
 
-This module is the sole owner of sparse-vector arithmetic: `add_to` and
-`combine` accumulate and combine vectors for every other module, and
-`Echelon._reduce_int` is the only reduction loop. Vectors are dicts
-mapping coordinate keys to nonzero scalars (int or Fraction). Keys only
-need to be mutually comparable within one computation; pivots are chosen
-as the smallest key, which makes every elimination deterministic. Rows
+This module is the sole owner of sparse-vector arithmetic. `accumulate`
+is the one zero-dropping sum of a stream of (key, value) terms, which is
+how every other module scatters a sparse map; `add_to` and `combine` add
+and combine whole vectors, and `Echelon._reduce_int` is the only
+reduction loop. Two kernels keep the same sum inline, because a generator
+of terms measured slower there (2 vCPUs, Python 3.11): `fields._apply_slot`,
+the d kernel (~10% on the whole of `cohomology --N 3 --D 4 --qmax 7`), and
+`tensor_core._symmetrizer_columns`, the projector group sum (~3% on the
+sums of the N = 4, D = 4 shapes). Vectors are dicts mapping coordinate
+keys to nonzero scalars (int or Fraction). Keys only need to be mutually
+comparable within one computation; pivots are chosen as the smallest
+key, which makes every elimination deterministic. Rows
 are kept as primitive integer vectors and updated by cross
 multiplication, so all arithmetic is exact. Membership and solving are
 fraction-free too: they reduce against the same integer rows, and
@@ -16,6 +22,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+
+def accumulate(terms, out: dict | None = None) -> dict:
+    """In place out += the (key, value) terms, dropping keys that cancel; returns out.
+
+    A key may repeat among the terms; out is a new dict by default.
+    """
+    if out is None:
+        out = {}
+    for k, v in terms:
+        w = out.get(k, 0) + v
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
 
 
 def add_to(out: dict, vec: dict, c=1) -> dict:

@@ -43,6 +43,7 @@ from .fields import (
     _apply_d_int,
     _apply_slot,
     _block_int_basis,
+    _check_entry,
     _d_k_int,
     _dominant_weights,
     _insert_table,
@@ -60,7 +61,10 @@ from .fields import (
 
 
 class Multiform:
-    """Element of the slot-generator algebra with polynomial coefficients."""
+    """Element of the slot-generator algebra with polynomial coefficients.
+
+    Entries pass `fields._check_entry` and share one multidegree; polynomial degrees may mix.
+    """
 
     __slots__ = ("N", "D", "data")
 
@@ -74,18 +78,13 @@ class Multiform:
             v = Fraction(v)
             if not v:
                 continue
-            key = tuple(tuple(s) for s in key)
-            if len(key) != self.N - 1:
-                raise ShapeError(f"key {key} does not have {self.N - 1} slots")
-            for s in key:
-                if any(i < 1 or i > self.D for i in s) or tuple(sorted(set(s))) != s:
-                    raise ShapeError(f"slot {s} is not a strictly increasing index set")
+            key, exp = _check_entry(self.N, self.D, key, exp)
             sizes = tuple(len(s) for s in key)
             if deg is None:
                 deg = sizes
             elif deg != sizes:
                 raise ShapeError("mixed multidegrees in one multiform")
-            clean[(key, tuple(exp))] = v
+            clean[(key, exp)] = v
         self.data = clean
 
     @classmethod

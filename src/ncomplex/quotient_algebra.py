@@ -10,8 +10,9 @@ A word's action on every graded basis vector at once is one stacked
 sparse column; ranks of these columns give the kernel and image
 dimensions, and an element of the tensor algebra acts as zero exactly
 when the same combination of its words' columns is empty. A word's column
-is its prefix's cached column with one more letter inserted, so words
-that share a prefix share the work of applying it.
+is one pass over the entries of its prefix's cached column, inserting
+one more letter, so words that share a prefix share the work of applying
+it.
 """
 
 from __future__ import annotations
@@ -36,16 +37,7 @@ def unit_element(N: int, D: int) -> Tensor:
 def _insert_index(N, D, p, vec, mu):
     """Append one base index and project, on slot coordinates, scaled by lam."""
     ins = _insertion(N, D, p)[0][mu]
-    out: dict = {}
-    # inline, not linalg.add_to: a call per entry slows the word action
-    for key, v in vec.items():
-        for k2, c in ins.get(key, ()):
-            acc = out.get(k2, 0) + v * c
-            if acc:
-                out[k2] = acc
-            else:
-                out.pop(k2, None)
-    return out
+    return linalg.accumulate((k2, v * c) for key, v in vec.items() for k2, c in ins.get(key, ()))
 
 
 def act(N: int, T: Tensor, word) -> Tensor:
@@ -81,46 +73,34 @@ def act(N: int, T: Tensor, word) -> Tensor:
     return tensor_from_wedge(max_diagram(N, p), D, vec, CONTRA)
 
 
-def _column_slices(N, D, letters: tuple) -> list:
-    """The nonzero (p, j) slices of a word's column, in column order.
-
-    The empty word's slices are the graded Schur basis itself; any other
-    word's are read off its cached column, where one slice's entries are
-    adjacent.
-    """
-    if not letters:
-        return [(p, j, vec) for p in range(_top_degree(N, D) + 1)
-                for j, vec in enumerate(_schur_vectors(N, D, p))]
-    slices: list = []
-    last = None
-    for (p, j, k), v in _word_action_column(N, D, letters).items():
-        if (p, j) != last:
-            last, vec = (p, j), {}
-            slices.append((p, j, vec))
-        vec[k] = v
-    return slices
-
-
 @lru_cache(maxsize=None)
 def _word_action_column(N, D, letters: tuple):
     """Stacked action of one word on every graded basis vector, as a sparse column.
 
     Entry (p, j, k) is slot key k of the word applied to the j-th Schur
-    vector of degree p, unscaled. The column is built from its prefix's
-    cached column by inserting the last letter into each nonzero slice,
-    so a word costs one insertion per slice; a slice that would leave
-    the top degree drops out.
+    vector of degree p, unscaled. The column is one pass over the prefix
+    column's entries: each inserts the last letter into its key through
+    the `_insertion` table of its degree, read once per word. An entry
+    that would leave the top degree drops out.
     """
+    top = _top_degree(N, D)
     if not letters:
-        return {(p, j, k): v for p, j, vec in _column_slices(N, D, letters)
-                for k, v in vec.items()}
+        return {(p, j, k): v for p in range(top + 1)
+                for j, vec in enumerate(_schur_vectors(N, D, p)) for k, v in vec.items()}
     n, mu = len(letters), letters[-1]
-    col: dict = {}
-    for p, j, vec in _column_slices(N, D, letters[:-1]):
-        if p + n - 1 < _top_degree(N, D):
-            for k, v in _insert_index(N, D, p + n - 1, vec, mu).items():
-                col[(p, j, k)] = v
-    return col
+    tables: dict = {}
+
+    def terms():
+        for (p, j, k), v in _word_action_column(N, D, letters[:-1]).items():
+            if p + n - 1 >= top:
+                continue
+            ins = tables.get(p)
+            if ins is None:
+                ins = tables[p] = _insertion(N, D, p + n - 1)[0][mu]
+            for k2, c in ins.get(k, ()):
+                yield (p, j, k2), v * c
+
+    return linalg.accumulate(terms())
 
 
 def kernel_dim(N: int, D: int, n: int) -> int:
@@ -142,15 +122,10 @@ def image_dims(N: int, D: int, n: int) -> int:
 
 def _symmetrized_positions(word, positions):
     """Sum of position permutations of a word over the chosen slots."""
-    out: dict = {}
-    vals = [word[t] for t in positions]
-    for perm in itertools.permutations(vals):
-        w = list(word)
-        for t, v in zip(positions, perm):
-            w[t] = v
-        key = tuple(w)
-        out[key] = out.get(key, 0) + 1
-    return out
+    perms = (dict(zip(positions, perm))
+             for perm in itertools.permutations([word[t] for t in positions]))
+    return linalg.accumulate((tuple(sub.get(t, x) for t, x in enumerate(word)), 1)
+                             for sub in perms)
 
 
 def _acts_as_zero(N, D, u: dict, degree: int) -> bool:
@@ -172,28 +147,15 @@ def symmetrized_power_check(N: int, D: int) -> bool:
 
 def _cyclic_generators(D):
     """Degree-3 generating family: u v w + w u v + v w u."""
-    gens = []
-    for u in range(1, D + 1):
-        for v in range(1, D + 1):
-            for w in range(1, D + 1):
-                vec = {}
-                for key in ((u, v, w), (w, u, v), (v, w, u)):
-                    vec[key] = vec.get(key, 0) + 1
-                gens.append(vec)
-    return gens
+    return [linalg.accumulate((key, 1) for key in ((u, v, w), (w, u, v), (v, w, u)))
+            for u, v, w in itertools.product(range(1, D + 1), repeat=3)]
 
 
 def _quartic_generators(D):
     """Degree-4 family: polarizations of X (x) Y (x) X (x) X."""
-    gens = []
-    for xs in itertools.combinations_with_replacement(range(1, D + 1), 3):
-        for y in range(1, D + 1):
-            vec: dict = {}
-            for perm in itertools.permutations(xs):
-                key = (perm[0], y, perm[1], perm[2])
-                vec[key] = vec.get(key, 0) + 1
-            gens.append(vec)
-    return gens
+    return [linalg.accumulate(((a, y, b, c), 1) for a, b, c in itertools.permutations(xs))
+            for xs in itertools.combinations_with_replacement(range(1, D + 1), 3)
+            for y in range(1, D + 1)]
 
 
 def _ideal_dim(D, gens_by_degree, n) -> int:
@@ -207,11 +169,8 @@ def _ideal_dim(D, gens_by_degree, n) -> int:
             for left in itertools.product(range(1, D + 1), repeat=left_len):
                 for right in itertools.product(range(1, D + 1), repeat=right_len):
                     for g in gens:
-                        col = {}
-                        for mid, c in g.items():
-                            key = left + mid + right
-                            col[key] = col.get(key, 0) + c
-                        cols.append(col)
+                        cols.append(linalg.accumulate((left + mid + right, c)
+                                                      for mid, c in g.items()))
     return linalg.rank(cols)
 
 

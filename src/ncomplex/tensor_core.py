@@ -48,8 +48,6 @@ from . import linalg
 from .diagrams import Diagram, as_diagram, contract_shape, max_diagram, schur_dim, standard_count
 from .errors import ShapeError, VerificationError
 
-Rational = Fraction
-
 CO, CONTRA = "co", "contra"
 
 
@@ -279,12 +277,8 @@ def symmetrizer_support(rows: tuple[int, ...]) -> dict:
     support size is |row group| * |column group|.
     """
     n = sum(rows)
-    supp: dict = {}
-    for p in row_group(rows):
-        for q, sq in column_group(rows):
-            net = tuple(q[p[k]] for k in range(n))
-            supp[net] = supp.get(net, 0) + sq
-    return supp
+    return linalg.accumulate((tuple(q[p[k]] for k in range(n)), sq)
+                             for p in row_group(rows) for q, sq in column_group(rows))
 
 
 def _place(J, sigma):
@@ -318,13 +312,9 @@ def young_project(Y, T: Tensor) -> Tensor:
         return T
     supp = symmetrizer_support(Y.rows)
     lam = normalization(Y)
-    out: dict = {}
-    for sigma, c in supp.items():
-        for J, v in T.components.items():
-            K = _place(J, sigma)
-            out[K] = out.get(K, Fraction(0)) + c * v
-    out = {K: v / lam for K, v in out.items() if v}
-    return Tensor(T.dim, T.degree, T.variance, out, Y)
+    out = linalg.accumulate((_place(J, sigma), c * v)
+                            for sigma, c in supp.items() for J, v in T.components.items())
+    return Tensor(T.dim, T.degree, T.variance, {K: v / lam for K, v in out.items()}, Y)
 
 
 def schur_conditions_ok(Y, T: Tensor) -> bool:
@@ -511,6 +501,7 @@ def _symmetrizer_columns(rows: tuple[int, ...], D: int):
     blocks = _column_blocks(rows)
     rperms = row_group(rows)
     cols: dict = {}
+    # both sums inline, not linalg.accumulate: a generator of terms slows the projector build
     for S in wedge_keys(rows, D):
         summed: dict = {}
         for p in rperms:
@@ -525,7 +516,6 @@ def _symmetrizer_columns(rows: tuple[int, ...], D: int):
             if res is None:
                 continue
             key, sign = res
-            # inline, not linalg.add_to: a call per entry slows the projector build
             w = out.get(key, 0) + sign * v
             if w:
                 out[key] = w
@@ -559,13 +549,8 @@ def projector_rank(Y, D: int) -> int:
     if Y.size == 0:
         return 1
     supp = symmetrizer_support(Y.rows)
-    ech = linalg.Echelon()
-    for I in itertools.product(range(1, D + 1), repeat=Y.size):
-        col: dict = {}
-        for sigma, c in supp.items():
-            linalg.add_to(col, {_place(I, sigma): c})
-        ech.add(col)
-    return ech.rank
+    return linalg.rank(linalg.accumulate((_place(I, sigma), c) for sigma, c in supp.items())
+                       for I in itertools.product(range(1, D + 1), repeat=Y.size))
 
 
 @lru_cache(maxsize=None)
@@ -675,11 +660,9 @@ def contract_tensor(T: Tensor, Tp: Tensor) -> Tensor:
             contracted.add(pos_t)
     free = [k for k in range(Y.size) if k not in contracted]
 
-    out: dict = {}
-    for I, a in T.components.items():
-        for J, b in Tp.components.items():
-            if all(I[pt] == J[pp] for pt, pp in pairs):
-                linalg.add_to(out, {tuple(I[k] for k in free): b}, a)
+    out = linalg.accumulate((tuple(I[k] for k in free), a * b)
+                            for I, a in T.components.items() for J, b in Tp.components.items()
+                            if all(I[pt] == J[pp] for pt, pp in pairs))
     return Tensor(T.dim, C.size, T.variance, out, C)
 
 

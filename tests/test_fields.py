@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ncomplex import linalg
+from ncomplex import fields
+from ncomplex import tensor_core as tc
 from ncomplex.errors import ShapeError
 from ncomplex.fields import (
     PolyTensorField,
@@ -40,6 +42,16 @@ def divergence_reference(F):
     return {k: v for k, v in out.items() if v}
 
 
+def component(F, idx, exp):
+    """Full component at a column-read index tuple and monomial, one canonicalization
+    per index, independent of `full_components`; used as an oracle."""
+    res = tc._canonicalize(tuple(idx), tc._column_blocks(F.shape.rows))
+    if res is None:
+        return 0
+    key, sign = res
+    return sign * F.data.get((fields._pad(key, F.N - 1), tuple(exp)), 0)
+
+
 def test_block_label_validation():
     BlockLabel(3, 2, 2, 1).validate()
     with pytest.raises(ShapeError):
@@ -66,6 +78,30 @@ def test_field_entries_are_checked_at_construction():
             PolyTensorField(3, 2, 1, 2, "co", {(key, exp): 1})
     with pytest.raises(ShapeError, match="top degree"):
         PolyTensorField(3, 2, 5, 1, "co", {(((1, 2), (1, 2), (1,)), (1, 0)): 1})
+
+
+def test_field_keys_are_checked_by_structure(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("a key check listed the slot keys of a degree")
+
+    monkeypatch.setattr(fields, "_slot_keys", no_listing)
+    # degree 8 at N = 3, D = 20: about 23.5 million slot keys
+    key = ((1, 2, 3, 4), (1, 2, 3, 4))
+    F = PolyTensorField(3, 20, 8, 0, "co", {(key, (0,) * 20): 1})
+    assert F.data == {(key, (0,) * 20): 1}
+    bad_keys = (
+        ((True, 2, 3, 4), (1, 2, 3, 4)),  # a bool is not an index
+        ((1.0, 2, 3, 4), (1, 2, 3, 4)),   # nor is a float
+        ((0, 2, 3, 4), (1, 2, 3, 4)),     # index below 1
+        ((1, 2, 3, 4), (1, 2, 4, 3)),     # slot not strictly increasing
+        ((1, 2, 3, 4), (1, 2, 3)),        # slot sizes off the staircase
+        ((1, 2, 3, 4), (1, 2, 3, 4), ()),  # one slot too many
+    )
+    for bad in bad_keys:
+        with pytest.raises(ShapeError):
+            PolyTensorField(3, 20, 8, 0, "co", {(bad, (0,) * 20): 1})
+    with pytest.raises(ShapeError):
+        PolyTensorField(3, 2, 1, 2, "co", {(((True,), ()), (2, 0)): 1})
 
 
 def test_monomials_sorted_and_complete():
@@ -106,12 +142,12 @@ def test_nabla_examples():
     # gradient of a coordinate is the matching covector
     F = scalar_field(3, 2, {(1, 0): 1})
     dF = n_diff(F)
-    assert dF.component((1,), (0, 0)) == 1
-    assert dF.component((2,), (0, 0)) == 0
+    assert component(dF, (1,), (0, 0)) == 1
+    assert component(dF, (2,), (0, 0)) == 0
     # product rule
     dF2 = n_diff(scalar_field(3, 2, {(1, 1): 1}))
-    assert dF2.component((1,), (0, 1)) == 1
-    assert dF2.component((2,), (1, 0)) == 1
+    assert component(dF2, (1,), (0, 1)) == 1
+    assert component(dF2, (2,), (1, 0)) == 1
     # raw derivative is a multiform and projects onto the differential
     from ncomplex.multiforms import project_pi
 
@@ -310,7 +346,7 @@ def test_json_round_trip_and_components():
     exp = F.exponents()[0]
     T = F.tensor_slice(exp)
     for idx, v in T.components.items():
-        assert F.component(idx, exp) == v
+        assert component(F, idx, exp) == v
 
 
 def test_full_components_match_slicewise_expansion():
@@ -326,7 +362,7 @@ def test_full_components_match_slicewise_expansion():
             full = F.full_components()
             for exp in F.exponents():
                 for idx in itertools.product(range(1, D + 1), repeat=p):
-                    assert full.get((idx, exp), 0) == F.component(idx, exp)
+                    assert full.get((idx, exp), 0) == component(F, idx, exp)
             assert PolyTensorField.from_components(N, D, p, q, variance, slices) == F
 
 

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,3 +188,102 @@ def test_add_to_and_combine_never_store_zero(mc, coeffs):
     assert acc == total
     for k in range(n_rows):
         assert total.get(k, 0) == sum(c * cols[j].get(k, 0) for j, c in coeff_map.items())
+
+
+def test_accumulate_sums_repeated_keys_and_drops_cancelled_ones():
+    assert linalg.accumulate([("a", 1), ("b", 2), ("a", 3)]) == {"a": 4, "b": 2}
+    assert linalg.accumulate([("a", 1), ("b", 2), ("a", -1)]) == {"b": 2}
+    assert linalg.accumulate([("a", 0)]) == {}
+    # a cancelled key comes back when a later term revives it
+    assert list(linalg.accumulate([("a", 1), ("b", 1), ("a", -1), ("a", 2)]).items()) == [
+        ("b", 1), ("a", 2)]
+
+
+def test_accumulate_updates_a_given_out_in_place():
+    out = {"a": 1, "b": 5}
+    got = linalg.accumulate([("a", -1), ("c", 2)], out)
+    assert got is out
+    assert out == {"b": 5, "c": 2}
+
+
+def test_accumulate_consumes_a_generator_once():
+    pulled = []
+
+    def terms():
+        for k in "abca":
+            pulled.append(k)
+            yield k, 1
+
+    assert linalg.accumulate(terms()) == {"a": 2, "b": 1, "c": 1}
+    assert pulled == list("abca")
+
+
+def test_accumulate_mixes_int_and_fraction_values():
+    got = linalg.accumulate([("a", 1), ("a", Fraction(1, 2)), ("b", Fraction(1, 2)),
+                             ("b", Fraction(1, 2)), ("c", Fraction(1, 3)), ("c", -1)])
+    assert got == {"a": Fraction(3, 2), "b": 1, "c": Fraction(-2, 3)}
+    assert type(got["a"]) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5),
+                          st.one_of(st.integers(-3, 3),
+                                    st.fractions(min_value=-2, max_value=2, max_denominator=4))),
+                max_size=30))
+def test_accumulate_matches_a_dense_sum(terms):
+    dense = [Fraction(0)] * 6
+    for k, v in terms:
+        dense[k] += v
+    got = linalg.accumulate(iter(terms))
+    assert got == {k: v for k, v in enumerate(dense) if v}
+    assert all(got.values())
+
+
+
+# the two kernels that keep the sum inline, for speed (see the `linalg` docstring)
+INLINE_SUM_KERNELS = {("fields.py", "_apply_slot"), ("tensor_core.py", "_symmetrizer_columns")}
+
+
+def _second_sums(name: str, source: str) -> list:
+    """Hand-written sparse sums in one module: `d.get(k, default) + ...` outside
+    the named kernels, and `add_to` on a one-entry dict display."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                and isinstance(node.left, ast.Call)
+                and isinstance(node.left.func, ast.Attribute)
+                and node.left.func.attr == "get" and len(node.left.args) == 2
+                and (name, func) not in INLINE_SUM_KERNELS):
+            found.append((name, func, node.lineno))
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if (callee == "add_to" and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Dict) and len(node.args[1].keys) == 1):
+                found.append((name, func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_sparse_sum_outside_linalg_goes_through_accumulate():
+    src = Path(__file__).resolve().parent.parent / "src" / "ncomplex"
+    modules = sorted(p for p in src.glob("*.py") if p.name != "linalg.py")
+    assert len(modules) >= 10
+    assert [hit for p in modules for hit in _second_sums(p.name, p.read_text())] == []
+    # the scan catches both patterns, and spares only the named kernels
+    probe = """
+def f(out, k, v):
+    out[k] = out.get(k, 0) + v
+    linalg.add_to(out, {k: v}, 2)
+    add_to(out, {k: v, 0: 1})
+def _apply_slot(out, k, v):
+    out[k] = out.get(k, 0) + v
+"""
+    assert _second_sums("gauge.py", probe) == [("gauge.py", "f", 3), ("gauge.py", "f", 4),
+                                               ("gauge.py", "_apply_slot", 7)]
+    assert _second_sums("fields.py", probe) == [("fields.py", "f", 3), ("fields.py", "f", 4)]

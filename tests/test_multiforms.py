@@ -74,6 +74,25 @@ def test_mixed_degree_rejected_in_one_multiform():
         Multiform(3, 2, {(((1,), ()), (0, 0)): 1, (((1,), (2,)), (0, 0)): 1})
 
 
+def test_multiform_entries_are_checked():
+    bad = {(((1,), ()), (0, -1, 4)): 1}  # three exponents for D = 2, one negative
+    with pytest.raises(ShapeError):
+        Multiform(3, 2, bad)
+    doc = {"N": 3, "dim": 2, "entries": [
+        {"slots": [[1], []], "exp": [0, -1, 4], "num": "1", "den": "1"}]}
+    with pytest.raises(ShapeError):
+        Multiform.from_json(json.dumps(doc))
+    for entry in ({(((1,), ()), (0, -1)): 1},        # negative exponent
+                  {(((1,), ()), (1, 0.0)): 1},       # non-int exponent
+                  {(((True,), ()), (1, 0)): 1},      # a bool is not an index
+                  {(((2, 1), ()), (1, 0)): 1}):      # slot not strictly increasing
+        with pytest.raises(ShapeError):
+            Multiform(3, 2, entry)
+    # mixed polynomial degrees stay allowed
+    w = Multiform(3, 2, {(((1,), ()), (1, 0)): 1, (((2,), ()), (2, 1)): 1})
+    assert (w.poly_degree, order(w)) == (None, 1)
+
+
 def test_order_and_filtration():
     assert order(Multiform(3, 2, {(((), ()), (0, 0)): 1})) == 0
     w = Multiform(3, 2, {(((1,), ()), (1, 1)): 1})

@@ -188,13 +188,13 @@ def _letter_by_letter_column(N, D, letters):
 
 
 def test_word_action_column_matches_letter_by_letter_oracle(monkeypatch):
-    inserted_at = []
+    read_at = []
 
-    def recording_insert(N, D, p, vec, mu):
-        inserted_at.append(p - _top_degree(N, D))
-        return _insert_index(N, D, p, vec, mu)
+    def recording_insertion(N, D, p):
+        read_at.append(p - _top_degree(N, D))
+        return _insertion(N, D, p)
 
-    monkeypatch.setattr(quotient_algebra, "_insert_index", recording_insert)
+    monkeypatch.setattr(quotient_algebra, "_insertion", recording_insertion)
     _word_action_column.cache_clear()
     rng = random.Random(5)
     for N in (2, 3, 4):
@@ -202,18 +202,19 @@ def test_word_action_column_matches_letter_by_letter_oracle(monkeypatch):
             top = _top_degree(N, D)
             words = [w for n in range(min(4, top) + 1)
                      for w in itertools.product(range(1, D + 1), repeat=n)]
-            inserted_at.clear()
             want = {}
             for letters in words:
-                col = _word_action_column(N, D, letters)
+                read_at.clear()
+                col = _word_action_column(N, D, letters)  # its prefix's column is cached
+                reads = list(read_at)
                 want[letters] = _letter_by_letter_column(N, D, letters)
                 assert list(col.items()) == list(want[letters].items()), (N, D, letters)
                 assert all(type(v) is int for v in col.values())
-            # one insertion per nonzero slice of the prefix, none from the top degree
-            assert max(inserted_at, default=-1) < 0
-            assert len(inserted_at) == sum(
-                len({(p, j) for p, j, _ in want[w[:-1]] if p + len(w) - 1 < top})
-                for w in words if w)
+                # one table read per degree of the prefix column, in column order,
+                # none at or above the top degree
+                n = len(letters)
+                degrees = {p + n - 1 for p, _, _ in want[letters[:-1]]} if n else ()
+                assert reads == sorted(d - top for d in degrees if d < top), (N, D, letters)
             # the public action on tensors divides by lam at every letter
             for letters in rng.sample(words, min(6, len(words))):
                 col = _word_action_column(N, D, letters)
