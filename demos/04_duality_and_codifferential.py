@@ -18,7 +18,7 @@ from ncomplex import (
 )
 from ncomplex.fields import star_inverse_field
 
-print("volume power at order 3 over the plane:", epsilon_power(3, 2).components)
+print("volume power at order 3 over the plane:", epsilon_power(3, 2).data)
 
 rng = random.Random(2)
 print("\nduality swaps degrees p and 4 - p (order 3, plane):")

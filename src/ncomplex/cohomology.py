@@ -125,9 +125,6 @@ class CohomologyTable:
             raise VerificationError(f"bad certificate at {(p, k, q)}")
         self.entries[(p, k, q)] = (dim_ker, dim_im, dim_ker - dim_im)
 
-    def dim(self, p, k, q) -> int:
-        return self.entries[(p, k, q)][2]
-
     def to_csv(self) -> str:
         lines = ["N,D,p,k,q,dim_ker,dim_im,dim_H"]
         for (p, k, q) in sorted(self.entries):

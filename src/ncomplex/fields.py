@@ -123,7 +123,7 @@ def _check_entry(N: int, D: int, key, exp) -> tuple:
     return key, exp
 
 
-class PolyTensorField:
+class PolyTensorField(linalg.Sparse):
     """Homogeneous polynomial tensor field of maximally filled type.
 
     Every entry is checked when the field is built: its key is a padded
@@ -157,46 +157,14 @@ class PolyTensorField:
         return cls(N, D, p, q, variance, {})
 
     @property
-    def block(self) -> BlockLabel:
-        return BlockLabel(self.N, self.D, self.p, self.q)
-
-    @property
     def shape(self) -> Diagram:
         return max_diagram(self.N, self.p)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.data
+    def _space(self) -> tuple:
+        return self.N, self.D, self.p, self.q, self.variance
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyTensorField)
-            and (self.N, self.D, self.p, self.q, self.variance) ==
-            (other.N, other.D, other.p, other.q, other.variance)
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.N, self.D, self.p, self.q, self.variance,
-                     tuple(sorted(self.data.items()))))
-
-    def __add__(self, other) -> "PolyTensorField":
-        if (self.N, self.D, self.p, self.q, self.variance) != (
-            other.N, other.D, other.p, other.q, other.variance
-        ):
-            raise ShapeError("cannot add fields from different blocks")
-        data = linalg.add_to(dict(self.data), other.data)
-        return PolyTensorField(self.N, self.D, self.p, self.q, self.variance, data)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "PolyTensorField":
-        c = Fraction(c)
-        return PolyTensorField(
-            self.N, self.D, self.p, self.q, self.variance,
-            {k: c * v for k, v in self.data.items()},
-        )
+    def _like(self, data) -> "PolyTensorField":
+        return PolyTensorField(*self._space(), data)
 
     def __repr__(self):
         return (f"PolyTensorField(N={self.N}, D={self.D}, p={self.p}, q={self.q}, "
@@ -245,16 +213,9 @@ class PolyTensorField:
                 for idx, sign in tc._column_perms(key)}
 
     def to_json(self) -> str:
-        entries = [
-            {"idx": list(idx), "exp": list(exp),
-             "num": str(v.numerator), "den": str(v.denominator)}
-            for (idx, exp), v in sorted(self.full_components().items())
-        ]
-        doc = {
-            "N": self.N, "dim": self.D, "degree": self.p, "poly_degree": self.q,
-            "variance": self.variance, "shape": self.shape.to_list(), "entries": entries,
-        }
-        return json.dumps(doc)
+        head = {"N": self.N, "dim": self.D, "degree": self.p, "poly_degree": self.q,
+                "variance": self.variance, "shape": self.shape.to_list()}
+        return tc._json_doc(head, ("idx", "exp"), sorted(self.full_components().items()))
 
     @classmethod
     def from_json(cls, text: str) -> "PolyTensorField":
@@ -721,8 +682,8 @@ def field_product(F: PolyTensorField, G: PolyTensorField) -> PolyTensorField:
             Tg = G.tensor_slice(eg)
             exp = tuple(a + b for a, b in zip(ef, eg))
             comps: dict = {}
-            for I, a in Tf.components.items():
-                linalg.add_to(comps, {I + J: b for J, b in Tg.components.items()}, a)
+            for I, a in Tf.data.items():
+                linalg.add_to(comps, {I + J: b for J, b in Tg.data.items()}, a)
             proj = tc.young_project(Y, Tensor(D, p, F.variance, comps))
             linalg.add_to(data, {(_pad(key, N - 1), exp): v for key, v in
                                  tc.tensor_to_wedge(Y, proj).items()})

@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
-This module is the sole owner of sparse-vector arithmetic. `accumulate`
-is the one zero-dropping sum of a stream of (key, value) terms, which is
-how every other module scatters a sparse map; `add_to` and `combine` add
-and combine whole vectors, and `Echelon._reduce_int` is the only
-reduction loop. Two kernels keep the same sum inline, because a generator
-of terms measured slower there (2 vCPUs, Python 3.11): `fields._apply_slot`,
-the d kernel (~10% on the whole of `cohomology --N 3 --D 4 --qmax 7`), and
+This module is the sole owner of sparse-vector arithmetic and of the
+value rules of exact sparse vectors. `accumulate` is the one
+zero-dropping sum of a stream of (key, value) terms, which is how every
+other module scatters a sparse map; `add_to` and `combine` add and
+combine whole vectors, and `Echelon._reduce_int` is the only reduction
+loop. Two kernels keep the same sum inline, because a generator of terms
+measured slower there (2 vCPUs, Python 3.11): `fields._apply_slot`, the d
+kernel (~10% on the whole of `cohomology --N 3 --D 4 --qmax 7`), and
 `tensor_core._symmetrizer_columns`, the projector group sum (~3% on the
 sums of the N = 4, D = 4 shapes). Vectors are dicts mapping coordinate
 keys to nonzero scalars (int or Fraction). Keys only need to be mutually
@@ -15,7 +16,9 @@ key, which makes every elimination deterministic. Rows
 are kept as primitive integer vectors and updated by cross
 multiplication, so all arithmetic is exact. Membership and solving are
 fraction-free too: they reduce against the same integer rows, and
-`solve` forms one Fraction per coefficient of its answer.
+`solve` forms one Fraction per coefficient of its answer. `Sparse` holds
+the value rules (equality, hash, sums, scaling) of `Tensor`,
+`PolyTensorField` and `Multiform`.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import ShapeError
 
-def accumulate(terms, out: dict | None = None) -> dict:
-    """In place out += the (key, value) terms, dropping keys that cancel; returns out.
 
-    A key may repeat among the terms; out is a new dict by default.
+def accumulate(terms) -> dict:
+    """The sum of the (key, value) terms as a new dict, dropping keys that cancel.
+
+    A key may repeat among the terms.
     """
-    if out is None:
-        out = {}
+    out: dict = {}
     for k, v in terms:
         w = out.get(k, 0) + v
         if w:
@@ -79,6 +83,41 @@ def primitive(vec: dict) -> dict:
     if g > 1:
         out = {k: n // g for k, n in out.items()}
     return out
+
+
+class Sparse:
+    """The value rules of an exact sparse vector in a named finite space.
+
+    A subclass keeps its nonzero coordinates in `data` and supplies
+    `_space()`, the tuple naming its space, and `_like(data)`, a new value
+    in that space built by its own validating constructor. Values are
+    equal, and add, only within one type and one space.
+    """
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.data
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._space() == other._space()
+                and self.data == other.data)
+
+    def __hash__(self):
+        return hash((type(self), self._space(), frozenset(self.data.items())))
+
+    def __add__(self, other):
+        if type(other) is not type(self) or self._space() != other._space():
+            raise ShapeError(f"cannot add {other!r} to {self!r}")
+        return self._like(add_to(dict(self.data), other.data))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._like({k: c * v for k, v in self.data.items()})
 
 
 class Echelon:

@@ -1,10 +1,14 @@
 """Exact rational tensors, Young symmetrizers and column contractions.
 
-Tensor components live in a sparse dict keyed by full index tuples with
-entries in 1..D, laid out in the column reading order of the attached
-diagram. For anything heavy the package works in "slot" coordinates: a
-tensor that is antisymmetric within each column block is determined by
-its components at keys whose column blocks are strictly increasing, and
+Tensor components live in the sparse dict `Tensor.data`, keyed by full
+index tuples with entries in 1..D, laid out in the column reading order
+of the attached diagram; `linalg.Sparse` gives tensors their value rules.
+The JSON entries of tensors, fields and multiforms are written by
+`_json_doc` and read by `_json_entries`, one exact "num"/"den" format.
+
+For anything heavy the package works in "slot" coordinates: a tensor
+that is antisymmetric within each column block is determined by its
+components at keys whose column blocks are strictly increasing, and
 those canonical components form a far smaller coordinate space. One
 codec bridges the two pictures: `_column_perms` (cached) is the only
 expansion of a slot key into its signed full index tuples, and
@@ -84,6 +88,14 @@ def _entry_value(entry: dict) -> Fraction:
     return Fraction(_json_int(entry["num"], "num"), den)
 
 
+def _json_doc(head: dict, names: tuple, items) -> str:
+    """The JSON document head + {"entries": ...}: one entry per (key, value) item,
+    the key's parts under `names`, then the exact value as "num" and "den" strings."""
+    entries = [{**dict(zip(names, key)), "num": str(v.numerator), "den": str(v.denominator)}
+               for key, v in items]
+    return json.dumps({**head, "entries": entries})
+
+
 def _json_entries(doc: dict, key_of) -> dict:
     """The values of a document's entries keyed by key_of(entry); a key may occur once."""
     out: dict = {}
@@ -102,14 +114,15 @@ def _check_index(idx: tuple, degree: int, dim: int) -> tuple:
     return idx
 
 
-class Tensor:
+class Tensor(linalg.Sparse):
     """Degree-p tensor over dimension D with exact rational components.
 
     Immutable by convention: operations return new tensors and never
-    mutate the component dict after construction.
+    mutate the component dict `data` after construction. The shape is a
+    tag outside the space: equality ignores it.
     """
 
-    __slots__ = ("dim", "degree", "variance", "shape", "components")
+    __slots__ = ("dim", "degree", "variance", "shape", "data")
 
     def __init__(self, dim, degree, variance=CO, components=None, shape=None):
         self.dim = int(dim)
@@ -126,63 +139,30 @@ class Tensor:
             v = Fraction(v)
             if v:
                 comps[idx] = v
-        self.components = comps
+        self.data = comps
+
+    def _space(self) -> tuple:
+        return self.dim, self.degree, self.variance
+
+    def _like(self, data) -> "Tensor":
+        return Tensor(self.dim, self.degree, self.variance, data, self.shape)
 
     def __getitem__(self, idx) -> Fraction:
-        return self.components.get(tuple(idx), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor)
-            and self.dim == other.dim
-            and self.degree == other.degree
-            and self.variance == other.variance
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, self.variance, tuple(sorted(self.components.items()))))
+        return self.data.get(tuple(idx), Fraction(0))
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        if (self.dim, self.degree, self.variance) != (other.dim, other.degree, other.variance):
-            raise ShapeError("cannot add tensors of different dim, degree or variance")
-        comps = linalg.add_to(dict(self.components), other.components)
-        shape = self.shape if self.shape == other.shape else None
-        return Tensor(self.dim, self.degree, self.variance, comps, shape)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "Tensor":
-        c = Fraction(c)
-        return Tensor(
-            self.dim,
-            self.degree,
-            self.variance,
-            {idx: c * v for idx, v in self.components.items()},
-            self.shape,
-        )
+        total = super().__add__(other)
+        if other.shape != self.shape:
+            total.shape = None  # a sum keeps the tag only when both operands carry it
+        return total
 
     def __repr__(self):
-        return f"Tensor(dim={self.dim}, degree={self.degree}, {self.variance}, {len(self.components)} entries)"
+        return f"Tensor(dim={self.dim}, degree={self.degree}, {self.variance}, {len(self.data)} entries)"
 
     def to_json(self) -> str:
-        entries = [
-            {"idx": list(idx), "num": str(v.numerator), "den": str(v.denominator)}
-            for idx, v in sorted(self.components.items())
-        ]
-        doc = {
-            "dim": self.dim,
-            "degree": self.degree,
-            "variance": self.variance,
-            "shape": self.shape.to_list() if self.shape is not None else None,
-            "entries": entries,
-        }
-        return json.dumps(doc)
+        head = {"dim": self.dim, "degree": self.degree, "variance": self.variance,
+                "shape": self.shape.to_list() if self.shape is not None else None}
+        return _json_doc(head, ("idx",), (((idx,), v) for idx, v in sorted(self.data.items())))
 
     @classmethod
     def from_json(cls, text: str) -> "Tensor":
@@ -313,7 +293,7 @@ def young_project(Y, T: Tensor) -> Tensor:
     supp = symmetrizer_support(Y.rows)
     lam = normalization(Y)
     out = linalg.accumulate((_place(J, sigma), c * v)
-                            for sigma, c in supp.items() for J, v in T.components.items())
+                            for sigma, c in supp.items() for J, v in T.data.items())
     return Tensor(T.dim, T.degree, T.variance, {K: v / lam for K, v in out.items()}, Y)
 
 
@@ -329,7 +309,7 @@ def schur_conditions_ok(Y, T: Tensor) -> bool:
     component. The tests keep the permutation sum as the oracle.
     """
     Y = as_diagram(Y)
-    return T.degree == Y.size and _typed_wedge(Y.rows, T.components) is not None
+    return T.degree == Y.size and _typed_wedge(Y.rows, T.data) is not None
 
 
 def _typed_wedge(rows: tuple[int, ...], comps: dict):
@@ -603,7 +583,7 @@ def tensor_to_wedge(Y, T: Tensor) -> dict:
     Y = as_diagram(Y)
     if T.degree != Y.size:
         raise ShapeError(f"degree {T.degree} tensor cannot carry shape {Y}")
-    return _read_slots(Y.rows, T.components)
+    return _read_slots(Y.rows, T.data)
 
 
 def schur_basis(Y, D: int) -> list[Tensor]:
@@ -661,7 +641,7 @@ def contract_tensor(T: Tensor, Tp: Tensor) -> Tensor:
     free = [k for k in range(Y.size) if k not in contracted]
 
     out = linalg.accumulate((tuple(I[k] for k in free), a * b)
-                            for I, a in T.components.items() for J, b in Tp.components.items()
+                            for I, a in T.data.items() for J, b in Tp.data.items()
                             if all(I[pt] == J[pp] for pt, pp in pairs))
     return Tensor(T.dim, C.size, T.variance, out, C)
 

@@ -184,7 +184,7 @@ def test_project_pipe(capsys):
     r = invoke(["project", "--shape", "1,1", "--input", "-"], stdin=T.to_json())
     assert r.returncode == 0
     out = Tensor.from_json(r.stdout)
-    assert out.components == {(1, 2): Fraction(1, 2), (2, 1): Fraction(-1, 2)}
+    assert out.data == {(1, 2): Fraction(1, 2), (2, 1): Fraction(-1, 2)}
 
 
 def test_cohomology_deterministic():

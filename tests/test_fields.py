@@ -345,7 +345,7 @@ def test_json_round_trip_and_components():
     assert PolyTensorField.from_json(F.to_json()) == F
     exp = F.exponents()[0]
     T = F.tensor_slice(exp)
-    for idx, v in T.components.items():
+    for idx, v in T.data.items():
         assert component(F, idx, exp) == v
 
 
@@ -355,7 +355,7 @@ def test_full_components_match_slicewise_expansion():
         for variance in ("co", "contra"):
             F = random_field(N, D, p, q, rng, variance)
             slices = {(idx, exp): v for exp in F.exponents()
-                      for idx, v in F.tensor_slice(exp).components.items()}
+                      for idx, v in F.tensor_slice(exp).data.items()}
             assert F.full_components() == slices
             # every index tuple, read back one component at a time through
             # `component`'s own canonicalization, independent of the expansion

@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncomplex import linalg
+from ncomplex.errors import ShapeError
+from ncomplex.fields import PolyTensorField
+from ncomplex.multiforms import Multiform, embed_field
+from ncomplex.tensor_core import Tensor
 
 
 def dense_rank(columns, n_rows):
@@ -199,13 +203,6 @@ def test_accumulate_sums_repeated_keys_and_drops_cancelled_ones():
         ("b", 1), ("a", 2)]
 
 
-def test_accumulate_updates_a_given_out_in_place():
-    out = {"a": 1, "b": 5}
-    got = linalg.accumulate([("a", -1), ("c", 2)], out)
-    assert got is out
-    assert out == {"b": 5, "c": 2}
-
-
 def test_accumulate_consumes_a_generator_once():
     pulled = []
 
@@ -287,3 +284,116 @@ def _apply_slot(out, k, v):
     assert _second_sums("gauge.py", probe) == [("gauge.py", "f", 3), ("gauge.py", "f", 4),
                                                ("gauge.py", "_apply_slot", 7)]
     assert _second_sums("fields.py", probe) == [("fields.py", "f", 3), ("fields.py", "f", 4)]
+
+
+# (a, b, c): a and b share a space, c lies in another space of the same type
+SPARSE_VALUES = {
+    "tensor": (Tensor(2, 2, "co", {(1, 2): Fraction(1, 2), (2, 1): Fraction(-1, 2)}, (1, 1)),
+               Tensor(2, 2, "co", {(1, 2): 3, (2, 2): 1}),
+               Tensor(2, 2, "contra", {(1, 2): Fraction(1, 2), (2, 1): Fraction(-1, 2)})),
+    "field": (PolyTensorField(3, 2, 1, 1, "co", {(((1,), ()), (1, 0)): 2,
+                                                 (((2,), ()), (0, 1)): Fraction(1, 3)}),
+              PolyTensorField(3, 2, 1, 1, "co", {(((1,), ()), (1, 0)): -2}),
+              PolyTensorField(3, 3, 1, 1, "co", {(((1,), ()), (1, 0, 0)): 2})),
+    "multiform": (Multiform(3, 2, {(((1,), (2,)), (1, 0)): 1, (((2,), (1,)), (0, 2)): 5}),
+                  Multiform(3, 2, {(((1,), (2,)), (1, 0)): Fraction(2, 7)}),
+                  Multiform(4, 2, {(((1,), (2,), ()), (1, 0)): 1})),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_VALUES))
+def test_sparse_values_share_one_set_of_value_rules(kind):
+    a, b, c = SPARSE_VALUES[kind]
+    assert a + b - b == a
+    assert a + b != a and a != c
+    assert hash(a) == hash(a.scale(1))
+    assert a.scale(Fraction(1, 2)) + a.scale(Fraction(1, 2)) == a
+    assert a.scale(0).is_zero and not a.is_zero
+    assert (a - a).is_zero
+    with pytest.raises(ShapeError):
+        a + c
+    with pytest.raises(ShapeError):
+        c - a
+
+
+def test_tensor_sum_keeps_the_shape_tag_only_when_both_operands_carry_it():
+    a, b, _ = SPARSE_VALUES["tensor"]
+    assert (a + a).shape == a.shape
+    assert (a + b).shape is None and (b + a).shape is None
+    assert a.scale(2).shape == a.shape
+    # the tag is outside the space: equality and hashing ignore it
+    untagged = Tensor(2, 2, "co", a.data)
+    assert untagged == a and hash(untagged) == hash(a)
+
+
+def test_values_of_different_types_never_add():
+    F = SPARSE_VALUES["field"][0]
+    w = embed_field(F)  # the same data as F, as a Multiform
+    T = Tensor(2, 1, "co", {(1,): 2})
+    assert w != F and F != w
+    for x, y in ((w, F), (F, w), (T, F), (F, T), (T, w)):
+        with pytest.raises(ShapeError):
+            x + y
+
+
+VALUE_RULES = {"is_zero", "__eq__", "__hash__", "__sub__", "scale"}
+# the one owner of each rule: (module, class or function)
+SPARSE_OWNER = ("linalg.py", "Sparse")
+ADD_OWNERS = {SPARSE_OWNER, ("tensor_core.py", "Tensor")}
+DEN_OWNERS = {("tensor_core.py", "_json_doc"), ("tensor_core.py", "_entry_value")}
+
+
+def _value_rule_copies(name: str, source: str) -> list:
+    """Value rules defined outside `linalg.Sparse` (`__add__` also outside `Tensor`),
+    and the JSON "den" key written or read outside the one entry writer and reader."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if ((item.name in VALUE_RULES and (name, node.name) != SPARSE_OWNER)
+                        or (item.name == "__add__" and (name, node.name) not in ADD_OWNERS)):
+                    found.append((name, node.name, item.name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Constant) and node.value == "den"
+                and (name, func) not in DEN_OWNERS):
+            found.append((name, func, "den"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_value_rules_and_the_json_entry_format_have_one_owner():
+    src = Path(__file__).resolve().parent.parent / "src" / "ncomplex"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 10
+    assert [hit for p in modules for hit in _value_rule_copies(p.name, p.read_text())] == []
+    # the scan catches each kind of copy, and spares only the named owners
+    probe = """
+class Tensor:
+    def __add__(self, other): pass
+    def scale(self, c): pass
+class Sparse:
+    @property
+    def is_zero(self): pass
+    def __eq__(self, other): pass
+def _json_doc(v):
+    return {"den": v}
+def to_json(v):
+    return {"den": v}
+"""
+    assert _value_rule_copies("fields.py", probe) == [
+        ("fields.py", "Tensor", "__add__"), ("fields.py", "Tensor", "scale"),
+        ("fields.py", "Sparse", "is_zero"), ("fields.py", "Sparse", "__eq__"),
+        ("fields.py", "_json_doc", "den"), ("fields.py", "to_json", "den")]
+    assert _value_rule_copies("tensor_core.py", probe) == [
+        ("tensor_core.py", "Tensor", "scale"), ("tensor_core.py", "Sparse", "is_zero"),
+        ("tensor_core.py", "Sparse", "__eq__"), ("tensor_core.py", "to_json", "den")]
+    assert _value_rule_copies("linalg.py", probe) == [
+        ("linalg.py", "Tensor", "__add__"), ("linalg.py", "Tensor", "scale"),
+        ("linalg.py", "_json_doc", "den"), ("linalg.py", "to_json", "den")]

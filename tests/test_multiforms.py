@@ -123,7 +123,7 @@ def test_projection_removes_the_antisymmetric_part():
     w = d_slot(2, embed_field(X))
     piw = project_pi(w)
     T = piw.tensor_slice((0, 1))
-    assert T.components.get((1, 2)) == T.components.get((2, 1))
+    assert T.data.get((1, 2)) == T.data.get((2, 1))
     assert not n_diff(X).is_zero
     assert piw == n_diff(X)
 

@@ -31,7 +31,7 @@ def rand_vec(D, rng):
 def test_unit_times_vector():
     u = unit_element(3, 2)
     v = act(3, u, [(2, 5)])
-    assert v.components == {(1,): Fraction(2), (2,): Fraction(5)}
+    assert v.data == {(1,): Fraction(2), (2,): Fraction(5)}
     assert v.shape == max_diagram(3, 1)
 
 
@@ -159,7 +159,7 @@ def test_unit_is_cyclic_over_every_degree():
     # direct spot check at order 4, through the public tensor action; the
     # factor lam per letter does not change the rank
     u = unit_element(4, 2)
-    cols = [act(4, u, word).components
+    cols = [act(4, u, word).data
             for word in itertools.product(((1, 0), (0, 1)), repeat=3)]
     assert linalg.rank(cols) == schur_dim(max_diagram(4, 3), 2)
 
@@ -231,6 +231,6 @@ def test_word_action_column_matches_letter_by_letter_oracle(monkeypatch):
                         if image:
                             expected = tensor_from_wedge(max_diagram(N, p + len(letters)),
                                                          D, image, CONTRA)
-                            assert got.components == expected.components, (N, D, letters, p, j)
+                            assert got.data == expected.data, (N, D, letters, p, j)
                         else:
                             assert got.is_zero, (N, D, letters, p, j)

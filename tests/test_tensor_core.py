@@ -39,7 +39,7 @@ def random_tensor(Y, D, rng, variance="co", entries=4):
 def test_tensor_construction_and_json():
     T = Tensor(2, 2, "co", {(1, 2): Fraction(3, 7), (2, 2): 0})
     assert T[(1, 2)] == Fraction(3, 7)
-    assert (2, 2) not in T.components
+    assert (2, 2) not in T.data
     assert Tensor.from_json(T.to_json()) == T
     with pytest.raises(ShapeError):
         Tensor(2, 2, "co", {(1, 2, 3): 1})
@@ -55,7 +55,7 @@ def test_single_column_projector_is_antisymmetrizer():
     expected = {}
     import itertools
 
-    for I, v in T.components.items():
+    for I, v in T.data.items():
         for perm in itertools.permutations(range(3)):
             sign = 1
             seen = list(perm)
@@ -69,7 +69,7 @@ def test_single_column_projector_is_antisymmetrizer():
             K = tuple(I[p] for p in perm)
             expected[K] = expected.get(K, Fraction(0)) + sign * v
     expected = {k: v / 6 for k, v in expected.items() if v}
-    assert P.components == expected
+    assert P.data == expected
 
 
 def test_idempotency_certifies_normalization():
@@ -118,7 +118,7 @@ def _schur_conditions_by_permutations(Y, T):
     for c in Y.columns():
         blocks.append(list(range(start, start + c)))
         start += c
-    comp = T.components
+    comp = T.data
 
     def permuted(I, positions, perm):
         K = list(I)
@@ -163,7 +163,7 @@ def test_checker_matches_permutation_oracle():
                     for S, v in b.items():
                         in_type[S] = in_type.get(S, 0) + c * v
                 T = tensor_from_wedge(Y, D, in_type)
-                perturbed = dict(T.components)
+                perturbed = dict(T.data)
                 idx = tuple(rng.randint(1, D) for _ in range(n))
                 perturbed[idx] = perturbed.get(idx, 0) + 1
                 cases = [T, Tensor(D, n, "co", perturbed)]
@@ -211,7 +211,7 @@ def test_contraction_epsilon_covector():
     eps = epsilon(2)
     dx1 = Tensor(2, 1, "co", {(1,): 1}, Diagram((1,)))
     v = contract_tensor(eps, dx1)
-    assert v.components == {(2,): Fraction(-1)}
+    assert v.data == {(2,): Fraction(-1)}
     assert v.variance == "contra"
 
 
@@ -320,7 +320,7 @@ def test_slot_codec_matches_permutation_expansion():
                 wvec = {S: rng.randint(-3, 3) for S in keys}
                 comps = {idx: sign * v for S, v in wvec.items() if v
                          for idx, sign in _expand_by_permutations(S).items()}
-                assert tensor_from_wedge(Y, D, wvec).components == comps
+                assert tensor_from_wedge(Y, D, wvec).data == comps
                 T = Tensor(D, p, "co", comps)
                 assert tensor_to_wedge(Y, T) == {S: v for S, v in wvec.items() if v}
 
