@@ -47,7 +47,11 @@ lists it in block order, so a solve on it returns the particular solution
 of the whole block. `_by_weight` splits a slot vector into weight parts.
 `_dominant_weights` lists the nonincreasing weights of one degree with
 the sizes of their S_D orbits, the only weights `cohomology` and the
-splitting checks of `multiforms` eliminate on.
+splitting checks of `multiforms` eliminate on. `dominant_basis` lists
+the basis fields of those weights; the duality constants here and the
+gauge constants and spin-2 chain check are verified on it, because every
+map they relate commutes with the index permutations. `block_basis`, the
+whole block, is left to the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -564,6 +568,20 @@ def block_basis(N, D, p, q, variance=CO) -> list[PolyTensorField]:
     ]
 
 
+def dominant_basis(N, D, p, q, variance=CO) -> list[PolyTensorField]:
+    """Basis fields of the dominant weight spaces of one block.
+
+    The `_weight_basis` fields of each weight of `_dominant_weights`, each
+    weight's part in block order. A relation between maps that commute
+    with the S_D index permutations (up to one common character) holds on
+    the whole block iff it holds on these: sigma carries the weight-w part
+    onto the sigma(w) part, and every weight is a permutation of a
+    dominant one.
+    """
+    return [PolyTensorField(N, D, p, q, variance, vec)
+            for w, _ in _dominant_weights(D, p + q) for vec in _weight_basis(N, D, p, q, w)]
+
+
 def random_field(N, D, p, q, rng, variance=CO) -> PolyTensorField:
     """Random combination of block basis fields with coefficients in -5..5."""
     basis = _block_int_basis(N, D, p, q)
@@ -616,10 +634,8 @@ def dual_star_field(F: PolyTensorField) -> PolyTensorField:
 @lru_cache(maxsize=None)
 def _double_dual_constant(N: int, D: int, p: int) -> Fraction:
     """Scalar of the double dual on the degree-p contravariant block."""
-    pairs = []
-    for b in block_basis(N, D, p, 0, CONTRA):
-        pairs.append((dual_star_field(dual_star_field(b)).data, b.data))
-    c = linalg.proportionality(pairs)
+    c = linalg.proportionality((dual_star_field(dual_star_field(b)).data, b.data)
+                               for b in dominant_basis(N, D, p, 0, CONTRA))
     if not c:
         raise VerificationError(f"double dual degenerate at N={N} D={D} p={p}")
     return c
@@ -636,17 +652,15 @@ def star_relation_constants(N: int, D: int, q_values=(1, 2)) -> dict:
 
     For each n returns the unique nonzero c with
     delta = c * (star compose d compose star inverse) on degree n,
-    verified on full block bases over the given polynomial degrees.
+    verified on the dominant weight spaces (`dominant_basis`) of the given
+    polynomial degrees: delta and d commute with the index permutations,
+    and the sign the star picks up cancels against its inverse's.
     """
     BlockLabel(N, D, 0, 0).validate()
     out = {}
     for n in range(1, _top_degree(N, D) + 1):
-        pairs = []
-        for q in q_values:
-            for b in block_basis(N, D, n, q, CONTRA):
-                lhs = delta(b)
-                rhs = dual_star_field(n_diff(star_inverse_field(b)))
-                pairs.append((lhs.data, rhs.data))
+        pairs = [(delta(b).data, dual_star_field(n_diff(star_inverse_field(b))).data)
+                 for q in q_values for b in dominant_basis(N, D, n, q, CONTRA)]
         try:
             c = linalg.proportionality(pairs)
         except ValueError as exc:

@@ -26,7 +26,7 @@ from .diagrams import max_diagram, schur_dim
 from .errors import ShapeError
 from .fields import BlockLabel, _insertion, _pad, _schur_vectors, _top_degree
 from .multiforms import CheckReport
-from .tensor_core import CONTRA, Tensor, tensor_from_wedge, tensor_to_wedge
+from .tensor_core import CONTRA, Tensor, _check_tag, tensor_from_wedge, tensor_to_wedge
 
 
 def unit_element(N: int, D: int) -> Tensor:
@@ -50,7 +50,7 @@ def act(N: int, T: Tensor, word) -> Tensor:
         raise ShapeError("the element must carry its maximally filled shape")
     D = T.dim
     p = T.degree
-    vec = {_pad(k, N - 1): v for k, v in tensor_to_wedge(T.shape, T).items()}
+    vec = {_pad(k, N - 1): v for k, v in tensor_to_wedge(T.shape, _check_tag(T)).items()}
     for X in word:
         X = [Fraction(x) for x in X]
         if len(X) != D:

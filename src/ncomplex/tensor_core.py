@@ -119,7 +119,9 @@ class Tensor(linalg.Sparse):
 
     Immutable by convention: operations return new tensors and never
     mutate the component dict `data` after construction. The shape is a
-    tag outside the space: equality ignores it.
+    tag outside the space: equality ignores it, and construction does not
+    check it against the data; `from_json` and the tag's consumers do
+    (`_check_tag`).
     """
 
     __slots__ = ("dim", "degree", "variance", "shape", "data")
@@ -171,8 +173,18 @@ class Tensor(linalg.Sparse):
         shape = doc.get("shape")
         if shape is not None:
             shape = _json_ints(shape, "shape")
-        return cls(_json_int(doc["dim"], "dim"), _json_int(doc["degree"], "degree"),
-                   doc["variance"], comps, shape)
+        return _check_tag(cls(_json_int(doc["dim"], "dim"), _json_int(doc["degree"], "degree"),
+                              doc["variance"], comps, shape))
+
+
+def _check_tag(T: Tensor) -> Tensor:
+    """T, if its data has the symmetry type of its shape tag (or it has none); else ShapeError.
+
+    The constructor trusts the tag, so the boundary and the tag's consumers check it here.
+    """
+    if T.shape is not None and _typed_wedge(T.shape.rows, T.data) is None:
+        raise ShapeError(f"tensor data does not have its tagged symmetry type {T.shape}")
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +636,7 @@ def contract_tensor(T: Tensor, Tp: Tensor) -> Tensor:
         raise ShapeError("contraction requires equal base dimensions")
     if T.variance == Tp.variance:
         raise ShapeError("contraction requires tensors of opposite variance")
-    Y, Yp = T.shape, Tp.shape
+    Y, Yp = _check_tag(T).shape, _check_tag(Tp).shape
     C = contract_shape(Y, Yp)
 
     blocks = _column_blocks(Y.rows)

@@ -128,6 +128,8 @@ def test_malformed_entries_exit_2_without_traceback():
         (["project", "--shape", "1,1"], _repeat_entry(T, [2, 1], ["1", "5"])),
         (["diff"], _repeat_entry(F, [], ["3", "3"])),
         (["diff"], _with_header(G, shape=[9, 9])),
+        # a shape tag that the tensor's data does not have: {(1, 2): 1} is not antisymmetric
+        (["project", "--shape", "1,1"], Tensor(2, 2, "co", {(1, 2): 1}, (1, 1)).to_json()),
         (["diff"], _with_header(F, dim=0, entries=[{"idx": [], "exp": [], "num": "1", "den": "1"}])),
     ]
     for argv, doc in cases:

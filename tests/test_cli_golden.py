@@ -128,6 +128,11 @@ GOLDEN = [
      "c73529ab42e891a0bd7f25539877281daf552a624091058bd4a04442c5d4d6be"),
     (["spin2", "--D", "4", "--seed", "0"], None, 0,
      "557ef7f2e68e3a468b23d804eba9d8670c968f6ba32133a98944612379b54c04"),
+    (["spin2", "--D", "5"], None, 0,
+     "1f3ab680ec7827193f159381e5409132e405d3f730d98153a50d4e4fc7620962"),
+    # qmax 2 runs the chain on degree-4 polynomials; the output names no q
+    (["spin2", "--D", "3", "--qmax", "2"], None, 0,
+     "c73529ab42e891a0bd7f25539877281daf552a624091058bd4a04442c5d4d6be"),
     (["spin2", "--D", "2"], "co", 0,
      "3b9ffe21270a40714e8cc145d3e21549f2f97239f3d48d40db0367c06cb32969"),
     (["spinS", "--S", "2", "--D", "2", "--q", "3"], None, 0,

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from ncomplex.fields import (
     star_relation_constants,
     young_derivative,
 )
+from ncomplex.gauge import spin2_d1, spin2_d2, spin2_d3
 from ncomplex.tensor_core import dual_star, schur_conditions_ok, tensor_to_wedge
 
 
@@ -384,3 +387,152 @@ def test_from_components_validates_symmetry():
         PolyTensorField.from_components(3, 3, 3, 1, "co", exchange_only)
     in_type = {((1, 2, 1), (0, 1, 0)): 1, ((2, 1, 1), (0, 1, 0)): -1}
     assert not PolyTensorField.from_components(3, 3, 3, 1, "co", in_type).is_zero
+
+
+# ---------------------------------------------------------------------------
+# S_D equivariance, the premise of `dominant_basis`
+
+def permuted(F, sigma):
+    """sigma F: index i becomes sigma[i - 1] in every component index and in the monomial."""
+    comps = {}
+    for (idx, exp), v in F.full_components().items():
+        exp2 = [0] * F.D
+        for i, e in enumerate(exp):
+            exp2[sigma[i] - 1] = e
+        comps[(tuple(sigma[i - 1] for i in idx), tuple(exp2))] = v
+    return PolyTensorField.from_components(F.N, F.D, F.p, F.q, F.variance, comps)
+
+
+def _sign(sigma):
+    return (-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
+
+
+def _permutations(D):
+    """Every permutation at D = 3; the adjacent transpositions, which generate S_D, above."""
+    if D <= 3:
+        return list(itertools.permutations(range(1, D + 1)))
+    ident = list(range(1, D + 1))
+    return [tuple(ident[:i] + [i + 2, i + 1] + ident[i + 2:]) for i in range(D - 1)]
+
+
+def _equivariance_failures(op, fields_, sign=lambda sigma: 1):
+    """(field, sigma) pairs where op(sigma F) != sign(sigma) sigma op(F)."""
+    return [(F, sigma) for F in fields_ for sigma in _permutations(F.D)
+            if op(permuted(F, sigma)) != permuted(op(F), sigma).scale(sign(sigma))]
+
+
+def _equivariance_cases():
+    rng = random.Random(19)
+
+    def some(N, p, q, variance="co", Ds=(3, 4)):
+        return [random_field(N, D, p, q, rng, variance) for D in Ds]
+
+    return {
+        "spin2_d1": (spin2_d1, some(3, 1, 2)),
+        "spin2_d2": (spin2_d2, some(3, 2, 3)),
+        "spin2_d3": (spin2_d3, some(3, 4, 2)),
+        "n_diff": (n_diff, some(2, 1, 2) + some(3, 2, 2) + some(4, 3, 1)),
+        "d_power2": (lambda F: d_power(F, 2), some(3, 1, 3) + some(4, 2, 2)),
+        "delta": (delta, some(2, 2, 2, "contra") + some(3, 3, 2, "contra")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_equivariance_cases()))
+def test_operators_commute_with_index_permutations(name):
+    op, fields_ = _equivariance_cases()[name]
+    assert all(not F.is_zero for F in fields_)
+    assert _equivariance_failures(op, fields_) == []
+
+
+def test_dual_star_commutes_with_index_permutations_up_to_the_sign():
+    rng = random.Random(20)
+    for N, D in ((2, 3), (2, 4), (3, 3), (3, 4), (4, 3)):
+        for variance in ("co", "contra"):
+            F = random_field(N, D, D - 1, 1, rng, variance)
+            assert _equivariance_failures(
+                dual_star_field, [F], lambda sigma: _sign(sigma) ** (N - 1)) == []
+    # the sign is needed: without it the odd permutations fail at even N
+    F = random_field(2, 3, 1, 1, rng)
+    assert len(_equivariance_failures(dual_star_field, [F])) == 3
+
+
+def test_equivariance_check_catches_an_operator_that_singles_out_an_index():
+    def biased(F):
+        G = n_diff(F)
+        return G + PolyTensorField(G.N, G.D, G.p, G.q, G.variance,
+                                   {k: v for k, v in G.data.items() if k[1][0]})
+
+    F = random_field(3, 3, 1, 2, random.Random(21))
+    assert _equivariance_failures(n_diff, [F]) == []
+    assert _equivariance_failures(biased, [F]) != []
+
+
+def _double_dual_whole_block(N, D, p):
+    """Oracle: the double-dual scalar solved on the whole contravariant block."""
+    return linalg.proportionality([(dual_star_field(dual_star_field(b)).data, b.data)
+                                   for b in block_basis(N, D, p, 0, "contra")])
+
+
+def _star_relation_whole_block(N, D, q_values=(1, 2)):
+    """Oracle: `star_relation_constants` solved on whole block bases, with its own
+    whole-block double-dual scalars."""
+    out = {}
+    for n in range(1, (N - 1) * D + 1):
+        pairs = []
+        for q in q_values:
+            for b in block_basis(N, D, n, q, "contra"):
+                pre = dual_star_field(b).scale(1 / _double_dual_whole_block(N, D, n))
+                pairs.append((delta(b).data, dual_star_field(n_diff(pre)).data))
+        out[n] = linalg.proportionality(pairs)
+    return out
+
+
+@pytest.mark.parametrize("N, D", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2)])
+def test_dominant_weight_duality_constants_match_whole_blocks(N, D):
+    assert star_relation_constants(N, D) == _star_relation_whole_block(N, D)
+    for p in range((N - 1) * D + 1):
+        assert fields._double_dual_constant(N, D, p) == _double_dual_whole_block(N, D, p)
+
+
+def test_dominant_basis_is_the_dominant_part_of_the_block():
+    # each dominant weight's part of the block basis, in block order, weight after weight
+    for N, D, p, q in ((3, 3, 2, 2), (2, 4, 2, 1), (4, 2, 3, 1)):
+        block = block_basis(N, D, p, q)
+        expected = [b.data for w, _ in fields._dominant_weights(D, p + q) for b in block
+                    if fields.weight(*next(iter(b.data))) == w]
+        assert [b.data for b in fields.dominant_basis(N, D, p, q)] == expected
+        assert all(b.variance == "contra" for b in fields.dominant_basis(N, D, p, q, "contra"))
+
+
+def _whole_block_calls(name: str, source: str) -> list:
+    """(module, function, line) of each call to `block_basis`, however it is bound."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "block_basis"):
+            found.append((name, func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_library_code_builds_a_whole_block():
+    # whole-block bases are test oracles; the library works on weight spaces
+    src = Path(__file__).resolve().parent.parent / "src" / "ncomplex"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 10
+    assert [hit for p in modules for hit in _whole_block_calls(p.name, p.read_text())] == []
+    probe = """
+def block_basis(N, D, p, q):
+    return [vec for vec in _block_int_basis(N, D, p, q)]
+def f(D):
+    for b in fl.block_basis(3, D, 2, 2):
+        pass
+    return block_basis(3, D, 1, 1), dominant_basis(3, D, 1, 1)
+"""
+    assert _whole_block_calls("gauge.py", probe) == [("gauge.py", "f", 5), ("gauge.py", "f", 7)]

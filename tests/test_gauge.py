@@ -4,9 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from ncomplex import linalg
-from ncomplex.errors import ShapeError
-from ncomplex.fields import PolyTensorField, block_basis, n_diff, random_field
+from ncomplex import fields, gauge, linalg
+from ncomplex.cli import run
+from ncomplex.errors import ShapeError, VerificationError
+from ncomplex.fields import (
+    PolyTensorField,
+    _partials,
+    block_basis,
+    block_dim,
+    d_power,
+    n_diff,
+    random_field,
+)
 from ncomplex.gauge import (
     _double_divergence,
     divergence,
@@ -60,6 +69,73 @@ def test_operator_constants_pinned():
     assert spin2_constants(2) == (Fraction(-2), Fraction(1), None)
     assert spin2_constants(3) == (Fraction(-2), Fraction(1), Fraction(1))
     assert spin2_constants(4, 2) == (Fraction(-2), Fraction(1), Fraction(1))
+
+
+def _spin2_constants_whole_block(D, q=3):
+    """Oracle: `spin2_constants` solved on whole block bases."""
+    pairs1 = [(gauge.spin2_d1(X).data, n_diff(X).data) for X in block_basis(3, D, 1, q)]
+    pairs2 = [(gauge.spin2_d2(h).data, d_power(h, 2).data) for h in block_basis(3, D, 2, q)]
+    pairs3 = [(gauge.spin2_d3(R).data, n_diff(R).data) for R in block_basis(3, D, 4, q)]
+    try:
+        consts = tuple(map(linalg.proportionality, (pairs1, pairs2, pairs3)))
+    except ValueError as exc:
+        raise VerificationError(f"gauge operator not proportional to d power: {exc}") from exc
+    for c, p_target in zip(consts, (2, 4, 5)):
+        if c == 0 or (c is None and block_dim(3, D, p_target, 0) > 0):
+            raise VerificationError("degenerate gauge operator")
+    return consts
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ShapeError, VerificationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_dominant_weight_constants_match_whole_blocks():
+    outcomes = {}
+    for D in range(1, 6):
+        for q in range(4):
+            got = _outcome(spin2_constants, D, q)
+            assert got == _outcome(_spin2_constants_whole_block, D, q), (D, q)
+            outcomes[D, q] = got
+    # the sweep covers the degenerate blocks as well as the solved ones
+    assert outcomes[1, 0] == ("VerificationError", "degenerate gauge operator")
+    assert outcomes[5, 3] == (Fraction(-2), Fraction(1), Fraction(1))
+
+
+def _spin2_d2_one_sign_flipped(h):
+    """spin2_d2 with the sign of its last term flipped: still names no index."""
+    D, q = h.D, h.q
+    if q < 2:
+        return PolyTensorField.zero(3, D, 4, 0)
+    first = {((m,) + idx, exp): v for m, idx, exp, v in _partials(h.full_components(), D)}
+    comps = linalg.accumulate(((idx, exp), c * v) for n, (m, i, j), exp, v in _partials(first, D)
+                              for idx, c in (((m, i, n, j), 1), ((i, m, j, n), 1),
+                                             ((i, m, n, j), -1), ((m, i, j, n), 1)))
+    return PolyTensorField.from_components(3, D, 4, q - 2, "co", comps)
+
+
+def test_both_routes_reject_a_broken_curvature_alike(monkeypatch):
+    monkeypatch.setattr(gauge, "spin2_d2", _spin2_d2_one_sign_flipped)
+    for D in (2, 3, 4):
+        got = _outcome(spin2_constants, D)
+        assert got[0] == "ShapeError"
+        assert got == _outcome(_spin2_constants_whole_block, D)
+
+
+def test_spin2_builds_no_whole_block(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-block basis built")
+
+    monkeypatch.setattr(fields, "block_basis", refuse)
+    monkeypatch.setattr(gauge, "block_basis", refuse)
+    assert spin2_constants(4) == (Fraction(-2), Fraction(1), Fraction(1))
+    assert run(["spin2", "--D", "3", "--qmax", "2"]) == 0
+    assert '"cyclic_identity_of_curvatures_vanishes": true' in capsys.readouterr().out
+    assert fields.star_relation_constants(3, 2)[1] != 0
 
 
 def test_shape_guards():

@@ -5,8 +5,10 @@ from math import comb, factorial, prod
 
 import pytest
 
+from ncomplex import tensor_core
 from ncomplex.diagrams import Diagram, max_diagram, partitions, schur_dim
 from ncomplex.errors import ShapeError
+from ncomplex.quotient_algebra import act
 from ncomplex.tensor_core import (
     Tensor,
     _column_perms,
@@ -264,9 +266,12 @@ def test_dual_star_scalar_gives_epsilon_power():
     assert dual_star(3, one) == epsilon_power(3, 2)
 
 
-def test_hodge_star_on_slot_keys_matches_epsilon_contraction():
+def test_hodge_star_on_slot_keys_matches_epsilon_contraction(monkeypatch):
     # every slot key of every filled type, both variances, against the
-    # full-component contraction with the epsilon power
+    # full-component contraction with the epsilon power; a slot-key unit is
+    # column antisymmetric but not of the tagged type, so the tag check that
+    # guards library callers is lifted to use the contraction formula alone
+    monkeypatch.setattr(tensor_core, "_check_tag", lambda T: T)
     for N, D_max in ((2, 4), (3, 3), (4, 3)):
         for D in range(1, D_max + 1):
             for p in range((N - 1) * D + 1):
@@ -277,6 +282,29 @@ def test_hodge_star_on_slot_keys_matches_epsilon_contraction():
                         assert len(key) == N - 1 and not any(key[Y2.n_cols:])
                         T = tensor_from_wedge(Y, D, {S: 1}, variance)
                         assert tensor_to_wedge(Y2, dual_star(N, T)) == {key[:Y2.n_cols]: c}
+
+
+def test_tag_consumers_reject_data_outside_the_tagged_type():
+    # {(1, 2): 1} is not antisymmetric, so the tag (1, 1) is false
+    false = Tensor(2, 2, "co", {(1, 2): 1}, (1, 1))
+    with pytest.raises(ShapeError):
+        dual_star(2, false)
+    with pytest.raises(ShapeError):
+        contract_tensor(epsilon(2, "contra"), false)
+    with pytest.raises(ShapeError):
+        Tensor.from_json(false.to_json())
+    with pytest.raises(ShapeError):
+        act(2, false, [(1, 0)])  # (1, 1) is the filled type at N = 2
+    typed = Tensor(2, 2, "co", {(1, 2): 1, (2, 1): -1}, (1, 1))
+    assert dual_star(2, typed).data == {(): -2}
+    assert dual_star(2, Tensor.from_json(typed.to_json())).data == {(): -2}
+    # column antisymmetric but not symmetric in its row: the tag (2, 1) is false
+    hook = tensor_from_wedge(Diagram((2, 1)), 3, {((1, 2), (3,)): 1})
+    assert not schur_conditions_ok(Diagram((2, 1)), hook)
+    with pytest.raises(ShapeError):
+        Tensor.from_json(hook.to_json())
+    # the untagged tensor keeps its data unchecked
+    assert Tensor.from_json(Tensor(2, 2, "co", {(1, 2): 1}).to_json()).data == {(1, 2): 1}
 
 
 def test_dual_star_shape_guard():
