@@ -150,6 +150,9 @@ def _cmd_green(args):
 def _cmd_spin2(args):
     if args.qmax < 0:
         raise UsageError(f"--qmax must be nonnegative, got {args.qmax}")
+    given = _load(args.input, fl.PolyTensorField.from_json, "field") if args.input else None
+    if given is not None and given.D != args.D:
+        raise UsageError(f"{args.input}: field dimension {given.D} differs from --D {args.D}")
     rng = random.Random(args.seed)
     results = {"D": args.D, "seed": args.seed}
     X = fl.random_field(3, args.D, 1, args.qmax + 2, rng)
@@ -164,9 +167,8 @@ def _cmd_spin2(args):
     consts = gg.spin2_constants(args.D, min(args.qmax + 2, 3))
     results["constants"] = {name: None if c is None else str(c) for name, c in
                             zip(("d1_vs_d", "d2_vs_d2", "d3_vs_d"), consts)}
-    if args.input:
-        X = _load(args.input, fl.PolyTensorField.from_json, "field")
-        h = gg.spin2_d1(X)
+    if given is not None:
+        h = gg.spin2_d1(given)
         R = gg.spin2_d2(h)
         results["chain"] = [json.loads(h.to_json()), json.loads(R.to_json())]
     _emit(json.dumps(results))

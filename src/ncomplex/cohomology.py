@@ -18,11 +18,13 @@ Poincare suite, the hexagon sequences, the odd-degree isomorphisms and the
 two-form triviality test all run on weight spaces: an induced map between
 cohomology blocks has rank rank(d^s Z_w + B_w) - rank(B_w) on weight w,
 with Z_w the cocycles of the source and B_w the coboundaries of the target.
-`solve_preimage` solves each weight part of its field on its own; the
-weight bases keep block order, so the particular potential is the one a
-whole-block solve would return. Killing tensor counts are Ker d^k on the
-block (m, q) of the order m + k + 1 complex, where every degree up to
-m + k is a one-row type and d^k is the symmetrized k-th derivative.
+All of them, and `solve_preimage` on each weight part of its field, read
+d^k of a weight basis from the store `fields._image_vectors`, whose columns
+follow the basis in block order: cocycles are nullspace combinations of
+the basis, and a solve returns the potential a whole-block solve would.
+Killing tensor counts are Ker d^k on the block (m, q) of the order
+m + k + 1 complex, where every degree up to m + k is a one-row type and
+d^k is the symmetrized k-th derivative.
 """
 
 from __future__ import annotations
@@ -36,36 +38,21 @@ from .fields import (
     CO,
     BlockLabel,
     PolyTensorField,
-    _apply_d_int,
     _by_weight,
-    _d_k_int,
     _d_k_scale,
     _dominant_weights,
+    _image_vectors,
     _partials,
     _top_degree,
     _weight_basis,
-    # unused here; the name stays because bench/spans.py wraps this binding
+    # unused here; the names stay because bench/spans.py wraps these bindings
+    _apply_d_int,
     block_basis,
     d_power,
     monomials,
     n_diff,
 )
 from .multiforms import CheckReport
-
-
-@lru_cache(maxsize=None)
-def _image_vectors(N, D, p, q, k, w):
-    """Nonzero images of the weight-w basis of block (p, q) under d^k (scaled).
-
-    Chained as d^k = d o d^(k-1) through this cache; k = 0 is the basis.
-    """
-    if k == 0:
-        return _weight_basis(N, D, p, q, w)
-    cp, cq = p + k - 1, q - k + 1
-    if cp >= _top_degree(N, D) or cq == 0:
-        return ()
-    images = (_apply_d_int(N, D, cp, u) for u in _image_vectors(N, D, p, q, k - 1, w))
-    return tuple(v for v in images if v)
 
 
 @lru_cache(maxsize=None)
@@ -217,13 +204,12 @@ def solve_preimage(F: PolyTensorField, k: int) -> PolyTensorField:
         raise ShapeError("no source block below degree zero")
     data: dict = {}
     for w, part in _by_weight(F.data).items():
-        basis = _weight_basis(N, D, src_p, src_q, w)
-        sol = linalg.solve([_d_k_int(N, D, src_p, src_q, v, N - k) for v in basis], part)
+        sol = linalg.solve(_image_vectors(N, D, src_p, src_q, N - k, w), part)
         if sol is None:
             raise VerificationError(
                 f"no preimage on block (p={F.p}, q={F.q}); vanishing fails"
             )
-        linalg.add_to(data, linalg.combine(sol, basis))
+        linalg.add_to(data, linalg.combine(sol, _weight_basis(N, D, src_p, src_q, w)))
     alpha = PolyTensorField(N, D, src_p, src_q, F.variance, data).scale(
         _d_k_scale(N, D, src_p, N - k))
     if d_power(alpha, N - k) != F:  # pragma: no cover - solve is exact
@@ -250,13 +236,6 @@ def killing_dim(D: int, m: int, k: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # induced maps and the exact four-term sequences
 
-def _weight_cocycles(N, D, p, k, q, w) -> tuple:
-    """Basis Z_w of Ker(d^k) on the weight-w part of block (p, q)."""
-    basis = _weight_basis(N, D, p, q, w)
-    null = linalg.nullspace([_d_k_int(N, D, p, q, v, k) for v in basis])
-    return tuple(linalg.combine(c, basis) for c in null)
-
-
 def _coboundaries(N, D, p, k, q, w) -> tuple:
     """Generators B_w of the Im(d^(N-k)) landing in the weight-w part of block (p, q)."""
     src_p = p - (N - k)
@@ -266,15 +245,20 @@ def _coboundaries(N, D, p, k, q, w) -> tuple:
 def _map_rank(N, D, src, dst, s) -> int:
     """Rank of the map H(src) -> H(dst) induced by d^s (s = 0 is the inclusion).
 
-    src and dst are (p, k, q) labels. On each dominant weight w the rank is
-    rank(d^s Z_w + B_w) - rank(B_w), counted |S_D w| times. Every d^s z must
-    be a cocycle of dst, or the map is not defined.
+    src and dst are (p, k, q) labels, dst on the block d^s maps src into. On
+    each dominant weight w the rank is rank(d^s Z_w + B_w) - rank(B_w),
+    counted |S_D w| times; z in Z_w is a nullspace combination c, and d^s z
+    is c over the store's level-s columns. Every d^s z must be a cocycle of
+    dst, or the map is not defined.
     """
     (sp, sk, sq), (dp, dk, dq) = src, dst
+    if (dp, dq) != (sp + s, sq - s):
+        raise ShapeError(f"d^{s} does not map the block of {src} to that of {dst}")
     total = 0
     for w, orbit in _dominant_weights(D, sp + sq):
-        images = [_d_k_int(N, D, sp, sq, z, s) for z in _weight_cocycles(N, D, sp, sk, sq, w)]
-        if any(_d_k_int(N, D, dp, dq, v, dk) for v in images):
+        null = linalg.nullspace(_image_vectors(N, D, sp, sq, sk, w))
+        images = [linalg.combine(c, _image_vectors(N, D, sp, sq, s, w)) for c in null]
+        if any(linalg.combine(c, _image_vectors(N, D, sp, sq, s + dk, w)) for c in null):
             raise VerificationError(f"d^{s} sends a cocycle of {src} off the cocycles of {dst}")
         ech = linalg.Echelon(_coboundaries(N, D, dp, dk, dq, w))
         total += orbit * sum(ech.add(v) for v in images)

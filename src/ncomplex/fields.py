@@ -20,20 +20,20 @@ and `_apply_slot` applies a table while differentiating the monomial,
 here and in `multiforms`; `_slot_map` applies one without
 differentiating. `_apply_slot` is the d kernel, so it keeps its sum
 inline; every other sparse map here sums its terms through
-`linalg.accumulate`. `_d_k_int` is the one d^k chain on slot
-vectors: `d_power` (and through it `n_diff`), `lemma4_check` and the
-cocycles, induced maps and preimages of `cohomology` apply powers of d
-through it. `_partials` alone owns the derivative of full components
-(index tuple, exponent): the literal gauge and two-form operators and
-`young_derivative` scatter its entries to the index positions their
-formulas name. `young_derivative` keeps the alternative route (raw
-derivative plus full symmetrizer) as an independent reference; the two
-agree up to a nonzero constant on every block, which the test suite pins
-down. The duality `dual_star_field` applies `tc._hodge_star`, the one
-column-wise Hodge star, to each slot key. Field entries are checked by
-their structure (`_check_entry`, shared with `multiforms.Multiform`),
-never against a list of the slot keys of a degree, which grows as a
-power of D.
+`linalg.accumulate`. `_d_k_int` holds the one stop rule of d^k; its
+callers are `d_power` (so `n_diff`) and `_image_vectors`, the cached store
+of d^k on weight bases, one column per basis vector, zeros kept. Every
+verdict that applies d to a weight basis reads that store. `_partials`
+alone owns the derivative of full components (index tuple, exponent):
+the literal gauge and two-form operators and `young_derivative` scatter
+its entries to the index positions their formulas name.
+`young_derivative` keeps the alternative route (raw derivative plus full
+symmetrizer) as an independent reference; the two agree up to a nonzero
+constant on every block, which the test suite pins down. The duality
+`dual_star_field` applies `tc._hodge_star`, the one column-wise Hodge
+star, to each slot key. Field entries are checked by their structure
+(`_check_entry`, shared with `multiforms.Multiform`), never against a
+list of the slot keys of a degree, which grows as a power of D.
 
 The torus weight of an entry (`weight`) is the index content of its slot
 key plus its exponent vector. Inserting mu adds e_mu to the content and
@@ -60,7 +60,6 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -230,7 +229,9 @@ class PolyTensorField(linalg.Sparse):
         shape, Y = doc.get("shape"), max_diagram(N, p)
         if shape is not None and tc._json_ints(shape, "shape") != Y.rows:
             raise ShapeError(f"shape {shape} is not the degree-{p} type {Y}")
-        return cls.from_components(N, D, p, q, doc["variance"], comps)
+        F = cls.from_components(N, D, p, q, doc["variance"], comps)
+        BlockLabel(N, D, p, q).validate()  # the only check of a document without entries
+        return F
 
 
 def scalar_field(N, D, poly: dict, variance=CO) -> PolyTensorField:
@@ -247,11 +248,6 @@ def scalar_field(N, D, poly: dict, variance=CO) -> PolyTensorField:
 
 # ---------------------------------------------------------------------------
 # the slot operator
-
-def _slot_keys(D: int, multidegree) -> tuple:
-    """Slot keys with the given slot sizes, in lexicographic order."""
-    return tuple(product(*(combinations(range(1, D + 1), a) for a in multidegree)))
-
 
 @lru_cache(maxsize=None)
 def _staircase(N: int, p: int) -> tuple:
@@ -271,7 +267,7 @@ def _insert_table(D: int, slot: int, multidegree: tuple) -> dict:
     """
     left = sum(multidegree[:slot])
     table = {mu: {} for mu in range(1, D + 1)}
-    for key in _slot_keys(D, multidegree):
+    for key in tc._slot_keys(D, multidegree):
         S = key[slot]
         for mu in range(1, D + 1):
             if mu in S:
@@ -312,7 +308,7 @@ def _projected(table, N: int, D: int, Y: Diagram):
 @lru_cache(maxsize=None)
 def _pi_columns(N: int, D: int, p: int):
     """(cols, lam): the unnormalized Young projector onto the degree-p type, on padded keys."""
-    identity = {0: {key: [(key, 1)] for key in _slot_keys(D, _staircase(N, p))}}
+    identity = {0: {key: [(key, 1)] for key in tc._slot_keys(D, _staircase(N, p))}}
     table, lam = _projected(identity, N, D, max_diagram(N, p))
     return table[0], lam
 
@@ -392,8 +388,8 @@ def _apply_d_int(N, D, p, vec: dict) -> dict:
 def _d_k_int(N, D, p, q, vec: dict, k: int) -> dict:
     """k differential steps on a slot vector, step i scaled by the lam of degree p + i.
 
-    The one d^k chain: it stops at the top degree, at polynomial degree
-    zero or at a zero vector, so its cost does not grow with k.
+    The one stop rule of d^k: it stops at the top degree, at polynomial
+    degree zero or at a zero vector, so its cost does not grow with k.
     """
     cur, cp, cq = vec, p, q
     for _ in range(k):
@@ -552,6 +548,19 @@ def _weight_basis(N: int, D: int, p: int, q: int, w: tuple) -> tuple:
         if min(e) >= 0:
             out.append({(k, e): v for k, v in s.items()})
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _image_vectors(N: int, D: int, p: int, q: int, k: int, w: tuple) -> tuple:
+    """d^k of each `_weight_basis` vector of block (p, q), in basis order, zeros kept.
+
+    Level k is one `_d_k_int` step on each level k - 1 column; a zero
+    column is passed on as it is.
+    """
+    if k == 0:
+        return _weight_basis(N, D, p, q, w)
+    return tuple(_d_k_int(N, D, p + k - 1, q - k + 1, u, 1) if u else u
+                 for u in _image_vectors(N, D, p, q, k - 1, w))
 
 
 def block_dim(N, D, p, q) -> int:

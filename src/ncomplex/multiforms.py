@@ -10,7 +10,8 @@ Both are built from the slot operator of `fields`: `_slot_product` is
 the one slot-product path, applying `fields._insert_table`, which owns
 the slot sign convention, once per slot of a product; `d_slot` is its
 validated public face on `Multiform`s. `project_pi` and `green_factor`
-apply the projector table `fields._pi_columns`.
+apply the projector table `fields._pi_columns`; `green_factor` and
+`lemma4_check` read d on the weight bases from `fields._image_vectors`.
 
 The rank checks at the bottom of this module certify the two splitting
 statements that drive the generalized vanishing theorem: cocycle systems
@@ -42,13 +43,11 @@ from .fields import (
     PolyTensorField,
     _apply_d_int,
     _apply_slot,
-    _block_int_basis,
     _check_entry,
-    _d_k_int,
     _dominant_weights,
+    _image_vectors,
     _insert_table,
     _pi_columns,
-    _slot_keys,
     _slot_map,
     _staircase,
     _weight_basis,
@@ -197,10 +196,12 @@ def project_pi(w: Multiform) -> PolyTensorField:
 def green_factor(F: PolyTensorField) -> Fraction:
     """Constant tying the differential to one slot differential.
 
-    Solves d b = c * pi(d_{i+1} b) over the integer basis of F's block,
-    verifies the relation for F itself, and for well-filled degrees also
-    checks the exact identity d F = d_1 F with no projection at all.
-    Both sides are integer vectors scaled by the lam of degree p + 1.
+    Solves d b = c * pi(d_{i+1} b) over the dominant weight bases of F's
+    block (d b from the store `_image_vectors`; all three maps commute with
+    the index permutations, so these decide the block), verifies the
+    relation for F itself, and for well-filled degrees also checks the
+    exact identity d F = d_1 F with no projection at all. Both sides are
+    integer vectors scaled by the lam of degree p + 1.
     """
     N, D, p, q = F.N, F.D, F.p, F.q
     if q == 0 or p >= (N - 1) * D:
@@ -208,9 +209,11 @@ def green_factor(F: PolyTensorField) -> Fraction:
     i = p % (N - 1)
     md = _staircase(N, p)
     cols, lam = _pi_columns(N, D, p + 1)
+    columns = [(u, lhs) for w, _ in _dominant_weights(D, p + q)
+               for u, lhs in zip(_weight_basis(N, D, p, q, w), _image_vectors(N, D, p, q, 1, w))]
+    columns.append((F.data, _apply_d_int(N, D, p, F.data)))  # a zero F adds a zero pair
     pairs, filled = [], True
-    for u in _block_int_basis(N, D, p, q) + ((F.data,) if F.data else ()):
-        lhs = _apply_d_int(N, D, p, u)
+    for u, lhs in columns:
         raw = _slot_product((i + 1,), md, u, D)
         pairs.append((lhs, _slot_map(cols, raw)))
         filled = filled and (i != 0 or lhs == {k: lam * v for k, v in raw.items()})
@@ -233,7 +236,7 @@ def lemma4_check(N: int, D: int, n: int, q: int) -> bool:
     kills its embedding, for every k. Both maps keep the torus weight and
     commute with index permutations, so the two kernels are compared on
     the weight spaces of the dominant weights, which stand for their S_D
-    orbits.
+    orbits; Ker d^k is read from the store `_image_vectors`.
     """
     p = (N - 1) * n
     BlockLabel(N, D, p, q).validate()
@@ -241,9 +244,9 @@ def lemma4_check(N: int, D: int, n: int, q: int) -> bool:
     for k in range(1, N):
         products = tuple(combinations(range(1, N), k))
         for w, _ in _dominant_weights(D, p + q):
-            basis = _weight_basis(N, D, p, q, w)
-            left_null = linalg.nullspace([_d_k_int(N, D, p, q, b, k) for b in basis])
-            right_null = linalg.nullspace([_stacked(products, md, b, D) for b in basis])
+            left_null = linalg.nullspace(_image_vectors(N, D, p, q, k, w))
+            right_null = linalg.nullspace([_stacked(products, md, b, D)
+                                           for b in _weight_basis(N, D, p, q, w)])
             if len(left_null) != len(right_null):
                 return False
             ech = linalg.Echelon(left_null)
@@ -267,7 +270,7 @@ def _units(D, md, q) -> list:
     """Integer unit slot vectors of block (md, q); none when a slot size leaves 0..D."""
     if any(a < 0 or a > D for a in md):
         return []
-    return [{(key, e): 1} for key in _slot_keys(D, md) for e in monomials(D, q)]
+    return [{(key, e): 1} for key in tc._slot_keys(D, md) for e in monomials(D, q)]
 
 
 def _weight_units(D, md, q, w) -> list:
@@ -290,7 +293,7 @@ def _keys_by_content(D, md) -> dict:
     """The slot keys of sizes md grouped by index content, {content: keys}."""
     zero = (0,) * D
     groups: dict = {}
-    for key in _slot_keys(D, md):
+    for key in tc._slot_keys(D, md):
         groups.setdefault(weight(key, zero), []).append(key)
     return groups
 

@@ -374,18 +374,16 @@ def _exchange_ok(rows: tuple[int, ...], wvec: dict) -> bool:
 # ---------------------------------------------------------------------------
 # slot (column-canonical) coordinates
 
+def _slot_keys(D: int, sizes) -> tuple:
+    """Slot keys of the given slot sizes in lex order; none when a size exceeds D."""
+    return tuple(itertools.product(*(itertools.combinations(range(1, D + 1), a)
+                                     for a in sizes)))
+
+
 @lru_cache(maxsize=None)
 def wedge_keys(rows: tuple[int, ...], D: int) -> tuple:
-    """Canonical keys of the column-antisymmetric coordinate space.
-
-    One strictly increasing tuple per column; empty when some column is
-    taller than D.
-    """
-    cols = Diagram(rows).columns()
-    per_col = [list(itertools.combinations(range(1, D + 1), m)) for m in cols]
-    if any(not options for options in per_col):
-        return ()
-    return tuple(sorted(itertools.product(*per_col)))
+    """Canonical keys of the column-antisymmetric coordinates: column `_slot_keys`."""
+    return _slot_keys(D, Diagram(rows).columns())
 
 
 def _sort_block(vals):
@@ -417,15 +415,18 @@ def projector_columns(rows: tuple[int, ...], D: int):
     integer column of the unnormalized symmetrizer and lam is the scalar
     dividing it into the idempotent projector. The restriction is well
     defined because the symmetrizer ends with column antisymmetrization.
+    A column taller than D leaves no slot keys, so no columns and no group.
 
     The symmetrizer sum costs |row group| * |column group| per key, so it
     is run on the smaller side of the column-wise epsilon duality: a
-    shape with columns c_1 >= ... >= c_k, none taller than D, that fills
-    more than half of the k-by-D box is built from its complement (see
-    `_dual_columns`). Ties and smaller shapes take `_symmetrizer_columns`.
+    shape with columns c_1 >= ... >= c_k that fills more than half of the
+    k-by-D box is built from its complement (see `_dual_columns`). Ties
+    and smaller shapes take `_symmetrizer_columns`.
     """
     cols = Diagram(rows).columns()
-    if cols and cols[0] <= D and 2 * sum(cols) > len(cols) * D:
+    if cols and cols[0] > D:
+        return {}, normalization(Diagram(rows))
+    if 2 * sum(cols) > len(cols) * D:
         return _dual_columns(rows, D)
     return _symmetrizer_columns(rows, D)
 

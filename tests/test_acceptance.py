@@ -14,7 +14,6 @@ from itertools import combinations, product
 
 from ncomplex import linalg
 from ncomplex.cohomology import (
-    _d_k_int,
     cohomology_dim,
     hexagon_check,
     odd_isomorphism_check,
@@ -22,6 +21,7 @@ from ncomplex.cohomology import (
 from ncomplex.diagrams import Diagram, partitions, schur_dim
 from ncomplex.fields import (
     _block_int_basis,
+    _d_k_int,
     block_basis,
     block_dim,
     dual_star_field,

@@ -1,5 +1,6 @@
 import io
 import json
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -216,6 +217,35 @@ def test_spin2_constants_without_a_block_are_json_null(capsys):
     assert run(["spin2", "--D", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["constants"] == {"d1_vs_d": "-2", "d2_vs_d2": None, "d3_vs_d": None}
+
+
+def test_spin2_rejects_a_field_of_another_dimension():
+    X = PolyTensorField.from_components(3, 2, 1, 2, "co", {((1,), (2, 0)): 1}).to_json()
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(X)), redirect_stdout(out), redirect_stderr(err):
+        code = run(["spin2", "--D", "4", "--input", "-"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: -: field dimension 2 differs from --D 4\n"
+
+
+def _limited_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_field_documents_of_a_degree_above_the_top_exit_2():
+    # no entries, so only the block check can refuse the degree; at degree 99
+    # delta would otherwise build a row group of 2^49 permutations
+    for degree, variance in ((5, "co"), (99, "contra")):
+        doc = json.dumps({"N": 3, "dim": 2, "degree": degree, "poly_degree": 1,
+                          "variance": variance, "entries": []})
+        for cmd in ("diff", "delta", "dual"):
+            r = subprocess.run([sys.executable, "-m", "ncomplex", cmd, "--input", "-"],
+                               input=doc, capture_output=True, text=True, timeout=60,
+                               preexec_fn=_limited_memory)
+            assert r.returncode == 2, (cmd, degree, r.stderr)
+            assert r.stdout == ""
+            assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, r.stderr
 
 
 def test_verification_failure_exits_1_without_traceback(monkeypatch):

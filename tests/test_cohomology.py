@@ -9,7 +9,6 @@ import pytest
 from ncomplex import cohomology, fields, linalg, multiforms
 from ncomplex.cohomology import (
     CohomologyTable,
-    _d_k_int,
     _image_vectors,
     _ker_im,
     _map_rank,
@@ -28,6 +27,7 @@ from ncomplex.errors import ShapeError, VerificationError
 from ncomplex.fields import (
     PolyTensorField,
     _block_int_basis,
+    _d_k_int,
     _dominant_weights,
     _top_degree,
     _weight_basis,
@@ -407,6 +407,13 @@ def test_map_ranks_match_whole_block_quotients():
     assert len(ranks) > 500 and sum(r > 0 for r in ranks) > 100
 
 
+def test_map_rank_rejects_a_target_block_that_d_s_does_not_reach():
+    for src, dst, s in (((1, 1, 1), (1, 2, 1), 1), ((1, 1, 2), (2, 1, 2), 1),
+                        ((1, 1, 1), (2, 2, 0), 0), ((3, 1, 1), (3, 2, 2), 0)):
+        with pytest.raises(ShapeError):
+            _map_rank(3, 3, src, dst, s)
+
+
 def test_map_rank_rejects_images_off_the_cocycles():
     # Ker d^2 does not include into Ker d at degree 1: d of a rotation-type class is nonzero
     with pytest.raises(VerificationError):
@@ -447,12 +454,32 @@ def test_weight_spaces_partition_each_block():
             assert list(_weight_basis(N, D, p, q, w)) == in_block.get(w, [])
 
 
+def test_image_store_keeps_one_column_per_basis_vector():
+    # columns in basis order, each d^k of its basis vector, zeros in place;
+    # k runs past N, where every column is zero
+    zeros = nonzeros = 0
+    for N in (2, 3, 4):
+        for D in (1, 2, 3):
+            for p in range(_top_degree(N, D) + 1):
+                for q in range(3):
+                    for w in monomials(D, p + q):
+                        basis = _weight_basis(N, D, p, q, w)
+                        for k in range(N + 2):
+                            columns = fields._image_vectors(N, D, p, q, k, w)
+                            assert columns == tuple(_d_k_int(N, D, p, q, v, k) for v in basis)
+                            zeros += sum(not c for c in columns)
+                            nonzeros += sum(bool(c) for c in columns)
+    assert zeros > 1000 and nonzeros > 1000
+    assert cohomology._image_vectors is fields._image_vectors
+
+
 def test_no_whole_block_route():
     # every block computation runs on weight spaces: with the whole-block
     # bases raising at each binding, all of them still answer
     rng = random.Random(5)
     closed = d_power(random_field(3, 3, 1, 3, rng), 1)
     cocycle = cocycle_from_two_form(random_field(2, 3, 2, 2, rng))
+    green_fields = [random_field(N, D, p, 2, rng) for N, D, p in ((3, 3, 1), (3, 3, 2), (4, 2, 3))]
     refuse = mock.Mock(side_effect=AssertionError("whole-block basis built"))
     patches = [mock.patch.object(mod, name, refuse) for mod in (fields, cohomology, multiforms)
                for name in ("_block_int_basis", "block_basis") if hasattr(mod, name)]
@@ -467,6 +494,7 @@ def test_no_whole_block_route():
         assert d_power(solve_preimage(closed, 2), 1) == closed
         assert killing_dim(3, 2, 1, 1) == 8
         assert multiforms.lemma4_check(3, 2, 1, 2)
+        assert [multiforms.green_factor(F) for F in green_fields] == [1, 1, 1]
     finally:
         for patch in patches:
             patch.stop()

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -87,7 +88,7 @@ def test_field_keys_are_checked_by_structure(monkeypatch):
     def no_listing(*args):
         raise AssertionError("a key check listed the slot keys of a degree")
 
-    monkeypatch.setattr(fields, "_slot_keys", no_listing)
+    monkeypatch.setattr(tc, "_slot_keys", no_listing)
     # degree 8 at N = 3, D = 20: about 23.5 million slot keys
     key = ((1, 2, 3, 4), (1, 2, 3, 4))
     F = PolyTensorField(3, 20, 8, 0, "co", {(key, (0,) * 20): 1})
@@ -352,6 +353,21 @@ def test_json_round_trip_and_components():
         assert component(F, idx, exp) == v
 
 
+def test_from_json_checks_the_block_of_a_document_without_entries():
+    # the top degree at N = 3, D = 2 is 4
+    head = {"N": 3, "dim": 2, "poly_degree": 1, "variance": "contra", "entries": []}
+    assert PolyTensorField.from_json(json.dumps(dict(head, degree=4))) == \
+        PolyTensorField.zero(3, 2, 4, 1, "contra")
+    for degree in (5, 99, -1):
+        with pytest.raises(ShapeError):
+            PolyTensorField.from_json(json.dumps(dict(head, degree=degree)))
+    # library code may still build an empty field above the top degree; its
+    # codifferential reaches a projector with columns taller than D and
+    # builds no group
+    assert delta(PolyTensorField.zero(3, 2, 99, 1, "contra")) == \
+        PolyTensorField.zero(3, 2, 98, 0, "contra")
+
+
 def test_full_components_match_slicewise_expansion():
     rng = random.Random(17)
     for N, D, p, q in ((2, 3, 1, 2), (3, 2, 2, 2), (3, 3, 3, 1), (4, 2, 4, 2), (4, 3, 2, 1)):
@@ -504,15 +520,15 @@ def test_dominant_basis_is_the_dominant_part_of_the_block():
         assert all(b.variance == "contra" for b in fields.dominant_basis(N, D, p, q, "contra"))
 
 
-def _whole_block_calls(name: str, source: str) -> list:
-    """(module, function, line) of each call to `block_basis`, however it is bound."""
+def _calls(name: str, source: str, callees) -> list:
+    """(module, function, line) of each call to one of callees, however it is bound."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
         if (isinstance(node, ast.Call)
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "block_basis"):
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) in callees):
             found.append((name, func, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -522,11 +538,19 @@ def _whole_block_calls(name: str, source: str) -> list:
 
 
 def test_no_library_code_builds_a_whole_block():
-    # whole-block bases are test oracles; the library works on weight spaces
+    # whole-block bases are test oracles; the library works on weight spaces,
+    # and d^k meets a weight basis only through the store `_image_vectors`
     src = Path(__file__).resolve().parent.parent / "src" / "ncomplex"
     modules = sorted(src.glob("*.py"))
     assert len(modules) >= 10
-    assert [hit for p in modules for hit in _whole_block_calls(p.name, p.read_text())] == []
+    assert [hit for p in modules for hit in _calls(p.name, p.read_text(), {"block_basis"})] == []
+    private = {"_block_int_basis", "_d_k_int"}
+    assert [hit for p in modules if p.name != "fields.py"
+            for hit in _calls(p.name, p.read_text(), private)] == []
+    inside = _calls("fields.py", (src / "fields.py").read_text(), {"_d_k_int"})
+    assert sorted(func for _, func, _ in inside) == ["_image_vectors", "d_power"]
+    inside = _calls("fields.py", (src / "fields.py").read_text(), {"_block_int_basis"})
+    assert sorted(func for _, func, _ in inside) == ["block_basis", "random_field"]
     probe = """
 def block_basis(N, D, p, q):
     return [vec for vec in _block_int_basis(N, D, p, q)]
@@ -534,5 +558,9 @@ def f(D):
     for b in fl.block_basis(3, D, 2, 2):
         pass
     return block_basis(3, D, 1, 1), dominant_basis(3, D, 1, 1)
+def g(vec):
+    return fields._d_k_int(3, 2, 1, 1, vec, 2), _d_k_int(3, 2, 1, 1, vec, 1)
 """
-    assert _whole_block_calls("gauge.py", probe) == [("gauge.py", "f", 5), ("gauge.py", "f", 7)]
+    assert _calls("gauge.py", probe, {"block_basis"}) == [("gauge.py", "f", 5), ("gauge.py", "f", 7)]
+    assert _calls("gauge.py", probe, private) == [
+        ("gauge.py", "block_basis", 3), ("gauge.py", "g", 9), ("gauge.py", "g", 9)]

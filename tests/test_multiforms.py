@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
-from ncomplex import linalg
+from ncomplex import fields, linalg
 from ncomplex import multiforms as mf
 from ncomplex.errors import ShapeError, VerificationError
 from ncomplex.fields import (
@@ -175,6 +175,61 @@ def test_green_factor_matches_the_field_route():
                         assert green_factor(F) == _green_factor_by_fields(F), (N, D, p, q)
 
 
+def _green_factor_whole_block(F):
+    """The integer route on the whole block basis of F's block, plus F."""
+    N, D, p, q = F.N, F.D, F.p, F.q
+    i = p % (N - 1)
+    md = _staircase(N, p)
+    cols, lam = fields._pi_columns(N, D, p + 1)
+    pairs, filled = [], True
+    for u in _block_int_basis(N, D, p, q) + ((F.data,) if F.data else ()):
+        lhs = fields._apply_d_int(N, D, p, u)
+        raw = mf._slot_product((i + 1,), md, u, D)
+        pairs.append((lhs, fields._slot_map(cols, raw)))
+        filled = filled and (i != 0 or lhs == {k: lam * v for k, v in raw.items()})
+    assert filled
+    return linalg.proportionality(pairs)
+
+
+def test_green_factor_matches_the_whole_block_route():
+    rng = random.Random(8)
+    constants = set()
+    for N, D_max in ((2, 4), (3, 4), (4, 3)):
+        for D in range(1, D_max + 1):
+            for p in range((N - 1) * D):
+                for q in (1, 2, 3):
+                    for F in (random_field(N, D, p, q, rng), PolyTensorField.zero(N, D, p, q)):
+                        c = green_factor(F)
+                        assert c == _green_factor_whole_block(F), (N, D, p, q)
+                        constants.add(c)
+    assert constants == {1}
+
+
+def test_green_factor_sees_every_dominant_weight(monkeypatch):
+    # a slot product doubled on one S_D orbit of weights still commutes with
+    # the index permutations, and breaks the constant on that orbit alone; F
+    # is zero, so only the basis pairs can see it (d projects at degree 1)
+    slot_product = mf._slot_product
+    F = PolyTensorField.zero(3, 3, 1, 3)
+    broken = []
+    for w0, _ in mf._dominant_weights(3, 4):
+        def doubled_on_orbit(J, md, vec, D):
+            return {k: 2 * v if tuple(sorted(weight(*k), reverse=True)) == w0 else v
+                    for k, v in slot_product(J, md, vec, D).items()}
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mf, "_slot_product", doubled_on_orbit)
+            try:
+                _green_factor_whole_block(F)
+            except ValueError:
+                broken.append(w0)
+                with pytest.raises(VerificationError):
+                    green_factor(F)
+            else:  # pragma: no cover - every orbit carries a nonzero d here
+                assert green_factor(F) == _green_factor_whole_block(F)
+    assert broken == [w for w, _ in mf._dominant_weights(3, 4)]
+
+
 def test_green_factor_catches_a_wrong_slot_product(monkeypatch):
     slot_product = mf._slot_product
 
@@ -260,7 +315,7 @@ def _lemma4_all_weights(N, D, n, q):
         products = tuple(combinations(range(1, N), k))
         for w in monomials(D, p + q):
             basis = _weight_basis(N, D, p, q, w)
-            left_null = linalg.nullspace([mf._d_k_int(N, D, p, q, b, k) for b in basis])
+            left_null = linalg.nullspace([fields._d_k_int(N, D, p, q, b, k) for b in basis])
             right_null = linalg.nullspace([_stacked(products, md, b, D) for b in basis])
             if len(left_null) != len(right_null):
                 return False
@@ -277,17 +332,23 @@ def test_lemma4_dominant_weights_match_all_weights(monkeypatch):
         assert lemma4_check(N, D, n, q) == _lemma4_all_weights(N, D, n, q), (N, D, n, q)
     # d^k set to zero on one S_D orbit of weights still commutes with index
     # permutations, and breaks the lemma on that orbit alone, where d^k acts:
-    # a route that skipped a dominant weight would miss it
-    d_k_int = mf._d_k_int
+    # a route that skipped a dominant weight would miss it. The patch goes
+    # where the d^k store calls, and the store forgets what it cached.
+    d_k_int = fields._d_k_int
     broken = []
     for w0, _ in mf._dominant_weights(3, 4):
         def zero_on_orbit(N, D, p, q, vec, k):
             w = weight(*next(iter(vec))) if vec else ()
             return {} if tuple(sorted(w, reverse=True)) == w0 else d_k_int(N, D, p, q, vec, k)
 
-        monkeypatch.setattr(mf, "_d_k_int", zero_on_orbit)
-        verdict = lemma4_check(3, 3, 1, 2)
-        assert verdict == _lemma4_all_weights(3, 3, 1, 2), w0
+        fields._image_vectors.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(fields, "_d_k_int", zero_on_orbit)
+                verdict = lemma4_check(3, 3, 1, 2)
+                assert verdict == _lemma4_all_weights(3, 3, 1, 2), w0
+        finally:
+            fields._image_vectors.cache_clear()
         if not verdict:
             broken.append(w0)
     assert broken == [(2, 1, 1), (2, 2, 0), (3, 1, 0)]

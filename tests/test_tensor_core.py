@@ -357,6 +357,24 @@ def test_wedge_keys_shape():
     assert wedge_keys((1, 1), 2) == (((1, 2),),)
     assert len(wedge_keys((2,), 2)) == 4
     assert wedge_keys((1, 1, 1), 2) == ()
+    # the slot keys of the column heights come in lex order without a sort
+    for D in range(1, 5):
+        for n in range(7):
+            for Y in partitions(n):
+                keys = wedge_keys(Y.rows, D)
+                assert list(keys) == sorted(keys), (Y.rows, D)
+                assert len(keys) == prod(comb(D, c) for c in Y.columns()), (Y.rows, D)
+
+
+def test_projector_columns_of_a_column_taller_than_D_build_no_group(monkeypatch):
+    def no_group(rows):
+        raise AssertionError("a row group was built")
+
+    monkeypatch.setattr(tensor_core, "row_group", no_group)
+    # the row group of this shape has 2^49 permutations
+    rows = (2,) * 49
+    assert projector_columns(rows, 2) == ({}, tensor_core.normalization(Diagram(rows)))
+    assert projector_columns((1, 1, 1), 2) == ({}, 6)
 
 
 def _symmetrizer_cost(Y, D):
