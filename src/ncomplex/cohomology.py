@@ -6,22 +6,28 @@ monomial basis, the differential is a cached integer matrix between
 blocks, and dimensions come from exact ranks. There is no tolerance
 anywhere; a wrong rank is a bug, not noise.
 
-The dimension tables never eliminate a whole block. The differential
-keeps the torus weight of every entry (see `fields.weight`), so a block
-splits into weight spaces and rank(d^k) is the sum of the ranks on them.
-A coordinate permutation commutes with d and carries weight w onto its
-permuted weight with the same rank, so only the dominant (nonincreasing)
-weights are eliminated, each counted by its orbit size D!/(m_1!...m_r!),
-the m_i being the multiplicities of the distinct entries of w (Fulton and
-Harris, Representation Theory, Lectures 6 and 15). The tables, the
-Poincare suite, the hexagon sequences, the odd-degree isomorphisms and the
-two-form triviality test all run on weight spaces: an induced map between
-cohomology blocks has rank rank(d^s Z_w + B_w) - rank(B_w) on weight w,
-with Z_w the cocycles of the source and B_w the coboundaries of the target.
-All of them, and `solve_preimage` on each weight part of its field, read
-d^k of a weight basis from the store `fields._image_vectors`, whose columns
-follow the basis in block order: cocycles are nullspace combinations of
-the basis, and a solve returns the potential a whole-block solve would.
+No dimension needs a rank elimination. GL_D acts on every block (p, q),
+which is S_Y(V) (x) S^q(V) with Y = max_diagram(N, p), and d commutes
+with it: d inserts mu together with d/dx_mu, the identity of V (x) V*.
+By Pieri's rule the block is the sum of S_lam over the lam of
+`diagrams.horizontal_strips(Y, q, D)`, each once (Macdonald, Symmetric
+Functions, I.(5.16); Fulton and Harris, Representation Theory, Lecture
+15), so each highest-weight space is one-dimensional
+(`fields._hw_coefficients`). An equivariant map either kills a copy of
+S_lam or maps it injectively, and which one it does is decided by its
+highest-weight vector. So rank d^k is the sum of schur_dim(lam, D) over
+the lam whose highest-weight vector d^k does not kill: one nonzero test
+per constituent, exact because the modules are semisimple and every copy
+is there once. The tables, the Poincare suite, the Killing counts, the
+hexagon sequences and the odd-degree isomorphisms all run this way; an
+induced map between cohomology blocks counts the lam whose
+highest-weight vector is a cocycle that the map sends outside the
+coboundaries. d^k of a highest-weight vector is its coefficients
+combined over the columns of the store `fields._image_vectors` at lam,
+so the tables fill the store only at Pieri weights. `solve_preimage` and
+the two-form triviality test read the same store on each weight part of
+their field, whose columns follow the basis in block order: a solve
+returns the potential a whole-block solve would.
 Killing tensor counts are Ker d^k on the block (m, q) of the order
 m + k + 1 complex, where every degree up to m + k is a one-row type and
 d^k is the symmetrized k-th derivative.
@@ -33,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import linalg
+from .diagrams import horizontal_strips, max_diagram, schur_dim
 from .errors import ShapeError, VerificationError
 from .fields import (
     CO,
@@ -40,42 +47,63 @@ from .fields import (
     PolyTensorField,
     _by_weight,
     _d_k_scale,
-    _dominant_weights,
+    _hw_coefficients,
     _image_vectors,
     _partials,
     _top_degree,
     _weight_basis,
-    # unused here; the names stay because bench/spans.py wraps these bindings
-    _apply_d_int,
-    block_basis,
+    block_dim,
     d_power,
     monomials,
     n_diff,
+    # unused here; the names stay because bench/spans.py wraps these bindings
+    _apply_d_int,
+    block_basis,
 )
 from .multiforms import CheckReport
 
 
 @lru_cache(maxsize=None)
-def _weight_rank(N, D, p, q, k, w) -> int:
-    """Rank of d^k on the weight-w part of block (p, q)."""
-    return linalg.rank(_image_vectors(N, D, p, q, k, w))
+def _pieri(N, D, p, q) -> tuple:
+    """(lam, schur_dim(lam, D)) for each Pieri constituent lam of block (p, q).
+
+    lam is a weight, padded with zeros to D entries. A block out of range
+    has none; otherwise the dimensions must add up to the block's.
+    """
+    if p < 0 or q < 0 or p > _top_degree(N, D):
+        return ()
+    out = tuple((lam.rows + (0,) * (D - lam.n_rows), schur_dim(lam, D))
+                for lam in horizontal_strips(max_diagram(N, p), q, D))
+    if sum(dim for _, dim in out) != block_dim(N, D, p, q):
+        raise VerificationError(
+            f"Pieri constituents miss the dimension of block (p={p}, q={q}) at N={N} D={D}")
+    return out
+
+
+def _hw_image(N, D, p, q, k, lam) -> dict:
+    """d^k of the highest-weight vector of weight lam in block (p, q).
+
+    Its coefficients combined over the store's level-k columns at lam.
+    """
+    return linalg.combine(_hw_coefficients(N, D, p, q, lam), _image_vectors(N, D, p, q, k, lam))
+
+
+def _kept(N, D, p, q, k) -> dict:
+    """{lam: schur_dim(lam, D)} of the constituents of block (p, q) that d^k maps injectively."""
+    return {lam: dim for lam, dim in _pieri(N, D, p, q) if _hw_image(N, D, p, q, k, lam)}
 
 
 def _ker_im(N, D, p, k, q):
     """dim Ker(d^k) on the block (p, q) and dim of the Im(d^(N-k)) landing in it.
 
-    Both ranks are summed over the dominant (nonincreasing) weights w, each
-    weight space counted |S_D w| times.
+    A rank of d^k is the sum of schur_dim(lam, D) over the Pieri
+    constituents whose highest-weight vector d^k does not kill; the image
+    is that sum on the source block of d^(N-k). This is exact because each
+    block holds every S_lam once and d^k commutes with GL_D, so d^k is zero
+    or injective on each copy.
     """
-    src_p, src_q = p - (N - k), q + (N - k)
-    ker = im = 0
-    for w, orbit in _dominant_weights(D, p + q):
-        dim = len(_weight_basis(N, D, p, q, w))
-        if dim:
-            ker += orbit * (dim - _weight_rank(N, D, p, q, k, w))
-        if src_p >= 0:
-            im += orbit * _weight_rank(N, D, src_p, src_q, N - k, w)
-    return ker, im
+    ker = block_dim(N, D, p, q) - sum(_kept(N, D, p, q, k).values())
+    return ker, sum(_kept(N, D, p - (N - k), q + (N - k), N - k).values())
 
 
 def cohomology_dim(N: int, D: int, p: int, k: int, q: int) -> int:
@@ -236,32 +264,29 @@ def killing_dim(D: int, m: int, k: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # induced maps and the exact four-term sequences
 
-def _coboundaries(N, D, p, k, q, w) -> tuple:
-    """Generators B_w of the Im(d^(N-k)) landing in the weight-w part of block (p, q)."""
-    src_p = p - (N - k)
-    return _image_vectors(N, D, src_p, q + N - k, N - k, w) if src_p >= 0 else ()
-
-
 def _map_rank(N, D, src, dst, s) -> int:
     """Rank of the map H(src) -> H(dst) induced by d^s (s = 0 is the inclusion).
 
-    src and dst are (p, k, q) labels, dst on the block d^s maps src into. On
-    each dominant weight w the rank is rank(d^s Z_w + B_w) - rank(B_w),
-    counted |S_D w| times; z in Z_w is a nullspace combination c, and d^s z
-    is c over the store's level-s columns. Every d^s z must be a cocycle of
-    dst, or the map is not defined.
+    src and dst are (p, k, q) labels, dst on the block d^s maps src into.
+    Both blocks are multiplicity free and d^s commutes with GL_D, so the
+    map is nonzero on the copy of S_lam exactly when, for its
+    highest-weight vector z, z is a cocycle of src, d^s z is nonzero and
+    the lam copy of dst is not a coboundary; each such lam counts
+    schur_dim(lam, D). Every d^s z must be a cocycle of dst, or the map is
+    not defined.
     """
     (sp, sk, sq), (dp, dk, dq) = src, dst
     if (dp, dq) != (sp + s, sq - s):
         raise ShapeError(f"d^{s} does not map the block of {src} to that of {dst}")
+    hit = _kept(N, D, dp - (N - dk), dq + (N - dk), N - dk)
     total = 0
-    for w, orbit in _dominant_weights(D, sp + sq):
-        null = linalg.nullspace(_image_vectors(N, D, sp, sq, sk, w))
-        images = [linalg.combine(c, _image_vectors(N, D, sp, sq, s, w)) for c in null]
-        if any(linalg.combine(c, _image_vectors(N, D, sp, sq, s + dk, w)) for c in null):
+    for lam, dim in _pieri(N, D, sp, sq):
+        if _hw_image(N, D, sp, sq, sk, lam):
+            continue
+        if _hw_image(N, D, sp, sq, s + dk, lam):
             raise VerificationError(f"d^{s} sends a cocycle of {src} off the cocycles of {dst}")
-        ech = linalg.Echelon(_coboundaries(N, D, dp, dk, dq, w))
-        total += orbit * sum(ech.add(v) for v in images)
+        if lam not in hit and _hw_image(N, D, sp, sq, s, lam):
+            total += dim
     return total
 
 

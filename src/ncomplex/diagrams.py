@@ -166,6 +166,35 @@ def schur_dim(Y, D: int) -> int:
     return quot
 
 
+def horizontal_strips(Y, q: int, D: int) -> tuple:
+    """The diagrams lambda of at most D rows whose skew lambda/Y is a horizontal q-strip.
+
+    By Pieri's rule S_Y(V) (x) S^q(V) is the sum of S_lambda over exactly
+    these, each once (Macdonald, Symmetric Functions, I.(5.16)). A strip
+    adds at most one cell per column, so Y_r <= lambda_r <= Y_(r-1).
+    Listed with the longest first row first.
+    """
+    Y = as_diagram(Y)
+    if D < 1:
+        raise ShapeError(f"dimension must be positive, got {D}")
+    if q < 0 or Y.n_rows > D:
+        return ()
+    rows = Y.rows + (0,) * (D - Y.n_rows)
+    out = []
+
+    def gen(r: int, left: int, prefix: tuple) -> None:
+        if r == D:
+            if not left:
+                out.append(Diagram(tuple(m for m in prefix if m)))
+            return
+        cap = rows[r] + left if r == 0 else min(rows[r - 1], rows[r] + left)
+        for m in range(cap, rows[r] - 1, -1):
+            gen(r + 1, left - (m - rows[r]), prefix + (m,))
+
+    gen(0, q, ())
+    return tuple(out)
+
+
 def standard_count(Y) -> int:
     """Number of standard fillings of Y, by the hook length formula."""
     Y = as_diagram(Y)

@@ -46,12 +46,16 @@ is spanned by the Schur vectors of content c times the monomial x^(w - c);
 lists it in block order, so a solve on it returns the particular solution
 of the whole block. `_by_weight` splits a slot vector into weight parts.
 `_dominant_weights` lists the nonincreasing weights of one degree with
-the sizes of their S_D orbits, the only weights `cohomology` and the
-splitting checks of `multiforms` eliminate on. `dominant_basis` lists
-the basis fields of those weights; the duality constants here and the
-gauge constants and spin-2 chain check are verified on it, because every
-map they relate commutes with the index permutations. `block_basis`, the
-whole block, is left to the tests as an oracle.
+the sizes of their S_D orbits, the only weights the splitting checks of
+`multiforms` eliminate on. `_raise` is the raising operator E_(i,i+1) of
+gl_D on slot vectors; it commutes with d. A block holds each irreducible
+constituent once (Pieri), so its highest-weight vectors of weight lam
+span one line, and `_hw_coefficients` writes that vector over the weight
+basis at lam; `cohomology` ranks every block on these. `dominant_basis`
+lists the basis fields of the dominant weights; the duality constants
+here and the gauge constants and spin-2 chain check are verified on it,
+because every map they relate commutes with the index permutations.
+`block_basis`, the whole block, is left to the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -145,8 +149,7 @@ class PolyTensorField(linalg.Sparse):
             v = Fraction(v)
             if not v:
                 continue
-            if self.p > _top_degree(self.N, self.D):
-                raise ShapeError(f"degree {self.p} exceeds the top degree of the complex")
+            _check_in_complex(self)
             key, exp = _check_entry(self.N, self.D, key, exp)
             if tuple(map(len, key)) != _staircase(self.N, self.p):
                 raise ShapeError(f"key {key} is not a slot key of degree {self.p}")
@@ -358,6 +361,12 @@ def _top_degree(N, D):
     return (N - 1) * D
 
 
+def _check_in_complex(F: "PolyTensorField") -> None:
+    """ShapeError for a field above the top degree (`__init__` admits one only if it is empty)."""
+    if F.p > _top_degree(F.N, F.D):
+        raise ShapeError(f"degree {F.p} exceeds the top degree of the complex")
+
+
 @lru_cache(maxsize=None)
 def _insertion(N: int, D: int, p: int):
     """Graded insertion of one index followed by projection.
@@ -414,6 +423,7 @@ def d_power(F: PolyTensorField, k: int) -> PolyTensorField:
     """d^k F: `_d_k_int` on the data, divided once by `_d_k_scale`."""
     if k < 0:
         raise ShapeError(f"power {k} must be nonnegative")
+    _check_in_complex(F)
     if k == 0:
         return F
     N, D, p = F.N, F.D, F.p
@@ -563,6 +573,45 @@ def _image_vectors(N: int, D: int, p: int, q: int, k: int, w: tuple) -> tuple:
                  for u in _image_vectors(N, D, p, q, k - 1, w))
 
 
+def _raise(i: int, vec: dict) -> dict:
+    """The raising operator E_(i,i+1) of gl_D on a slot vector.
+
+    In each column that holds i + 1 but not i, i + 1 becomes i; the two are
+    adjacent, so the column stays sorted and no sign arises. On the
+    monomial it is x_i d/dx_(i+1). Both parts keep the degree and move the
+    weight by e_i - e_(i+1).
+    """
+    def terms():
+        for (key, exp), v in vec.items():
+            for n, slot in enumerate(key):
+                if i + 1 in slot and i not in slot:
+                    swapped = tuple(i if a == i + 1 else a for a in slot)
+                    yield (key[:n] + (swapped,) + key[n + 1:], exp), v
+            a = exp[i]
+            if a:
+                yield (key, exp[:i - 1] + (exp[i - 1] + 1, a - 1) + exp[i + 1:]), v * a
+
+    return linalg.accumulate(terms())
+
+
+@lru_cache(maxsize=None)
+def _hw_coefficients(N: int, D: int, p: int, q: int, lam: tuple) -> dict:
+    """The highest-weight vector of weight lam in block (p, q), as coefficients.
+
+    {j: c} over `_weight_basis(N, D, p, q, lam)`: the one nullspace row of
+    the stacked E_1 ... E_(D-1) images of that basis. A block is
+    multiplicity free (Pieri), so at a constituent lam the row is unique;
+    anything else raises.
+    """
+    columns = [{(i, key): v for i in range(1, D) for key, v in _raise(i, u).items()}
+               for u in _weight_basis(N, D, p, q, lam)]
+    null = linalg.nullspace(columns)
+    if len(null) != 1:
+        raise VerificationError(f"{len(null)} highest-weight vectors of weight {lam} "
+                                f"in block (p={p}, q={q}) at N={N} D={D}")
+    return null[0]
+
+
 def block_dim(N, D, p, q) -> int:
     if p > _top_degree(N, D) or p < 0 or q < 0:
         return 0
@@ -610,6 +659,7 @@ def delta(F: PolyTensorField) -> PolyTensorField:
     """
     if F.variance != CONTRA:
         raise ShapeError("the codifferential acts on contravariant fields")
+    _check_in_complex(F)
     N, D, p = F.N, F.D, F.p
     if p == 0 or F.q == 0:
         return PolyTensorField.zero(N, D, max(p - 1, 0), max(F.q - 1, 0), CONTRA)
@@ -620,6 +670,7 @@ def delta(F: PolyTensorField) -> PolyTensorField:
 
 def delta_unprojected(F: PolyTensorField) -> PolyTensorField:
     """The contraction step alone, for checking when projection is free."""
+    _check_in_complex(F)
     N, D, p = F.N, F.D, F.p
     if F.variance != CONTRA or p == 0 or F.q == 0:
         return delta(F)

@@ -12,7 +12,6 @@ from ncomplex.cohomology import (
     _image_vectors,
     _ker_im,
     _map_rank,
-    _weight_rank,
     cocycle_from_two_form,
     cohomology_dim,
     compute_table,
@@ -23,12 +22,15 @@ from ncomplex.cohomology import (
     solve_preimage,
     two_form_cocycle_is_trivial,
 )
+from ncomplex.diagrams import horizontal_strips, max_diagram
 from ncomplex.errors import ShapeError, VerificationError
 from ncomplex.fields import (
     PolyTensorField,
+    _apply_d_int,
     _block_int_basis,
     _d_k_int,
     _dominant_weights,
+    _raise,
     _top_degree,
     _weight_basis,
     block_basis,
@@ -530,6 +532,139 @@ def _rank_mod(vectors, prime):
                 rows[i] = [(a - f * b) % prime for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def _weight_rank(N, D, p, q, k, w) -> int:
+    """Rank of d^k on the weight-w part of block (p, q), by elimination."""
+    return linalg.rank(_image_vectors(N, D, p, q, k, w))
+
+
+def _orbit_ker_im(N, D, p, k, q):
+    """(dim Ker d^k, dim Im d^(N-k)) on block (p, q) from the ranks on every dominant weight.
+
+    Each weight space counted |S_D w| times; no highest-weight vector is used.
+    """
+    src_p, src_q = p - (N - k), q + (N - k)
+    ker = im = 0
+    for w, orbit in _dominant_weights(D, p + q):
+        dim = len(_weight_basis(N, D, p, q, w))
+        if dim:
+            ker += orbit * (dim - _weight_rank(N, D, p, q, k, w))
+        if src_p >= 0:
+            im += orbit * _weight_rank(N, D, src_p, src_q, N - k, w)
+    return ker, im
+
+
+@pytest.mark.parametrize("N, D, q_max", [(3, 5, 3), (5, 3, 2), (4, 4, 2)])
+def test_highest_weight_ranks_match_the_orbit_weighted_weight_ranks(N, D, q_max):
+    blocks = [(p, k, q) for p in range(_top_degree(N, D) + 1) for k in range(1, N)
+              for q in range(q_max + 1)]
+    hw = [_ker_im(N, D, *b) for b in blocks]
+    assert hw == [_orbit_ker_im(N, D, *b) for b in blocks]
+    assert sum(im > 0 for _, im in hw) > 10
+
+
+def _pieri_weights(N, D, p, q):
+    """The Pieri constituents of block (p, q) as weights with D entries."""
+    return {lam.rows + (0,) * (D - lam.n_rows)
+            for lam in horizontal_strips(max_diagram(N, p), q, D)}
+
+
+def _raised_columns(N, D, p, q, w):
+    """E_1 ... E_(D-1) of each weight basis vector, stacked into one column."""
+    return [{(i, key): v for i in range(1, D) for key, v in _raise(i, u).items()}
+            for u in _weight_basis(N, D, p, q, w)]
+
+
+def test_highest_weight_spaces_are_the_pieri_constituents():
+    # every dominant weight: one highest-weight vector on a horizontal strip, none elsewhere
+    seen = {0: 0, 1: 0}
+    for N, D, p, k, q in _sweep():
+        if k != 1:
+            continue
+        strips = _pieri_weights(N, D, p, q)
+        for w, _ in _dominant_weights(D, p + q):
+            null = linalg.nullspace(_raised_columns(N, D, p, q, w))
+            assert len(null) == (w in strips), (N, D, p, q, w)
+            seen[len(null)] += 1
+            if null:
+                assert fields._hw_coefficients(N, D, p, q, w) == null[0]
+            else:
+                with pytest.raises(VerificationError):
+                    fields._hw_coefficients(N, D, p, q, w)
+    assert seen[0] > 100 and seen[1] > 100
+
+
+def test_raising_commutes_with_the_differential():
+    checked = 0
+    for N in (2, 3, 4):
+        for D in (2, 3):
+            for p in range(_top_degree(N, D)):
+                for q in range(1, 3):
+                    for w in monomials(D, p + q):
+                        for u in _weight_basis(N, D, p, q, w):
+                            du = _apply_d_int(N, D, p, u)
+                            for i in range(1, D):
+                                assert _apply_d_int(N, D, p, _raise(i, u)) == _raise(i, du)
+                                checked += bool(du)
+    assert checked > 500
+
+
+def test_raising_on_a_column_and_a_monomial():
+    # E_1: 2 -> 1 in the column without 1, x_1 d/dx_2 on the monomial, no sign
+    vec = {(((2,), (1, 2)), (0, 2, 0)): 3}
+    assert _raise(1, vec) == {(((1,), (1, 2)), (0, 2, 0)): 3,
+                              (((2,), (1, 2)), (1, 1, 0)): 6}
+    assert _raise(2, vec) == {}
+
+
+def test_hw_coefficients_require_exactly_one_vector():
+    # two copies of a weight basis carry two highest-weight vectors
+    lam = (3, 1, 0)
+    assert fields._hw_coefficients(3, 3, 2, 2, lam)
+    doubled = _weight_basis(3, 3, 2, 2, lam) * 2
+    with mock.patch.object(fields, "_weight_basis", return_value=doubled):
+        with pytest.raises(VerificationError):
+            fields._hw_coefficients.__wrapped__(3, 3, 2, 2, lam)
+
+
+def test_tables_read_the_store_only_at_pieri_weights():
+    asked = set()
+
+    def record(N, D, p, q, k, w):
+        asked.add((N, D, p, q, w))
+        return fields._image_vectors(N, D, p, q, k, w)
+
+    with mock.patch.object(cohomology, "_image_vectors", record):
+        compute_table(3, 3, 3)
+        compute_table(4, 2, 2)
+        assert poincare_suite(3, 3, 2, 2).ok
+    assert len(asked) > 50
+    assert all(w in _pieri_weights(N, D, p, q) for N, D, p, q, w in asked)
+
+
+def test_pieri_dimensions_are_checked():
+    def drop_last(Y, q, D):
+        return horizontal_strips(Y, q, D)[:-1]
+
+    cohomology._pieri.cache_clear()
+    try:
+        with mock.patch.object(cohomology, "horizontal_strips", drop_last):
+            with pytest.raises(VerificationError):
+                cohomology_dim(3, 3, 2, 1, 2)
+    finally:
+        cohomology._pieri.cache_clear()
+
+
+def test_killing_counts_match_the_closed_form():
+    # flat-space valence-m Killing tensors: (D+m-1)!(D+m)! / (D!(D-1)! m!(m+1)!)
+    from math import factorial as f
+
+    for D in range(1, 9):
+        for m in range(4):
+            total = sum(killing_dim(D, m, 1, q) for q in range(m + 2))
+            assert total == f(D + m - 1) * f(D + m) // (f(D) * f(D - 1) * f(m) * f(m + 1)), (D, m)
+    assert total == 4950
 
 
 def test_weight_ranks_against_modular_elimination():

@@ -9,6 +9,7 @@ from ncomplex.diagrams import (
     as_diagram,
     conjugate,
     contract_shape,
+    horizontal_strips,
     max_diagram,
     partitions,
     schur_dim,
@@ -167,3 +168,27 @@ def test_as_diagram_and_json_shape():
     assert Y.rows == (2, 2, 1)
     assert Y.to_list() == [2, 2, 1]
     assert Y.cells() == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+
+
+def _is_horizontal_strip(lam, Y) -> bool:
+    """lam contains Y and no column of lam/Y holds two cells."""
+    lam_cols, Y_cols = lam.columns(), Y.columns()
+    Y_cols += (0,) * (len(lam_cols) - len(Y_cols))
+    return len(Y_cols) == len(lam_cols) and all(0 <= a - b <= 1 for a, b in zip(lam_cols, Y_cols))
+
+
+def test_horizontal_strips_match_a_filter_over_all_partitions():
+    for Y in ((), (1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1, 1), (2, 2, 2)):
+        Y = Diagram(Y)
+        for D in range(1, 5):
+            for q in range(5):
+                expected = [lam for lam in partitions(Y.size + q)
+                            if lam.n_rows <= D and _is_horizontal_strip(lam, Y)]
+                assert list(horizontal_strips(Y, q, D)) == expected, (Y, D, q)
+                # Pieri: S_Y (x) S^q splits into exactly these, each once
+                assert sum(schur_dim(lam, D) for lam in expected) == \
+                    schur_dim(Y, D) * comb(q + D - 1, D - 1)
+    assert horizontal_strips((2, 1), -1, 3) == ()
+    assert horizontal_strips((1, 1, 1), 2, 2) == ()
+    with pytest.raises(ShapeError):
+        horizontal_strips((1,), 1, 0)

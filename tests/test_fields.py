@@ -361,11 +361,29 @@ def test_from_json_checks_the_block_of_a_document_without_entries():
     for degree in (5, 99, -1):
         with pytest.raises(ShapeError):
             PolyTensorField.from_json(json.dumps(dict(head, degree=degree)))
-    # library code may still build an empty field above the top degree; its
-    # codifferential reaches a projector with columns taller than D and
-    # builds no group
-    assert delta(PolyTensorField.zero(3, 2, 99, 1, "contra")) == \
-        PolyTensorField.zero(3, 2, 98, 0, "contra")
+    # library code may still build an empty field above the top degree, but
+    # the codifferential refuses it
+    with pytest.raises(ShapeError):
+        delta(PolyTensorField.zero(3, 2, 99, 1, "contra"))
+
+
+def test_operators_refuse_a_field_above_the_top_degree():
+    # the top degree at N = 3, D = 2 is 4; an empty field of degree 5 is built
+    # by spin2_d3 at D = 2, but no operator of the complex acts on it
+    for p in (5, 99):
+        for variance in ("co", "contra"):
+            F = PolyTensorField.zero(3, 2, p, 1, variance)
+            for op in (n_diff, lambda F: d_power(F, 0), lambda F: d_power(F, 2)):
+                with pytest.raises(ShapeError):
+                    op(F)
+        for op in (delta, delta_unprojected):
+            with pytest.raises(ShapeError):
+                op(PolyTensorField.zero(3, 2, p, 1, "contra"))
+    assert spin2_d3(PolyTensorField.zero(3, 2, 4, 1)) == PolyTensorField.zero(3, 2, 5, 0)
+    top = PolyTensorField.zero(3, 2, 4, 1, "contra")
+    assert d_power(top, 0) == top
+    assert n_diff(top) == PolyTensorField.zero(3, 2, 4, 0, "contra")
+    assert delta(top) == PolyTensorField.zero(3, 2, 3, 0, "contra")
 
 
 def test_full_components_match_slicewise_expansion():
