@@ -28,14 +28,11 @@ from .fields import (
     d_power,
     delta,
     dual_star_field,
-    field_product,
     monomials,
     n_diff,
-    nabla,
     random_field,
     scalar_field,
     star_relation_constants,
-    young_derivative,
 )
 from .multiforms import (
     Multiform,

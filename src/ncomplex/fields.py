@@ -25,11 +25,11 @@ callers are `d_power` (so `n_diff`) and `_image_vectors`, the cached store
 of d^k on weight bases, one column per basis vector, zeros kept. Every
 verdict that applies d to a weight basis reads that store. `_partials`
 alone owns the derivative of full components (index tuple, exponent):
-the literal gauge and two-form operators and `young_derivative` scatter
-its entries to the index positions their formulas name.
-`young_derivative` keeps the alternative route (raw derivative plus full
-symmetrizer) as an independent reference; the two agree up to a nonzero
-constant on every block, which the test suite pins down. The duality
+the literal gauge and two-form operators scatter its entries to the
+index positions their formulas name. The second routes that only the
+tests compare against (the raw derivative, d by the full symmetrizer,
+the unprojected contraction and the projected product of two fields)
+live in `tests/field_oracles.py`. The duality
 `dual_star_field` applies `tc._hodge_star`, the one column-wise Hodge
 star, to each slot key. Field entries are checked by their structure
 (`_check_entry`, shared with `multiforms.Multiform`), never against a
@@ -45,8 +45,9 @@ is spanned by the Schur vectors of content c times the monomial x^(w - c);
 `_weight_basis` builds it that way, without filtering the whole block, and
 lists it in block order, so a solve on it returns the particular solution
 of the whole block. `_by_weight` splits a slot vector into weight parts.
-`_dominant_weights` lists the nonincreasing weights of one degree with
-the sizes of their S_D orbits, the only weights the splitting checks of
+`_dominant_weights` lists the nonincreasing weights of one degree (the
+partitions of the degree into at most D parts) with the sizes of their
+S_D orbits, the only weights the splitting checks of
 `multiforms` eliminate on. `_raise` is the raising operator E_(i,i+1) of
 gl_D on slot vectors; it commutes with d. A block holds each irreducible
 constituent once (Pieri), so its highest-weight vectors of weight lam
@@ -434,52 +435,6 @@ def d_power(F: PolyTensorField, k: int) -> PolyTensorField:
                            {key: Fraction(v) / lam for key, v in raw.items()})
 
 
-def nabla(F: PolyTensorField):
-    """Raw derivative: one graded index insertion, no projection.
-
-    Returns a multiform whose receiving slot is the column that row
-    filling grows; projecting it yields the differential.
-    """
-    from .multiforms import d_slot, embed_field
-
-    return d_slot((F.p % (F.N - 1)) + 1, embed_field(F))
-
-
-def young_derivative(F: PolyTensorField) -> PolyTensorField:
-    """Reference route for the differential via the full symmetrizer.
-
-    Places the derivative index in the cell that row filling adds, keeps
-    the old cells in place, applies the degree sign and the full Young
-    projector. Proportional to `n_diff` on every block by a nonzero
-    constant; kept as an independent oracle.
-    """
-    N, D, p, q = F.N, F.D, F.p, F.q
-    if p >= _top_degree(N, D) or q == 0:
-        return PolyTensorField.zero(N, D, min(p + 1, _top_degree(N, D)),
-                                    max(q - 1, 0), F.variance)
-    Y, Y1 = max_diagram(N, p), max_diagram(N, p + 1)
-    cols1 = Y1.columns()
-    offsets = [0]
-    for m in cols1:
-        offsets.append(offsets[-1] + m)
-    new_col = p % (N - 1)
-    # the old indices keep their cells, the derivative index fills the new one
-    cells = (*(offsets[c] + r for (r, c) in Y.cells()), offsets[new_col] + cols1[new_col] - 1)
-
-    sign = -1 if p % 2 else 1
-    raw = linalg.accumulate(((exp2, tc._place(I + (mu,), cells)), v)
-                            for mu, I, exp2, v in _partials(F.full_components(), D))
-    raw_slices: dict = {}
-    for (exp2, J), v in raw.items():
-        raw_slices.setdefault(exp2, {})[J] = v
-    data: dict = {}
-    for exp2, comps in raw_slices.items():
-        T1 = tc.young_project(Y1, Tensor(D, p + 1, F.variance, comps))
-        for key, v in tc.tensor_to_wedge(Y1, T1).items():
-            data[(_pad(key, N - 1), exp2)] = sign * v
-    return PolyTensorField(N, D, p + 1, q - 1, F.variance, data)
-
-
 # ---------------------------------------------------------------------------
 # block bases and weight spaces
 
@@ -534,15 +489,23 @@ def _schur_by_content(N: int, D: int, p: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _dominant_weights(D, n) -> tuple:
-    """(w, |S_D w|) for each nonincreasing weight w of total degree n."""
-    out = []
-    for w in monomials(D, n):
-        if all(a >= b for a, b in zip(w, w[1:])):
-            orbit = factorial(D)
-            for m in Counter(w).values():
-                orbit //= factorial(m)
-            out.append((w, orbit))
-    return tuple(out)
+    """(w, |S_D w|) for each nonincreasing weight w of total degree n, in lex order.
+
+    These are the partitions of n with at most D parts, padded with zeros;
+    they are listed directly, not filtered out of all degree-n monomials.
+    """
+    def nonincreasing(total, slots, cap):
+        if not slots:
+            if not total:
+                yield ()
+            return
+        # the first entry is at least total / slots, so every branch completes
+        for first in range(-(-total // slots), min(total, cap) + 1):
+            for rest in nonincreasing(total - first, slots - 1, first):
+                yield (first,) + rest
+
+    return tuple((w, factorial(D) // prod(factorial(m) for m in Counter(w).values()))
+                 for w in nonincreasing(n, D, n))
 
 
 @lru_cache(maxsize=None)
@@ -668,16 +631,6 @@ def delta(F: PolyTensorField) -> PolyTensorField:
     return PolyTensorField(N, D, p - 1, F.q - 1, CONTRA, data)
 
 
-def delta_unprojected(F: PolyTensorField) -> PolyTensorField:
-    """The contraction step alone, for checking when projection is free."""
-    _check_in_complex(F)
-    N, D, p = F.N, F.D, F.p
-    if F.variance != CONTRA or p == 0 or F.q == 0:
-        return delta(F)
-    table = _contract_table(D, (p - 1) % (N - 1), _staircase(N, p))
-    return PolyTensorField(N, D, p - 1, F.q - 1, CONTRA, _apply_slot(table, F.data, D))
-
-
 def dual_star_field(F: PolyTensorField) -> PolyTensorField:
     """Epsilon duality: `tc._hodge_star` on each padded slot key; flips the variance."""
     N, D = F.N, F.D
@@ -731,34 +684,3 @@ def star_relation_constants(N: int, D: int, q_values=(1, 2)) -> dict:
             raise VerificationError(f"degenerate star relation at degree {n}")
         out[n] = c
     return out
-
-
-# ---------------------------------------------------------------------------
-# the graded product
-
-def field_product(F: PolyTensorField, G: PolyTensorField) -> PolyTensorField:
-    """Projected tensor product of two fields.
-
-    Bilinear over polynomial scalars but not assumed associative.
-    """
-    if (F.N, F.D, F.variance) != (G.N, G.D, G.variance):
-        raise ShapeError("product requires matching order, dimension and variance")
-    N, D = F.N, F.D
-    p = F.p + G.p
-    q = F.q + G.q
-    if p > _top_degree(N, D):
-        return PolyTensorField.zero(N, D, _top_degree(N, D), q, F.variance)
-    Y = max_diagram(N, p)
-    data: dict = {}
-    for ef in F.exponents():
-        Tf = F.tensor_slice(ef)
-        for eg in G.exponents():
-            Tg = G.tensor_slice(eg)
-            exp = tuple(a + b for a, b in zip(ef, eg))
-            comps: dict = {}
-            for I, a in Tf.data.items():
-                linalg.add_to(comps, {I + J: b for J, b in Tg.data.items()}, a)
-            proj = tc.young_project(Y, Tensor(D, p, F.variance, comps))
-            linalg.add_to(data, {(_pad(key, N - 1), exp): v for key, v in
-                                 tc.tensor_to_wedge(Y, proj).items()})
-    return PolyTensorField(N, D, p, q, F.variance, data)

@@ -12,7 +12,10 @@ dimensions, and an element of the tensor algebra acts as zero exactly
 when the same combination of its words' columns is empty. A word's column
 is one pass over the entries of its prefix's cached column, inserting
 one more letter, so words that share a prefix share the work of applying
-it.
+it. The action is GL_D-equivariant, so `_acts_as_zero` decides a relation
+once per S_D orbit of letter contents. The benchmark's layer record has no
+span for the word columns or verdicts: their time lands in
+`process.unattributed_s`, and only the projector build under them shows.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .diagrams import max_diagram, schur_dim
 from .errors import ShapeError
 from .fields import BlockLabel, _insertion, _pad, _schur_vectors, _top_degree
 from .multiforms import CheckReport
-from .tensor_core import CONTRA, Tensor, _check_tag, tensor_from_wedge, tensor_to_wedge
+from .tensor_core import (CONTRA, Tensor, _check_tag, _content_order, tensor_from_wedge,
+                          tensor_to_wedge)
 
 
 def unit_element(N: int, D: int) -> Tensor:
@@ -130,9 +134,23 @@ def _symmetrized_positions(word, positions):
 
 def _acts_as_zero(N, D, u: dict, degree: int) -> bool:
     """True when an element {word of length degree: coefficient} kills every
-    graded basis vector: the same combination of its words' columns is empty."""
+    graded basis vector: the same combination of its words' columns is empty.
+
+    Decided once per S_D orbit: each letter is relabeled by the sigma of
+    `_content_order` for u's letter content, exact as rho(sigma u) =
+    sigma rho(u) sigma^-1 for the permutation matrix sigma.
+    """
     if any(len(w) != degree for w in u):
         raise ShapeError(f"every word must have length {degree}")
+    sigma = _content_order([sum(w.count(mu) for w in u) for mu in range(1, D + 1)])
+    return _sorted_acts_as_zero(N, D, tuple(sorted(
+        (tuple(sigma[mu - 1] for mu in w), c) for w, c in u.items() if c)))
+
+
+@lru_cache(maxsize=None)
+def _sorted_acts_as_zero(N, D, items: tuple) -> bool:
+    """`_acts_as_zero` of the element with these (word, coefficient) items."""
+    u = dict(items)
     return not linalg.combine(u, {w: _word_action_column(N, D, w) for w in u})
 
 
@@ -158,9 +176,8 @@ def _quartic_generators(D):
             for y in range(1, D + 1)]
 
 
-def _ideal_dim(D, gens_by_degree, n) -> int:
-    """Degree-n dimension of the two-sided ideal the generators span."""
-    cols = []
+def _ideal_elements(D, gens_by_degree, n):
+    """The degree-n products left * g * right of words with the generators g."""
     for g_deg, gens in gens_by_degree.items():
         if g_deg > n:
             continue
@@ -169,9 +186,12 @@ def _ideal_dim(D, gens_by_degree, n) -> int:
             for left in itertools.product(range(1, D + 1), repeat=left_len):
                 for right in itertools.product(range(1, D + 1), repeat=right_len):
                     for g in gens:
-                        cols.append(linalg.accumulate((left + mid + right, c)
-                                                      for mid, c in g.items()))
-    return linalg.rank(cols)
+                        yield linalg.accumulate((left + mid + right, c) for mid, c in g.items())
+
+
+def _ideal_dim(D, gens_by_degree, n) -> int:
+    """Degree-n dimension of the two-sided ideal the generators span."""
+    return linalg.rank(_ideal_elements(D, gens_by_degree, n))
 
 
 def relation_checks(N: int, D: int, degree_cap: int | None = None, rng=None) -> CheckReport:

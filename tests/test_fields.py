@@ -2,7 +2,9 @@ import ast
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -18,20 +20,18 @@ from ncomplex.fields import (
     block_dim,
     d_power,
     delta,
-    delta_unprojected,
     dual_star_field,
-    field_product,
     monomials,
     n_diff,
-    nabla,
     random_field,
     scalar_field,
     star_inverse_field,
     star_relation_constants,
-    young_derivative,
 )
 from ncomplex.gauge import spin2_d1, spin2_d2, spin2_d3
 from ncomplex.tensor_core import dual_star, schur_conditions_ok, tensor_to_wedge
+
+from field_oracles import delta_unprojected, field_product, nabla, young_derivative
 
 
 def divergence_reference(F):
@@ -582,3 +582,15 @@ def g(vec):
     assert _calls("gauge.py", probe, {"block_basis"}) == [("gauge.py", "f", 5), ("gauge.py", "f", 7)]
     assert _calls("gauge.py", probe, private) == [
         ("gauge.py", "block_basis", 3), ("gauge.py", "g", 9), ("gauge.py", "g", 9)]
+
+
+def test_dominant_weights_are_the_filtered_monomials():
+    # the partitions listed directly against the nonincreasing monomials, in order
+    fields._dominant_weights.cache_clear()
+    for D in range(1, 9):
+        for n in range(9):
+            want = tuple((w, factorial(D) // prod(factorial(m) for m in Counter(w).values()))
+                         for w in monomials(D, n)
+                         if all(a >= b for a, b in zip(w, w[1:])))
+            assert fields._dominant_weights(D, n) == want, (D, n)
+    assert len(fields._dominant_weights(30, 6)) == 11

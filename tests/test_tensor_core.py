@@ -383,6 +383,54 @@ def _symmetrizer_cost(Y, D):
             * prod(factorial(c) * comb(D, c) for c in Y.columns()))
 
 
+def _row_orbit(values):
+    """The distinct orderings of a row's values, and how many row permutations give each."""
+    stabilizer = prod(factorial(values.count(x)) for x in set(values))
+    return set(itertools.permutations(values)), stabilizer
+
+
+def _group_sum_columns(rows, D):
+    """`projector_columns` by the row x column group sum on every slot key.
+
+    The oracle of the orbit route: no key is read off another. The row
+    group sum of an index tuple J is taken over its distinct row
+    rearrangements, each |Stab(J)| times; each full index tuple is
+    column-sorted once per shape.
+    """
+    blocks = tensor_core._column_blocks(rows)
+    row_cells = tensor_core._row_blocks(rows)
+    # the rows' values laid end to end, read back in column reading order
+    read = sorted(range(sum(rows)), key=[k for row in row_cells for k in row].__getitem__)
+    cols, canon = {}, {}
+    for S in wedge_keys(rows, D):
+        summed = {}
+        for J, v in _column_perms(S):
+            orbits = [_row_orbit(tuple(J[k] for k in row)) for row in row_cells]
+            m = v * prod(stab for _, stab in orbits)
+            for arrangement in itertools.product(*(arr for arr, _ in orbits)):
+                flat = sum(arrangement, ())
+                K = tuple([flat[t] for t in read])
+                summed[K] = summed.get(K, 0) + m
+        out = {}
+        for I, v in summed.items():
+            if I not in canon:
+                canon[I] = tensor_core._canonicalize(I, blocks)
+            if not v or canon[I] is None:
+                continue
+            key, sign = canon[I]
+            out[key] = out.get(key, 0) + sign * v
+        cols[S] = {key: v for key, v in out.items() if v}
+    return cols, tensor_core.normalization(Diagram(rows))
+
+
+def _assert_same_columns(got, want, what):
+    """Equal columns key by key, the same key order and the same lam."""
+    assert got[1] == want[1], what
+    assert list(got[0]) == list(want[0]), what
+    for S, col in want[0].items():
+        assert got[0][S] == col, (what, S)
+
+
 def test_projector_columns_match_symmetrizer_sum():
     # every shape of at most four columns, none taller than D, for D <= 5,
     # up to a cost cap; about half of them take the duality route. The cap
@@ -396,8 +444,50 @@ def test_projector_columns_match_symmetrizer_sum():
                     continue
                 cols = Y.columns()
                 dual += bool(cols) and 2 * n > len(cols) * D
-                assert projector_columns(Y.rows, D) == _symmetrizer_columns(Y.rows, D), (Y.rows, D)
+                _assert_same_columns(projector_columns(Y.rows, D), _group_sum_columns(Y.rows, D),
+                                     (Y.rows, D))
     assert dual >= 40
+
+
+# the shapes whose group sum `cohomology --N 4 --D 5 --qmax 2` runs
+FRONTIER_SHAPES = ((), (1,), (2,), (3,), (3, 1), (3, 2), (3, 3), (3, 3, 1))
+
+
+def _counts(S, D):
+    """The index content of a slot key: how often each of 1..D occurs."""
+    return [sum(block.count(i) for block in S) for i in range(1, D + 1)]
+
+
+def test_orbit_columns_match_the_sum_over_every_key():
+    # every shape of at most 7 cells with at most 3000 slot keys, D <= 5;
+    # the orbit route sums a key of nonincreasing content and relabels the rest
+    swept, relabeled = set(), 0
+    for D in range(1, 6):
+        for n in range(8):
+            for Y in partitions(n):
+                keys = wedge_keys(Y.rows, D)
+                if len(keys) > 3000:
+                    continue
+                got = _symmetrizer_columns(Y.rows, D)
+                _assert_same_columns(got, _group_sum_columns(Y.rows, D), (Y.rows, D))
+                swept.add((Y.rows, D))
+                relabeled += sum(tensor_core._content_order(_counts(S, D)) != tuple(range(1, D + 1))
+                                 for S in keys)
+    assert {(rows, 5) for rows in FRONTIER_SHAPES} <= swept
+    assert relabeled > 20000
+
+
+def test_content_order_sorts_a_content():
+    assert tensor_core._content_order([0, 2, 1, 2]) == (4, 1, 3, 2)
+    assert tensor_core._content_order([3, 3, 1, 0]) == (1, 2, 3, 4)
+    for counts in itertools.product(range(3), repeat=4):
+        sigma = tensor_core._content_order(counts)
+        assert sorted(sigma) == [1, 2, 3, 4]
+        moved = [0] * 4
+        for i, r in enumerate(sigma):
+            moved[r - 1] = counts[i]
+        assert moved == sorted(counts, reverse=True)
+        assert (sigma == (1, 2, 3, 4)) == (list(counts) == moved)
 
 
 def test_projector_columns_against_full_tensor_symmetrizer():
