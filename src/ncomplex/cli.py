@@ -43,8 +43,8 @@ def _load(path, parse, what):
     """Parse a JSON document with parse, turning every input fault into a UsageError."""
     try:
         return parse(_read_text(path))
-    except FileNotFoundError:
-        raise UsageError(f"{path}: no such file")
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read: {exc.strerror or exc}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: malformed {what} document: {exc}")
 
@@ -159,9 +159,9 @@ def _cmd_spin2(args):
     h = gg.spin2_d1(X)
     results["curvature_of_pure_gauge_vanishes"] = gg.spin2_d2(h).is_zero
     ok = results["curvature_of_pure_gauge_vanishes"]
-    # the chain commutes with the index permutations, so the dominant weights decide the block
+    # the chain commutes with GL_D, so the highest-weight vectors decide the block
     chain_ok = all(gg.spin2_d3(gg.spin2_d2(hb)).is_zero
-                   for hb in fl.dominant_basis(3, args.D, 2, args.qmax + 2))
+                   for hb in fl.hw_basis(3, args.D, 2, args.qmax + 2))
     results["cyclic_identity_of_curvatures_vanishes"] = chain_ok
     ok = ok and chain_ok
     consts = gg.spin2_constants(args.D, min(args.qmax + 2, 3))

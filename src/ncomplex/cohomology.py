@@ -6,28 +6,23 @@ monomial basis, the differential is a cached integer matrix between
 blocks, and dimensions come from exact ranks. There is no tolerance
 anywhere; a wrong rank is a bug, not noise.
 
-No dimension needs a rank elimination. GL_D acts on every block (p, q),
-which is S_Y(V) (x) S^q(V) with Y = max_diagram(N, p), and d commutes
-with it: d inserts mu together with d/dx_mu, the identity of V (x) V*.
-By Pieri's rule the block is the sum of S_lam over the lam of
-`diagrams.horizontal_strips(Y, q, D)`, each once (Macdonald, Symmetric
-Functions, I.(5.16); Fulton and Harris, Representation Theory, Lecture
-15), so each highest-weight space is one-dimensional
-(`fields._hw_coefficients`). An equivariant map either kills a copy of
-S_lam or maps it injectively, and which one it does is decided by its
-highest-weight vector. So rank d^k is the sum of schur_dim(lam, D) over
-the lam whose highest-weight vector d^k does not kill: one nonzero test
-per constituent, exact because the modules are semisimple and every copy
-is there once. The tables, the Poincare suite, the Killing counts, the
-hexagon sequences and the odd-degree isomorphisms all run this way; an
-induced map between cohomology blocks counts the lam whose
-highest-weight vector is a cocycle that the map sends outside the
-coboundaries. d^k of a highest-weight vector is its coefficients
-combined over the columns of the store `fields._image_vectors` at lam,
-so the tables fill the store only at Pieri weights. `solve_preimage` and
-the two-form triviality test read the same store on each weight part of
-their field, whose columns follow the basis in block order: a solve
-returns the potential a whole-block solve would.
+No dimension needs a rank elimination. d commutes with GL_D: it inserts
+mu together with d/dx_mu, the identity of V (x) V*. So the one argument
+of `fields` applies, Pieri plus Schur: each block holds every S_lam of
+`fields._pieri` once, and d^k is zero or injective on each copy,
+whichever it is on the copy's highest-weight vector. Rank d^k is the sum
+of schur_dim(lam, D) over the lam whose highest-weight vector d^k does
+not kill (`fields._hw_image`): one nonzero test per constituent. The
+tables, the Poincare suite, the Killing counts, the hexagon sequences and
+the odd-degree isomorphisms all run this way; an induced map between
+cohomology blocks counts the lam whose highest-weight vector is a cocycle
+that the map sends outside the coboundaries. d^k of a highest-weight
+vector is its coefficients combined over the columns of the store
+`fields._image_vectors` at lam, so the tables fill the store only at
+Pieri weights. `solve_preimage` and the two-form triviality test read the
+same store on each weight part of their field, whose columns follow the
+basis in block order: a solve returns the potential a whole-block solve
+would.
 Killing tensor counts are Ker d^k on the block (m, q) of the order
 m + k + 1 complex, where every degree up to m + k is a one-row type and
 d^k is the symmetrized k-th derivative.
@@ -36,10 +31,8 @@ d^k is the symmetrized k-th derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import linalg
-from .diagrams import horizontal_strips, max_diagram, schur_dim
 from .errors import ShapeError, VerificationError
 from .fields import (
     CO,
@@ -47,9 +40,10 @@ from .fields import (
     PolyTensorField,
     _by_weight,
     _d_k_scale,
-    _hw_coefficients,
+    _hw_image,
     _image_vectors,
     _partials,
+    _pieri,
     _top_degree,
     _weight_basis,
     block_dim,
@@ -63,31 +57,6 @@ from .fields import (
 from .multiforms import CheckReport
 
 
-@lru_cache(maxsize=None)
-def _pieri(N, D, p, q) -> tuple:
-    """(lam, schur_dim(lam, D)) for each Pieri constituent lam of block (p, q).
-
-    lam is a weight, padded with zeros to D entries. A block out of range
-    has none; otherwise the dimensions must add up to the block's.
-    """
-    if p < 0 or q < 0 or p > _top_degree(N, D):
-        return ()
-    out = tuple((lam.rows + (0,) * (D - lam.n_rows), schur_dim(lam, D))
-                for lam in horizontal_strips(max_diagram(N, p), q, D))
-    if sum(dim for _, dim in out) != block_dim(N, D, p, q):
-        raise VerificationError(
-            f"Pieri constituents miss the dimension of block (p={p}, q={q}) at N={N} D={D}")
-    return out
-
-
-def _hw_image(N, D, p, q, k, lam) -> dict:
-    """d^k of the highest-weight vector of weight lam in block (p, q).
-
-    Its coefficients combined over the store's level-k columns at lam.
-    """
-    return linalg.combine(_hw_coefficients(N, D, p, q, lam), _image_vectors(N, D, p, q, k, lam))
-
-
 def _kept(N, D, p, q, k) -> dict:
     """{lam: schur_dim(lam, D)} of the constituents of block (p, q) that d^k maps injectively."""
     return {lam: dim for lam, dim in _pieri(N, D, p, q) if _hw_image(N, D, p, q, k, lam)}
@@ -98,9 +67,7 @@ def _ker_im(N, D, p, k, q):
 
     A rank of d^k is the sum of schur_dim(lam, D) over the Pieri
     constituents whose highest-weight vector d^k does not kill; the image
-    is that sum on the source block of d^(N-k). This is exact because each
-    block holds every S_lam once and d^k commutes with GL_D, so d^k is zero
-    or injective on each copy.
+    is that sum on the source block of d^(N-k).
     """
     ker = block_dim(N, D, p, q) - sum(_kept(N, D, p, q, k).values())
     return ker, sum(_kept(N, D, p - (N - k), q + (N - k), N - k).values())

@@ -45,18 +45,23 @@ is spanned by the Schur vectors of content c times the monomial x^(w - c);
 `_weight_basis` builds it that way, without filtering the whole block, and
 lists it in block order, so a solve on it returns the particular solution
 of the whole block. `_by_weight` splits a slot vector into weight parts.
-`_dominant_weights` lists the nonincreasing weights of one degree (the
-partitions of the degree into at most D parts) with the sizes of their
-S_D orbits, the only weights the splitting checks of
-`multiforms` eliminate on. `_raise` is the raising operator E_(i,i+1) of
-gl_D on slot vectors; it commutes with d. A block holds each irreducible
-constituent once (Pieri), so its highest-weight vectors of weight lam
-span one line, and `_hw_coefficients` writes that vector over the weight
-basis at lam; `cohomology` ranks every block on these. `dominant_basis`
-lists the basis fields of the dominant weights; the duality constants
-here and the gauge constants and spin-2 chain check are verified on it,
-because every map they relate commutes with the index permutations.
-`block_basis`, the whole block, is left to the tests as an oracle.
+
+Every relation between equivariant maps out of a field block rests on
+one argument, Pieri plus Schur. The block (p, q) is the GL_D-module
+S_Y(V) (x) S^q(V), Y = max_diagram(N, p), and by Pieri's rule it holds
+each S_lam of `_pieri` once (Macdonald, Symmetric Functions, I.(5.16);
+Fulton and Harris, Representation Theory, Lecture 15). So the vectors of
+weight lam killed by every raising operator `_raise` span one line
+(`_hw_coefficients`, `_hw_vector`, and `hw_basis` as fields), that vector
+generates the copy of S_lam, and by Schur's lemma an equivariant map is
+zero or injective on the copy. A relation holds on the block iff it holds
+on these vectors; `_hw_image` is d^k of one. The star is a bijection whose
+det factors cancel in star^-1 delta star and in the double dual, so the
+duality constants are checked on star images of covariant ones.
+`_dominant_weights` lists the nonincreasing weights of a degree with
+their S_D orbit sizes, for the multiform splitting checks alone, whose
+blocks are not multiplicity free. `block_basis`, the whole block, is left
+to the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from typing import NamedTuple
 
 from . import linalg
 from . import tensor_core as tc
-from .diagrams import Diagram, max_diagram, schur_dim
+from .diagrams import Diagram, horizontal_strips, max_diagram, schur_dim
 from .errors import ShapeError, VerificationError
 from .tensor_core import CO, CONTRA, Tensor
 
@@ -575,6 +580,39 @@ def _hw_coefficients(N: int, D: int, p: int, q: int, lam: tuple) -> dict:
     return null[0]
 
 
+def _hw_vector(N, D, p, q, lam) -> dict:
+    """The highest-weight vector of weight lam in block (p, q), as an integer slot vector."""
+    return linalg.combine(_hw_coefficients(N, D, p, q, lam), _weight_basis(N, D, p, q, lam))
+
+
+@lru_cache(maxsize=None)
+def _pieri(N, D, p, q) -> tuple:
+    """(lam, schur_dim(lam, D)) for each Pieri constituent lam of block (p, q).
+
+    lam is a weight, padded with zeros to D entries. A block out of range
+    has none; otherwise the dimensions must add up to the block's.
+    """
+    if p < 0 or q < 0 or p > _top_degree(N, D):
+        return ()
+    out = tuple((lam.rows + (0,) * (D - lam.n_rows), schur_dim(lam, D))
+                for lam in horizontal_strips(max_diagram(N, p), q, D))
+    if sum(dim for _, dim in out) != block_dim(N, D, p, q):
+        raise VerificationError(
+            f"Pieri constituents miss the dimension of block (p={p}, q={q}) at N={N} D={D}")
+    return out
+
+
+def _hw_image(N, D, p, q, k, lam) -> dict:
+    """d^k of `_hw_vector`: its coefficients combined over the store's level-k columns at lam."""
+    return linalg.combine(_hw_coefficients(N, D, p, q, lam), _image_vectors(N, D, p, q, k, lam))
+
+
+def hw_basis(N, D, p, q) -> list[PolyTensorField]:
+    """One covariant field per Pieri constituent of block (p, q): its highest-weight vector."""
+    return [PolyTensorField(N, D, p, q, CO, _hw_vector(N, D, p, q, lam))
+            for lam, _ in _pieri(N, D, p, q)]
+
+
 def block_dim(N, D, p, q) -> int:
     if p > _top_degree(N, D) or p < 0 or q < 0:
         return 0
@@ -587,20 +625,6 @@ def block_basis(N, D, p, q, variance=CO) -> list[PolyTensorField]:
         PolyTensorField(N, D, p, q, variance, {k: Fraction(v) for k, v in vec.items()})
         for vec in _block_int_basis(N, D, p, q)
     ]
-
-
-def dominant_basis(N, D, p, q, variance=CO) -> list[PolyTensorField]:
-    """Basis fields of the dominant weight spaces of one block.
-
-    The `_weight_basis` fields of each weight of `_dominant_weights`, each
-    weight's part in block order. A relation between maps that commute
-    with the S_D index permutations (up to one common character) holds on
-    the whole block iff it holds on these: sigma carries the weight-w part
-    onto the sigma(w) part, and every weight is a permutation of a
-    dominant one.
-    """
-    return [PolyTensorField(N, D, p, q, variance, vec)
-            for w, _ in _dominant_weights(D, p + q) for vec in _weight_basis(N, D, p, q, w)]
 
 
 def random_field(N, D, p, q, rng, variance=CO) -> PolyTensorField:
@@ -646,9 +670,12 @@ def dual_star_field(F: PolyTensorField) -> PolyTensorField:
 
 @lru_cache(maxsize=None)
 def _double_dual_constant(N: int, D: int, p: int) -> Fraction:
-    """Scalar of the double dual on the degree-p contravariant block."""
-    c = linalg.proportionality((dual_star_field(dual_star_field(b)).data, b.data)
-                               for b in dominant_basis(N, D, p, 0, CONTRA))
+    """Scalar of the double dual on the degree-p contravariant block.
+
+    Checked on the star images of `hw_basis` of degree top - p.
+    """
+    stars = (dual_star_field(h) for h in hw_basis(N, D, _top_degree(N, D) - p, 0))
+    c = linalg.proportionality((dual_star_field(dual_star_field(b)).data, b.data) for b in stars)
     if not c:
         raise VerificationError(f"double dual degenerate at N={N} D={D} p={p}")
     return c
@@ -665,15 +692,17 @@ def star_relation_constants(N: int, D: int, q_values=(1, 2)) -> dict:
 
     For each n returns the unique nonzero c with
     delta = c * (star compose d compose star inverse) on degree n,
-    verified on the dominant weight spaces (`dominant_basis`) of the given
-    polynomial degrees: delta and d commute with the index permutations,
-    and the sign the star picks up cancels against its inverse's.
+    verified at the given polynomial degrees on the star images of the
+    covariant highest-weight vectors of degree top - n (`hw_basis`): the
+    star is a bijection, and star^-1 delta star is equivariant.
     """
     BlockLabel(N, D, 0, 0).validate()
+    top = _top_degree(N, D)
     out = {}
-    for n in range(1, _top_degree(N, D) + 1):
+    for n in range(1, top + 1):
+        stars = (dual_star_field(h) for q in q_values for h in hw_basis(N, D, top - n, q))
         pairs = [(delta(b).data, dual_star_field(n_diff(star_inverse_field(b))).data)
-                 for q in q_values for b in dominant_basis(N, D, n, q, CONTRA)]
+                 for b in stars]
         try:
             c = linalg.proportionality(pairs)
         except ValueError as exc:

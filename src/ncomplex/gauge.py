@@ -9,10 +9,11 @@ the index permutations the formula names, and `linalg.accumulate` sums
 the terms whose targets coincide when two indices are equal. Each
 operator agrees with the corresponding power of the canonical
 differential up to one nonzero rational constant per operator, computed
-at runtime and pinned in the test fixtures. The formulas name no
-particular index, so each operator commutes with the S_D index
-permutations, as d does; the constants are therefore solved on the
-dominant weight spaces alone (`fields.dominant_basis`).
+at runtime and pinned in the test fixtures. Each formula pairs every
+derivative with an index, so each operator commutes with GL_D, as d
+does; by the Pieri-plus-Schur argument of `fields`, the constants and the
+spin-2 chain check are decided on one highest-weight vector per
+constituent (`fields.hw_basis`).
 
 Index groups are always column-read: a curvature-symmetry tensor is
 stored as R[(a, b, c, d)] with (a, b) the first antisymmetric column and
@@ -35,8 +36,8 @@ from .fields import (
     _partials,
     block_dim,
     d_power,
-    dominant_basis,
     dual_star_field,
+    hw_basis,
     n_diff,
     # unused here; the name stays because bench/spans.py wraps this binding
     block_basis,
@@ -98,13 +99,13 @@ def spin2_d3(R: PolyTensorField) -> PolyTensorField:
 def spin2_constants(D: int, q: int = 3) -> tuple[Fraction, Fraction, Fraction]:
     """Constants relating the three literal operators to powers of d.
 
-    Solved on the dominant weight spaces of each block (`dominant_basis`),
-    which decides the whole block since both sides commute with the index
-    permutations; each must be a single nonzero rational.
+    Solved on the highest-weight vectors of each block (`hw_basis`),
+    which decide the whole block since both sides commute with GL_D; each
+    must be a single nonzero rational.
     """
-    pairs1 = [(spin2_d1(X).data, n_diff(X).data) for X in dominant_basis(3, D, 1, q)]
-    pairs2 = [(spin2_d2(h).data, d_power(h, 2).data) for h in dominant_basis(3, D, 2, q)]
-    pairs3 = [(spin2_d3(R).data, n_diff(R).data) for R in dominant_basis(3, D, 4, q)]
+    pairs1 = [(spin2_d1(X).data, n_diff(X).data) for X in hw_basis(3, D, 1, q)]
+    pairs2 = [(spin2_d2(h).data, d_power(h, 2).data) for h in hw_basis(3, D, 2, q)]
+    pairs3 = [(spin2_d3(R).data, n_diff(R).data) for R in hw_basis(3, D, 4, q)]
     try:
         c1 = linalg.proportionality(pairs1)
         c2 = linalg.proportionality(pairs2)

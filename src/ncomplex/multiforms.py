@@ -10,20 +10,22 @@ Both are built from the slot operator of `fields`: `_slot_product` is
 the one slot-product path, applying `fields._insert_table`, which owns
 the slot sign convention, once per slot of a product; `d_slot` is its
 validated public face on `Multiform`s. `project_pi` and `green_factor`
-apply the projector table `fields._pi_columns`; `green_factor` and
-`lemma4_check` read d on the weight bases from `fields._image_vectors`.
+apply the projector table `fields._pi_columns`. The slot products and
+the projector commute with GL_D, as d does, so `green_factor` and
+`lemma4_check`, which relate maps out of a field block, are decided on
+its highest-weight vectors by the Pieri-plus-Schur argument of `fields`.
 
 The rank checks at the bottom of this module certify the two splitting
 statements that drive the generalized vanishing theorem: cocycle systems
 against sums of slot-differential ranges, and the relative single-slot
-version in the quotient by the other slots. Every slot product keeps the
-torus weight of an entry (`fields.weight`) and commutes with index
-permutations, so both checks run one dominant (nonincreasing) weight at
-a time and count each by the size of its S_D orbit, as the cohomology
-tables do. They run on the integer unit vectors of one weight space
-(`_weight_units`) through `_slot_product`; only the unit basis of the
-block `theorem2_check` is asked about is built as `Multiform`s, to
-validate it. `lemma4_check` runs on the dominant weights too.
+version in the quotient by the other slots. Their multidegree blocks are
+not multiplicity free. Every slot product keeps the torus weight of an
+entry (`fields.weight`) and commutes with index permutations, so both
+checks run one dominant (nonincreasing) weight at a time and count each
+by the size of its S_D orbit. They run on the integer unit vectors of one
+weight space (`_weight_units`) through `_slot_product`; only the unit
+basis of the block `theorem2_check` is asked about is built as
+`Multiform`s, to validate it.
 """
 
 from __future__ import annotations
@@ -45,12 +47,13 @@ from .fields import (
     _apply_slot,
     _check_entry,
     _dominant_weights,
-    _image_vectors,
+    _hw_image,
+    _hw_vector,
     _insert_table,
     _pi_columns,
+    _pieri,
     _slot_map,
     _staircase,
-    _weight_basis,
     monomials,
     weight,
     # unused here; the names stay because bench/spans.py wraps these bindings
@@ -196,12 +199,12 @@ def project_pi(w: Multiform) -> PolyTensorField:
 def green_factor(F: PolyTensorField) -> Fraction:
     """Constant tying the differential to one slot differential.
 
-    Solves d b = c * pi(d_{i+1} b) over the dominant weight bases of F's
-    block (d b from the store `_image_vectors`; all three maps commute with
-    the index permutations, so these decide the block), verifies the
-    relation for F itself, and for well-filled degrees also checks the
-    exact identity d F = d_1 F with no projection at all. Both sides are
-    integer vectors scaled by the lam of degree p + 1.
+    Solves d b = c * pi(d_{i+1} b) over the highest-weight vectors b of
+    F's block (d b from the store, by `_hw_image`; all three maps are
+    GL_D-equivariant, so these decide the block), verifies the relation for
+    F itself, and for well-filled degrees also checks the exact identity
+    d F = d_1 F with no projection at all. Both sides are integer vectors
+    scaled by the lam of degree p + 1.
     """
     N, D, p, q = F.N, F.D, F.p, F.q
     if q == 0 or p >= (N - 1) * D:
@@ -209,8 +212,8 @@ def green_factor(F: PolyTensorField) -> Fraction:
     i = p % (N - 1)
     md = _staircase(N, p)
     cols, lam = _pi_columns(N, D, p + 1)
-    columns = [(u, lhs) for w, _ in _dominant_weights(D, p + q)
-               for u, lhs in zip(_weight_basis(N, D, p, q, w), _image_vectors(N, D, p, q, 1, w))]
+    columns = [(_hw_vector(N, D, p, q, w), _hw_image(N, D, p, q, 1, w))
+               for w, _ in _pieri(N, D, p, q)]
     columns.append((F.data, _apply_d_int(N, D, p, F.data)))  # a zero F adds a zero pair
     pairs, filled = [], True
     for u, lhs in columns:
@@ -233,24 +236,19 @@ def lemma4_check(N: int, D: int, n: int, q: int) -> bool:
 
     On the rectangular block of degree (N-1)*n, the k-th power of the
     differential kills a field exactly when every k-fold slot product
-    kills its embedding, for every k. Both maps keep the torus weight and
-    commute with index permutations, so the two kernels are compared on
-    the weight spaces of the dominant weights, which stand for their S_D
-    orbits; Ker d^k is read from the store `_image_vectors`.
+    kills its embedding, for every k. Both kernels are GL_D-submodules of
+    a multiplicity-free block, so each is the sum of the constituents whose
+    highest-weight vector it holds, and one test per k and constituent
+    compares them; d^k comes from the store, by `_hw_image`.
     """
     p = (N - 1) * n
     BlockLabel(N, D, p, q).validate()
     md = _staircase(N, p)
     for k in range(1, N):
         products = tuple(combinations(range(1, N), k))
-        for w, _ in _dominant_weights(D, p + q):
-            left_null = linalg.nullspace(_image_vectors(N, D, p, q, k, w))
-            right_null = linalg.nullspace([_stacked(products, md, b, D)
-                                           for b in _weight_basis(N, D, p, q, w)])
-            if len(left_null) != len(right_null):
-                return False
-            ech = linalg.Echelon(left_null)
-            if not all(ech.contains(v) for v in right_null):
+        for lam, _ in _pieri(N, D, p, q):
+            if bool(_hw_image(N, D, p, q, k, lam)) != bool(
+                    _stacked(products, md, _hw_vector(N, D, p, q, lam), D)):
                 return False
     return True
 

@@ -85,6 +85,14 @@ def test_malformed_input_exit_code():
     assert r2.returncode == 2
 
 
+def test_unreadable_input_exits_2_without_traceback(tmp_path):
+    # a directory cannot be read as a document: every reading fault is a usage error
+    for args in (["diff", "--input", str(tmp_path)], ["spin2", "--D", "2", "--input", str(tmp_path)]):
+        r = invoke(args)
+        assert r.returncode == 2, args
+        assert r.stdout == "" and r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 def _with_entry(doc_text, **changes):
     doc = json.loads(doc_text)
     doc["entries"][0].update(changes)

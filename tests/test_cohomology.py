@@ -630,12 +630,13 @@ def test_hw_coefficients_require_exactly_one_vector():
 
 def test_tables_read_the_store_only_at_pieri_weights():
     asked = set()
+    store = fields._image_vectors
 
     def record(N, D, p, q, k, w):
         asked.add((N, D, p, q, w))
-        return fields._image_vectors(N, D, p, q, k, w)
+        return store(N, D, p, q, k, w)
 
-    with mock.patch.object(cohomology, "_image_vectors", record):
+    with mock.patch.object(fields, "_image_vectors", record):
         compute_table(3, 3, 3)
         compute_table(4, 2, 2)
         assert poincare_suite(3, 3, 2, 2).ok
@@ -647,13 +648,13 @@ def test_pieri_dimensions_are_checked():
     def drop_last(Y, q, D):
         return horizontal_strips(Y, q, D)[:-1]
 
-    cohomology._pieri.cache_clear()
+    fields._pieri.cache_clear()
     try:
-        with mock.patch.object(cohomology, "horizontal_strips", drop_last):
+        with mock.patch.object(fields, "horizontal_strips", drop_last):
             with pytest.raises(VerificationError):
                 cohomology_dim(3, 3, 2, 1, 2)
     finally:
-        cohomology._pieri.cache_clear()
+        fields._pieri.cache_clear()
 
 
 def test_killing_counts_match_the_closed_form():

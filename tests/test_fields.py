@@ -11,6 +11,7 @@ import pytest
 
 from ncomplex import linalg
 from ncomplex import fields
+from ncomplex import multiforms as mf
 from ncomplex import tensor_core as tc
 from ncomplex.errors import ShapeError
 from ncomplex.fields import (
@@ -424,7 +425,8 @@ def test_from_components_validates_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# S_D equivariance, the premise of `dominant_basis`
+# S_D equivariance, the premise of the dominant-weight splitting checks, and
+# GL_D equivariance, the premise of every highest-weight route
 
 def permuted(F, sigma):
     """sigma F: index i becomes sigma[i - 1] in every component index and in the monomial."""
@@ -501,6 +503,83 @@ def test_equivariance_check_catches_an_operator_that_singles_out_an_index():
     assert _equivariance_failures(biased, [F]) != []
 
 
+def raised(F, i):
+    """E_(i,i+1) F: `fields._raise` on the data of F."""
+    return F._like(fields._raise(i, F.data))
+
+
+def _raising_failures(op, fields_):
+    """(field, i) pairs where op(E_i F) != E_i op(F), for i in 1..D-1."""
+    return [(F, i) for F in fields_ for i in range(1, F.D)
+            if op(raised(F, i)) != raised(op(F), i)]
+
+
+def _star_conjugated_delta(h):
+    """star^-1 delta star on a covariant field."""
+    return star_inverse_field(delta(dual_star_field(h)))
+
+
+def _raising_cases():
+    # `_raise` is the action on covariant fields, so delta, which acts on
+    # contravariant ones, is tested conjugated by the star
+    cases = {name: case for name, case in _equivariance_cases().items() if name != "delta"}
+    rng = random.Random(22)
+    cases["star_delta_star"] = (_star_conjugated_delta, [
+        random_field(N, D, p, q, rng) for N, D, p, q in ((2, 3, 1, 2), (3, 3, 2, 2), (3, 4, 3, 1))])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_raising_cases()))
+def test_operators_commute_with_raising(name):
+    op, fields_ = _raising_cases()[name]
+    assert all(not F.is_zero and not op(F).is_zero for F in fields_)
+    assert _raising_failures(op, fields_) == []
+
+
+def _random_slot_vector(D, md, q, rng):
+    """A random integer combination of the unit slot vectors of block (md, q)."""
+    return linalg.accumulate((k, rng.randint(-3, 3) * v)
+                             for u in mf._units(D, md, q) for k, v in u.items())
+
+
+def test_slot_products_and_the_projector_commute_with_raising():
+    rng = random.Random(23)
+    checked = 0
+    for N, D, md, q in ((3, 3, (2, 1), 2), (4, 3, (1, 1, 1), 2), (4, 4, (2, 1, 0), 1)):
+        vec = _random_slot_vector(D, md, q, rng)
+        for r in range(1, N):
+            for J in itertools.combinations(range(1, N), r):
+                image = mf._slot_product(J, md, vec, D)
+                for i in range(1, D):
+                    assert mf._slot_product(J, md, fields._raise(i, vec), D) == \
+                        fields._raise(i, image), (N, D, md, J, i)
+                checked += bool(image)
+    for N, D, p in ((3, 3, 3), (3, 4, 2), (4, 3, 4)):
+        cols, _ = fields._pi_columns(N, D, p)
+        vec = _random_slot_vector(D, fields._staircase(N, p), 2, rng)
+        image = fields._slot_map(cols, vec)
+        assert image
+        for i in range(1, D):
+            assert fields._slot_map(cols, fields._raise(i, vec)) == fields._raise(i, image)
+    assert checked > 10
+
+
+def test_raising_check_catches_an_operator_that_commutes_only_with_index_permutations():
+    # n_diff doubled on one S_D orbit of weights still commutes with every
+    # index permutation, but E_1 carries the weight (2, 1, 0) to (3, 0, 0),
+    # out of the orbit
+    def doubled_on_orbit(F):
+        G = n_diff(F)
+        return G + G._like({k: v for k, v in G.data.items()
+                            if sorted(fields.weight(*k), reverse=True) == [2, 1, 0]})
+
+    F = random_field(3, 3, 1, 2, random.Random(24))
+    assert doubled_on_orbit(F) != n_diff(F)
+    assert _equivariance_failures(doubled_on_orbit, [F]) == []
+    assert _raising_failures(n_diff, [F]) == []
+    assert _raising_failures(doubled_on_orbit, [F]) != []
+
+
 def _double_dual_whole_block(N, D, p):
     """Oracle: the double-dual scalar solved on the whole contravariant block."""
     return linalg.proportionality([(dual_star_field(dual_star_field(b)).data, b.data)
@@ -526,16 +605,6 @@ def test_dominant_weight_duality_constants_match_whole_blocks(N, D):
     assert star_relation_constants(N, D) == _star_relation_whole_block(N, D)
     for p in range((N - 1) * D + 1):
         assert fields._double_dual_constant(N, D, p) == _double_dual_whole_block(N, D, p)
-
-
-def test_dominant_basis_is_the_dominant_part_of_the_block():
-    # each dominant weight's part of the block basis, in block order, weight after weight
-    for N, D, p, q in ((3, 3, 2, 2), (2, 4, 2, 1), (4, 2, 3, 1)):
-        block = block_basis(N, D, p, q)
-        expected = [b.data for w, _ in fields._dominant_weights(D, p + q) for b in block
-                    if fields.weight(*next(iter(b.data))) == w]
-        assert [b.data for b in fields.dominant_basis(N, D, p, q)] == expected
-        assert all(b.variance == "contra" for b in fields.dominant_basis(N, D, p, q, "contra"))
 
 
 def _calls(name: str, source: str, callees) -> list:
@@ -569,13 +638,18 @@ def test_no_library_code_builds_a_whole_block():
     assert sorted(func for _, func, _ in inside) == ["_image_vectors", "d_power"]
     inside = _calls("fields.py", (src / "fields.py").read_text(), {"_block_int_basis"})
     assert sorted(func for _, func, _ in inside) == ["block_basis", "random_field"]
+    # field blocks are decided on highest-weight vectors; dominant weights
+    # serve only the multiform splitting checks
+    weights = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"_dominant_weights"})]
+    assert sorted(func for _, func, _ in weights) == ["relative_cohomology_check", "theorem2_check"]
+    assert [p.name for p in modules if "dominant_basis" in p.read_text()] == []
     probe = """
 def block_basis(N, D, p, q):
     return [vec for vec in _block_int_basis(N, D, p, q)]
 def f(D):
     for b in fl.block_basis(3, D, 2, 2):
         pass
-    return block_basis(3, D, 1, 1), dominant_basis(3, D, 1, 1)
+    return block_basis(3, D, 1, 1), hw_basis(3, D, 1, 1)
 def g(vec):
     return fields._d_k_int(3, 2, 1, 1, vec, 2), _d_k_int(3, 2, 1, 1, vec, 1)
 """

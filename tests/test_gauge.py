@@ -120,10 +120,13 @@ def _spin2_d2_one_sign_flipped(h):
 
 def test_both_routes_reject_a_broken_curvature_alike(monkeypatch):
     monkeypatch.setattr(gauge, "spin2_d2", _spin2_d2_one_sign_flipped)
+    # the routes meet the broken block at different first fields, so the
+    # exponents they name differ; the type and the clause on (2,2) agree
     for D in (2, 3, 4):
-        got = _outcome(spin2_constants, D)
-        assert got[0] == "ShapeError"
-        assert got == _outcome(_spin2_constants_whole_block, D)
+        got, whole = _outcome(spin2_constants, D), _outcome(_spin2_constants_whole_block, D)
+        assert got[0] == whole[0] == "ShapeError"
+        assert got[1].endswith("does not have symmetry type (2,2)")
+        assert whole[1].endswith("does not have symmetry type (2,2)")
 
 
 def test_spin2_builds_no_whole_block(monkeypatch, capsys):

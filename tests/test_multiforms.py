@@ -205,29 +205,29 @@ def test_green_factor_matches_the_whole_block_route():
     assert constants == {1}
 
 
-def test_green_factor_sees_every_dominant_weight(monkeypatch):
-    # a slot product doubled on one S_D orbit of weights still commutes with
-    # the index permutations, and breaks the constant on that orbit alone; F
-    # is zero, so only the basis pairs can see it (d projects at degree 1)
+def test_green_factor_sees_every_pieri_constituent(monkeypatch):
+    # a slot product doubled at the weight of one Pieri constituent breaks the
+    # constant on that constituent alone; F is zero, so only the
+    # highest-weight pairs can see it (d projects at degree 1)
     slot_product = mf._slot_product
     F = PolyTensorField.zero(3, 3, 1, 3)
+    constituents = [lam for lam, _ in fields._pieri(3, 3, 1, 3)]
+    assert len(constituents) == 2
     broken = []
-    for w0, _ in mf._dominant_weights(3, 4):
-        def doubled_on_orbit(J, md, vec, D):
-            return {k: 2 * v if tuple(sorted(weight(*k), reverse=True)) == w0 else v
+    for lam in constituents:
+        def doubled_at(J, md, vec, D):
+            return {k: 2 * v if weight(*k) == lam else v
                     for k, v in slot_product(J, md, vec, D).items()}
 
         with monkeypatch.context() as patch:
-            patch.setattr(mf, "_slot_product", doubled_on_orbit)
-            try:
+            patch.setattr(mf, "_slot_product", doubled_at)
+            with pytest.raises(ValueError):
                 _green_factor_whole_block(F)
-            except ValueError:
-                broken.append(w0)
-                with pytest.raises(VerificationError):
-                    green_factor(F)
-            else:  # pragma: no cover - every orbit carries a nonzero d here
-                assert green_factor(F) == _green_factor_whole_block(F)
-    assert broken == [w for w, _ in mf._dominant_weights(3, 4)]
+            try:
+                green_factor(F)
+            except VerificationError:
+                broken.append(lam)
+    assert broken == constituents
 
 
 def test_green_factor_catches_a_wrong_slot_product(monkeypatch):
@@ -325,46 +325,36 @@ def _lemma4_all_weights(N, D, n, q):
     return True
 
 
-def test_lemma4_dominant_weights_match_all_weights(monkeypatch):
+def test_lemma4_highest_weights_match_all_weights(monkeypatch):
     cases = [(3, 2, n, q) for n in (1, 2) for q in (1, 2)] + [
         (3, 3, 1, 1), (3, 3, 1, 2), (3, 3, 2, 1), (4, 2, 1, 2), (4, 3, 1, 1)]
     for N, D, n, q in cases:
         assert lemma4_check(N, D, n, q) == _lemma4_all_weights(N, D, n, q), (N, D, n, q)
-    # d^k set to zero on one S_D orbit of weights still commutes with index
-    # permutations, and breaks the lemma on that orbit alone, where d^k acts:
-    # a route that skipped a dominant weight would miss it. The patch goes
-    # where the d^k store calls, and the store forgets what it cached.
+    # d^k set to zero at the weight of one Pieri constituent breaks the lemma
+    # there exactly when d moves that constituent's highest-weight vector:
+    # a route that skipped a constituent would miss it. The patch goes where
+    # the d^k store calls, and the store forgets what it cached.
     d_k_int = fields._d_k_int
+    constituents = [lam for lam, _ in fields._pieri(3, 3, 2, 2)]
+    moved = [lam for lam in constituents if fields._hw_image(3, 3, 2, 2, 1, lam)]
+    assert moved == [(3, 1, 0), (2, 2, 0)] and (4, 0, 0) in constituents
     broken = []
-    for w0, _ in mf._dominant_weights(3, 4):
-        def zero_on_orbit(N, D, p, q, vec, k):
+    for lam in constituents:
+        def zero_at(N, D, p, q, vec, k):
             w = weight(*next(iter(vec))) if vec else ()
-            return {} if tuple(sorted(w, reverse=True)) == w0 else d_k_int(N, D, p, q, vec, k)
+            return {} if w == lam else d_k_int(N, D, p, q, vec, k)
 
         fields._image_vectors.cache_clear()
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(fields, "_d_k_int", zero_on_orbit)
+                patch.setattr(fields, "_d_k_int", zero_at)
                 verdict = lemma4_check(3, 3, 1, 2)
-                assert verdict == _lemma4_all_weights(3, 3, 1, 2), w0
+                assert verdict == _lemma4_all_weights(3, 3, 1, 2), lam
         finally:
             fields._image_vectors.cache_clear()
         if not verdict:
-            broken.append(w0)
-    assert broken == [(2, 1, 1), (2, 2, 0), (3, 1, 0)]
-    # the kernels of both maps on a weight space have the dimensions of those
-    # on the dominant weight of its S_D orbit
-    for N, D, n, q in ((3, 3, 1, 2), (4, 3, 1, 1)):
-        p = (N - 1) * n
-        md = _staircase(N, p)
-        for k in range(1, N):
-            products = tuple(combinations(range(1, N), k))
-            for op in (lambda b: _d_k_int(N, D, p, q, b, k),
-                       lambda b: _stacked(products, md, b, D)):
-                def nullity(w):
-                    return len(linalg.nullspace([op(b) for b in _weight_basis(N, D, p, q, w)]))
-                for w in monomials(D, p + q):
-                    assert nullity(w) == nullity(tuple(sorted(w, reverse=True))), (N, D, k, w)
+            broken.append(lam)
+    assert broken == moved
 
 
 def _range_into(D, md, q, J):
