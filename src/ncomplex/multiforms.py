@@ -26,10 +26,22 @@ by the size of its S_D orbit. They run on the integer unit vectors of one
 weight space (`_weight_units`) through `_slot_product`; only the unit
 basis of the block `theorem2_check` is asked about is built as
 `Multiform`s, to validate it.
+
+The slots are interchangeable too. For a permutation pi of 1..N-1, the
+algebra map Phi_pi sending each generator of slot j to the same generator
+of slot pi(j) is an automorphism with Phi_pi d_j = d_pi(j) Phi_pi, so it
+carries the slot product d_J to +-d_pi(J) and block (md, q) onto block
+(pi(md), q). When pi maps each slot set a check singles out onto itself,
+it permutes the check's families of slot products, so kernels, ranks and
+span memberships, and with them every verdict and count, agree at md and
+pi(md). `theorem2_suite` and `relative_cohomology_check` therefore decide
+one multidegree per orbit (`_slot_orbit_rep`) and copy its verdicts to
+the rest of the orbit.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -395,7 +407,10 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
     products, allowing a free polynomial part below degree m. Every slot
     product keeps the torus weight and commutes with index permutations,
     so the check runs on the dominant weights only, each counted by the
-    size of its S_D orbit in `cocycles` and `generator_rank`.
+    size of its S_D orbit in `cocycles` and `generator_rank`. A slot
+    relabeling pi that maps K onto itself permutes both the m-fold and the
+    (len(K) - m + 1)-fold products over K, so the report at pi(md) has the
+    same entries as this one (module docstring); `theorem2_suite` uses that.
     """
     BlockLabel(N, D, 0, q_cap).validate()
     md = tuple(multidegree)
@@ -430,6 +445,29 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
     return rep
 
 
+def theorem2_suite(N, D, K, m, q_cap) -> list[CheckReport]:
+    """`theorem2_check` at every multidegree, in `_all_multidegrees` order.
+
+    Each report carries its own multidegree, but the check runs once per
+    orbit of the slot relabelings that fix K (and so the slots outside K),
+    on the orbit's sorted representative; the others copy its entries.
+    """
+    mds = _all_multidegrees(N, D)
+    # the zero multidegree is its own representative; its check validates the arguments
+    verdicts = {mds[0]: theorem2_check(N, D, K, m, mds[0], q_cap)}
+    K = verdicts[mds[0]].params["K"]
+    rest = [j for j in range(1, N) if j not in K]
+    reports = []
+    for md in mds:
+        canon = _slot_orbit_rep(md, K, rest)
+        if canon not in verdicts:
+            verdicts[canon] = theorem2_check(N, D, K, m, canon, q_cap)
+        base = verdicts[canon]
+        reports.append(CheckReport(base.name, {**base.params, "multidegree": md},
+                                   copy.deepcopy(base.entries)))
+    return reports
+
+
 def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     """Vanishing of the single-slot cohomology in the quotient algebra.
 
@@ -439,7 +477,11 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     multidegree and homogeneous polynomial degree, on the dominant
     weights only: the slot differentials keep the torus weight and
     commute with index permutations, so each dominant weight stands for
-    its S_D orbit, counted by the orbit size in `cocycles`.
+    its S_D orbit, counted by the orbit size in `cocycles`. A slot
+    relabeling pi that fixes i and maps K onto itself fixes d_i and permutes
+    the quotient generators and the ranges, so the verdicts at pi(md) are
+    those at md (module docstring): each orbit is decided once, on its
+    `_slot_orbit_rep`, whose slot sets are K and the slots outside K and i.
     """
     BlockLabel(N, D, 0, q_cap).validate()
     K = tuple(sorted(set(K)))
@@ -448,24 +490,46 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     k = len(K)
     rep = CheckReport("relative_cohomology",
                       {"N": N, "D": D, "K": K, "i": i, "q_cap": q_cap})
-    for md in _all_multidegrees(N, D):
-        # d_i and the quotient generators both land in (md + e_i, q - 1)
-        md_i = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
-        for q in range(k + 1, q_cap + 1):
-            cocycles = 0
-            passed = True
-            for w, orbit in _dominant_weights(D, sum(md) + q):
-                units = _weight_units(D, md, q, w)
-                if not units:
-                    continue
-                quotient = [g for j in K for g in _weight_range(D, (j,), md_i, q - 1, w)]
-                n_z, _, ok = _split_weight(
-                    units, [_slot_product((i,), md, u, D) for u in units] + quotient,
-                    (g for j in (i,) + K for g in _weight_range(D, (j,), md, q, w)))
-                cocycles += orbit * n_z
-                passed = passed and ok
-            rep.record(f"md={md} q={q}", passed, {"cocycles": cocycles})
+    rest = [j for j in range(1, N) if j != i and j not in K]
+    verdicts: dict = {}  # orbit representative -> [(q, passed, cocycles)]
+    for label_md in _all_multidegrees(N, D):
+        md = _slot_orbit_rep(label_md, K, rest)
+        if md not in verdicts:
+            verdicts[md] = []
+            # d_i and the quotient generators both land in (md + e_i, q - 1)
+            md_i = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
+            for q in range(k + 1, q_cap + 1):
+                cocycles = 0
+                passed = True
+                for w, orbit in _dominant_weights(D, sum(md) + q):
+                    units = _weight_units(D, md, q, w)
+                    if not units:
+                        continue
+                    quotient = [g for j in K for g in _weight_range(D, (j,), md_i, q - 1, w)]
+                    n_z, _, ok = _split_weight(
+                        units, [_slot_product((i,), md, u, D) for u in units] + quotient,
+                        (g for j in (i,) + K for g in _weight_range(D, (j,), md, q, w)))
+                    cocycles += orbit * n_z
+                    passed = passed and ok
+                verdicts[md].append((q, passed, cocycles))
+        for q, passed, cocycles in verdicts[md]:
+            rep.record(f"md={label_md} q={q}", passed, {"cocycles": cocycles})
     return rep
+
+
+def _slot_orbit_rep(md, *slot_sets) -> tuple:
+    """md with its entries sorted within each set of slots (numbered from 1).
+
+    Two multidegrees have the same representative exactly when a slot
+    relabeling that maps every given set onto itself, and fixes the slots
+    in none, carries one to the other.
+    """
+    out = list(md)
+    for slots in slot_sets:
+        slots = sorted(slots)
+        for j, a in zip(slots, sorted(md[j - 1] for j in slots)):
+            out[j - 1] = a
+    return tuple(out)
 
 
 def _all_multidegrees(N, D):

@@ -26,6 +26,9 @@ def invoke(args, stdin=""):
 def test_dim(capsys):
     assert run(["dim", "--shape", "2,1", "--D", "3"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+    # the empty string is the empty shape
+    assert run(["dim", "--shape", "", "--D", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_poincare_pass(capsys):
@@ -64,6 +67,13 @@ def test_usage_error_exit_code(capsys):
                  ["theorem2", "--N", "3", "--D", "2", "--K", "a", "--m", "1"],
                  ["theorem2", "--N", "3", "--D", "2", "--K", "1", "--m", "1",
                   "--multidegree", "x"],
+                 # an empty item in a nonempty list is not skipped
+                 ["theorem2", "--N", "3", "--D", "2", "--K", "1,,2", "--m", "1"],
+                 ["theorem2", "--N", "3", "--D", "2", "--K", "1,", "--m", "1"],
+                 ["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1",
+                  "--multidegree", ",1,1"],
+                 ["dim", "--shape", ",", "--D", "3"],
+                 ["project", "--shape", "2,,1"],
                  ["spin2", "--D", "2", "--qmax", "-1"],
                  ["spin2", "--D", "2", "--qmax", "-2"],
                  # blocks with no complex, before any multidegree or word is listed

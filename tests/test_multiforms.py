@@ -34,6 +34,7 @@ from ncomplex.multiforms import (
     project_pi,
     relative_cohomology_check,
     theorem2_check,
+    theorem2_suite,
 )
 
 
@@ -421,7 +422,9 @@ def test_theorem2_weight_route_matches_the_whole_block():
 
 def test_relative_weight_route_matches_the_whole_block():
     cases = ((3, 2, (), 1, 3), (3, 2, (2,), 1, 3), (4, 2, (2, 3), 1, 3), (4, 2, (1,), 3, 3),
-             (3, 3, (), 2, 3), (3, 3, (1,), 2, 3), (3, 4, (2,), 1, 2))
+             (3, 3, (), 2, 3), (3, 3, (1,), 2, 3), (3, 4, (2,), 1, 2),
+             # slot relabelings fixing i and K move these multidegrees
+             (4, 3, (), 1, 2), (4, 3, (2,), 1, 2), (5, 2, (), 1, 2), (5, 2, (2, 3), 1, 3))
     for c in cases:
         assert relative_cohomology_check(*c).to_json() == _relative_whole_block(*c).to_json(), c
 
@@ -440,6 +443,54 @@ def test_weight_routes_agree_on_failing_verdicts(monkeypatch):
     got = relative_cohomology_check(3, 3, (2,), 1, 2)
     assert got.failures
     assert got.to_json() == _relative_whole_block(3, 3, (2,), 1, 2).to_json()
+
+
+def _theorem2_per_multidegree(N, D, K, m, q_cap):
+    return [theorem2_check(N, D, K, m, md, q_cap) for md in mf._all_multidegrees(N, D)]
+
+
+def test_slot_orbit_rep_sorts_within_each_slot_set():
+    assert mf._slot_orbit_rep((3, 1, 2, 0), (1, 2, 3, 4)) == (0, 1, 2, 3)
+    assert mf._slot_orbit_rep((3, 1, 2, 0), (1, 3), [2, 4]) == (2, 0, 3, 1)
+    # slots in no set keep their entries
+    assert mf._slot_orbit_rep((3, 1, 2, 0), (2, 4)) == (3, 0, 2, 1)
+    assert mf._slot_orbit_rep((2, 1), ()) == (2, 1)
+
+
+def test_theorem2_suite_matches_each_multidegree(monkeypatch):
+    check = mf.theorem2_check
+    calls = []
+
+    def counted(N, D, K, m, md, q_cap):
+        calls.append(md)
+        return check(N, D, K, m, md, q_cap)
+
+    monkeypatch.setattr(mf, "theorem2_check", counted)
+    # K = (1, 3) at N = 4 and the partial K at N = 5 leave proper stabilizers
+    for N, D, K, m, q_cap, reps in ((4, 3, (1, 2, 3), 2, 3, 20), (4, 3, (1, 3), 1, 3, 40),
+                                    (4, 3, (1, 3), 2, 3, 40), (5, 2, (1, 3), 1, 3, 36),
+                                    (5, 2, (2, 3, 4), 2, 3, 30)):
+        calls.clear()
+        got = theorem2_suite(N, D, K, m, q_cap)
+        assert len(calls) == len(set(calls)) == reps, (N, D, K, m)
+        want = [check(N, D, K, m, md, q_cap) for md in mf._all_multidegrees(N, D)]
+        assert [r.to_json() for r in got] == [r.to_json() for r in want], (N, D, K, m)
+        assert all(r.ok for r in got)
+    # each report owns its entries, also within an orbit: (0, 0, 0, 1) has two partners
+    got[1].entries[-1]["detail"]["cocycles"] = -1
+    assert [r for r in got if r.entries[-1]["detail"]["cocycles"] == -1] == [got[1]]
+
+
+def test_theorem2_suite_sees_a_broken_slot_symmetry(monkeypatch):
+    # zeroing every product through slot 1 singles that slot out, so the
+    # orbit copies are wrong; the two routes must then disagree
+    slot_product = mf._slot_product
+    monkeypatch.setattr(mf, "_slot_product",
+                        lambda J, md, vec, D: {} if 1 in J else slot_product(J, md, vec, D))
+    got = [r.to_json() for r in theorem2_suite(3, 2, (1, 2), 1, 3)]
+    want = [r.to_json() for r in _theorem2_per_multidegree(3, 2, (1, 2), 1, 3)]
+    differ = [md for md, g, w in zip(mf._all_multidegrees(3, 2), got, want) if g != w]
+    assert differ and all(md != mf._slot_orbit_rep(md, (1, 2)) for md in differ)
 
 
 def test_weight_units_split_the_block_units():
