@@ -44,7 +44,6 @@ from .multiforms import (
     project_pi,
     relative_cohomology_check,
     theorem2_check,
-    theorem2_suite,
 )
 from .cohomology import (
     CohomologyTable,

@@ -34,8 +34,8 @@ carries the slot product d_J to +-d_pi(J) and block (md, q) onto block
 (pi(md), q). When pi maps each slot set a check singles out onto itself,
 it permutes the check's families of slot products, so kernels, ranks and
 span memberships, and with them every verdict and count, agree at md and
-pi(md). `theorem2_suite` and `relative_cohomology_check` therefore decide
-one multidegree per orbit (`_slot_orbit_rep`) and copy its verdicts to
+pi(md). `theorem2_suite` therefore decides one multidegree per orbit of
+the relabelings that fix K (`_slot_orbit_rep`) and copies its verdicts to
 the rest of the orbit.
 """
 
@@ -477,11 +477,7 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     multidegree and homogeneous polynomial degree, on the dominant
     weights only: the slot differentials keep the torus weight and
     commute with index permutations, so each dominant weight stands for
-    its S_D orbit, counted by the orbit size in `cocycles`. A slot
-    relabeling pi that fixes i and maps K onto itself fixes d_i and permutes
-    the quotient generators and the ranges, so the verdicts at pi(md) are
-    those at md (module docstring): each orbit is decided once, on its
-    `_slot_orbit_rep`, whose slot sets are K and the slots outside K and i.
+    its S_D orbit, counted by the orbit size in `cocycles`.
     """
     BlockLabel(N, D, 0, q_cap).validate()
     K = tuple(sorted(set(K)))
@@ -490,30 +486,23 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     k = len(K)
     rep = CheckReport("relative_cohomology",
                       {"N": N, "D": D, "K": K, "i": i, "q_cap": q_cap})
-    rest = [j for j in range(1, N) if j != i and j not in K]
-    verdicts: dict = {}  # orbit representative -> [(q, passed, cocycles)]
-    for label_md in _all_multidegrees(N, D):
-        md = _slot_orbit_rep(label_md, K, rest)
-        if md not in verdicts:
-            verdicts[md] = []
-            # d_i and the quotient generators both land in (md + e_i, q - 1)
-            md_i = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
-            for q in range(k + 1, q_cap + 1):
-                cocycles = 0
-                passed = True
-                for w, orbit in _dominant_weights(D, sum(md) + q):
-                    units = _weight_units(D, md, q, w)
-                    if not units:
-                        continue
-                    quotient = [g for j in K for g in _weight_range(D, (j,), md_i, q - 1, w)]
-                    n_z, _, ok = _split_weight(
-                        units, [_slot_product((i,), md, u, D) for u in units] + quotient,
-                        (g for j in (i,) + K for g in _weight_range(D, (j,), md, q, w)))
-                    cocycles += orbit * n_z
-                    passed = passed and ok
-                verdicts[md].append((q, passed, cocycles))
-        for q, passed, cocycles in verdicts[md]:
-            rep.record(f"md={label_md} q={q}", passed, {"cocycles": cocycles})
+    for md in _all_multidegrees(N, D):
+        # d_i and the quotient generators both land in (md + e_i, q - 1)
+        md_i = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
+        for q in range(k + 1, q_cap + 1):
+            cocycles = 0
+            passed = True
+            for w, orbit in _dominant_weights(D, sum(md) + q):
+                units = _weight_units(D, md, q, w)
+                if not units:
+                    continue
+                quotient = [g for j in K for g in _weight_range(D, (j,), md_i, q - 1, w)]
+                n_z, _, ok = _split_weight(
+                    units, [_slot_product((i,), md, u, D) for u in units] + quotient,
+                    (g for j in (i,) + K for g in _weight_range(D, (j,), md, q, w)))
+                cocycles += orbit * n_z
+                passed = passed and ok
+            rep.record(f"md={md} q={q}", passed, {"cocycles": cocycles})
     return rep
 
 
