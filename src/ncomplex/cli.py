@@ -127,12 +127,16 @@ def _cmd_theorem2(args):
         reports = [mf.theorem2_check(args.N, args.D, K, args.m, md, args.qcap)]
     else:
         reports = mf.theorem2_suite(args.N, args.D, K, args.m, args.qcap)
-    if args.format == "json":
-        _emit(json.dumps([json.loads(r.to_json()) for r in reports]))
-    else:
-        for r in reports:
+    ok = True  # streamed; the first report checks the arguments before any output
+    for n, r in enumerate(reports):
+        ok = ok and r.ok
+        if args.format == "json":
+            sys.stdout.write(("[" if n == 0 else ", ") + r.to_json())
+        else:
             _emit(str(r))
-    return 0 if all(r.ok for r in reports) else 1
+    if args.format == "json":
+        _emit("]")
+    return 0 if ok else 1
 
 
 def _cmd_green(args):

@@ -42,9 +42,10 @@ only permutes indices, so the differential and the slot differentials
 preserve weight. Each
 Schur basis vector has a single content c, so the weight-w part of a block
 is spanned by the Schur vectors of content c times the monomial x^(w - c);
-`_weight_basis` builds it that way, without filtering the whole block, and
-lists it in block order, so a solve on it returns the particular solution
-of the whole block. `_by_weight` splits a slot vector into weight parts.
+`_weight_vectors` builds it that way, from unit keys for multiforms too,
+without filtering the whole block; `_weight_basis` lists it in block
+order, so a solve on it returns the particular solution of the whole
+block. `_by_weight` splits a slot vector into weight parts.
 
 Every relation between equivariant maps out of a field block rests on
 one argument, Pieri plus Schur. The block (p, q) is the GL_D-module
@@ -58,19 +59,18 @@ zero or injective on the copy. A relation holds on the block iff it holds
 on these vectors; `_hw_image` is d^k of one. The star is a bijection whose
 det factors cancel in star^-1 delta star and in the double dual, so the
 duality constants are checked on star images of covariant ones.
-`_dominant_weights` lists the nonincreasing weights of a degree with
-their S_D orbit sizes, for the multiform splitting checks alone, whose
-blocks are not multiplicity free. `block_basis`, the whole block, is left
+`_hw_rows`, the one raising nullspace, gives every highest-weight vector
+of a weight space: `_hw_coefficients` insists on one, the multiform
+splitting checks take them all. `block_basis`, the whole block, is left
 to the tests as an oracle.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import prod
 from typing import NamedTuple
 
 from . import linalg
@@ -493,35 +493,16 @@ def _schur_by_content(N: int, D: int, p: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _dominant_weights(D, n) -> tuple:
-    """(w, |S_D w|) for each nonincreasing weight w of total degree n, in lex order.
-
-    These are the partitions of n with at most D parts, padded with zeros;
-    they are listed directly, not filtered out of all degree-n monomials.
-    """
-    def nonincreasing(total, slots, cap):
-        if not slots:
-            if not total:
-                yield ()
-            return
-        # the first entry is at least total / slots, so every branch completes
-        for first in range(-(-total // slots), min(total, cap) + 1):
-            for rest in nonincreasing(total - first, slots - 1, first):
-                yield (first,) + rest
-
-    return tuple((w, factorial(D) // prod(factorial(m) for m in Counter(w).values()))
-                 for w in nonincreasing(n, D, n))
-
-
-@lru_cache(maxsize=None)
 def _weight_basis(N: int, D: int, p: int, q: int, w: tuple) -> tuple:
-    """Integer basis of the weight-w part of block (p, q), in block order.
+    """Integer basis of the weight-w part of block (p, q): the weight-w
+    vectors of `_block_int_basis`, in its order, by `_weight_vectors`."""
+    return _weight_vectors(_schur_by_content(N, D, p), w)
 
-    Each Schur vector of content c times the monomial of exponent w - c;
-    these are the weight-w vectors of `_block_int_basis`, in its order.
-    """
+
+def _weight_vectors(by_content, w: tuple) -> tuple:
+    """s times x^(w - c) for each (index content c, slot vector s), in order, where w >= c."""
     out = []
-    for c, s in _schur_by_content(N, D, p):
+    for c, s in by_content:
         e = tuple(a - b for a, b in zip(w, c))
         if min(e) >= 0:
             out.append({(k, e): v for k, v in s.items()})
@@ -562,18 +543,25 @@ def _raise(i: int, vec: dict) -> dict:
     return linalg.accumulate(terms())
 
 
+def _hw_rows(basis, D: int) -> list:
+    """Coefficients {j: c} over a weight space's basis of a basis of its highest-weight vectors.
+
+    Every nullspace row of the stacked E_1 ... E_(D-1) images of basis.
+    """
+    columns = [{(i, key): v for i in range(1, D) for key, v in _raise(i, u).items()}
+               for u in basis]
+    return linalg.nullspace(columns)
+
+
 @lru_cache(maxsize=None)
 def _hw_coefficients(N: int, D: int, p: int, q: int, lam: tuple) -> dict:
     """The highest-weight vector of weight lam in block (p, q), as coefficients.
 
-    {j: c} over `_weight_basis(N, D, p, q, lam)`: the one nullspace row of
-    the stacked E_1 ... E_(D-1) images of that basis. A block is
-    multiplicity free (Pieri), so at a constituent lam the row is unique;
-    anything else raises.
+    {j: c} over `_weight_basis(N, D, p, q, lam)`: the one `_hw_rows` row of
+    that basis. A block is multiplicity free (Pieri), so at a constituent
+    lam the row is unique; anything else raises.
     """
-    columns = [{(i, key): v for i in range(1, D) for key, v in _raise(i, u).items()}
-               for u in _weight_basis(N, D, p, q, lam)]
-    null = linalg.nullspace(columns)
+    null = _hw_rows(_weight_basis(N, D, p, q, lam), D)
     if len(null) != 1:
         raise VerificationError(f"{len(null)} highest-weight vectors of weight {lam} "
                                 f"in block (p={p}, q={q}) at N={N} D={D}")

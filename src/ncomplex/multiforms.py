@@ -18,14 +18,15 @@ its highest-weight vectors by the Pieri-plus-Schur argument of `fields`.
 The rank checks at the bottom of this module certify the two splitting
 statements that drive the generalized vanishing theorem: cocycle systems
 against sums of slot-differential ranges, and the relative single-slot
-version in the quotient by the other slots. Their multidegree blocks are
-not multiplicity free. Every slot product keeps the torus weight of an
-entry (`fields.weight`) and commutes with index permutations, so both
-checks run one dominant (nonincreasing) weight at a time and count each
-by the size of its S_D orbit. They run on the integer unit vectors of one
-weight space (`_weight_units`) through `_slot_product`; only the unit
-basis of the block `theorem2_check` is asked about is built as
-`Multiform`s, to validate it.
+version in the quotient by the other slots. A block (md, q) is a
+semisimple GL_D-module, not multiplicity free, and every slot product d_J
+is equivariant, so every kernel, range and preimage is a submodule of
+dimension sum over lam of schur_dim(lam, D) times the number of its
+highest-weight vectors of weight lam (Fulton and Harris, Representation
+Theory, Lecture 15), and d_J maps those of its source onto those of its
+image. Both checks decide each rank and span membership on them, however
+many (`_hw_units`); only the unit basis of the block `theorem2_check` is
+asked about is built as `Multiform`s, to validate it.
 
 The slots are interchangeable too. For a permutation pi of 1..N-1, the
 algebra map Phi_pi sending each generator of slot j to the same generator
@@ -46,11 +47,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 
 from . import linalg
 from . import tensor_core as tc
+from .diagrams import partitions, schur_dim
 from .errors import ShapeError, VerificationError
 from .fields import (
     BlockLabel,
@@ -58,14 +59,15 @@ from .fields import (
     _apply_d_int,
     _apply_slot,
     _check_entry,
-    _dominant_weights,
     _hw_image,
+    _hw_rows,
     _hw_vector,
     _insert_table,
     _pi_columns,
     _pieri,
     _slot_map,
     _staircase,
+    _weight_vectors,
     monomials,
     weight,
     # unused here; the names stay because bench/spans.py wraps these bindings
@@ -283,29 +285,22 @@ def _units(D, md, q) -> list:
     return [{(key, e): 1} for key in tc._slot_keys(D, md) for e in monomials(D, q)]
 
 
-def _weight_units(D, md, q, w) -> list:
-    """Integer unit slot vectors {(key, w - content(key)): 1} of weight w in block (md, q).
+def _highest_weights(D, n) -> list:
+    """(lam, schur_dim(lam, D)) for each partition lam of n with at most D parts, as a weight."""
+    return [(lam.rows + (0,) * (D - lam.n_rows), schur_dim(lam, D))
+            for lam in partitions(n) if lam.n_rows <= D]
 
-    None when a slot size leaves 0..D; w has total degree sum(md) + q.
+
+def _hw_units(D, md, lam) -> list:
+    """A basis of the highest-weight vectors of weight lam in block (md, |lam| - |md|).
+
+    Combinations of its unit vectors of weight lam; none when a slot size leaves 0..D.
     """
     if any(a < 0 or a > D for a in md):
         return []
-    out = []
-    for c, keys in _keys_by_content(D, md).items():
-        e = tuple(a - b for a, b in zip(w, c))
-        if min(e) >= 0:
-            out.extend({(key, e): 1} for key in keys)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _keys_by_content(D, md) -> dict:
-    """The slot keys of sizes md grouped by index content, {content: keys}."""
     zero = (0,) * D
-    groups: dict = {}
-    for key in tc._slot_keys(D, md):
-        groups.setdefault(weight(key, zero), []).append(key)
-    return groups
+    units = _weight_vectors(((weight(key, zero), {key: 1}) for key in tc._slot_keys(D, md)), lam)
+    return [linalg.combine(row, units) for row in _hw_rows(units, D)]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +358,7 @@ def _stacked(products, md, vec: dict, D: int) -> dict:
 
 
 def _cocycles(units, cols) -> list:
-    """Nonzero combinations of units whose columns cancel against cols.
+    """Nonzero combinations of the independent units whose columns cancel against cols.
 
     cols starts with one column per unit; further columns (generators of a
     quotient) may absorb part of the combination but are not kept in it.
@@ -378,22 +373,29 @@ def _cocycles(units, cols) -> list:
     return out
 
 
-def _weight_range(D, J, md, q, w) -> list:
-    """Nonzero images under d_J of the weight-w units of the block d_J maps into (md, q).
+def _hw_range(D, J, md, lam) -> list:
+    """Nonzero d_J images of the `_hw_units` of weight lam of the block d_J maps into md.
 
-    That source block is (md - sum of e_j over J, q + len(J)); it is empty,
-    and so is the answer, when a source slot would go negative. Zero images
-    are dropped: as extra columns in `_cocycles` each would bring a kernel
-    vector of its own into the nullspace basis.
+    They span the image's highest-weight vectors of weight lam. That source
+    block, md - sum of e_j over J, is empty when a slot would go negative.
+    Zero images are dropped: as extra columns in `_cocycles` each would
+    bring a kernel vector of its own into the nullspace basis.
     """
     src = tuple(a - (j in J) for j, a in enumerate(md, 1))
-    images = (_slot_product(J, src, u, D) for u in _weight_units(D, src, q + len(J), w))
+    images = (_slot_product(J, src, u, D) for u in _hw_units(D, src, lam))
     return [g for g in images if g]
 
 
 def _split_weight(units, cols, generators):
-    """(number of cocycles, rank of generators, whether the cocycles lie in their span)."""
+    """(number of cocycles, rank of generators, whether the cocycles lie in their span).
+
+    The generators are cocycles (d_j d_j = 0, so d_J d_J' = 0 when J, J'
+    share a slot, and d_i d_j = -d_j d_i lies in the relative quotient),
+    so with no cocycles the lazy generators are not built.
+    """
     z_vectors = _cocycles(units, cols)
+    if not z_vectors:
+        return 0, 0, True
     ech = linalg.Echelon(generators)
     return len(z_vectors), ech.rank, all(ech.contains(z) for z in z_vectors)
 
@@ -404,10 +406,10 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
     For the given multidegree and every homogeneous polynomial degree up
     to q_cap, computes the joint kernel of all m-fold slot products over
     K and verifies it lies in the span of the (len(K) - m + 1)-fold
-    products, allowing a free polynomial part below degree m. Every slot
-    product keeps the torus weight and commutes with index permutations,
-    so the check runs on the dominant weights only, each counted by the
-    size of its S_D orbit in `cocycles` and `generator_rank`. A slot
+    products, allowing a free polynomial part below degree m. Both spaces
+    are GL_D-submodules, so the check runs on the highest-weight vectors of
+    each weight lam (module docstring), each count weighted by
+    schur_dim(lam, D) in `cocycles` and `generator_rank`. A slot
     relabeling pi that maps K onto itself permutes both the m-fold and the
     (len(K) - m + 1)-fold products over K, so the report at pi(md) has the
     same entries as this one (module docstring); `theorem2_suite` uses that.
@@ -432,40 +434,39 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
         multiform_basis(N, D, md, q)  # never empty; the bench self-test counts its Multiforms
         cocycles = rank = 0
         passed = True
-        for w, orbit in _dominant_weights(D, sum(md) + q):
-            units = _weight_units(D, md, q, w)
+        for lam, dim in _highest_weights(D, sum(md) + q):
+            units = _hw_units(D, md, lam)
             if not units:
                 continue
             n_z, n_g, ok = _split_weight(
                 units, [_stacked(products, md, u, D) for u in units],
-                (g for J in ranges for g in _weight_range(D, J, md, q, w)))
-            cocycles, rank = cocycles + orbit * n_z, rank + orbit * n_g
+                (g for J in ranges for g in _hw_range(D, J, md, lam)))
+            cocycles, rank = cocycles + dim * n_z, rank + dim * n_g
             passed = passed and ok
         rep.record(f"q={q}", passed, {"cocycles": cocycles, "generator_rank": rank})
     return rep
 
 
-def theorem2_suite(N, D, K, m, q_cap) -> list[CheckReport]:
-    """`theorem2_check` at every multidegree, in `_all_multidegrees` order.
+def theorem2_suite(N, D, K, m, q_cap):
+    """Yield `theorem2_check` at every multidegree, in `_all_multidegrees` order.
 
     Each report carries its own multidegree, but the check runs once per
     orbit of the slot relabelings that fix K (and so the slots outside K),
     on the orbit's sorted representative; the others copy its entries.
+    Only the representatives' reports are kept.
     """
-    mds = _all_multidegrees(N, D)
+    zero = (0,) * (N - 1)
     # the zero multidegree is its own representative; its check validates the arguments
-    verdicts = {mds[0]: theorem2_check(N, D, K, m, mds[0], q_cap)}
-    K = verdicts[mds[0]].params["K"]
+    verdicts = {zero: theorem2_check(N, D, K, m, zero, q_cap)}
+    K = verdicts[zero].params["K"]
     rest = [j for j in range(1, N) if j not in K]
-    reports = []
-    for md in mds:
+    for md in _all_multidegrees(N, D):
         canon = _slot_orbit_rep(md, K, rest)
         if canon not in verdicts:
             verdicts[canon] = theorem2_check(N, D, K, m, canon, q_cap)
         base = verdicts[canon]
-        reports.append(CheckReport(base.name, {**base.params, "multidegree": md},
-                                   copy.deepcopy(base.entries)))
-    return reports
+        yield CheckReport(base.name, {**base.params, "multidegree": md},
+                          copy.deepcopy(base.entries))
 
 
 def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
@@ -474,10 +475,9 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     Works in the quotient by the ranges of the slots in K: cocycles of
     order len(K) + 1 relative to that quotient must be differentials of
     elements of order len(K) + 2 up to the quotient. Checked per
-    multidegree and homogeneous polynomial degree, on the dominant
-    weights only: the slot differentials keep the torus weight and
-    commute with index permutations, so each dominant weight stands for
-    its S_D orbit, counted by the orbit size in `cocycles`.
+    multidegree and homogeneous polynomial degree on the highest-weight
+    vectors of each weight lam (module docstring), with `cocycles` weighted
+    by schur_dim(lam, D).
     """
     BlockLabel(N, D, 0, q_cap).validate()
     K = tuple(sorted(set(K)))
@@ -492,15 +492,15 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
         for q in range(k + 1, q_cap + 1):
             cocycles = 0
             passed = True
-            for w, orbit in _dominant_weights(D, sum(md) + q):
-                units = _weight_units(D, md, q, w)
+            for lam, dim in _highest_weights(D, sum(md) + q):
+                units = _hw_units(D, md, lam)
                 if not units:
                     continue
-                quotient = [g for j in K for g in _weight_range(D, (j,), md_i, q - 1, w)]
+                quotient = [g for j in K for g in _hw_range(D, (j,), md_i, lam)]
                 n_z, _, ok = _split_weight(
                     units, [_slot_product((i,), md, u, D) for u in units] + quotient,
-                    (g for j in (i,) + K for g in _weight_range(D, (j,), md, q, w)))
-                cocycles += orbit * n_z
+                    (g for j in (i,) + K for g in _hw_range(D, (j,), md, lam)))
+                cocycles += dim * n_z
                 passed = passed and ok
             rep.record(f"md={md} q={q}", passed, {"cocycles": cocycles})
     return rep
@@ -523,4 +523,4 @@ def _slot_orbit_rep(md, *slot_sets) -> tuple:
 
 def _all_multidegrees(N, D):
     BlockLabel(N, D, 0, 0).validate()
-    return list(product(range(D + 1), repeat=N - 1))
+    return product(range(D + 1), repeat=N - 1)

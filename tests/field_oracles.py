@@ -4,9 +4,16 @@ Nothing in the library, the command line or the demos calls these: each
 recomputes an operator of `ncomplex.fields` by a second, independent
 route (full components and the full Young symmetrizer, or a table
 without its projection), so the tests can compare the two.
+`dominant_weights` lists the dominant weights of a degree with their S_D
+orbit sizes, for the orbit-weighted weight routes the tests compare the
+highest-weight route against.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from functools import lru_cache
+from math import factorial, prod
 
 from ncomplex import linalg
 from ncomplex import tensor_core as tc
@@ -107,3 +114,24 @@ def field_product(F: PolyTensorField, G: PolyTensorField) -> PolyTensorField:
             linalg.add_to(data, {(_pad(key, N - 1), exp): v for key, v in
                                  tc.tensor_to_wedge(Y, proj).items()})
     return PolyTensorField(N, D, p, q, F.variance, data)
+
+
+@lru_cache(maxsize=None)
+def dominant_weights(D, n) -> tuple:
+    """(w, |S_D w|) for each nonincreasing weight w of total degree n, in lex order.
+
+    These are the partitions of n with at most D parts, padded with zeros;
+    they are listed directly, not filtered out of all degree-n monomials.
+    """
+    def nonincreasing(total, slots, cap):
+        if not slots:
+            if not total:
+                yield ()
+            return
+        # the first entry is at least total / slots, so every branch completes
+        for first in range(-(-total // slots), min(total, cap) + 1):
+            for rest in nonincreasing(total - first, slots - 1, first):
+                yield (first,) + rest
+
+    return tuple((w, factorial(D) // prod(factorial(m) for m in Counter(w).values()))
+                 for w in nonincreasing(n, D, n))

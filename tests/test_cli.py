@@ -293,6 +293,29 @@ def test_theorem2_single(capsys):
     assert doc[0]["pass"] is True
 
 
+def test_theorem2_writes_each_report_as_it_comes(capsys, monkeypatch):
+    # the suite is consumed one report at a time, and the JSON is the list of the reports
+    suite = mf.theorem2_suite
+    for fmt in ("json", "text"):
+        written = []
+
+        def watched(*args):
+            for r in suite(*args):
+                written.append(capsys.readouterr().out)  # the output before r was built
+                yield r
+
+        monkeypatch.setattr(mf, "theorem2_suite", watched)
+        assert run(["theorem2", "--N", "3", "--D", "2", "--K", "1", "--m", "1",
+                    "--qcap", "2", "--format", fmt]) == 0
+        out = "".join(written) + capsys.readouterr().out
+        assert len(written) == 9 and written[0] == "" and all(written[1:])
+        reports = list(suite(3, 2, (1,), 1, 2))
+        if fmt == "json":
+            assert out == json.dumps([json.loads(r.to_json()) for r in reports]) + "\n"
+        else:
+            assert out == "".join(f"{r}\n" for r in reports)
+
+
 def test_stress_potential_pipe():
     from ncomplex.gauge import _double_divergence
     import random

@@ -29,7 +29,6 @@ from ncomplex.fields import (
     _apply_d_int,
     _block_int_basis,
     _d_k_int,
-    _dominant_weights,
     _raise,
     _top_degree,
     _weight_basis,
@@ -41,6 +40,8 @@ from ncomplex.fields import (
     random_field,
     weight,
 )
+
+from field_oracles import dominant_weights
 
 
 def test_dimension_examples():
@@ -443,7 +444,7 @@ def test_weight_spaces_partition_each_block():
         dims = {w: len(_weight_basis(N, D, p, q, w)) for w in monomials(D, p + q)}
         assert sum(dims.values()) == block_dim(N, D, p, q), (N, D, p, q)
         # a coordinate permutation maps each weight space onto an equal one
-        assert sum(orbit * dims[w] for w, orbit in _dominant_weights(D, p + q)) == \
+        assert sum(orbit * dims[w] for w, orbit in dominant_weights(D, p + q)) == \
             block_dim(N, D, p, q)
         in_block = {}
         for vec in _block_int_basis(N, D, p, q):
@@ -546,7 +547,7 @@ def _orbit_ker_im(N, D, p, k, q):
     """
     src_p, src_q = p - (N - k), q + (N - k)
     ker = im = 0
-    for w, orbit in _dominant_weights(D, p + q):
+    for w, orbit in dominant_weights(D, p + q):
         dim = len(_weight_basis(N, D, p, q, w))
         if dim:
             ker += orbit * (dim - _weight_rank(N, D, p, q, k, w))
@@ -583,7 +584,7 @@ def test_highest_weight_spaces_are_the_pieri_constituents():
         if k != 1:
             continue
         strips = _pieri_weights(N, D, p, q)
-        for w, _ in _dominant_weights(D, p + q):
+        for w, _ in dominant_weights(D, p + q):
             null = linalg.nullspace(_raised_columns(N, D, p, q, w))
             assert len(null) == (w in strips), (N, D, p, q, w)
             seen[len(null)] += 1
@@ -673,7 +674,7 @@ def test_weight_ranks_against_modular_elimination():
     # primes rules out a wrong exact rank on the sampled weight spaces
     blocks = random.Random(8).sample(list(_sweep()), 40)
     for N, D, p, k, q in blocks:
-        for w, _ in _dominant_weights(D, p + q):
+        for w, _ in dominant_weights(D, p + q):
             vecs = _image_vectors(N, D, p, q, k, w)
             for prime in (2**61 - 1, 2**31 - 1):
                 assert _rank_mod(vecs, prime) == _weight_rank(N, D, p, q, k, w), \

@@ -32,7 +32,13 @@ from ncomplex.fields import (
 from ncomplex.gauge import spin2_d1, spin2_d2, spin2_d3
 from ncomplex.tensor_core import dual_star, schur_conditions_ok, tensor_to_wedge
 
-from field_oracles import delta_unprojected, field_product, nabla, young_derivative
+from field_oracles import (
+    delta_unprojected,
+    dominant_weights,
+    field_product,
+    nabla,
+    young_derivative,
+)
 
 
 def divergence_reference(F):
@@ -638,11 +644,14 @@ def test_no_library_code_builds_a_whole_block():
     assert sorted(func for _, func, _ in inside) == ["_image_vectors", "d_power"]
     inside = _calls("fields.py", (src / "fields.py").read_text(), {"_block_int_basis"})
     assert sorted(func for _, func, _ in inside) == ["block_basis", "random_field"]
-    # field blocks are decided on highest-weight vectors; dominant weights
-    # serve only the multiform splitting checks
-    weights = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"_dominant_weights"})]
-    assert sorted(func for _, func, _ in weights) == ["relative_cohomology_check", "theorem2_check"]
+    # every check is decided on highest-weight vectors: the S_D dominant-weight
+    # route is a test oracle, and one helper stacks the raising images into a nullspace
     assert [p.name for p in modules if "dominant_basis" in p.read_text()] == []
+    assert [p.name for p in modules if "_dominant_weights" in p.read_text()] == []
+    raising = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"_raise"})]
+    assert [(name, func) for name, func, _ in raising] == [("fields.py", "_hw_rows")]
+    nullspaces = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"nullspace"})]
+    assert ("fields.py", "_hw_rows") in [(name, func) for name, func, _ in nullspaces]
     probe = """
 def block_basis(N, D, p, q):
     return [vec for vec in _block_int_basis(N, D, p, q)]
@@ -659,12 +668,11 @@ def g(vec):
 
 
 def test_dominant_weights_are_the_filtered_monomials():
-    # the partitions listed directly against the nonincreasing monomials, in order
-    fields._dominant_weights.cache_clear()
+    # the oracle's partitions listed directly against the nonincreasing monomials, in order
     for D in range(1, 9):
         for n in range(9):
             want = tuple((w, factorial(D) // prod(factorial(m) for m in Counter(w).values()))
                          for w in monomials(D, n)
                          if all(a >= b for a, b in zip(w, w[1:])))
-            assert fields._dominant_weights(D, n) == want, (D, n)
-    assert len(fields._dominant_weights(30, 6)) == 11
+            assert dominant_weights(D, n) == want, (D, n)
+    assert len(dominant_weights(30, 6)) == 11

@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from ncomplex import fields, linalg
+from ncomplex import tensor_core as tc
 from ncomplex import multiforms as mf
 from ncomplex.errors import ShapeError, VerificationError
 from ncomplex.fields import (
@@ -408,16 +409,30 @@ def test_theorem2_weight_route_matches_the_whole_block():
     cases += [(3, 3, (1, 2), m, md, 3) for m in (1, 2) for md in ((0, 0), (1, 0), (2, 1), (3, 2))]
     cases += [(4, 3, (1, 2, 3), 2, (1, 1, 1), 3), (4, 3, (1, 3), 1, (2, 0, 1), 2)]
     cases += [(3, 4, (1, 2), 1, md, 2) for md in ((1, 0), (2, 2), (4, 1))]
-    orbits = set()
     for N, D, K, m, md, q_cap in cases:
         got = theorem2_check(N, D, K, m, md, q_cap)
         assert got.to_json() == _theorem2_whole_block(N, D, K, m, md, q_cap).to_json(), (
             N, D, K, m, md)
-        orbits |= {o for q in range(m, q_cap + 1)
-                   for w, o in mf._dominant_weights(D, sum(md) + q)
-                   if mf._weight_units(D, md, q, w)}
-    # D = 2 alone would only reach orbits of sizes 1 and 2
-    assert orbits >= {1, 2, 3, 4, 6, 12, 24}
+
+
+def test_highest_weight_vectors_count_the_block_units():
+    # a block is the sum of its S_lam, each as often as it has highest-weight
+    # vectors of weight lam; the checks weight their counts the same way
+    most = 0
+    for N in (2, 3, 4):
+        for D in (1, 2, 3, 4):
+            for md in product(range(D + 1), repeat=N - 1):
+                for q in range(4):
+                    total = 0
+                    for lam, dim in mf._highest_weights(D, sum(md) + q):
+                        hw = mf._hw_units(D, md, lam)
+                        assert all(fields._raise(i, u) == {} for u in hw for i in range(1, D))
+                        assert linalg.rank(hw) == len(hw)
+                        total += dim * len(hw)
+                        most = max(most, len(hw))
+                    assert total == len(mf._units(D, md, q)), (N, D, md, q)
+    # the blocks are not multiplicity free: some weight holds several vectors
+    assert most >= 3
 
 
 def test_relative_weight_route_matches_the_whole_block():
@@ -471,7 +486,9 @@ def test_theorem2_suite_matches_each_multidegree(monkeypatch):
                                     (4, 3, (1, 3), 2, 3, 40), (5, 2, (1, 3), 1, 3, 36),
                                     (5, 2, (2, 3, 4), 2, 3, 30)):
         calls.clear()
-        got = theorem2_suite(N, D, K, m, q_cap)
+        reports = theorem2_suite(N, D, K, m, q_cap)
+        assert calls == []  # a generator: nothing runs before the first report is asked for
+        got = list(reports)
         assert len(calls) == len(set(calls)) == reps, (N, D, K, m)
         want = [check(N, D, K, m, md, q_cap) for md in mf._all_multidegrees(N, D)]
         assert [r.to_json() for r in got] == [r.to_json() for r in want], (N, D, K, m)
@@ -494,11 +511,13 @@ def test_theorem2_suite_sees_a_broken_slot_symmetry(monkeypatch):
 
 
 def test_weight_units_split_the_block_units():
+    # the weight builder of field blocks, fed unit keys, splits a multiform block by weight
     for D, md, q in ((2, (1, 1), 2), (3, (2, 1), 2), (3, (0, 3), 1), (4, (2, 2), 1)):
-        units = [u for w in monomials(D, sum(md) + q) for u in mf._weight_units(D, md, q, w)]
+        keys = [(weight(key, (0,) * D), {key: 1}) for key in tc._slot_keys(D, md)]
+        units = [u for w in monomials(D, sum(md) + q) for u in fields._weight_vectors(keys, w)]
         assert sorted(map(sorted, units)) == sorted(map(sorted, mf._units(D, md, q)))
-    assert mf._weight_units(2, (3, 0), 0, (2, 1)) == []
-    assert mf._weight_units(2, (-1, 1), 2, (2, 1)) == []
+    assert mf._hw_units(2, (3, 0), (2, 1)) == []
+    assert mf._hw_units(2, (-1, 1), (2, 1)) == []
 
 
 def test_theorem2_examples():
