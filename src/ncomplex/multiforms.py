@@ -47,6 +47,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import linalg
@@ -373,7 +374,7 @@ def _cocycles(units, cols) -> list:
     return out
 
 
-def _hw_range(D, J, md, lam) -> list:
+def _hw_range(D, J, md, lam, hw_units=_hw_units) -> list:
     """Nonzero d_J images of the `_hw_units` of weight lam of the block d_J maps into md.
 
     They span the image's highest-weight vectors of weight lam. That source
@@ -382,7 +383,7 @@ def _hw_range(D, J, md, lam) -> list:
     bring a kernel vector of its own into the nullspace basis.
     """
     src = tuple(a - (j in J) for j, a in enumerate(md, 1))
-    images = (_slot_product(J, src, u, D) for u in _hw_units(D, src, lam))
+    images = (_slot_product(J, src, u, D) for u in hw_units(D, src, lam))
     return [g for g in images if g]
 
 
@@ -486,6 +487,8 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     k = len(K)
     rep = CheckReport("relative_cohomology",
                       {"N": N, "D": D, "K": K, "i": i, "q_cap": q_cap})
+    # a block is also the source of its neighbours' ranges; the memo lives for this call only
+    hw_units = lru_cache(maxsize=None)(_hw_units)
     for md in _all_multidegrees(N, D):
         # d_i and the quotient generators both land in (md + e_i, q - 1)
         md_i = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
@@ -493,13 +496,13 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
             cocycles = 0
             passed = True
             for lam, dim in _highest_weights(D, sum(md) + q):
-                units = _hw_units(D, md, lam)
+                units = hw_units(D, md, lam)
                 if not units:
                     continue
-                quotient = [g for j in K for g in _hw_range(D, (j,), md_i, lam)]
+                quotient = [g for j in K for g in _hw_range(D, (j,), md_i, lam, hw_units)]
                 n_z, _, ok = _split_weight(
                     units, [_slot_product((i,), md, u, D) for u in units] + quotient,
-                    (g for j in (i,) + K for g in _hw_range(D, (j,), md, lam)))
+                    (g for j in (i,) + K for g in _hw_range(D, (j,), md, lam, hw_units)))
                 cocycles += dim * n_z
                 passed = passed and ok
             rep.record(f"md={md} q={q}", passed, {"cocycles": cocycles})

@@ -28,9 +28,9 @@ smaller side of that duality: a shape filling more than half of its
 k-by-D box is read off its complement through the Hodge star, because
 the group sums grow factorially with the number of cells; even there
 `_symmetrizer_columns` sums once per S_D orbit of index contents, and
-`_content_order` picks the orbit's sorted member for it and for the word
-relations of `quotient_algebra`. `young_project`, `symmetrizer_support`
-and `projector_rank` keep the group sum on full tensors as oracles.
+`_content_order` picks the orbit's sorted member. `young_project`,
+`symmetrizer_support` and `projector_rank` keep the group sum on full
+tensors as oracles.
 
 Membership in a symmetry type is checked on slot coordinates too:
 `_read_slots` proves column antisymmetry while it reads them, and

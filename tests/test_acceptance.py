@@ -282,10 +282,10 @@ def test_criterion_9a_relations_and_cyclicity():
                 u = _symmetrized_positions(word, positions)
                 if not _acts_as_zero(N, D, u, size):
                     failures.append(("symmetric entries", N, D, word, positions))
-    rep = relation_checks(3, 2, 3, rng=rng)
+    rep = relation_checks(3, 2, 3)
     if not rep.ok:
         failures.append(("relation report", rep.failures))
-    rep3 = relation_checks(3, 3, rng=rng)
+    rep3 = relation_checks(3, 3)
     if not rep3.ok:
         failures.append(("relation report D=3", rep3.failures))
     gens2 = {3: _cyclic_generators(2), 4: _quartic_generators(2)}

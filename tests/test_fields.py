@@ -648,6 +648,8 @@ def test_no_library_code_builds_a_whole_block():
     # route is a test oracle, and one helper stacks the raising images into a nullspace
     assert [p.name for p in modules if "dominant_basis" in p.read_text()] == []
     assert [p.name for p in modules if "_dominant_weights" in p.read_text()] == []
+    # the S_D content relabeling serves the projector build only; word relations use hw words
+    assert [p.name for p in modules if "_content_order" in p.read_text()] == ["tensor_core.py"]
     raising = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"_raise"})]
     assert [(name, func) for name, func, _ in raising] == [("fields.py", "_hw_rows")]
     nullspaces = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"nullspace"})]
