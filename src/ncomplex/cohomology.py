@@ -16,13 +16,13 @@ not kill (`fields._hw_image`): one nonzero test per constituent. The
 tables, the Poincare suite, the Killing counts, the hexagon sequences and
 the odd-degree isomorphisms all run this way; an induced map between
 cohomology blocks counts the lam whose highest-weight vector is a cocycle
-that the map sends outside the coboundaries. d^k of a highest-weight
-vector is its coefficients combined over the columns of the store
-`fields._image_vectors` at lam, so the tables fill the store only at
-Pieri weights. `solve_preimage` and the two-form triviality test read the
-same store on each weight part of their field, whose columns follow the
-basis in block order: a solve returns the potential a whole-block solve
-would.
+that the map sends outside the coboundaries. Every such test reads the
+d-chain `fields._hw_image`, one cached level per power of d on one vector,
+so the tables never apply d to a weight basis. `solve_preimage` and the
+two-form triviality test need whole weight spaces: they read the store
+`fields._image_vectors` on each weight part of their field, whose columns
+follow the basis in block order, so a solve returns the potential a
+whole-block solve would.
 Killing tensor counts are Ker d^k on the block (m, q) of the order
 m + k + 1 complex, where every degree up to m + k is a one-row type and
 d^k is the symmetrized k-th derivative.

@@ -21,9 +21,11 @@ here and in `multiforms`; `_slot_map` applies one without
 differentiating. `_apply_slot` is the d kernel, so it keeps its sum
 inline; every other sparse map here sums its terms through
 `linalg.accumulate`. `_d_k_int` holds the one stop rule of d^k; its
-callers are `d_power` (so `n_diff`) and `_image_vectors`, the cached store
-of d^k on weight bases, one column per basis vector, zeros kept. Every
-verdict that applies d to a weight basis reads that store. `_partials`
+callers are `d_power` (so `n_diff`), the d-chain `_hw_image` of one
+highest-weight vector (below) and `_image_vectors`, the cached store of
+d^k on weight bases, one column per basis vector, zeros kept. Only the
+preimage solve and the two-form triviality test of `cohomology` read that
+store; every verdict on a highest-weight vector reads the chain. `_partials`
 alone owns the derivative of full components (index tuple, exponent):
 the literal gauge and two-form operators scatter its entries to the
 index positions their formulas name. The second routes that only the
@@ -42,10 +44,10 @@ only permutes indices, so the differential and the slot differentials
 preserve weight. Each
 Schur basis vector has a single content c, so the weight-w part of a block
 is spanned by the Schur vectors of content c times the monomial x^(w - c);
-`_weight_vectors` builds it that way, from unit keys for multiforms too,
-without filtering the whole block; `_weight_basis` lists it in block
-order, so a solve on it returns the particular solution of the whole
-block. `_by_weight` splits a slot vector into weight parts.
+`_weight_vectors` builds it that way, without filtering the whole block;
+`_weight_basis` lists it in block order, so a solve on it returns the
+particular solution of the whole block. `_by_weight` splits a slot vector
+into weight parts.
 
 Every relation between equivariant maps out of a field block rests on
 one argument, Pieri plus Schur. The block (p, q) is the GL_D-module
@@ -56,9 +58,17 @@ weight lam killed by every raising operator `_raise` span one line
 (`_hw_coefficients`, `_hw_vector`, and `hw_basis` as fields), that vector
 generates the copy of S_lam, and by Schur's lemma an equivariant map is
 zero or injective on the copy. A relation holds on the block iff it holds
-on these vectors; `_hw_image` is d^k of one. The star is a bijection whose
-det factors cancel in star^-1 delta star and in the double dual, so the
-duality constants are checked on star images of covariant ones.
+on these vectors. `_hw_image` is the lru-cached d-chain of one: level 0 a
+nonzero multiple of the highest-weight vector, level k one d step on level
+k - 1. When lam is a constituent of the block (p - 1, q + 1) too and d
+does not kill it there, that image starts the chain, since d is
+equivariant and that block holds S_lam once (`_hw_reuses_below` checks
+that every raising operator kills it); the chain then continues the one
+below, and only the other starts solve a raising nullspace. A caller that
+pairs a vector with its image takes both from the chain. The star is a
+bijection whose det factors cancel in star^-1 delta star and in the double
+dual, so the duality constants are checked on star images of covariant
+ones.
 `_hw_rows`, the one raising nullspace, gives every highest-weight vector
 of a weight space: `_hw_coefficients` insists on one, the multiform
 splitting checks take them all. `block_basis`, the whole block, is left
@@ -590,9 +600,37 @@ def _pieri(N, D, p, q) -> tuple:
     return out
 
 
+@lru_cache(maxsize=None)
 def _hw_image(N, D, p, q, k, lam) -> dict:
-    """d^k of `_hw_vector`: its coefficients combined over the store's level-k columns at lam."""
-    return linalg.combine(_hw_coefficients(N, D, p, q, lam), _image_vectors(N, D, p, q, k, lam))
+    """Level k of the d-chain of constituent lam of block (p, q): d^k of its start.
+
+    The start is a nonzero multiple of the highest-weight vector: d of the
+    start one block below when `_hw_reuses_below`, and then every level is
+    the one block below's next level; else `_hw_vector`. Level k is one
+    `_d_k_int` step on level k - 1, so a zero level stays zero.
+    """
+    if _hw_reuses_below(N, D, p, q, lam):
+        return _hw_image(N, D, p - 1, q + 1, k + 1, lam)
+    if k == 0:
+        return _hw_vector(N, D, p, q, lam)
+    return _d_k_int(N, D, p + k - 1, q - k + 1, _hw_image(N, D, p, q, k - 1, lam), 1)
+
+
+@lru_cache(maxsize=None)
+def _hw_reuses_below(N, D, p, q, lam) -> bool:
+    """Whether lam is a constituent of block (p - 1, q + 1) whose chain's level 1 is nonzero.
+
+    d is equivariant and (p - 1, q + 1) holds S_lam once, so that level is
+    then the highest-weight vector of lam in block (p, q) up to a nonzero
+    scalar; it is checked to be killed by every raising operator.
+    """
+    if p == 0 or lam not in dict(_pieri(N, D, p - 1, q + 1)):
+        return False
+    below = _hw_image(N, D, p - 1, q + 1, 1, lam)
+    if any(_raise(i, below) for i in range(1, D)):
+        raise VerificationError(f"d of the highest-weight vector of weight {lam} in block "
+                                f"(p={p - 1}, q={q + 1}) at N={N} D={D} is not highest weight")
+    return bool(below)
 
 
 def hw_basis(N, D, p, q) -> list[PolyTensorField]:

@@ -62,13 +62,11 @@ from .fields import (
     _check_entry,
     _hw_image,
     _hw_rows,
-    _hw_vector,
     _insert_table,
     _pi_columns,
     _pieri,
     _slot_map,
     _staircase,
-    _weight_vectors,
     monomials,
     weight,
     # unused here; the names stay because bench/spans.py wraps these bindings
@@ -215,11 +213,11 @@ def green_factor(F: PolyTensorField) -> Fraction:
     """Constant tying the differential to one slot differential.
 
     Solves d b = c * pi(d_{i+1} b) over the highest-weight vectors b of
-    F's block (d b from the store, by `_hw_image`; all three maps are
-    GL_D-equivariant, so these decide the block), verifies the relation for
-    F itself, and for well-filled degrees also checks the exact identity
-    d F = d_1 F with no projection at all. Both sides are integer vectors
-    scaled by the lam of degree p + 1.
+    F's block (b and d b are levels 0 and 1 of the d-chain `_hw_image`;
+    all three maps are GL_D-equivariant, so these decide the block),
+    verifies the relation for F itself, and for well-filled degrees also
+    checks the exact identity d F = d_1 F with no projection at all. Both
+    sides are integer vectors scaled by the lam of degree p + 1.
     """
     N, D, p, q = F.N, F.D, F.p, F.q
     if q == 0 or p >= (N - 1) * D:
@@ -227,7 +225,7 @@ def green_factor(F: PolyTensorField) -> Fraction:
     i = p % (N - 1)
     md = _staircase(N, p)
     cols, lam = _pi_columns(N, D, p + 1)
-    columns = [(_hw_vector(N, D, p, q, w), _hw_image(N, D, p, q, 1, w))
+    columns = [(_hw_image(N, D, p, q, 0, w), _hw_image(N, D, p, q, 1, w))
                for w, _ in _pieri(N, D, p, q)]
     columns.append((F.data, _apply_d_int(N, D, p, F.data)))  # a zero F adds a zero pair
     pairs, filled = [], True
@@ -254,7 +252,7 @@ def lemma4_check(N: int, D: int, n: int, q: int) -> bool:
     kills its embedding, for every k. Both kernels are GL_D-submodules of
     a multiplicity-free block, so each is the sum of the constituents whose
     highest-weight vector it holds, and one test per k and constituent
-    compares them; d^k comes from the store, by `_hw_image`.
+    compares them, on levels 0 and k of the d-chain `_hw_image`.
     """
     p = (N - 1) * n
     BlockLabel(N, D, p, q).validate()
@@ -263,7 +261,7 @@ def lemma4_check(N: int, D: int, n: int, q: int) -> bool:
         products = tuple(combinations(range(1, N), k))
         for lam, _ in _pieri(N, D, p, q):
             if bool(_hw_image(N, D, p, q, k, lam)) != bool(
-                    _stacked(products, md, _hw_vector(N, D, p, q, lam), D)):
+                    _stacked(products, md, _hw_image(N, D, p, q, 0, lam), D)):
                 return False
     return True
 
@@ -286,21 +284,35 @@ def _units(D, md, q) -> list:
     return [{(key, e): 1} for key in tc._slot_keys(D, md) for e in monomials(D, q)]
 
 
-def _highest_weights(D, n) -> list:
+@lru_cache(maxsize=None)
+def _highest_weights(D, n) -> tuple:
     """(lam, schur_dim(lam, D)) for each partition lam of n with at most D parts, as a weight."""
-    return [(lam.rows + (0,) * (D - lam.n_rows), schur_dim(lam, D))
-            for lam in partitions(n) if lam.n_rows <= D]
+    return tuple((lam.rows + (0,) * (D - lam.n_rows), schur_dim(lam, D))
+                 for lam in partitions(n) if lam.n_rows <= D)
+
+
+@lru_cache(maxsize=256)
+def _keys_by_content(D, md) -> tuple:
+    """(index content, its slot keys of multidegree md in lex order) for each content."""
+    zero = (0,) * D
+    groups: dict = {}
+    for key in tc._slot_keys(D, md):
+        groups.setdefault(weight(key, zero), []).append(key)
+    return tuple(groups.items())
 
 
 def _hw_units(D, md, lam) -> list:
     """A basis of the highest-weight vectors of weight lam in block (md, |lam| - |md|).
 
-    Combinations of its unit vectors of weight lam; none when a slot size leaves 0..D.
+    Combinations of its unit vectors of weight lam, each key of content
+    c <= lam times x^(lam - c), in key order; none when a slot size leaves 0..D.
     """
     if any(a < 0 or a > D for a in md):
         return []
-    zero = (0,) * D
-    units = _weight_vectors(((weight(key, zero), {key: 1}) for key in tc._slot_keys(D, md)), lam)
+    entries = sorted((key, tuple(a - b for a, b in zip(lam, c)))
+                     for c, keys in _keys_by_content(D, md) if all(map(int.__le__, c, lam))
+                     for key in keys)
+    units = [{entry: 1} for entry in entries]
     return [linalg.combine(row, units) for row in _hw_rows(units, D)]
 
 

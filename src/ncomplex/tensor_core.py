@@ -498,6 +498,8 @@ def _content_order(counts) -> tuple:
 def _symmetrizer_columns(rows: tuple[int, ...], D: int):
     """`projector_columns` summed over the row and column groups, once per S_D orbit.
 
+    The row group sum of an index tuple J is taken over its distinct row
+    rearrangements, each |Stab(J)| times, the order of the row stabilizer.
     The symmetrizer commutes with the relabelings sigma of 1..D, so the sum
     runs only on keys of nonincreasing index content (sigma of
     `_content_order` the identity). Any other key S reads the column of
@@ -508,17 +510,31 @@ def _symmetrizer_columns(rows: tuple[int, ...], D: int):
     `_dual_columns` on a sweep.
     """
     blocks = _column_blocks(rows)
+    cells = _row_blocks(rows)
+    # K[t] = flat[read[t]] for the rows' values laid end to end in flat
+    read = sorted(range(sum(rows)), key=[k for row in cells for k in row].__getitem__)
     keys = wedge_keys(rows, D)
     identity = tuple(range(1, D + 1))
     sigmas = {S: _content_order([sum(b.count(i) for b in S) for i in identity]) for S in keys}
+    orbits: dict = {}  # sorted row values -> (their distinct orderings, |stabilizer|)
     canon: dict = {}  # full index tuple -> its `_canonicalize`, for both passes
     base: dict = {}
     # both sums inline, not linalg.accumulate: a generator of terms slows the projector build
     for S in (S for S in keys if sigmas[S] == identity):
         summed: dict = {}
-        for p in row_group(rows):
-            for J, v in _column_perms(S):
-                K = _place(J, p)
+        for J, v in _column_perms(S):
+            orderings = []
+            for row in cells:
+                vals = tuple(sorted(J[k] for k in row))
+                if vals not in orbits:
+                    distinct = sorted(set(itertools.permutations(vals)))
+                    orbits[vals] = distinct, factorial(len(vals)) // len(distinct)
+                distinct, stab = orbits[vals]
+                orderings.append(distinct)
+                v *= stab
+            for arrangement in itertools.product(*orderings):
+                flat = sum(arrangement, ())
+                K = tuple([flat[t] for t in read])
                 summed[K] = summed.get(K, 0) + v
         out: dict = {}
         for I, v in summed.items():

@@ -629,20 +629,94 @@ def test_hw_coefficients_require_exactly_one_vector():
             fields._hw_coefficients.__wrapped__(3, 3, 2, 2, lam)
 
 
-def test_tables_read_the_store_only_at_pieri_weights():
+def _clear_chain():
+    """Forget the cached d-chain levels and reuse verdicts."""
+    fields._hw_image.cache_clear()
+    fields._hw_reuses_below.cache_clear()
+
+
+def test_tables_read_the_chain_only_at_pieri_weights():
+    # every chain level, reached from the tables or from a chain one block
+    # up, is asked for at a Pieri constituent of its block; the store is never read
     asked = set()
-    store = fields._image_vectors
+    chain = fields._hw_image
 
     def record(N, D, p, q, k, w):
         asked.add((N, D, p, q, w))
-        return store(N, D, p, q, k, w)
+        return chain(N, D, p, q, k, w)
 
-    with mock.patch.object(fields, "_image_vectors", record):
+    refuse = mock.Mock(side_effect=AssertionError("the d^k store was read"))
+    _clear_chain()
+    with mock.patch.object(fields, "_hw_image", record), \
+            mock.patch.object(cohomology, "_hw_image", record), \
+            mock.patch.object(fields, "_image_vectors", refuse), \
+            mock.patch.object(cohomology, "_image_vectors", refuse):
         compute_table(3, 3, 3)
         compute_table(4, 2, 2)
         assert poincare_suite(3, 3, 2, 2).ok
     assert len(asked) > 50
     assert all(w in _pieri_weights(N, D, p, q) for N, D, p, q, w in asked)
+    assert not refuse.called
+
+
+def _chain_sweep():
+    """Every (N, D, p, q) with N <= 5, D <= 4 and q <= 3."""
+    for N in (2, 3, 4, 5):
+        for D in (1, 2, 3, 4):
+            for p in range(_top_degree(N, D) + 1):
+                for q in range(4):
+                    yield N, D, p, q
+
+
+def test_chain_matches_the_store_route():
+    # the old route, the hw coefficients combined over the store's columns,
+    # is the oracle of each level's verdict; a reused start is the hw vector
+    # up to a nonzero scalar
+    checked = moved = reused = 0
+    for N, D, p, q in _chain_sweep():
+        for lam, _ in fields._pieri(N, D, p, q):
+            coeffs = fields._hw_coefficients(N, D, p, q, lam)
+            for k in range(1, N):
+                old = linalg.combine(coeffs, _image_vectors(N, D, p, q, k, lam))
+                assert bool(fields._hw_image(N, D, p, q, k, lam)) == bool(old), (N, D, p, q, k, lam)
+                checked += 1
+                moved += bool(old)
+            if fields._hw_reuses_below(N, D, p, q, lam):
+                start = fields._hw_image(N, D, p, q, 0, lam)
+                assert start == fields._hw_image(N, D, p - 1, q + 1, 1, lam)
+                assert linalg.proportionality([(start, fields._hw_vector(N, D, p, q, lam))]), \
+                    (N, D, p, q, lam)
+                reused += 1
+            else:
+                assert fields._hw_image(N, D, p, q, 0, lam) == fields._hw_vector(N, D, p, q, lam)
+    assert checked > 2500 and moved > 500 and reused > 500
+
+
+def test_chain_refuses_a_reused_vector_that_is_not_highest_weight(monkeypatch):
+    # d made to add a vector that E_1 does not kill at one weight: reusing it
+    # as the next block's start must raise, not pass a wrong vector along
+    N, D, lam = 3, 3, (3, 1, 0)
+    assert fields._hw_reuses_below(N, D, 2, 2, lam)
+    (extra,) = [u for u in _weight_basis(N, D, 2, 2, lam) if _raise(1, u)][:1]
+    d_k_int = fields._d_k_int
+
+    def off_highest_weight(N_, D_, p, q, vec, k):
+        out = d_k_int(N_, D_, p, q, vec, k)
+        if (N_, D_, p + k, out and fields.weight(*next(iter(out)))) == (N, D, 2, lam):
+            out = linalg.add_to(dict(out), extra)
+        return out
+
+    _clear_chain()
+    try:
+        monkeypatch.setattr(fields, "_d_k_int", off_highest_weight)
+        with pytest.raises(VerificationError):
+            fields._hw_reuses_below(N, D, 2, 2, lam)
+        with pytest.raises(VerificationError):
+            cohomology_dim(N, D, 2, 1, 2)
+    finally:
+        monkeypatch.undo()
+        _clear_chain()
+    assert fields._hw_reuses_below(N, D, 2, 2, lam)
 
 
 def test_pieri_dimensions_are_checked():

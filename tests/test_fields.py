@@ -631,8 +631,10 @@ def _calls(name: str, source: str, callees) -> list:
 
 
 def test_no_library_code_builds_a_whole_block():
-    # whole-block bases are test oracles; the library works on weight spaces,
-    # and d^k meets a weight basis only through the store `_image_vectors`
+    # whole-block bases are test oracles; the library works on weight spaces.
+    # d^k meets a highest-weight vector only through the d-chain `_hw_image`,
+    # and a weight basis only through the store `_image_vectors`, which only
+    # the preimage solve and the two-form triviality test read
     src = Path(__file__).resolve().parent.parent / "src" / "ncomplex"
     modules = sorted(src.glob("*.py"))
     assert len(modules) >= 10
@@ -641,7 +643,11 @@ def test_no_library_code_builds_a_whole_block():
     assert [hit for p in modules if p.name != "fields.py"
             for hit in _calls(p.name, p.read_text(), private)] == []
     inside = _calls("fields.py", (src / "fields.py").read_text(), {"_d_k_int"})
-    assert sorted(func for _, func, _ in inside) == ["_image_vectors", "d_power"]
+    assert sorted(func for _, func, _ in inside) == ["_hw_image", "_image_vectors", "d_power"]
+    store = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"_image_vectors"})]
+    assert sorted((name, func) for name, func, _ in store) == [
+        ("cohomology.py", "solve_preimage"), ("cohomology.py", "two_form_cocycle_is_trivial"),
+        ("fields.py", "_image_vectors")]
     inside = _calls("fields.py", (src / "fields.py").read_text(), {"_block_int_basis"})
     assert sorted(func for _, func, _ in inside) == ["block_basis", "random_field"]
     # every check is decided on highest-weight vectors: the S_D dominant-weight
@@ -651,7 +657,8 @@ def test_no_library_code_builds_a_whole_block():
     # the S_D content relabeling serves the projector build only; word relations use hw words
     assert [p.name for p in modules if "_content_order" in p.read_text()] == ["tensor_core.py"]
     raising = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"_raise"})]
-    assert [(name, func) for name, func, _ in raising] == [("fields.py", "_hw_rows")]
+    assert [(name, func) for name, func, _ in raising] == [
+        ("fields.py", "_hw_rows"), ("fields.py", "_hw_reuses_below")]
     nullspaces = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"nullspace"})]
     assert ("fields.py", "_hw_rows") in [(name, func) for name, func, _ in nullspaces]
     probe = """

@@ -327,6 +327,12 @@ def _lemma4_all_weights(N, D, n, q):
     return True
 
 
+def _clear_d_caches():
+    """Forget every cached application of d: the d-chain, its reuse verdicts and the store."""
+    for cached in (fields._hw_image, fields._hw_reuses_below, fields._image_vectors):
+        cached.cache_clear()
+
+
 def test_lemma4_highest_weights_match_all_weights(monkeypatch):
     cases = [(3, 2, n, q) for n in (1, 2) for q in (1, 2)] + [
         (3, 3, 1, 1), (3, 3, 1, 2), (3, 3, 2, 1), (4, 2, 1, 2), (4, 3, 1, 1)]
@@ -335,7 +341,7 @@ def test_lemma4_highest_weights_match_all_weights(monkeypatch):
     # d^k set to zero at the weight of one Pieri constituent breaks the lemma
     # there exactly when d moves that constituent's highest-weight vector:
     # a route that skipped a constituent would miss it. The patch goes where
-    # the d^k store calls, and the store forgets what it cached.
+    # the d-chain and the d^k store call, and both forget what they cached.
     d_k_int = fields._d_k_int
     constituents = [lam for lam, _ in fields._pieri(3, 3, 2, 2)]
     moved = [lam for lam in constituents if fields._hw_image(3, 3, 2, 2, 1, lam)]
@@ -346,14 +352,14 @@ def test_lemma4_highest_weights_match_all_weights(monkeypatch):
             w = weight(*next(iter(vec))) if vec else ()
             return {} if w == lam else d_k_int(N, D, p, q, vec, k)
 
-        fields._image_vectors.cache_clear()
+        _clear_d_caches()
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(fields, "_d_k_int", zero_at)
                 verdict = lemma4_check(3, 3, 1, 2)
                 assert verdict == _lemma4_all_weights(3, 3, 1, 2), lam
         finally:
-            fields._image_vectors.cache_clear()
+            _clear_d_caches()
         if not verdict:
             broken.append(lam)
     assert broken == moved

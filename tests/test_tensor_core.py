@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 
 import pytest
 
-from ncomplex import tensor_core
+from ncomplex import linalg, tensor_core
 from ncomplex.diagrams import Diagram, max_diagram, partitions, schur_dim
 from ncomplex.errors import ShapeError
 from ncomplex.quotient_algebra import act
@@ -383,6 +384,7 @@ def _symmetrizer_cost(Y, D):
             * prod(factorial(c) * comb(D, c) for c in Y.columns()))
 
 
+@lru_cache(maxsize=None)
 def _row_orbit(values):
     """The distinct orderings of a row's values, and how many row permutations give each."""
     stabilizer = prod(factorial(values.count(x)) for x in set(values))
@@ -475,6 +477,38 @@ def test_orbit_columns_match_the_sum_over_every_key():
                                  for S in keys)
     assert {(rows, 5) for rows in FRONTIER_SHAPES} <= swept
     assert relabeled > 20000
+
+
+def _plain_group_sum_columns(rows, D):
+    """`projector_columns` by the unfolded row x column group sum on every slot key:
+    each row permutation places each signed column permutation of the key."""
+    blocks = tensor_core._column_blocks(rows)
+    cols = {}
+    for S in wedge_keys(rows, D):
+        summed = linalg.accumulate((tensor_core._place(J, p), v)
+                                   for p in tensor_core.row_group(rows) for J, v in _column_perms(S))
+        out = {}
+        for I, v in summed.items():
+            canon = tensor_core._canonicalize(I, blocks)
+            if canon is not None:
+                out[canon[0]] = out.get(canon[0], 0) + canon[1] * v
+        cols[S] = {key: v for key, v in out.items() if v}
+    return cols, tensor_core.normalization(Diagram(rows))
+
+
+def test_stabilizer_fold_matches_the_unfolded_group_sum():
+    # every shape of at most 5 cells, D <= 4: the folded row sums, with the
+    # orbit relabeling on top, against every row permutation of every key.
+    # A row of length 2 or more repeats an index in some key, so its
+    # stabilizer is larger than 1 there
+    folded = 0
+    for D in range(1, 5):
+        for n in range(6):
+            for Y in partitions(n):
+                _assert_same_columns(_symmetrizer_columns(Y.rows, D),
+                                     _plain_group_sum_columns(Y.rows, D), (Y.rows, D))
+                folded += Y.size > 0 and Y.rows[0] > 1
+    assert folded > 40
 
 
 def test_content_order_sorts_a_content():
