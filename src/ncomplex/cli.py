@@ -6,6 +6,15 @@ draw from an explicit seed that is echoed in the report.
 
 Exit codes: 0 when all requested checks pass, 1 when a check fails,
 2 on usage errors or malformed input.
+
+Each run executes one subcommand, so this module loads at import only
+what building the parser and reporting errors need (`diagrams`,
+`errors`). Each handler imports the library modules it calls when it
+runs, with a plain function-local ``from . import ...``: `dim` loads no
+further module, `cohomology` loads `cohomology` and what that imports
+(`fields`, `tensor_core`, `linalg`, `report`), and only the subcommands
+that use them load `multiforms`, `gauge` or `quotient_algebra`. A module
+is imported once per process; a later import is a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -15,13 +24,7 @@ import json
 import random
 import sys
 
-from . import cohomology as co
-from . import fields as fl
-from . import gauge as gg
-from . import multiforms as mf
-from . import quotient_algebra as qa
-from . import tensor_core as tc
-from .diagrams import Diagram, schur_dim
+from .diagrams import Diagram, conjugate, partitions, schur_dim
 from .errors import ShapeError, VerificationError
 
 
@@ -76,6 +79,7 @@ def _cmd_dim(args):
 
 
 def _cmd_project(args):
+    from . import tensor_core as tc
     Y = Diagram(_parse_ints(args.shape))
     T = _load(args.input, tc.Tensor.from_json, "tensor")
     _emit(tc.young_project(Y, T).to_json())
@@ -83,24 +87,28 @@ def _cmd_project(args):
 
 
 def _cmd_diff(args):
+    from . import fields as fl
     F = _load(args.input, fl.PolyTensorField.from_json, "field")
     _emit(fl.d_power(F, args.power).to_json())
     return 0
 
 
 def _cmd_delta(args):
+    from . import fields as fl
     F = _load(args.input, fl.PolyTensorField.from_json, "field")
     _emit(fl.delta(F).to_json())
     return 0
 
 
 def _cmd_dual(args):
+    from . import fields as fl
     F = _load(args.input, fl.PolyTensorField.from_json, "field")
     _emit(fl.dual_star_field(F).to_json())
     return 0
 
 
 def _cmd_cohomology(args):
+    from . import cohomology as co
     p_values = [args.p] if args.p is not None else None
     k_values = [args.k] if args.k is not None else None
     table = co.compute_table(args.N, args.D, args.qmax,
@@ -113,14 +121,17 @@ def _cmd_cohomology(args):
 
 
 def _cmd_poincare(args):
+    from . import cohomology as co
     return _report(co.poincare_suite(args.N, args.D, args.nmax, args.qmax), args.format)
 
 
 def _cmd_hexagon(args):
+    from . import cohomology as co
     return _report(co.hexagon_check(args.N, args.D, args.k, args.l, args.qmax), args.format)
 
 
 def _cmd_theorem2(args):
+    from . import multiforms as mf
     K = _parse_ints(args.K)
     if args.multidegree is not None:
         md = _parse_ints(args.multidegree)
@@ -140,6 +151,8 @@ def _cmd_theorem2(args):
 
 
 def _cmd_green(args):
+    from . import fields as fl
+    from . import multiforms as mf
     rng = random.Random(args.seed)
     F = fl.random_field(args.N, args.D, args.p, args.q, rng)
     c = mf.green_factor(F)
@@ -150,6 +163,8 @@ def _cmd_green(args):
 
 
 def _cmd_spin2(args):
+    from . import fields as fl
+    from . import gauge as gg
     if args.qmax < 0:
         raise UsageError(f"--qmax must be nonnegative, got {args.qmax}")
     given = _load(args.input, fl.PolyTensorField.from_json, "field") if args.input else None
@@ -178,6 +193,8 @@ def _cmd_spin2(args):
 
 
 def _cmd_spins(args):
+    from . import fields as fl
+    from . import gauge as gg
     rng = random.Random(args.seed)
     S = args.S
     phi = fl.random_field(S + 1, args.D, S, args.q, rng)
@@ -192,6 +209,8 @@ def _cmd_spins(args):
 
 
 def _cmd_stress_potential(args):
+    from . import fields as fl
+    from . import gauge as gg
     T = _load(args.input, fl.PolyTensorField.from_json, "field")
     R = gg.stress_potential(T)
     _emit(R.to_json())
@@ -199,11 +218,16 @@ def _cmd_stress_potential(args):
 
 
 def _cmd_algebra(args):
+    from . import quotient_algebra as qa
     rep = qa.relation_checks(args.N, args.D, args.cap)
     return _report(rep, args.format)
 
 
 def _cmd_verify_all(args):
+    from . import cohomology as co
+    from . import fields as fl
+    from . import multiforms as mf
+    from . import quotient_algebra as qa
     rng = random.Random(args.seed)
     lines = []
     ok = True
@@ -217,8 +241,6 @@ def _cmd_verify_all(args):
     Ns = (2, 3) if small else (2, 3, 4)
     D = 2
     qmax = 2 if small else 3
-
-    from .diagrams import conjugate, partitions
 
     run("conjugation involution",
         all(conjugate(conjugate(Y)) == Y for n in range(0, 9) for Y in partitions(n)))

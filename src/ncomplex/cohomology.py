@@ -30,8 +30,6 @@ d^k is the symmetrized k-th derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg
 from .errors import ShapeError, VerificationError
 from .fields import (
@@ -54,7 +52,7 @@ from .fields import (
     _apply_d_int,
     block_basis,
 )
-from .multiforms import CheckReport
+from .report import CheckReport
 
 
 def _kept(N, D, p, q, k) -> dict:
@@ -93,14 +91,12 @@ def cohomology_dim(N: int, D: int, p: int, k: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # tables and sweeps
 
-@dataclass
 class CohomologyTable:
     """Computed dimensions per block with their rank certificates."""
 
-    N: int
-    D: int
-    q_max: int
-    entries: dict = field(default_factory=dict)
+    def __init__(self, N: int, D: int, q_max: int, entries: dict | None = None):
+        self.N, self.D, self.q_max = N, D, q_max
+        self.entries = {} if entries is None else entries
 
     def add(self, p, k, q, dim_ker, dim_im):
         if dim_im > dim_ker or dim_ker < 0:

@@ -9,27 +9,38 @@ tensor index positions throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ShapeError, VerificationError
 
 
-@dataclass(frozen=True, order=True)
-class Diagram:
-    """A partition drawn as left-justified rows of cells."""
-
+class _Rows(NamedTuple):
     rows: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        rows = tuple(int(m) for m in self.rows)
+
+class Diagram(_Rows):
+    """A partition drawn as left-justified rows of cells.
+
+    An immutable one-field tuple, (rows,): equality, hashing and ordering
+    are those of that tuple, and the repr is ``Diagram(rows=(2, 1))``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows=()):
+        rows = tuple(int(m) for m in rows)
         if any(m < 1 for m in rows):
             raise ShapeError(f"row lengths must be positive, got {rows}")
         if any(a < b for a, b in zip(rows, rows[1:])):
             raise ShapeError(f"row lengths must be weakly decreasing, got {rows}")
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, rows)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the tuple machinery (_replace) builds through _make; route it through the checks
+        return cls(*iterable)
 
     @property
     def size(self) -> int:

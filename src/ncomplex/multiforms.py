@@ -45,7 +45,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -73,6 +72,7 @@ from .fields import (
     block_basis,
     n_diff,
 )
+from .report import CheckReport
 
 
 class Multiform(linalg.Sparse):
@@ -319,48 +319,6 @@ def _hw_units(D, md, lam) -> list:
 # ---------------------------------------------------------------------------
 # splitting checks
 
-@dataclass
-class CheckReport:
-    """Plain-text plus machine-readable verdict for a family of checks."""
-
-    name: str
-    params: dict
-    entries: list = field(default_factory=list)
-
-    @property
-    def failures(self) -> list:
-        return [e["label"] for e in self.entries if not e["pass"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def record(self, label, passed, detail=None):
-        self.entries.append({"label": label, "pass": bool(passed), "detail": detail})
-
-    def expect(self, label, expected, got):
-        self.entries.append({"label": label, "expected": expected, "got": got,
-                             "pass": expected == got})
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"check": self.name, "params": self.params, "pass": self.ok,
-             "entries": self.entries},
-            default=str,
-        )
-
-    def __str__(self):
-        lines = [f"{self.name} {self.params}: {'PASS' if self.ok else 'FAIL'}"]
-        for e in self.entries:
-            mark = "ok" if e["pass"] else "FAIL"
-            if "expected" in e:
-                tail = f": expected {e['expected']}, got {e['got']}"
-            else:
-                tail = f" ({e['detail']})" if not e["pass"] and e.get("detail") else ""
-            lines.append(f"  [{mark}] {e['label']}{tail}")
-        return "\n".join(lines)
-
-
 def _stacked(products, md, vec: dict, D: int) -> dict:
     """One column stacking the images of vec under each slot product J, keyed (J, key)."""
     out: dict = {}
@@ -386,11 +344,12 @@ def _cocycles(units, cols) -> list:
     return out
 
 
-def _hw_range(D, J, md, lam, hw_units=_hw_units) -> list:
+def _hw_range(D, J, md, lam, hw_units) -> list:
     """Nonzero d_J images of the `_hw_units` of weight lam of the block d_J maps into md.
 
-    They span the image's highest-weight vectors of weight lam. That source
-    block, md - sum of e_j over J, is empty when a slot would go negative.
+    hw_units is `_hw_units` or a call-local memo of it. The images span the
+    image's highest-weight vectors of weight lam. That source block,
+    md - sum of e_j over J, is empty when a slot would go negative.
     Zero images are dropped: as extra columns in `_cocycles` each would
     bring a kernel vector of its own into the nullspace basis.
     """
@@ -427,6 +386,11 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
     (len(K) - m + 1)-fold products over K, so the report at pi(md) has the
     same entries as this one (module docstring); `theorem2_suite` uses that.
     """
+    return _theorem2_check(N, D, K, m, multidegree, q_cap, _hw_units)
+
+
+def _theorem2_check(N, D, K, m, multidegree, q_cap, hw_units) -> CheckReport:
+    """`theorem2_check`, reading the highest-weight units through hw_units."""
     BlockLabel(N, D, 0, q_cap).validate()
     md = tuple(multidegree)
     if len(md) != N - 1 or any(not 0 <= a <= D for a in md):
@@ -448,12 +412,12 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
         cocycles = rank = 0
         passed = True
         for lam, dim in _highest_weights(D, sum(md) + q):
-            units = _hw_units(D, md, lam)
+            units = hw_units(D, md, lam)
             if not units:
                 continue
             n_z, n_g, ok = _split_weight(
                 units, [_stacked(products, md, u, D) for u in units],
-                (g for J in ranges for g in _hw_range(D, J, md, lam)))
+                (g for J in ranges for g in _hw_range(D, J, md, lam, hw_units)))
             cocycles, rank = cocycles + dim * n_z, rank + dim * n_g
             passed = passed and ok
         rep.record(f"q={q}", passed, {"cocycles": cocycles, "generator_rank": rank})
@@ -466,17 +430,21 @@ def theorem2_suite(N, D, K, m, q_cap):
     Each report carries its own multidegree, but the check runs once per
     orbit of the slot relabelings that fix K (and so the slots outside K),
     on the orbit's sorted representative; the others copy its entries.
-    Only the representatives' reports are kept.
+    Only the representatives' reports are kept. The checks share one memo
+    of `_hw_units`: a block is also the source of the ranges into its
+    neighbours.
     """
+    # the memo lives for this call only
+    hw_units = lru_cache(maxsize=None)(_hw_units)
     zero = (0,) * (N - 1)
     # the zero multidegree is its own representative; its check validates the arguments
-    verdicts = {zero: theorem2_check(N, D, K, m, zero, q_cap)}
+    verdicts = {zero: _theorem2_check(N, D, K, m, zero, q_cap, hw_units)}
     K = verdicts[zero].params["K"]
     rest = [j for j in range(1, N) if j not in K]
     for md in _all_multidegrees(N, D):
         canon = _slot_orbit_rep(md, K, rest)
         if canon not in verdicts:
-            verdicts[canon] = theorem2_check(N, D, K, m, canon, q_cap)
+            verdicts[canon] = _theorem2_check(N, D, K, m, canon, q_cap, hw_units)
         base = verdicts[canon]
         yield CheckReport(base.name, {**base.params, "multidegree": md},
                           copy.deepcopy(base.entries))

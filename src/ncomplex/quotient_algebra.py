@@ -35,7 +35,8 @@ from . import linalg
 from .diagrams import max_diagram
 from .errors import ShapeError
 from .fields import BlockLabel, _insertion, _pad, _schur_vectors, _top_degree
-from .multiforms import CheckReport, _highest_weights, _hw_units
+from .multiforms import _highest_weights, _hw_units
+from .report import CheckReport
 from .tensor_core import CONTRA, Tensor, _check_tag, tensor_from_wedge, tensor_to_wedge
 
 

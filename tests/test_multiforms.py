@@ -479,23 +479,29 @@ def test_slot_orbit_rep_sorts_within_each_slot_set():
 
 
 def test_theorem2_suite_matches_each_multidegree(monkeypatch):
-    check = mf.theorem2_check
-    calls = []
+    check, run_check = mf.theorem2_check, mf._theorem2_check
+    calls, memos = [], []
 
-    def counted(N, D, K, m, md, q_cap):
+    def counted(N, D, K, m, md, q_cap, hw_units):
         calls.append(md)
-        return check(N, D, K, m, md, q_cap)
+        memos.append(hw_units)
+        return run_check(N, D, K, m, md, q_cap, hw_units)
 
-    monkeypatch.setattr(mf, "theorem2_check", counted)
+    monkeypatch.setattr(mf, "_theorem2_check", counted)
     # K = (1, 3) at N = 4 and the partial K at N = 5 leave proper stabilizers
     for N, D, K, m, q_cap, reps in ((4, 3, (1, 2, 3), 2, 3, 20), (4, 3, (1, 3), 1, 3, 40),
                                     (4, 3, (1, 3), 2, 3, 40), (5, 2, (1, 3), 1, 3, 36),
                                     (5, 2, (2, 3, 4), 2, 3, 30)):
         calls.clear()
+        memos.clear()
         reports = theorem2_suite(N, D, K, m, q_cap)
         assert calls == []  # a generator: nothing runs before the first report is asked for
         got = list(reports)
         assert len(calls) == len(set(calls)) == reps, (N, D, K, m)
+        # one memo of the highest-weight units per suite call, shared by its checks
+        memo = memos[0]
+        assert memo is not mf._hw_units and all(h is memo for h in memos)
+        assert memo.cache_info().hits > 0, (N, D, K, m)
         want = [check(N, D, K, m, md, q_cap) for md in mf._all_multidegrees(N, D)]
         assert [r.to_json() for r in got] == [r.to_json() for r in want], (N, D, K, m)
         assert all(r.ok for r in got)

@@ -1,0 +1,149 @@
+"""The package's public names, and the modules a command-line run loads.
+
+The start-up tests run fresh interpreters: this process has every module
+of the package loaded already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ncomplex
+from ncomplex import cohomology, fields
+from ncomplex.cohomology import CohomologyTable
+from ncomplex.diagrams import Diagram
+from ncomplex.errors import ShapeError
+from ncomplex.multiforms import CheckReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the public names of the package, by the submodule that owns them
+PUBLIC = {
+    "diagrams": ["Diagram", "as_diagram", "conjugate", "contract_shape", "max_diagram",
+                 "partitions", "schur_dim", "standard_count", "strongly_includes"],
+    "errors": ["ShapeError", "VerificationError"],
+    "fields": ["BlockLabel", "PolyTensorField", "block_basis", "block_dim", "d_power",
+               "delta", "dual_star_field", "monomials", "n_diff", "random_field",
+               "scalar_field", "star_relation_constants"],
+    "multiforms": ["Multiform", "d_slot", "embed_field", "green_factor", "lemma4_check",
+                   "order", "project_pi", "relative_cohomology_check", "theorem2_check"],
+    "cohomology": ["CohomologyTable", "cocycle_from_two_form", "cohomology_dim",
+                   "compute_table", "hexagon_check", "killing_dim", "odd_isomorphism_check",
+                   "poincare_suite", "solve_preimage", "two_form_cocycle_is_trivial"],
+    "gauge": ["spin2_constants", "spin2_d1", "spin2_d2", "spin2_d3", "spin_s_curvature",
+              "stress_potential"],
+    "quotient_algebra": ["act", "kernel_dim", "relation_checks", "unit_element"],
+    "tensor_core": ["Tensor", "contract_tensor", "dual_star", "epsilon", "epsilon_power",
+                    "projector_rank", "schur_basis", "schur_conditions_ok", "young_project"],
+    "linalg": [],
+}
+
+
+def test_the_public_names_are_kept():
+    assert ncomplex.__all__ == sorted(n for m, names in PUBLIC.items() for n in (m, *names))
+    assert len(ncomplex.__all__) == 70
+    for module, names in PUBLIC.items():
+        owner = getattr(ncomplex, module)
+        assert owner is sys.modules[f"ncomplex.{module}"]
+        for name in names:
+            assert getattr(ncomplex, name) is getattr(owner, name), name
+    assert set(ncomplex.__all__) <= set(dir(ncomplex))
+    with pytest.raises(AttributeError):
+        ncomplex.no_such_name
+    namespace = {}
+    exec("from ncomplex import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == set(ncomplex.__all__)
+
+
+def test_a_public_name_is_looked_up_in_its_module_each_time(monkeypatch):
+    assert ncomplex.n_diff is fields.n_diff
+    assert "n_diff" not in vars(ncomplex)  # nothing is stored in the package
+    monkeypatch.setattr(fields, "n_diff", lambda F: "patched")
+    assert ncomplex.n_diff("F") == "patched"
+    from ncomplex import fields as again
+    assert again is fields
+
+
+def test_diagram_is_an_immutable_validated_value():
+    a, b = Diagram((2, 1)), Diagram(rows=[2, 1])
+    assert a == b and hash(a) == hash(b) == hash(((2, 1),))
+    assert a != Diagram((3,)) and Diagram() == Diagram(()) != a
+    assert repr(a) == "Diagram(rows=(2, 1))" and str(a) == "(2,1)"
+    assert sorted([Diagram((3,)), Diagram((1, 1, 1)), a]) == [
+        Diagram((1, 1, 1)), a, Diagram((3,))]
+    assert Diagram((1,)) < Diagram((1, 1)) < Diagram((2,)) and Diagram() <= Diagram()
+    assert type(a.rows[0]) is int and Diagram(("2", 1.0)) == a
+    assert {a: 1}[b] == 1
+    with pytest.raises(AttributeError):
+        a.rows = (3,)
+    with pytest.raises(AttributeError):
+        a.other = 1
+    for bad in ((1, 2), (2, 0), (-1,)):
+        with pytest.raises(ShapeError):
+            Diagram(bad)
+    with pytest.raises(ShapeError):
+        Diagram(rows=(1, 2))
+    with pytest.raises(ShapeError):
+        a._replace(rows=(1, 2))
+    assert a._replace(rows=(3,)) == Diagram((3,))
+
+
+def test_reports_built_without_entries_own_their_entries():
+    first, second = CheckReport("a", {}), CheckReport("b", {})
+    first.record("x", True)
+    assert second.entries == [] and first.entries is not second.entries
+    assert CheckReport("c", {}, [{"label": "y", "pass": False}]).failures == ["y"]
+    assert cohomology.SuiteReport is CheckReport
+    t1, t2 = CohomologyTable(3, 2, 1), CohomologyTable(3, 2, 1)
+    t1.add(0, 1, 0, 1, 0)
+    assert t2.entries == {} and t1.entries is not t2.entries
+    t3 = CohomologyTable(3, 2, 1, entries={(0, 1, 0): (1, 0, 1)})
+    assert t3.to_csv() == t1.to_csv() and (t3.N, t3.D, t3.q_max) == (3, 2, 1)
+
+
+# prints every loaded module's name at exit, after a marker line
+PROBE = ("import atexit, sys\n"
+         "atexit.register(lambda: print('--modules--', *sys.modules, sep='\\n', file=sys.stderr))\n")
+RUN_MAIN = "import runpy; runpy.run_module('ncomplex', run_name='__main__', alter_sys=True)"
+
+
+def _loads(code, *argv) -> tuple:
+    """(modules a fresh interpreter running code with argv loads beyond a bare start, exit code)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+    def modules(code, argv):
+        proc = subprocess.run([sys.executable, "-c", PROBE + code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return set(proc.stderr.split("--modules--\n", 1)[1].split()), proc.returncode
+
+    bare, _ = modules("", ())
+    loaded, code = modules(code, argv)
+    return loaded - bare, code
+
+
+def _package(modules) -> set:
+    return {m for m in modules if m == "ncomplex" or m.startswith("ncomplex.")}
+
+
+def test_building_the_parser_loads_only_the_front_door():
+    loaded, code = _loads("import ncomplex.cli as c; c.build_parser()")
+    assert code == 0
+    assert _package(loaded) == {"ncomplex", "ncomplex.cli", "ncomplex.diagrams", "ncomplex.errors"}
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs():
+    front = {"ncomplex", "ncomplex.cli", "ncomplex.diagrams", "ncomplex.errors"}
+    loaded, code = _loads(RUN_MAIN, "dim", "--shape", "2,1", "--D", "3")
+    assert code == 0 and _package(loaded) == front
+    loaded, code = _loads(RUN_MAIN, "dim", "--shape", "2,1")
+    assert code == 2 and _package(loaded) == front
+    loaded, code = _loads(RUN_MAIN, "cohomology", "--N", "3", "--D", "3", "--qmax", "1")
+    assert code == 0
+    assert _package(loaded) == front | {f"ncomplex.{m}" for m in (
+        "cohomology", "fields", "linalg", "report", "tensor_core")}
+    assert not {"dataclasses", "inspect"} & loaded
