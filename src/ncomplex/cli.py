@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -51,7 +52,7 @@ def _load(path, parse, what):
         return parse(_read_text(path))
     except OSError as exc:
         raise UsageError(f"{path}: cannot read: {exc.strerror or exc}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: malformed {what} document: {exc}")
 
 
@@ -411,4 +412,11 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the unflushed rest to devnull so exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -301,19 +301,21 @@ def _keys_by_content(D, md) -> tuple:
     return tuple(groups.items())
 
 
-def _hw_units(D, md, lam) -> list:
+@lru_cache(maxsize=None)
+def _hw_units(D, md, lam) -> tuple:
     """A basis of the highest-weight vectors of weight lam in block (md, |lam| - |md|).
 
     Combinations of its unit vectors of weight lam, each key of content
     c <= lam times x^(lam - c), in key order; none when a slot size leaves 0..D.
+    Cached, since a block is also the source of the ranges into its neighbours.
     """
     if any(a < 0 or a > D for a in md):
-        return []
+        return ()
     entries = sorted((key, tuple(a - b for a, b in zip(lam, c)))
                      for c, keys in _keys_by_content(D, md) if all(map(int.__le__, c, lam))
                      for key in keys)
     units = [{entry: 1} for entry in entries]
-    return [linalg.combine(row, units) for row in _hw_rows(units, D)]
+    return tuple(linalg.combine(row, units) for row in _hw_rows(units, D))
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +346,16 @@ def _cocycles(units, cols) -> list:
     return out
 
 
-def _hw_range(D, J, md, lam, hw_units) -> list:
+def _hw_range(D, J, md, lam) -> list:
     """Nonzero d_J images of the `_hw_units` of weight lam of the block d_J maps into md.
 
-    hw_units is `_hw_units` or a call-local memo of it. The images span the
-    image's highest-weight vectors of weight lam. That source block,
-    md - sum of e_j over J, is empty when a slot would go negative.
-    Zero images are dropped: as extra columns in `_cocycles` each would
-    bring a kernel vector of its own into the nullspace basis.
+    The images span the image's highest-weight vectors of weight lam. That
+    source block, md - sum of e_j over J, is empty when a slot would go
+    negative. Zero images are dropped: as extra columns in `_cocycles` each
+    would bring a kernel vector of its own into the nullspace basis.
     """
     src = tuple(a - (j in J) for j, a in enumerate(md, 1))
-    images = (_slot_product(J, src, u, D) for u in hw_units(D, src, lam))
+    images = (_slot_product(J, src, u, D) for u in _hw_units(D, src, lam))
     return [g for g in images if g]
 
 
@@ -372,6 +373,23 @@ def _split_weight(units, cols, generators):
     return len(z_vectors), ech.rank, all(ech.contains(z) for z in z_vectors)
 
 
+def _split_block(D, md, q, columns, generators):
+    """(cocycles, generator rank, whether every weight splits) on block (md, q).
+
+    Sums `_split_weight` over the weights lam of the block with highest-weight
+    units, on columns(units, lam) and generators(lam), each count weighted by
+    schur_dim(lam, D).
+    """
+    cocycles = rank = 0
+    passed = True
+    for lam, dim in _highest_weights(D, sum(md) + q):
+        units = _hw_units(D, md, lam)
+        if units:
+            n_z, n_g, ok = _split_weight(units, columns(units, lam), generators(lam))
+            cocycles, rank, passed = cocycles + dim * n_z, rank + dim * n_g, passed and ok
+    return cocycles, rank, passed
+
+
 def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
     """Splitting of simultaneous cocycles into slot-differential ranges.
 
@@ -386,11 +404,6 @@ def theorem2_check(N, D, K, m, multidegree, q_cap) -> CheckReport:
     (len(K) - m + 1)-fold products over K, so the report at pi(md) has the
     same entries as this one (module docstring); `theorem2_suite` uses that.
     """
-    return _theorem2_check(N, D, K, m, multidegree, q_cap, _hw_units)
-
-
-def _theorem2_check(N, D, K, m, multidegree, q_cap, hw_units) -> CheckReport:
-    """`theorem2_check`, reading the highest-weight units through hw_units."""
     BlockLabel(N, D, 0, q_cap).validate()
     md = tuple(multidegree)
     if len(md) != N - 1 or any(not 0 <= a <= D for a in md):
@@ -409,17 +422,9 @@ def _theorem2_check(N, D, K, m, multidegree, q_cap, hw_units) -> CheckReport:
             rep.record(f"q={q}", True, "free polynomial part")
             continue
         multiform_basis(N, D, md, q)  # never empty; the bench self-test counts its Multiforms
-        cocycles = rank = 0
-        passed = True
-        for lam, dim in _highest_weights(D, sum(md) + q):
-            units = hw_units(D, md, lam)
-            if not units:
-                continue
-            n_z, n_g, ok = _split_weight(
-                units, [_stacked(products, md, u, D) for u in units],
-                (g for J in ranges for g in _hw_range(D, J, md, lam, hw_units)))
-            cocycles, rank = cocycles + dim * n_z, rank + dim * n_g
-            passed = passed and ok
+        cocycles, rank, passed = _split_block(
+            D, md, q, lambda units, lam: [_stacked(products, md, u, D) for u in units],
+            lambda lam: (g for J in ranges for g in _hw_range(D, J, md, lam)))
         rep.record(f"q={q}", passed, {"cocycles": cocycles, "generator_rank": rank})
     return rep
 
@@ -430,21 +435,17 @@ def theorem2_suite(N, D, K, m, q_cap):
     Each report carries its own multidegree, but the check runs once per
     orbit of the slot relabelings that fix K (and so the slots outside K),
     on the orbit's sorted representative; the others copy its entries.
-    Only the representatives' reports are kept. The checks share one memo
-    of `_hw_units`: a block is also the source of the ranges into its
-    neighbours.
+    Only the representatives' reports are kept.
     """
-    # the memo lives for this call only
-    hw_units = lru_cache(maxsize=None)(_hw_units)
     zero = (0,) * (N - 1)
     # the zero multidegree is its own representative; its check validates the arguments
-    verdicts = {zero: _theorem2_check(N, D, K, m, zero, q_cap, hw_units)}
+    verdicts = {zero: theorem2_check(N, D, K, m, zero, q_cap)}
     K = verdicts[zero].params["K"]
     rest = [j for j in range(1, N) if j not in K]
     for md in _all_multidegrees(N, D):
         canon = _slot_orbit_rep(md, K, rest)
         if canon not in verdicts:
-            verdicts[canon] = _theorem2_check(N, D, K, m, canon, q_cap, hw_units)
+            verdicts[canon] = theorem2_check(N, D, K, m, canon, q_cap)
         base = verdicts[canon]
         yield CheckReport(base.name, {**base.params, "multidegree": md},
                           copy.deepcopy(base.entries))
@@ -467,24 +468,14 @@ def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:
     k = len(K)
     rep = CheckReport("relative_cohomology",
                       {"N": N, "D": D, "K": K, "i": i, "q_cap": q_cap})
-    # a block is also the source of its neighbours' ranges; the memo lives for this call only
-    hw_units = lru_cache(maxsize=None)(_hw_units)
     for md in _all_multidegrees(N, D):
         # d_i and the quotient generators both land in (md + e_i, q - 1)
         md_i = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
         for q in range(k + 1, q_cap + 1):
-            cocycles = 0
-            passed = True
-            for lam, dim in _highest_weights(D, sum(md) + q):
-                units = hw_units(D, md, lam)
-                if not units:
-                    continue
-                quotient = [g for j in K for g in _hw_range(D, (j,), md_i, lam, hw_units)]
-                n_z, _, ok = _split_weight(
-                    units, [_slot_product((i,), md, u, D) for u in units] + quotient,
-                    (g for j in (i,) + K for g in _hw_range(D, (j,), md, lam, hw_units)))
-                cocycles += dim * n_z
-                passed = passed and ok
+            cocycles, _, passed = _split_block(
+                D, md, q, lambda units, lam: [_slot_product((i,), md, u, D) for u in units]
+                + [g for j in K for g in _hw_range(D, (j,), md_i, lam)],
+                lambda lam: (g for j in (i,) + K for g in _hw_range(D, (j,), md, lam)))
             rep.record(f"md={md} q={q}", passed, {"cocycles": cocycles})
     return rep
 

@@ -144,7 +144,6 @@ def _acts_as_zero(N, D, u: dict, degree: int) -> bool:
     return not linalg.combine(u, {w: _word_action_column(N, D, w) for w in u})
 
 
-@lru_cache(maxsize=None)
 def _hw_words(D, n) -> tuple:
     """A basis of the highest-weight vectors of V^(x)n as {word: coefficient}: the word
     a_1...a_n is the unit ((a_1,), ..., (a_n,)) of `_hw_units` at multidegree (1, ..., 1)."""

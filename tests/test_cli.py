@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -101,6 +102,32 @@ def test_unreadable_input_exits_2_without_traceback(tmp_path):
         r = invoke(args)
         assert r.returncode == 2, args
         assert r.stdout == "" and r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+def test_deeply_nested_input_is_malformed():
+    # the JSON decoder gives up on deep nesting with a RecursionError
+    for argv in (["diff"], ["dual"]):
+        r = invoke([*argv, "--input", "-"], stdin="[" * 100000)
+        assert r.returncode == 2, (argv, r.stderr)
+        assert r.stdout == ""
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+        assert "malformed" in r.stderr and "document" in r.stderr
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    for argv in (["dim", "--shape", "2,1", "--D", "3"],
+                 ["poincare", "--N", "3", "--D", "2", "--nmax", "1", "--qmax", "1"],
+                 ["theorem2", "--N", "3", "--D", "2", "--K", "1", "--m", "1", "--qcap", "2",
+                  "--format", "json"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the run starts
+        try:
+            r = subprocess.run([sys.executable, "-m", "ncomplex", *argv], stdout=write_end,
+                               stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert r.returncode == 1, (argv, r.stderr)
+        assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr, argv
 
 
 def _with_entry(doc_text, **changes):

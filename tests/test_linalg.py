@@ -397,3 +397,40 @@ def to_json(v):
     assert _value_rule_copies("linalg.py", probe) == [
         ("linalg.py", "Tensor", "__add__"), ("linalg.py", "Tensor", "scale"),
         ("linalg.py", "_json_doc", "den"), ("linalg.py", "to_json", "den")]
+
+
+def _call_local_caches(name, source):
+    """(module, line) of every `lru_cache` named inside a function body: a memo built per call."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            found.update((name, node.lineno) for stmt in body for node in ast.walk(stmt)
+                         if getattr(node, "id", getattr(node, "attr", None)) == "lru_cache")
+    return sorted(found)
+
+
+def test_caches_live_at_module_level():
+    src = Path(__file__).resolve().parent.parent / "src" / "ncomplex"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 10
+    assert [hit for p in modules for hit in _call_local_caches(p.name, p.read_text())] == []
+    # the scan catches a wrapped call, through either name, and a nested decorator;
+    # it spares module-level functions and methods
+    probe = """
+import functools
+from functools import lru_cache
+@lru_cache(maxsize=None)
+def units(D): pass
+class C:
+    @functools.lru_cache(maxsize=None)
+    def method(self): pass
+def suite():
+    memo = lru_cache(maxsize=None)(units)
+    other = functools.lru_cache(maxsize=8)(units)
+    @lru_cache
+    def inner():
+        return lambda: lru_cache(None)(units)
+"""
+    assert _call_local_caches("m.py", probe) == [("m.py", 10), ("m.py", 11), ("m.py", 12),
+                                                  ("m.py", 14)]

@@ -479,35 +479,43 @@ def test_slot_orbit_rep_sorts_within_each_slot_set():
 
 
 def test_theorem2_suite_matches_each_multidegree(monkeypatch):
-    check, run_check = mf.theorem2_check, mf._theorem2_check
-    calls, memos = [], []
+    check = mf.theorem2_check
+    calls = []
 
-    def counted(N, D, K, m, md, q_cap, hw_units):
+    def counted(N, D, K, m, md, q_cap):
         calls.append(md)
-        memos.append(hw_units)
-        return run_check(N, D, K, m, md, q_cap, hw_units)
+        return check(N, D, K, m, md, q_cap)
 
-    monkeypatch.setattr(mf, "_theorem2_check", counted)
+    monkeypatch.setattr(mf, "theorem2_check", counted)
+    hw_units, asked = mf._hw_units, []  # every key the cache is asked for
+    monkeypatch.setattr(mf, "_hw_units", lambda *key: asked.append(key) or hw_units(*key))
     # K = (1, 3) at N = 4 and the partial K at N = 5 leave proper stabilizers
     for N, D, K, m, q_cap, reps in ((4, 3, (1, 2, 3), 2, 3, 20), (4, 3, (1, 3), 1, 3, 40),
                                     (4, 3, (1, 3), 2, 3, 40), (5, 2, (1, 3), 1, 3, 36),
                                     (5, 2, (2, 3, 4), 2, 3, 30)):
         calls.clear()
-        memos.clear()
+        asked.clear()
+        hw_units.cache_clear()
         reports = theorem2_suite(N, D, K, m, q_cap)
         assert calls == []  # a generator: nothing runs before the first report is asked for
         got = list(reports)
         assert len(calls) == len(set(calls)) == reps, (N, D, K, m)
-        # one memo of the highest-weight units per suite call, shared by its checks
-        memo = memos[0]
-        assert memo is not mf._hw_units and all(h is memo for h in memos)
-        assert memo.cache_info().hits > 0, (N, D, K, m)
+        # each (D, md, lam) is computed once per suite; a block is also the
+        # source of the ranges into its neighbours, so the cache has hits
+        info = hw_units.cache_info()
+        assert info.misses == len(set(asked)) and info.hits == len(asked) - info.misses > 0
         want = [check(N, D, K, m, md, q_cap) for md in mf._all_multidegrees(N, D)]
         assert [r.to_json() for r in got] == [r.to_json() for r in want], (N, D, K, m)
         assert all(r.ok for r in got)
     # each report owns its entries, also within an orbit: (0, 0, 0, 1) has two partners
     got[1].entries[-1]["detail"]["cocycles"] = -1
     assert [r for r in got if r.entries[-1]["detail"]["cocycles"] == -1] == [got[1]]
+    # one relative check also computes each (D, md, lam) once, and reuses some
+    asked.clear()
+    hw_units.cache_clear()
+    assert relative_cohomology_check(4, 3, (2,), 1, 3).ok
+    info = hw_units.cache_info()
+    assert info.misses == len(set(asked)) and info.hits == len(asked) - info.misses > 0
 
 
 def test_theorem2_suite_sees_a_broken_slot_symmetry(monkeypatch):
@@ -528,8 +536,8 @@ def test_weight_units_split_the_block_units():
         keys = [(weight(key, (0,) * D), {key: 1}) for key in tc._slot_keys(D, md)]
         units = [u for w in monomials(D, sum(md) + q) for u in fields._weight_vectors(keys, w)]
         assert sorted(map(sorted, units)) == sorted(map(sorted, mf._units(D, md, q)))
-    assert mf._hw_units(2, (3, 0), (2, 1)) == []
-    assert mf._hw_units(2, (-1, 1), (2, 1)) == []
+    assert mf._hw_units(2, (3, 0), (2, 1)) == ()
+    assert mf._hw_units(2, (-1, 1), (2, 1)) == ()
 
 
 def test_theorem2_examples():
