@@ -174,49 +174,60 @@ def rank(vectors) -> int:
     return Echelon(vectors).rank
 
 
-def _tagged(columns) -> Echelon:
-    """Echelon of the columns, each extended by a tag coordinate (1, j).
+def _tagged(columns) -> tuple:
+    """(Echelon of the columns each extended by a tag coordinate, {key: its rank}).
 
-    Main coordinates are (0, key). A row with a tag pivot is a kernel
-    element; a row with a main pivot records which combination of columns
-    produced it.
+    A key becomes its rank 0 .. n - 1 among the sorted keys of the columns,
+    and the tag of column j is n + j. That keeps the order of the pairs
+    (0, key) < (1, j), so the pivots and rows are those of an elimination on
+    such pairs, at the cost of int comparisons. A row with a tag pivot is a
+    kernel element; one with a main pivot records which combination of
+    columns produced it.
     """
+    index = {k: i for i, k in enumerate(sorted({k for col in columns for k in col}))}
+    n = len(index)
     ech = Echelon()
     for j, col in enumerate(columns):
-        v = {(0, k): x for k, x in col.items() if x}
-        v[(1, j)] = 1
+        v = {index[k]: x for k, x in col.items() if x}
+        v[n + j] = 1
         ech.add(v)
-    return ech
+    return ech, index
 
 
 def nullspace(columns) -> list[dict]:
-    """Kernel basis of the matrix whose columns are the given vectors.
+    """Kernel basis of the matrix whose columns are the given vectors (a sequence).
 
     Returns dicts {column index: int} with sum_j c_j columns[j] = 0,
     echelonized over the tag coordinates and ordered deterministically.
     """
-    return [{j: v for (_, j), v in row.items()}
-            for piv, row in sorted(_tagged(columns).rows.items()) if piv[0] == 1]
+    ech, index = _tagged(columns)
+    n = len(index)
+    return [{j - n: v for j, v in row.items()}
+            for piv, row in sorted(ech.rows.items()) if piv >= n]
 
 
 def solve(columns, target) -> dict | None:
-    """Write ``target`` as a rational combination of ``columns``.
+    """Write ``target`` as a rational combination of ``columns`` (a sequence).
 
     Returns {column index: Fraction} or None when no solution exists. The
-    target, tagged by (2, 0), is reduced against the rows with a main
-    pivot only; the combination clearing its main coordinates is unique,
-    so the particular solution is fixed by the column order.
+    target, tagged after every column, is reduced against the rows with a
+    main pivot only; the combination clearing its main coordinates is
+    unique, so the particular solution is fixed by the column order.
     """
-    ech = _tagged(columns)
+    ech, index = _tagged(columns)
+    n = len(index)
+    if any(v and k not in index for k, v in target.items()):
+        return None  # no column reaches that coordinate
     # a kernel row (tag pivot) would shift the answer along the kernel
-    ech.rows = {piv: row for piv, row in ech.rows.items() if piv[0] == 0}
-    t = {(0, k): v for k, v in target.items()}
-    t[(2, 0)] = 1
+    ech.rows = {piv: row for piv, row in ech.rows.items() if piv < n}
+    t = {index[k]: v for k, v in target.items() if v}
+    tag = n + len(columns)
+    t[tag] = 1
     t = ech._reduce_int(primitive(t))
-    if min(t)[0] == 0:
+    if min(t) < n:
         return None
-    scale = t.pop((2, 0))
-    return {j: Fraction(-v, scale) for (_, j), v in t.items()}
+    scale = t.pop(tag)
+    return {j - n: Fraction(-v, scale) for j, v in t.items()}
 
 
 def proportionality(pairs):

@@ -26,7 +26,11 @@ highest-weight vectors of weight lam (Fulton and Harris, Representation
 Theory, Lecture 15), and d_J maps those of its source onto those of its
 image. Both checks decide each rank and span membership on them, however
 many (`_hw_units`); only the unit basis of the block `theorem2_check` is
-asked about is built as `Multiform`s, to validate it.
+asked about is built as `Multiform`s, to validate it. The block is
+Lambda^md_1 V (x) ... (x) Lambda^md_k V (x) S^q V, so the iterated Pieri
+rule counts the vectors of weight lam first (`_hw_count`): a weight that
+counts none is skipped with no elimination, and the raising nullspace
+`fields._hw_rows` that finds the others must find exactly that many.
 
 The slots are interchangeable too. For a permutation pi of 1..N-1, the
 algebra map Phi_pi sending each generator of slot j to the same generator
@@ -37,7 +41,13 @@ it permutes the check's families of slot products, so kernels, ranks and
 span memberships, and with them every verdict and count, agree at md and
 pi(md). `theorem2_suite` therefore decides one multidegree per orbit of
 the relabelings that fix K (`_slot_orbit_rep`) and copies its verdicts to
-the rest of the orbit.
+the rest of the orbit. Every Phi_pi also commutes with GL_D, so it maps
+the highest-weight vectors of block (md, q) onto those of (pi(md), q):
+`_hw_units` solves once per orbit of all relabelings, at the sorted
+multidegree, and carries those units to the others (`_relabeled`). On a
+unit, Phi_pi moves the slot sets and reorders the anticommuting
+generators, for a sign that depends only on the slot sizes, one scalar
+per block.
 """
 
 from __future__ import annotations
@@ -305,17 +315,75 @@ def _keys_by_content(D, md) -> tuple:
 def _hw_units(D, md, lam) -> tuple:
     """A basis of the highest-weight vectors of weight lam in block (md, |lam| - |md|).
 
-    Combinations of its unit vectors of weight lam, each key of content
-    c <= lam times x^(lam - c), in key order; none when a slot size leaves 0..D.
+    At sorted md: combinations of its unit vectors of weight lam, each key
+    of content c <= lam times x^(lam - c), in key order, one per nullspace
+    row of `_hw_rows`, which must number `_hw_count`; none, with no solve,
+    when that count is 0 or a slot size leaves 0..D. At any other md: the
+    units of sorted(md) carried over by a slot relabeling (`_relabeled`).
     Cached, since a block is also the source of the ranges into its neighbours.
     """
     if any(a < 0 or a > D for a in md):
         return ()
+    if md != tuple(sorted(md)):
+        return _relabeled(_hw_units(D, tuple(sorted(md)), lam), md)
+    count = _hw_count(D, md, lam)
+    if not count:
+        return ()
     entries = sorted((key, tuple(a - b for a, b in zip(lam, c)))
                      for c, keys in _keys_by_content(D, md) if all(map(int.__le__, c, lam))
                      for key in keys)
-    units = [{entry: 1} for entry in entries]
-    return tuple(linalg.combine(row, units) for row in _hw_rows(units, D))
+    rows = _hw_rows([{entry: 1} for entry in entries], lam)
+    if len(rows) != count:
+        raise VerificationError(f"{len(rows)} highest-weight vectors of weight {lam} in block "
+                                f"{md} at D={D}, where the Pieri rule counts {count}")
+    return tuple({entries[j]: c for j, c in row.items()} for row in rows)
+
+
+def _hw_count(D, md, lam) -> int:
+    """The multiplicity of S_lam in block (md, |lam| - |md|), by the iterated Pieri rule.
+
+    The block is Lambda^md_1 V (x) ... (x) Lambda^md_k V (x) S^q V, so the
+    multiplicity is the number of chains of shapes with at most D rows from
+    the empty one to lam that add vertical strips of sizes md_1, ..., md_k
+    and then a horizontal q-strip (Macdonald, Symmetric Functions,
+    I.(5.16)-(5.17)). Tensor factors commute, so the count ignores the
+    slot order.
+    """
+    # lam / mu is a horizontal strip when lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...
+    return sum(n for mu, n in _vertical_chains(D, tuple(sorted(md)))
+               if all(m <= a for m, a in zip(mu, lam))
+               and all(a <= m for m, a in zip(mu, lam[1:])))
+
+
+@lru_cache(maxsize=None)
+def _vertical_chains(D, md) -> tuple:
+    """(mu, number of chains from the empty shape to mu adding vertical md_j-strips in turn).
+
+    Shapes are weights of D parts, so each has at most D rows; a vertical
+    a-strip adds one cell to each of a rows, keeping the parts nonincreasing.
+    """
+    shapes = {(0,) * D: 1}
+    for a in md:
+        shapes = linalg.accumulate(
+            (tuple(m + (r in rows) for r, m in enumerate(mu)), n) for mu, n in shapes.items()
+            for rows in combinations(range(D), a)
+            if all(r == 0 or r - 1 in rows or mu[r - 1] > mu[r] for r in rows))
+    return tuple(shapes.items())
+
+
+def _relabeled(units, md) -> tuple:
+    """Phi_pi (module docstring) of the units of sorted(md), which lands in block md.
+
+    Slot r of sorted(md) moves to order[r], the r-th slot of md by size
+    (ties in slot order). Reordering the generators gives the sign (-1)^(a b)
+    for each pair of slots of sizes a, b that pi swaps: one scalar per block.
+    """
+    order = sorted(range(len(md)), key=md.__getitem__)
+    place = sorted(range(len(md)), key=order.__getitem__)  # the inverse: slot t takes slot place[t]
+    sign = (-1) ** sum(md[order[r]] * md[order[t]]
+                       for r, t in combinations(range(len(md)), 2) if order[r] > order[t])
+    return tuple({(tuple(key[r] for r in place), exp): sign * v for (key, exp), v in u.items()}
+                 for u in units)
 
 
 # ---------------------------------------------------------------------------

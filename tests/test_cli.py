@@ -88,6 +88,17 @@ def test_usage_error_exit_code(capsys):
         assert captured.err.startswith("error:")
 
 
+def test_theorem2_rejects_a_repeated_slot(capsys):
+    for K, slot in (("1,1,2", 1), ("3,1,3,1", 3), ("2,1,1", 1)):
+        assert run(["theorem2", "--N", "4", "--D", "2", "--K", K, "--m", "1"]) == 2, K
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --K names slot {slot} more than once\n"
+    # the library keeps reading K as a set
+    assert (mf.theorem2_check(4, 2, (2, 1, 2), 1, (1, 0, 1), 2).to_json()
+            == mf.theorem2_check(4, 2, (1, 2), 1, (1, 0, 1), 2).to_json())
+
+
 def test_malformed_input_exit_code():
     r = invoke(["diff", "--input", "-"], stdin="{not json")
     assert r.returncode == 2

@@ -1,4 +1,5 @@
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,6 +73,60 @@ def test_solve_and_membership():
             got[k] = got.get(k, Fraction(0)) + c * v
     assert {k: v for k, v in got.items() if v} == {0: Fraction(2), 1: Fraction(5)}
     assert linalg.solve(cols, {2: 1}) is None
+
+
+def _tagged_oracle(columns):
+    """The elimination on tuple coordinates: (0, key) for a main key, (1, j) for column j."""
+    ech = linalg.Echelon()
+    for j, col in enumerate(columns):
+        v = {(0, k): x for k, x in col.items() if x}
+        v[(1, j)] = 1
+        ech.add(v)
+    return ech
+
+
+def _nullspace_oracle(columns):
+    return [{j: v for (_, j), v in row.items()}
+            for piv, row in sorted(_tagged_oracle(columns).rows.items()) if piv[0] == 1]
+
+
+def _solve_oracle(columns, target):
+    ech = _tagged_oracle(columns)
+    ech.rows = {piv: row for piv, row in ech.rows.items() if piv[0] == 0}
+    t = {(0, k): v for k, v in target.items()}
+    t[(2, 0)] = 1
+    t = ech._reduce_int(linalg.primitive(t))
+    if min(t)[0] == 0:
+        return None
+    scale = t.pop((2, 0))
+    return {j: Fraction(-v, scale) for (_, j), v in t.items()}
+
+
+def test_int_keyed_elimination_matches_the_tagged_route():
+    # nullspace and solve rank the keys of their columns; the order is kept, so
+    # the rows must come out as those of the tuple-tagged route, entry order included
+    rng = random.Random(31)
+    keys = [(a, (b,)) for a in range(3) for b in range(3)]
+    cases = [[], [{}], [{}, {}], [{(0, (1,)): 0}]]
+    for _ in range(300):
+        cols = [{k: rng.randint(-3, 3) for k in rng.sample(keys, rng.randint(0, 5))}
+                for _ in range(rng.randint(1, 8))]
+        cases.append(cols)
+    shapes = {"zero column": 0, "kernel": 0, "unsolvable": 0}
+    for cols in cases:
+        got, want = linalg.nullspace(cols), _nullspace_oracle(cols)
+        assert [list(r.items()) for r in got] == [list(r.items()) for r in want], cols
+        shapes["zero column"] += not all(any(c.values()) for c in cols)
+        shapes["kernel"] += bool(got)
+        coeffs = {j: rng.randint(-2, 2) for j in range(len(cols))}
+        targets = [linalg.combine(coeffs, cols), {rng.choice(keys): Fraction(1, 3)},
+                   {(5, (5,)): 1, keys[0]: 0}, {keys[0]: 0}]
+        for target in targets:
+            sol = linalg.solve(cols, target)
+            want = _solve_oracle(cols, target)
+            assert sol == want and (sol is None or list(sol.items()) == list(want.items()))
+            shapes["unsolvable"] += sol is None
+    assert all(shapes.values()), shapes
 
 
 def test_proportionality():

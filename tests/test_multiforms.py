@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ncomplex import fields, linalg
 from ncomplex import tensor_core as tc
 from ncomplex import multiforms as mf
+from ncomplex.cli import run
 from ncomplex.errors import ShapeError, VerificationError
 from ncomplex.fields import (
     PolyTensorField,
@@ -439,6 +441,107 @@ def test_highest_weight_vectors_count_the_block_units():
                     assert total == len(mf._units(D, md, q)), (N, D, md, q)
     # the blocks are not multiplicity free: some weight holds several vectors
     assert most >= 3
+
+
+@lru_cache(maxsize=None)
+def _raising_units(D, md, lam):
+    """The direct route: a raising nullspace at md, on every E_1 ... E_(D-1).
+
+    The unit vectors of block md with weight lam, in key order, and one
+    combination of them per nullspace row, with no Pieri count and no slot
+    relabeling.
+    """
+    zero = (0,) * D
+    entries = sorted((key, e) for key in tc._slot_keys(D, md)
+                     for e in [tuple(a - b for a, b in zip(lam, weight(key, zero)))] if min(e) >= 0)
+    units = [{entry: 1} for entry in entries]
+    columns = [{(i, k): v for i in range(1, D) for k, v in fields._raise(i, u).items()}
+               for u in units]
+    return tuple(linalg.combine(row, units) for row in linalg.nullspace(columns))
+
+
+def _hw_sweep():
+    """(D, md, q) for N <= 4, D <= 4, every md in 0..D and q <= 3."""
+    for N in (2, 3, 4):
+        for D in (1, 2, 3, 4):
+            for md in product(range(D + 1), repeat=N - 1):
+                for q in range(4):
+                    yield D, md, q
+
+
+def test_pieri_count_matches_the_raising_nullspace():
+    counts = set()
+    for D, md, q in _hw_sweep():
+        total = 0
+        for lam, dim in mf._highest_weights(D, sum(md) + q):
+            count = mf._hw_count(D, md, lam)
+            assert count == len(_raising_units(D, md, lam)), (D, md, lam)
+            total += dim * count
+            counts.add(count)
+        assert total == len(mf._units(D, md, q)), (D, md, q)
+    # zero counts are skipped without a solve, and some weights hold several vectors
+    assert {0, 1, 2, 3} <= counts
+
+
+def test_relabeled_units_match_a_direct_solve():
+    relabeled = 0
+    for D, md, q in _hw_sweep():
+        for lam, _ in mf._highest_weights(D, sum(md) + q):
+            got, want = mf._hw_units(D, md, lam), _raising_units(D, md, lam)
+            if list(md) == sorted(md):
+                assert [list(u.items()) for u in got] == [list(u.items()) for u in want]
+                continue
+            assert all(fields._raise(i, u) == {} for u in got for i in range(1, D))
+            assert linalg.rank(got) == len(got) == len(want), (D, md, lam)
+            ech = linalg.Echelon(want)
+            assert all(ech.contains(u) for u in got), (D, md, lam)
+            relabeled += bool(got)
+    assert relabeled > 100
+
+
+def test_relabeled_units_reorder_the_anticommuting_generators():
+    # Phi_pi moves slot r of sorted(md) to the r-th slot of md by size; the
+    # sign is that of sorting the moved generators back into slot order
+    for D, md in ((3, (3, 1)), (3, (2, 1, 1)), (3, (1, 3, 2)), (4, (3, 0, 1)), (4, (1, 3, 3))):
+        s = tuple(sorted(md))
+        order = sorted(range(len(md)), key=lambda t: (md[t], t))
+        for lam, _ in mf._highest_weights(D, sum(md) + 1):
+            want = []
+            for u in mf._hw_units(D, s, lam):
+                out = {}
+                for (key, exp), v in u.items():
+                    gens = [(order[r], i) for r, slot in enumerate(key) for i in slot]
+                    swaps = sum(a > b for a, b in combinations(gens, 2))
+                    moved = tuple(tuple(i for t, i in gens if t == j) for j in range(len(md)))
+                    out[(moved, exp)] = (-1) ** swaps * v
+                want.append(out)
+            assert list(mf._hw_units(D, md, lam)) == want, (D, md, lam)
+    # slots of odd sizes 3 and 1 trade places, so this block carries the sign -1
+    assert next(iter(mf._hw_units(3, (3, 1), (2, 1, 1))[0].values())) == -next(
+        iter(mf._hw_units(3, (1, 3), (2, 1, 1))[0].values()))
+
+
+def test_a_wrong_pieri_count_fails_the_run(monkeypatch, capsys):
+    count = mf._hw_count
+    monkeypatch.setattr(mf, "_hw_count", lambda D, md, lam: count(D, md, lam) + 1)
+    mf._hw_units.cache_clear()  # the wrong count raises, so nothing wrong is cached
+    assert run(["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1", "--qcap", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed:") and "Pieri rule counts" in captured.err
+
+
+def test_theorem2_suite_nullspace_count(monkeypatch, capsys):
+    # one raising solve per (md, lam) made 620 calls here, 492 of them raising
+    # nullspaces; zero Pieri counts and relabeled unsorted multidegrees skip most
+    nullspace, hw_rows, calls, raising = linalg.nullspace, mf._hw_rows, [], []
+    monkeypatch.setattr(linalg, "nullspace", lambda cols: calls.append(1) or nullspace(cols))
+    monkeypatch.setattr(mf, "_hw_rows", lambda *a: raising.append(1) or hw_rows(*a))
+    mf._hw_units.cache_clear()
+    assert run(["theorem2", "--N", "4", "--D", "3", "--K", "1,2,3", "--m", "2",
+                "--qcap", "3"]) == 0
+    capsys.readouterr()
+    assert (len(calls), len(raising)) == (322, 194)
 
 
 def test_relative_weight_route_matches_the_whole_block():
