@@ -134,10 +134,12 @@ def _cmd_hexagon(args):
 def _cmd_theorem2(args):
     from . import multiforms as mf
     K = _parse_ints(args.K)
-    repeated = [j for n, j in enumerate(K) if j in K[:n]]
-    if repeated:
-        # the library reads K as a set; on the command line a repeat is a typo
-        raise UsageError(f"--K names slot {repeated[0]} more than once")
+    seen = set()
+    for j in K:
+        if j in seen:
+            # the library reads K as a set; on the command line a repeat is a typo
+            raise UsageError(f"--K names slot {j} more than once")
+        seen.add(j)
     if args.multidegree is not None:
         md = _parse_ints(args.multidegree)
         reports = [mf.theorem2_check(args.N, args.D, K, args.m, md, args.qcap)]

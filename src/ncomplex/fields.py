@@ -533,43 +533,36 @@ def _image_vectors(N: int, D: int, p: int, q: int, k: int, w: tuple) -> tuple:
                  for u in _image_vectors(N, D, p, q, k - 1, w))
 
 
-def _raise_terms(i: int, key, exp):
-    """The (entry, coefficient) terms of E_(i,i+1) on the unit entry (key, exp).
+def _raise(i: int, vec: dict) -> dict:
+    """The raising operator E_(i,i+1) of gl_D on a slot vector.
 
     In each column that holds i + 1 but not i, i + 1 becomes i; the two are
     adjacent, so the column stays sorted and no sign arises. On the
     monomial it is x_i d/dx_(i+1). Both parts keep the degree and move the
-    weight by e_i - e_(i+1). Each term changes a different column, or only
-    the monomial, so no two terms share an entry.
+    weight by e_i - e_(i+1).
     """
-    for n, slot in enumerate(key):
-        if i + 1 in slot and i not in slot:
-            swapped = tuple(i if a == i + 1 else a for a in slot)
-            yield (key[:n] + (swapped,) + key[n + 1:], exp), 1
-    a = exp[i]
-    if a:
-        yield (key, exp[:i - 1] + (exp[i - 1] + 1, a - 1) + exp[i + 1:]), a
+    def terms():
+        for (key, exp), v in vec.items():
+            for n, slot in enumerate(key):
+                if i + 1 in slot and i not in slot:
+                    swapped = tuple(i if a == i + 1 else a for a in slot)
+                    yield (key[:n] + (swapped,) + key[n + 1:], exp), v
+            a = exp[i]
+            if a:
+                yield (key, exp[:i - 1] + (exp[i - 1] + 1, a - 1) + exp[i + 1:]), v * a
 
-
-def _raise(i: int, vec: dict) -> dict:
-    """The raising operator E_(i,i+1) of gl_D on a slot vector (`_raise_terms`).
-
-    A vector of one entry has images at distinct entries, so it needs no sum.
-    """
-    terms = ((entry, v * c) for (key, exp), v in vec.items()
-             for entry, c in _raise_terms(i, key, exp))
-    return dict(terms) if len(vec) == 1 else linalg.accumulate(terms)
+    return linalg.accumulate(terms())
 
 
 def _hw_rows(basis, lam: tuple) -> list:
     """Coefficients {j: c} over a weight-lam space's basis of a basis of its highest-weight vectors.
 
-    Every nullspace row of the stacked E_1 ... E_(l-1) images of basis, l
-    the number of nonzero parts of lam: E_i with i >= l would lower part
-    i + 1 of the weight, which is 0, below zero, so it kills the space.
+    Every nullspace row of the stacked E_i images of basis, for each i with
+    part i + 1 of lam nonzero: any other E_i would lower that part below
+    zero, so it kills the space.
     """
-    raising = range(1, sum(1 for a in lam if a))
-    columns = [{(i, entry): v for i in raising for entry, v in _raise(i, u).items()}
+    raising = [i for i in range(1, len(lam)) if lam[i]]
+    columns = [{(i, key): v for i in raising for key, v in _raise(i, u).items()}
                for u in basis]
     return linalg.nullspace(columns)
 

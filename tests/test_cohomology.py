@@ -594,6 +594,19 @@ def test_highest_weight_spaces_are_the_pieri_constituents():
                 with pytest.raises(VerificationError):
                     fields._hw_coefficients(N, D, p, q, w)
     assert seen[0] > 100 and seen[1] > 100
+    # a weight that is not dominant has no highest-weight vector, even when
+    # its last nonzero part comes after a zero one
+    checked = 0
+    for N, D, p, q in ((3, 2, 1, 0), (3, 2, 1, 2), (3, 3, 1, 2), (4, 3, 2, 1)):
+        for w in monomials(D, p + q):
+            basis = _weight_basis(N, D, p, q, w)
+            if list(w) == sorted(w, reverse=True) or not basis:
+                continue
+            assert fields._hw_rows(basis, w) == [], (N, D, p, q, w)
+            with pytest.raises(VerificationError):
+                fields._hw_coefficients(N, D, p, q, w)
+            checked += 0 in w[:-1]
+    assert checked > 5
 
 
 def test_raising_commutes_with_the_differential():

@@ -126,6 +126,9 @@ def test_int_keyed_elimination_matches_the_tagged_route():
             want = _solve_oracle(cols, target)
             assert sol == want and (sol is None or list(sol.items()) == list(want.items()))
             shapes["unsolvable"] += sol is None
+            # the columns are read twice; a generator must give the same answer
+            assert linalg.solve((c for c in cols), target) == sol
+        assert linalg.nullspace(c for c in cols) == got
     assert all(shapes.values()), shapes
 
 
