@@ -54,26 +54,24 @@ one argument, Pieri plus Schur. The block (p, q) is the GL_D-module
 S_Y(V) (x) S^q(V), Y = max_diagram(N, p), and by Pieri's rule it holds
 each S_lam of `_pieri` once (Macdonald, Symmetric Functions, I.(5.16);
 Fulton and Harris, Representation Theory, Lecture 15). So the vectors of
-weight lam killed by every raising operator `_raise` span one line
-(`_hw_coefficients`, `_hw_vector`, and `hw_basis` as fields), that vector
-generates the copy of S_lam, and by Schur's lemma an equivariant map is
-zero or injective on the copy. A relation holds on the block iff it holds
-on these vectors. `_hw_image` is the lru-cached d-chain of one: level 0 a
-nonzero multiple of the highest-weight vector, level k one d step on level
-k - 1. When lam is a constituent of the block (p - 1, q + 1) too and d
-does not kill it there, that image starts the chain, since d is
+weight lam killed by every raising operator `_raise` span one line, that
+vector generates the copy of S_lam, and by Schur's lemma an equivariant
+map is zero or injective on the copy. A relation holds on the block iff
+it holds on these vectors. `_hw_vectors` is the one raising nullspace: it
+stacks only the raising operators that do not kill the weight space and
+must find as many vectors as the Pieri rule counts, one here and any
+number in a multiform block. `_hw_image`, the only cache of these
+vectors, is the lru-cached d-chain of one: level 0 a nonzero multiple of
+the highest-weight vector (`hw_basis` reads it as fields), level k one d
+step on level k - 1. When lam is a constituent of the block (p - 1, q + 1)
+too and d does not kill it there, that image starts the chain, since d is
 equivariant and that block holds S_lam once (`_hw_reuses_below` checks
 that every raising operator kills it); the chain then continues the one
 below, and only the other starts solve a raising nullspace. A caller that
 pairs a vector with its image takes both from the chain. The star is a
 bijection whose det factors cancel in star^-1 delta star and in the double
 dual, so the duality constants are checked on star images of covariant
-ones.
-`_hw_rows`, the one raising nullspace, gives every highest-weight vector
-of a weight space, stacking only the raising operators that do not kill
-it: `_hw_coefficients` insists on one, the multiform splitting checks
-take them all. `block_basis`, the whole block, is left
-to the tests as an oracle.
+ones. `block_basis`, the whole block, is left to the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -554,37 +552,22 @@ def _raise(i: int, vec: dict) -> dict:
     return linalg.accumulate(terms())
 
 
-def _hw_rows(basis, lam: tuple) -> list:
-    """Coefficients {j: c} over a weight-lam space's basis of a basis of its highest-weight vectors.
+def _hw_vectors(basis, lam: tuple, count: int, where: str) -> tuple:
+    """The highest-weight vectors of a weight-lam space, as combinations of its basis.
 
-    Every nullspace row of the stacked E_i images of basis, for each i with
-    part i + 1 of lam nonzero: any other E_i would lower that part below
-    zero, so it kills the space.
+    One per nullspace row of the stacked E_i images of basis, for each i
+    with part i + 1 of lam nonzero: any other E_i would lower that part
+    below zero, so it kills the space. The Pieri rule counts them, so any
+    other number than count raises.
     """
     raising = [i for i in range(1, len(lam)) if lam[i]]
     columns = [{(i, key): v for i in raising for key, v in _raise(i, u).items()}
                for u in basis]
-    return linalg.nullspace(columns)
-
-
-@lru_cache(maxsize=None)
-def _hw_coefficients(N: int, D: int, p: int, q: int, lam: tuple) -> dict:
-    """The highest-weight vector of weight lam in block (p, q), as coefficients.
-
-    {j: c} over `_weight_basis(N, D, p, q, lam)`: the one `_hw_rows` row of
-    that basis. A block is multiplicity free (Pieri), so at a constituent
-    lam the row is unique; anything else raises.
-    """
-    null = _hw_rows(_weight_basis(N, D, p, q, lam), lam)
-    if len(null) != 1:
-        raise VerificationError(f"{len(null)} highest-weight vectors of weight {lam} "
-                                f"in block (p={p}, q={q}) at N={N} D={D}")
-    return null[0]
-
-
-def _hw_vector(N, D, p, q, lam) -> dict:
-    """The highest-weight vector of weight lam in block (p, q), as an integer slot vector."""
-    return linalg.combine(_hw_coefficients(N, D, p, q, lam), _weight_basis(N, D, p, q, lam))
+    rows = linalg.nullspace(columns)
+    if len(rows) != count:
+        raise VerificationError(f"{len(rows)} highest-weight vectors of weight {lam} in {where}, "
+                                f"where the Pieri rule counts {count}")
+    return tuple(linalg.combine(row, basis) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -610,13 +593,15 @@ def _hw_image(N, D, p, q, k, lam) -> dict:
 
     The start is a nonzero multiple of the highest-weight vector: d of the
     start one block below when `_hw_reuses_below`, and then every level is
-    the one block below's next level; else `_hw_vector`. Level k is one
+    the one block below's next level; else the one `_hw_vectors` solve on
+    `_weight_basis`, since the block holds S_lam once. Level k is one
     `_d_k_int` step on level k - 1, so a zero level stays zero.
     """
     if _hw_reuses_below(N, D, p, q, lam):
         return _hw_image(N, D, p - 1, q + 1, k + 1, lam)
     if k == 0:
-        return _hw_vector(N, D, p, q, lam)
+        return _hw_vectors(_weight_basis(N, D, p, q, lam), lam, 1,
+                           f"block (p={p}, q={q}) at N={N} D={D}")[0]
     return _d_k_int(N, D, p + k - 1, q - k + 1, _hw_image(N, D, p, q, k - 1, lam), 1)
 
 
@@ -638,8 +623,9 @@ def _hw_reuses_below(N, D, p, q, lam) -> bool:
 
 
 def hw_basis(N, D, p, q) -> list[PolyTensorField]:
-    """One covariant field per Pieri constituent of block (p, q): its highest-weight vector."""
-    return [PolyTensorField(N, D, p, q, CO, _hw_vector(N, D, p, q, lam))
+    """One covariant field per Pieri constituent of block (p, q): a nonzero
+    multiple of its highest-weight vector, level 0 of the d-chain `_hw_image`."""
+    return [PolyTensorField(N, D, p, q, CO, _hw_image(N, D, p, q, 0, lam))
             for lam, _ in _pieri(N, D, p, q)]
 
 

@@ -28,9 +28,9 @@ image. Both checks decide each rank and span membership on them, however
 many (`_hw_units`); only the unit basis of the block `theorem2_check` is
 asked about is built as `Multiform`s, to validate it. The block is
 Lambda^md_1 V (x) ... (x) Lambda^md_k V (x) S^q V, so the iterated Pieri
-rule counts the vectors of weight lam first (`_hw_count`): a weight that
-counts none is skipped with no elimination, and the raising nullspace
-`fields._hw_rows` that finds the others must find exactly that many.
+rule lists its constituents lam with their multiplicities first
+(`_constituents`): the checks visit only those weights, and the raising
+nullspace `fields._hw_vectors` must find exactly that many vectors.
 
 The slots are interchangeable too. For a permutation pi of 1..N-1, the
 algebra map Phi_pi sending each generator of slot j to the same generator
@@ -61,7 +61,7 @@ from itertools import combinations, product
 
 from . import linalg
 from . import tensor_core as tc
-from .diagrams import partitions, schur_dim
+from .diagrams import horizontal_strips, schur_dim
 from .errors import ShapeError, VerificationError
 from .fields import (
     BlockLabel,
@@ -70,7 +70,7 @@ from .fields import (
     _apply_slot,
     _check_entry,
     _hw_image,
-    _hw_rows,
+    _hw_vectors,
     _insert_table,
     _pi_columns,
     _pieri,
@@ -294,13 +294,6 @@ def _units(D, md, q) -> list:
     return [{(key, e): 1} for key in tc._slot_keys(D, md) for e in monomials(D, q)]
 
 
-@lru_cache(maxsize=None)
-def _highest_weights(D, n) -> tuple:
-    """(lam, schur_dim(lam, D)) for each partition lam of n with at most D parts, as a weight."""
-    return tuple((lam.rows + (0,) * (D - lam.n_rows), schur_dim(lam, D))
-                 for lam in partitions(n) if lam.n_rows <= D)
-
-
 @lru_cache(maxsize=256)
 def _keys_by_content(D, md) -> tuple:
     """(index content, its slot keys of multidegree md in lex order) for each content."""
@@ -315,44 +308,43 @@ def _keys_by_content(D, md) -> tuple:
 def _hw_units(D, md, lam) -> tuple:
     """A basis of the highest-weight vectors of weight lam in block (md, |lam| - |md|).
 
-    At sorted md: combinations of its unit vectors of weight lam, each key
-    of content c <= lam times x^(lam - c), in key order, one per nullspace
-    row of `_hw_rows`, which must number `_hw_count`; none, with no solve,
-    when that count is 0 or a slot size leaves 0..D. At any other md: the
-    units of sorted(md) carried over by a slot relabeling (`_relabeled`).
+    At sorted md: the `_hw_vectors` of its unit vectors of weight lam, each
+    key of content c <= lam times x^(lam - c), in key order, as many as
+    `_constituents` counts; none, with no solve, when lam is not listed
+    there or a slot size leaves 0..D. At any other md: the units of
+    sorted(md) carried over by a slot relabeling (`_relabeled`).
     Cached, since a block is also the source of the ranges into its neighbours.
     """
     if any(a < 0 or a > D for a in md):
         return ()
     if md != tuple(sorted(md)):
         return _relabeled(_hw_units(D, tuple(sorted(md)), lam), md)
-    count = _hw_count(D, md, lam)
+    count = {w: n for w, n, _ in _constituents(D, md, sum(lam) - sum(md))}.get(lam, 0)
     if not count:
         return ()
     entries = sorted((key, tuple(a - b for a, b in zip(lam, c)))
                      for c, keys in _keys_by_content(D, md) if all(map(int.__le__, c, lam))
                      for key in keys)
-    rows = _hw_rows([{entry: 1} for entry in entries], lam)
-    if len(rows) != count:
-        raise VerificationError(f"{len(rows)} highest-weight vectors of weight {lam} in block "
-                                f"{md} at D={D}, where the Pieri rule counts {count}")
-    return tuple({entries[j]: c for j, c in row.items()} for row in rows)
+    return _hw_vectors([{entry: 1} for entry in entries], lam, count, f"block {md} at D={D}")
 
 
-def _hw_count(D, md, lam) -> int:
-    """The multiplicity of S_lam in block (md, |lam| - |md|), by the iterated Pieri rule.
+@lru_cache(maxsize=None)
+def _constituents(D, md, q) -> tuple:
+    """(lam, multiplicity, schur_dim(lam, D)) for each S_lam in block (md, q), md sorted.
 
     The block is Lambda^md_1 V (x) ... (x) Lambda^md_k V (x) S^q V, so the
-    multiplicity is the number of chains of shapes with at most D rows from
-    the empty one to lam that add vertical strips of sizes md_1, ..., md_k
-    and then a horizontal q-strip (Macdonald, Symmetric Functions,
-    I.(5.16)-(5.17)). Tensor factors commute, so the count ignores the
-    slot order.
+    multiplicity of S_lam is the number of chains of shapes with at most D
+    rows from the empty one to lam that add vertical strips of sizes md_1,
+    ..., md_k (`_vertical_chains`) and then a horizontal q-strip
+    (`horizontal_strips`; Macdonald, Symmetric Functions, I.(5.16)-(5.17)).
+    Tensor factors commute, so the count ignores the slot order. Each lam
+    is a weight of D parts, listed in the order of `diagrams.partitions`;
+    a lam of multiplicity 0 is not listed.
     """
-    # lam / mu is a horizontal strip when lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...
-    return sum(n for mu, n in _vertical_chains(D, tuple(sorted(md)))
-               if all(m <= a for m, a in zip(mu, lam))
-               and all(a <= m for m, a in zip(mu, lam[1:])))
+    counts = linalg.accumulate((lam, n) for mu, n in _vertical_chains(D, md)
+                               for lam in horizontal_strips([m for m in mu if m], q, D))
+    return tuple((lam.rows + (0,) * (D - lam.n_rows), n, schur_dim(lam, D))
+                 for lam, n in sorted(counts.items(), reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -444,17 +436,16 @@ def _split_weight(units, cols, generators):
 def _split_block(D, md, q, columns, generators):
     """(cocycles, generator rank, whether every weight splits) on block (md, q).
 
-    Sums `_split_weight` over the weights lam of the block with highest-weight
-    units, on columns(units, lam) and generators(lam), each count weighted by
-    schur_dim(lam, D).
+    Sums `_split_weight` over the `_constituents` lam of the block, on its
+    highest-weight units, columns(units, lam) and generators(lam), each count
+    weighted by schur_dim(lam, D).
     """
     cocycles = rank = 0
     passed = True
-    for lam, dim in _highest_weights(D, sum(md) + q):
+    for lam, _, dim in _constituents(D, tuple(sorted(md)), q):
         units = _hw_units(D, md, lam)
-        if units:
-            n_z, n_g, ok = _split_weight(units, columns(units, lam), generators(lam))
-            cocycles, rank, passed = cocycles + dim * n_z, rank + dim * n_g, passed and ok
+        n_z, n_g, ok = _split_weight(units, columns(units, lam), generators(lam))
+        cocycles, rank, passed = cocycles + dim * n_z, rank + dim * n_g, passed and ok
     return cocycles, rank, passed
 
 

@@ -35,7 +35,7 @@ from . import linalg
 from .diagrams import max_diagram
 from .errors import ShapeError
 from .fields import BlockLabel, _insertion, _pad, _schur_vectors, _top_degree
-from .multiforms import _highest_weights, _hw_units
+from .multiforms import _constituents, _hw_units
 from .report import CheckReport
 from .tensor_core import CONTRA, Tensor, _check_tag, tensor_from_wedge, tensor_to_wedge
 
@@ -147,8 +147,9 @@ def _acts_as_zero(N, D, u: dict, degree: int) -> bool:
 def _hw_words(D, n) -> tuple:
     """A basis of the highest-weight vectors of V^(x)n as {word: coefficient}: the word
     a_1...a_n is the unit ((a_1,), ..., (a_n,)) of `_hw_units` at multidegree (1, ..., 1)."""
+    md = (1,) * n
     return tuple({tuple(a for (a,) in key): c for (key, _exp), c in h.items()}
-                 for lam, _ in _highest_weights(D, n) for h in _hw_units(D, (1,) * n, lam))
+                 for lam, _, _ in _constituents(D, md, 0) for h in _hw_units(D, md, lam))
 
 
 def _family_acts_as_zero(N, D, n, family) -> bool:

@@ -6,7 +6,9 @@ route (full components and the full Young symmetrizer, or a table
 without its projection), so the tests can compare the two.
 `dominant_weights` lists the dominant weights of a degree with their S_D
 orbit sizes, for the orbit-weighted weight routes the tests compare the
-highest-weight route against.
+highest-weight route against; `partition_weights` lists the same weights
+by `diagrams.partitions`, with their GL_D dimensions, for the sweeps that
+check the Pieri constituents, weights of multiplicity 0 included.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import factorial, prod
 
 from ncomplex import linalg
 from ncomplex import tensor_core as tc
-from ncomplex.diagrams import max_diagram
+from ncomplex.diagrams import max_diagram, partitions, schur_dim
 from ncomplex.errors import ShapeError
 from ncomplex.fields import (
     PolyTensorField,
@@ -135,3 +137,9 @@ def dominant_weights(D, n) -> tuple:
 
     return tuple((w, factorial(D) // prod(factorial(m) for m in Counter(w).values()))
                  for w in nonincreasing(n, D, n))
+
+
+def partition_weights(D, n) -> list:
+    """(lam, schur_dim(lam, D)) for each partition lam of n with at most D rows, as a weight."""
+    return [(lam.rows + (0,) * (D - lam.n_rows), schur_dim(lam, D))
+            for lam in partitions(n) if lam.n_rows <= D]

@@ -588,11 +588,14 @@ def test_highest_weight_spaces_are_the_pieri_constituents():
             null = linalg.nullspace(_raised_columns(N, D, p, q, w))
             assert len(null) == (w in strips), (N, D, p, q, w)
             seen[len(null)] += 1
+            basis, where = _weight_basis(N, D, p, q, w), f"block (p={p}, q={q})"
             if null:
-                assert fields._hw_coefficients(N, D, p, q, w) == null[0]
+                assert fields._hw_vectors(basis, w, 1, where) == (
+                    linalg.combine(null[0], basis),)
             else:
+                assert fields._hw_vectors(basis, w, 0, where) == ()
                 with pytest.raises(VerificationError):
-                    fields._hw_coefficients(N, D, p, q, w)
+                    fields._hw_vectors(basis, w, 1, where)
     assert seen[0] > 100 and seen[1] > 100
     # a weight that is not dominant has no highest-weight vector, even when
     # its last nonzero part comes after a zero one
@@ -602,9 +605,9 @@ def test_highest_weight_spaces_are_the_pieri_constituents():
             basis = _weight_basis(N, D, p, q, w)
             if list(w) == sorted(w, reverse=True) or not basis:
                 continue
-            assert fields._hw_rows(basis, w) == [], (N, D, p, q, w)
+            assert fields._hw_vectors(basis, w, 0, "a test block") == (), (N, D, p, q, w)
             with pytest.raises(VerificationError):
-                fields._hw_coefficients(N, D, p, q, w)
+                fields._hw_vectors(basis, w, 1, "a test block")
             checked += 0 in w[:-1]
     assert checked > 5
 
@@ -632,14 +635,42 @@ def test_raising_on_a_column_and_a_monomial():
     assert _raise(2, vec) == {}
 
 
-def test_hw_coefficients_require_exactly_one_vector():
-    # two copies of a weight basis carry two highest-weight vectors
+def test_hw_vectors_require_the_pieri_count():
+    # two copies of a weight basis carry more highest-weight vectors than the one Pieri counts
     lam = (3, 1, 0)
-    assert fields._hw_coefficients(3, 3, 2, 2, lam)
-    doubled = _weight_basis(3, 3, 2, 2, lam) * 2
+    basis = _weight_basis(3, 3, 2, 2, lam)
+    assert len(fields._hw_vectors(basis, lam, 1, "block (p=2, q=2)")) == 1
+    with pytest.raises(VerificationError, match="where the Pieri rule counts 1"):
+        fields._hw_vectors(basis * 2, lam, 1, "block (p=2, q=2)")
+    # the chain start solves with the count 1; at p = 0 no block below is reused
+    lam = (2, 0, 0)
+    assert fields._hw_image.__wrapped__(3, 3, 0, 2, 0, lam)
+    doubled = _weight_basis(3, 3, 0, 2, lam) * 2
     with mock.patch.object(fields, "_weight_basis", return_value=doubled):
         with pytest.raises(VerificationError):
-            fields._hw_coefficients.__wrapped__(3, 3, 2, 2, lam)
+            fields._hw_image.__wrapped__(3, 3, 0, 2, 0, lam)
+
+
+def test_hw_basis_is_the_chain_start_up_to_a_scalar():
+    # hw_basis reads level 0 of the d-chain, which may be d of the start one
+    # block below: a nonzero multiple of the highest-weight vector, so it is
+    # killed by every E_i and proportional to a direct solve on all of them
+    checked = scaled = 0
+    for N in (2, 3, 4):
+        for D in (1, 2, 3):
+            for p in range(_top_degree(N, D) + 1):
+                for q in range(4):
+                    pieri = fields._pieri(N, D, p, q)
+                    hw = fields.hw_basis(N, D, p, q)
+                    assert len(hw) == len(pieri), (N, D, p, q)
+                    for (lam, _), h in zip(pieri, hw):
+                        assert h.data and not any(_raise(i, h.data) for i in range(1, D))
+                        (row,) = linalg.nullspace(_raised_columns(N, D, p, q, lam))
+                        direct = linalg.combine(row, _weight_basis(N, D, p, q, lam))
+                        assert linalg.proportionality([(h.data, direct)]), (N, D, p, q, lam)
+                        checked += 1
+                        scaled += h.data != direct
+    assert checked > 250 and scaled > 100
 
 
 def _clear_chain():
@@ -682,13 +713,14 @@ def _chain_sweep():
 
 
 def test_chain_matches_the_store_route():
-    # the old route, the hw coefficients combined over the store's columns,
-    # is the oracle of each level's verdict; a reused start is the hw vector
-    # up to a nonzero scalar
+    # the direct raising nullspace on every E_i, its one row combined over the
+    # store's columns, is the oracle of each level's verdict; a reused start
+    # is the hw vector up to a nonzero scalar, any other start is it exactly
     checked = moved = reused = 0
     for N, D, p, q in _chain_sweep():
         for lam, _ in fields._pieri(N, D, p, q):
-            coeffs = fields._hw_coefficients(N, D, p, q, lam)
+            (coeffs,) = linalg.nullspace(_raised_columns(N, D, p, q, lam))
+            hw = linalg.combine(coeffs, _weight_basis(N, D, p, q, lam))
             for k in range(1, N):
                 old = linalg.combine(coeffs, _image_vectors(N, D, p, q, k, lam))
                 assert bool(fields._hw_image(N, D, p, q, k, lam)) == bool(old), (N, D, p, q, k, lam)
@@ -697,11 +729,10 @@ def test_chain_matches_the_store_route():
             if fields._hw_reuses_below(N, D, p, q, lam):
                 start = fields._hw_image(N, D, p, q, 0, lam)
                 assert start == fields._hw_image(N, D, p - 1, q + 1, 1, lam)
-                assert linalg.proportionality([(start, fields._hw_vector(N, D, p, q, lam))]), \
-                    (N, D, p, q, lam)
+                assert linalg.proportionality([(start, hw)]), (N, D, p, q, lam)
                 reused += 1
             else:
-                assert fields._hw_image(N, D, p, q, 0, lam) == fields._hw_vector(N, D, p, q, lam)
+                assert fields._hw_image(N, D, p, q, 0, lam) == hw
     assert checked > 2500 and moved > 500 and reused > 500
 
 

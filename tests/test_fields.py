@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -658,9 +659,18 @@ def test_no_library_code_builds_a_whole_block():
     assert [p.name for p in modules if "_content_order" in p.read_text()] == ["tensor_core.py"]
     raising = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"_raise"})]
     assert [(name, func) for name, func, _ in raising] == [
-        ("fields.py", "_hw_rows"), ("fields.py", "_hw_reuses_below")]
-    nullspaces = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"nullspace"})]
-    assert ("fields.py", "_hw_rows") in [(name, func) for name, func, _ in nullspaces]
+        ("fields.py", "_hw_vectors"), ("fields.py", "_hw_reuses_below")]
+    # one raising nullspace: the only other nullspace in the library solves for cocycles
+    nullspaces = [(name, func) for p in modules
+                  for name, func, _ in _calls(p.name, p.read_text(), {"nullspace"})]
+    assert nullspaces == [("fields.py", "_hw_vectors"), ("multiforms.py", "_cocycles")]
+    # one Pieri table per kind of block
+    strips = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"horizontal_strips"})]
+    assert [(name, func) for name, func, _ in strips] == [
+        ("fields.py", "_pieri"), ("multiforms.py", "_constituents")]
+    deleted = ("_hw_rows", "_hw_coefficients", "_hw_vector", "_hw_count", "_highest_weights")
+    assert [(p.name, name) for p in modules for name in deleted
+            if re.search(rf"\b{name}\b", p.read_text())] == []
     probe = """
 def block_basis(N, D, p, q):
     return [vec for vec in _block_int_basis(N, D, p, q)]

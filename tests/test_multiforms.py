@@ -40,6 +40,8 @@ from ncomplex.multiforms import (
     theorem2_suite,
 )
 
+from field_oracles import partition_weights
+
 
 def random_multiform(N, D, md, q, rng, span=3):
     w = Multiform.zero(N, D)
@@ -432,7 +434,7 @@ def test_highest_weight_vectors_count_the_block_units():
             for md in product(range(D + 1), repeat=N - 1):
                 for q in range(4):
                     total = 0
-                    for lam, dim in mf._highest_weights(D, sum(md) + q):
+                    for lam, dim in partition_weights(D, sum(md) + q):
                         hw = mf._hw_units(D, md, lam)
                         assert all(fields._raise(i, u) == {} for u in hw for i in range(1, D))
                         assert linalg.rank(hw) == len(hw)
@@ -469,12 +471,24 @@ def _hw_sweep():
                     yield D, md, q
 
 
-def test_pieri_count_matches_the_raising_nullspace():
-    counts = set()
+def test_pieri_count_matches_the_raising_nullspace(monkeypatch):
+    hw_units, asked, counts = mf._hw_units, [], set()
+    monkeypatch.setattr(mf, "_hw_units", lambda *key: asked.append(key) or hw_units(*key))
     for D, md, q in _hw_sweep():
+        listed = mf._constituents(D, tuple(sorted(md)), q)
+        multiplicity = {lam: n for lam, n, _ in listed}
+        assert 0 not in multiplicity.values(), (D, md, q)
+        weights = partition_weights(D, sum(md) + q)
+        # the partitions of multiplicity > 0, in their order, with their dimensions
+        assert [(lam, dim) for lam, _, dim in listed] == [
+            (lam, dim) for lam, dim in weights if lam in multiplicity], (D, md, q)
+        # the splitting checks ask for the units of exactly these weights
+        asked.clear()
+        mf._split_block(D, md, q, lambda units, lam: [], lambda lam: ())
+        assert [lam for _, m, lam in asked if m == md] == list(multiplicity), (D, md, q)
         total = 0
-        for lam, dim in mf._highest_weights(D, sum(md) + q):
-            count = mf._hw_count(D, md, lam)
+        for lam, dim in weights:
+            count = multiplicity.get(lam, 0)
             assert count == len(_raising_units(D, md, lam)), (D, md, lam)
             total += dim * count
             counts.add(count)
@@ -486,7 +500,7 @@ def test_pieri_count_matches_the_raising_nullspace():
 def test_relabeled_units_match_a_direct_solve():
     relabeled = 0
     for D, md, q in _hw_sweep():
-        for lam, _ in mf._highest_weights(D, sum(md) + q):
+        for lam, _ in partition_weights(D, sum(md) + q):
             got, want = mf._hw_units(D, md, lam), _raising_units(D, md, lam)
             if list(md) == sorted(md):
                 assert [list(u.items()) for u in got] == [list(u.items()) for u in want]
@@ -505,7 +519,7 @@ def test_relabeled_units_reorder_the_anticommuting_generators():
     for D, md in ((3, (3, 1)), (3, (2, 1, 1)), (3, (1, 3, 2)), (4, (3, 0, 1)), (4, (1, 3, 3))):
         s = tuple(sorted(md))
         order = sorted(range(len(md)), key=lambda t: (md[t], t))
-        for lam, _ in mf._highest_weights(D, sum(md) + 1):
+        for lam, _ in partition_weights(D, sum(md) + 1):
             want = []
             for u in mf._hw_units(D, s, lam):
                 out = {}
@@ -522,8 +536,9 @@ def test_relabeled_units_reorder_the_anticommuting_generators():
 
 
 def test_a_wrong_pieri_count_fails_the_run(monkeypatch, capsys):
-    count = mf._hw_count
-    monkeypatch.setattr(mf, "_hw_count", lambda D, md, lam: count(D, md, lam) + 1)
+    constituents = mf._constituents
+    monkeypatch.setattr(mf, "_constituents", lambda D, md, q: tuple(
+        (lam, n + 1, dim) for lam, n, dim in constituents(D, md, q)))
     mf._hw_units.cache_clear()  # the wrong count raises, so nothing wrong is cached
     assert run(["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1", "--qcap", "2"]) == 1
     captured = capsys.readouterr()
@@ -533,10 +548,10 @@ def test_a_wrong_pieri_count_fails_the_run(monkeypatch, capsys):
 
 def test_theorem2_suite_nullspace_count(monkeypatch, capsys):
     # one raising solve per (md, lam) made 620 calls here, 492 of them raising
-    # nullspaces; zero Pieri counts and relabeled unsorted multidegrees skip most
-    nullspace, hw_rows, calls, raising = linalg.nullspace, mf._hw_rows, [], []
+    # nullspaces; weights of multiplicity 0 and relabeled unsorted multidegrees skip most
+    nullspace, hw_vectors, calls, raising = linalg.nullspace, mf._hw_vectors, [], []
     monkeypatch.setattr(linalg, "nullspace", lambda cols: calls.append(1) or nullspace(cols))
-    monkeypatch.setattr(mf, "_hw_rows", lambda *a: raising.append(1) or hw_rows(*a))
+    monkeypatch.setattr(mf, "_hw_vectors", lambda *a: raising.append(1) or hw_vectors(*a))
     mf._hw_units.cache_clear()
     assert run(["theorem2", "--N", "4", "--D", "3", "--K", "1,2,3", "--m", "2",
                 "--qcap", "3"]) == 0
