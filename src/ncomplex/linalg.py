@@ -65,9 +65,17 @@ def combine(coeffs: dict, vectors) -> dict:
 
 
 def primitive(vec: dict) -> dict:
-    """Scale a rational vector to a primitive integer vector."""
+    """Scale a rational vector to a primitive integer vector, always a new dict."""
     if not vec:
         return {}
+    try:
+        g = gcd(*vec.values())  # an all-int vector needs only its gcd
+    except TypeError:
+        pass
+    else:
+        if g == 1 and 0 not in vec.values():
+            return dict(vec)
+        return {k: v // g for k, v in vec.items() if v} if g else {}
     lcm = 1
     for v in vec.values():
         if isinstance(v, Fraction):

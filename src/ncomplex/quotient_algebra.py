@@ -6,23 +6,33 @@ the tensor algebra, and the quotient is the associative cousin of the
 nonassociative projected product. Nothing here materializes the quotient
 algebra itself: every statement is phrased through kernel and image
 dimensions of the action, which keeps the whole module linear algebra.
-A word's action on every graded basis vector at once is one stacked
-sparse column; ranks of these columns give the kernel and image
-dimensions, and an element of the tensor algebra acts as zero exactly
-when the same combination of its words' columns is empty. A word's column
-is one pass over the entries of its prefix's cached column, inserting
-one more letter, so words that share a prefix share the work of applying
-it.
 
-The action commutes with GL_D, so a relation family, the image of an
-equivariant map on degree-n words, acts as zero iff its images of the
-highest-weight words of V^(x)n do (`_family_acts_as_zero`); by Schur-Weyl
-duality those of weight lam span an f^lam-dimensional space. The unit is
-invariant and each degree the irreducible S_Y(V), so one nonzero image of
-the unit per degree shows that it generates that degree. The benchmark's
-layer record has no span for the word columns or verdicts: their time
-lands in `process.unattributed_s`, and only the projector build under
-them shows.
+The action commutes with GL_D, and each degree p is the irreducible
+S_Y(V), Y = max_diagram(N, p), so one vector per degree stands for all of
+it: the lowest-weight slot key K(p), whose column j holds the c_j largest
+indices (Fulton and Harris, Representation Theory, Lecture 15). It is the
+only key of its content and S_Y has that weight once, so K(p) lies in
+S_Y. Let F be a GL_D-stable span of degree-n elements. The elements of F
+that kill K(p) form a subspace stable under the lower Borel subalgebra,
+which kills K(p), and F is generated under it by its highest-weight
+vectors; so F kills K(p) once those do, and then the vectors of S_Y that
+F kills form a nonzero submodule, all of S_Y. A word's action on K(p) of
+every degree at once is one stacked sparse column. A word's column is one
+pass over the entries of its prefix's cached column, inserting one more
+letter, so words that share a prefix share the work of applying it.
+
+So a relation family, the image of an equivariant map on degree-n words,
+acts as zero iff its images of the highest-weight words of V^(x)n kill
+every K(p) (`_family_acts_as_zero`); by Schur-Weyl duality those of
+weight lam span an f^lam-dimensional space. The kernel is a
+GL_D-submodule, so its weight-lam highest-weight part is the nullspace of
+those words' columns, and it counts schur_dim(lam, D) times
+(`kernel_dim`). One element acts as zero iff each of its raisings kills
+every K(p) (`_acts_as_zero`). The unit is invariant, so one nonzero image
+of the unit per degree shows that it generates that degree. The
+benchmark's layer record has no span for the word columns or verdicts:
+their time lands in `process.unattributed_s`, and only the projector
+build under them shows.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from functools import lru_cache, partial
 from . import linalg
 from .diagrams import max_diagram
 from .errors import ShapeError
-from .fields import BlockLabel, _insertion, _pad, _schur_vectors, _top_degree
+from .fields import BlockLabel, _insertion, _pad, _staircase, _top_degree
 from .multiforms import _constituents, _hw_units
 from .report import CheckReport
 from .tensor_core import CONTRA, Tensor, _check_tag, tensor_from_wedge, tensor_to_wedge
@@ -86,43 +96,57 @@ def act(N: int, T: Tensor, word) -> Tensor:
 
 @lru_cache(maxsize=None)
 def _word_action_column(N, D, letters: tuple):
-    """Stacked action of one word on every graded basis vector, as a sparse column.
+    """Stacked action of one word on the lowest-weight key of every degree, as a sparse column.
 
-    Entry (p, j, k) is slot key k of the word applied to the j-th Schur
-    vector of degree p, unscaled. The column is one pass over the prefix
-    column's entries: each inserts the last letter into its key through
-    the `_insertion` table of its degree, read once per word. An entry
-    that would leave the top degree drops out.
+    Entry (p, k) is slot key k of the word applied to K(p), unscaled; a
+    degree with a column taller than D has no K(p). The column is one pass
+    over the prefix column's entries: each inserts the last letter into
+    its key through the `_insertion` table of its degree, read once per
+    word. An entry that would leave the top degree drops out.
     """
     top = _top_degree(N, D)
     if not letters:
-        return {(p, j, k): v for p in range(top + 1)
-                for j, vec in enumerate(_schur_vectors(N, D, p)) for k, v in vec.items()}
+        return {(p, tuple(tuple(range(D - c + 1, D + 1)) for c in _staircase(N, p))): 1
+                for p in range(top + 1) if _staircase(N, p)[0] <= D}
     n, mu = len(letters), letters[-1]
     tables: dict = {}
 
     def terms():
-        for (p, j, k), v in _word_action_column(N, D, letters[:-1]).items():
+        for (p, k), v in _word_action_column(N, D, letters[:-1]).items():
             if p + n - 1 >= top:
                 continue
             ins = tables.get(p)
             if ins is None:
                 ins = tables[p] = _insertion(N, D, p + n - 1)[0][mu]
             for k2, c in ins.get(k, ()):
-                yield (p, j, k2), v * c
+                yield (p, k2), v * c
 
     return linalg.accumulate(terms())
 
 
+def _column(N, D, u: dict) -> dict:
+    """The stacked action of an element {word: coefficient} on every K(p)."""
+    return linalg.combine(u, {w: _word_action_column(N, D, w) for w in u})
+
+
 def kernel_dim(N: int, D: int, n: int) -> int:
-    """Dimension of the degree-n kernel of the word action."""
-    return D ** n - image_dims(N, D, n) if n else 0
+    """Dimension of the degree-n kernel of the word action.
+
+    Sum over lam of schur_dim(lam, D) times the nullity of the columns of
+    the highest-weight words of weight lam: a highest-weight element is in
+    the kernel iff it kills every K(p).
+    """
+    return D ** n - image_dims(N, D, n)
 
 
 def image_dims(N: int, D: int, n: int) -> int:
-    """Rank of the degree-n word action (the quotient algebra dimension)."""
-    return linalg.rank(_word_action_column(N, D, letters)
-                       for letters in itertools.product(range(1, D + 1), repeat=n))
+    """Rank of the degree-n word action (the quotient algebra dimension).
+
+    Sum over lam of schur_dim(lam, D) times the rank of the columns of the
+    highest-weight words of weight lam.
+    """
+    return sum(dim * linalg.rank(_column(N, D, h) for h in words)
+               for dim, words in _hw_words(D, n))
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +160,43 @@ def _symmetrized_positions(word, positions):
                              for sub in perms)
 
 
+def _raise_word(i: int, u: dict) -> dict:
+    """E_i on an element {word: coefficient}: each letter i + 1 in turn becomes i
+    (`fields._raise` on the words as keys of one-index slots)."""
+    return linalg.accumulate((w[:t] + (i,) + w[t + 1:], c) for w, c in u.items()
+                             for t, a in enumerate(w) if a == i + 1)
+
+
 def _acts_as_zero(N, D, u: dict, degree: int) -> bool:
-    """True when an element {word of length degree: coefficient} kills every
-    graded basis vector: the same combination of its words' columns is empty."""
+    """True when an element {word of length degree: coefficient} acts as zero.
+
+    Its GL_D-span is spanned by the lowerings of its raisings (Poincare-
+    Birkhoff-Witt), so it acts as zero iff each raising E_i1 ... E_ik u
+    kills every K(p): the combination of its words' columns is empty. A
+    highest-weight element has no raising but itself.
+    """
     if any(len(w) != degree for w in u):
         raise ShapeError(f"every word must have length {degree}")
-    return not linalg.combine(u, {w: _word_action_column(N, D, w) for w in u})
+    todo = [u]
+    while todo:
+        v = todo.pop()
+        if _column(N, D, v):
+            return False
+        todo.extend(r for i in range(1, D) if (r := _raise_word(i, v)))
+    return True
 
 
 def _hw_words(D, n) -> tuple:
-    """A basis of the highest-weight vectors of V^(x)n as {word: coefficient}: the word
-    a_1...a_n is the unit ((a_1,), ..., (a_n,)) of `_hw_units` at multidegree (1, ..., 1)."""
+    """(schur_dim(lam, D), highest-weight vectors of weight lam) for each weight lam of V^(x)n.
+
+    The vectors, {word: coefficient}, are a basis of that weight's
+    highest-weight space: the word a_1...a_n is the unit ((a_1,), ...,
+    (a_n,)) of `_hw_units` at multidegree (1, ..., 1).
+    """
     md = (1,) * n
-    return tuple({tuple(a for (a,) in key): c for (key, _exp), c in h.items()}
-                 for lam, _, _ in _constituents(D, md, 0) for h in _hw_units(D, md, lam))
+    return tuple((dim, tuple({tuple(a for (a,) in key): c for (key, _exp), c in h.items()}
+                             for h in _hw_units(D, md, lam)))
+                 for lam, _, dim in _constituents(D, md, 0))
 
 
 def _family_acts_as_zero(N, D, n, family) -> bool:
@@ -157,7 +204,7 @@ def _family_acts_as_zero(N, D, n, family) -> bool:
     GL_D, acts as zero for every w: decided on the highest-weight words."""
     return all(_acts_as_zero(N, D, linalg.accumulate(
         (v, c * e) for w, c in h.items() for v, e in family(w).items()), n)
-        for h in _hw_words(D, n))
+        for _, words in _hw_words(D, n) for h in words)
 
 
 def symmetrized_power_check(N: int, D: int) -> bool:

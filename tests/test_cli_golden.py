@@ -85,6 +85,11 @@ GOLDEN = [
      "41c05fa4b5e6dbd4322e427fee39ec5d17ae1c4a81eb98ff0399d0fb98f866d9"),
     (["algebra", "--N", "4", "--D", "3"], None, 0,
      "6d03491a46a03847a530ef550b36a7f6efeb9ae566bfbfe1c7a28ae201afeb77"),
+    # the relation verdicts at a larger base, where each degree has many Schur vectors
+    (["algebra", "--N", "3", "--D", "6"], None, 0,
+     "10fd530126c61540486258f70c7bc92a8b3b4eacb63320250f0b84529595bdd4"),
+    (["algebra", "--N", "4", "--D", "4"], None, 0,
+     "9c90e0f2f3460adad21ecef591f73f19573cdcecbaa8d733a75cf6f4e4cf6b70"),
     (["cohomology", "--N", "3", "--D", "3", "--qmax", "3", "--format", "json"], None, 0,
      "203f8f4046afc48e097969f372717dea3222a0652ed50581cddb967683cddab4"),
     (["cohomology", "--N", "2", "--D", "3", "--qmax", "3"], None, 0,

@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,39 @@ def test_primitive_scales_to_ints():
     assert linalg.primitive(v) == {0: 2, 1: -3}
     assert linalg.primitive({}) == {}
     assert linalg.primitive({0: 4, 1: 6}) == {0: 2, 1: 3}
+
+
+def _primitive_by_lcm(vec):
+    """Oracle: clear the denominators, then divide by the gcd (no integer shortcut)."""
+    lcm = 1
+    for v in vec.values():
+        if isinstance(v, Fraction):
+            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+    out = {k: int(v * lcm) for k, v in vec.items() if v}
+    g = 0
+    for n in out.values():
+        g = gcd(g, n)
+    return {k: n // g for k, n in out.items()} if g > 1 else out
+
+
+def test_primitive_of_int_vectors_matches_the_fraction_route():
+    # same entries in the same order, zeros dropped, and always a new dict
+    rng = random.Random(9)
+    cases = [{}, {0: 0}, {0: 0, 1: 0}, {3: 5}, {3: -6, 1: 0, 2: 4}, {0: 1, 1: -1}]
+    for _ in range(400):
+        vals = [rng.choice((0, 1, -1, 2, -3, 6, 12, -18, 10 ** 30)) * rng.choice((1, 1, 2, 7))
+                for _ in range(rng.randint(1, 6))]
+        cases.append({(rng.randint(0, 9), j): v for j, v in enumerate(vals)})
+        cases.append({j: Fraction(v, rng.choice((1, 2, 3))) for j, v in enumerate(vals)})
+    for vec in cases:
+        got = linalg.primitive(vec)
+        assert list(got.items()) == list(_primitive_by_lcm(vec).items()), vec
+        assert all(type(v) is int for v in got.values())
+        assert got is not vec
+    row = {0: 1, 1: 2}
+    ech = linalg.Echelon([row])
+    row[1] = 5
+    assert ech.rows == {0: {0: 1, 1: 2}}
 
 
 def test_rank_simple():

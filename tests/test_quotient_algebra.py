@@ -1,19 +1,22 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from ncomplex import linalg, quotient_algebra
 from ncomplex.diagrams import as_diagram, max_diagram, schur_dim, standard_count
 from ncomplex.errors import ShapeError
-from ncomplex.fields import _insertion, _pad, _raise, _schur_vectors, _top_degree
+from ncomplex.fields import (_insertion, _pad, _pi_columns, _raise, _schur_vectors, _staircase,
+                             _top_degree)
 from ncomplex.multiforms import _hw_units
 from ncomplex.quotient_algebra import (
     _cyclic_generators,
     _ideal_dim,
     _insert_index,
     _quartic_generators,
+    _raise_word,
     _word_action_column,
     act,
     image_dims,
@@ -22,7 +25,7 @@ from ncomplex.quotient_algebra import (
     symmetrized_power_check,
     unit_element,
 )
-from ncomplex.tensor_core import CONTRA, Tensor, tensor_from_wedge
+from ncomplex.tensor_core import CONTRA, Tensor, _exchange_ok, _slot_keys, tensor_from_wedge
 
 from field_oracles import partition_weights
 
@@ -189,6 +192,35 @@ def _letter_by_letter_column(N, D, letters):
     return col
 
 
+@lru_cache(maxsize=None)
+def _whole_basis_column(N, D, letters: tuple):
+    """Oracle: a word's stacked action on every Schur basis vector of every degree.
+
+    Entry (p, j, k) is slot key k of the word applied to the j-th Schur
+    vector of degree p, unscaled; one pass over the prefix column's
+    entries, one `_insertion` table read per degree, as the library built
+    its columns before they started from one lowest-weight key per degree.
+    """
+    top = _top_degree(N, D)
+    if not letters:
+        return {(p, j, k): v for p in range(top + 1)
+                for j, vec in enumerate(_schur_vectors(N, D, p)) for k, v in vec.items()}
+    n, mu = len(letters), letters[-1]
+    tables: dict = {}
+
+    def terms():
+        for (p, j, k), v in _whole_basis_column(N, D, letters[:-1]).items():
+            if p + n - 1 >= top:
+                continue
+            ins = tables.get(p)
+            if ins is None:
+                ins = tables[p] = quotient_algebra._insertion(N, D, p + n - 1)[0][mu]
+            for k2, c in ins.get(k, ()):
+                yield (p, j, k2), v * c
+
+    return linalg.accumulate(terms())
+
+
 def test_word_action_column_matches_letter_by_letter_oracle(monkeypatch):
     read_at = []
 
@@ -197,7 +229,7 @@ def test_word_action_column_matches_letter_by_letter_oracle(monkeypatch):
         return _insertion(N, D, p)
 
     monkeypatch.setattr(quotient_algebra, "_insertion", recording_insertion)
-    _word_action_column.cache_clear()
+    _whole_basis_column.cache_clear()
     rng = random.Random(5)
     for N in (2, 3, 4):
         for D in (1, 2, 3):
@@ -207,7 +239,7 @@ def test_word_action_column_matches_letter_by_letter_oracle(monkeypatch):
             want = {}
             for letters in words:
                 read_at.clear()
-                col = _word_action_column(N, D, letters)  # its prefix's column is cached
+                col = _whole_basis_column(N, D, letters)  # its prefix's column is cached
                 reads = list(read_at)
                 want[letters] = _letter_by_letter_column(N, D, letters)
                 assert list(col.items()) == list(want[letters].items()), (N, D, letters)
@@ -219,7 +251,7 @@ def test_word_action_column_matches_letter_by_letter_oracle(monkeypatch):
                 assert reads == sorted(d - top for d in degrees if d < top), (N, D, letters)
             # the public action on tensors divides by lam at every letter
             for letters in rng.sample(words, min(6, len(words))):
-                col = _word_action_column(N, D, letters)
+                col = _whole_basis_column(N, D, letters)
                 basis = [tuple(int(i == mu) for i in range(1, D + 1)) for mu in letters]
                 for p in range(top - len(letters) + 1):
                     lam = 1
@@ -236,6 +268,90 @@ def test_word_action_column_matches_letter_by_letter_oracle(monkeypatch):
                             assert got.data == expected.data, (N, D, letters, p, j)
                         else:
                             assert got.is_zero, (N, D, letters, p, j)
+
+
+def _lowest_keys(N, D):
+    """{p: the lowest-weight slot key of degree p}, for each degree whose columns fit in D."""
+    return {p: tuple(tuple(range(D - c + 1, D + 1)) for c in _staircase(N, p))
+            for p in range(_top_degree(N, D) + 1) if _staircase(N, p)[0] <= D}
+
+
+def test_lowest_weight_key_spans_its_weight_in_the_type():
+    # K(p) is the one slot key of its content, lies in the type, and the
+    # projector fixes it up to its normalization
+    for N in range(2, 6):
+        for D in range(1, 6):
+            lows = _lowest_keys(N, D)
+            for p in range(_top_degree(N, D) + 1):
+                Y = max_diagram(N, p)
+                if p not in lows:
+                    assert schur_dim(Y, D) == 0, (N, D, p)
+                    continue
+                K = lows[p]
+                content = sorted(i for s in K for i in s)
+                keys = _slot_keys(D, _staircase(N, p))
+                assert [k for k in keys if sorted(i for s in k for i in s) == content] == [K]
+                assert _exchange_ok(Y.rows, {K[:Y.n_cols]: 1}), (N, D, p)
+                if (N, D) != (5, 5):  # the (5, 5) projectors of p = 8..10 take ~1 min to build
+                    cols, lam = _pi_columns(N, D, p)
+                    assert linalg.accumulate(cols[K]) == {K: lam}, (N, D, p)
+
+
+def test_lowest_weight_column_matches_letter_by_letter(monkeypatch):
+    read_at = []
+
+    def recording_insertion(N, D, p):
+        read_at.append(p - _top_degree(N, D))
+        return _insertion(N, D, p)
+
+    monkeypatch.setattr(quotient_algebra, "_insertion", recording_insertion)
+    _word_action_column.cache_clear()
+    for N in (2, 3, 4):
+        for D in (1, 2, 3):
+            top = _top_degree(N, D)
+            lows = _lowest_keys(N, D)
+            words = [w for n in range(min(4, top) + 1)
+                     for w in itertools.product(range(1, D + 1), repeat=n)]
+            for letters in words:
+                read_at.clear()
+                col = _word_action_column(N, D, letters)
+                reads = list(read_at)
+                want = {(p, k): v for p, K in lows.items()
+                        for k, v in _act_vec(N, D, p, {K: 1}, letters).items()}
+                assert list(col.items()) == list(want.items()), (N, D, letters)
+                assert all(type(v) is int for v in col.values())
+                # one table read per degree of the prefix column, none at or above the top
+                n = len(letters)
+                prefix = _word_action_column(N, D, letters[:-1]) if n else {}
+                degrees = {p + n - 1 for p, _ in prefix}
+                assert reads == sorted(d - top for d in degrees if d < top), (N, D, letters)
+
+
+def test_acts_as_zero_matches_the_whole_basis_on_any_element():
+    # an element that kills every K(p) need not act as zero; its raisings decide
+    missed = 0
+    for N, D, n in ((2, 3, 2), (3, 3, 3), (3, 3, 4), (4, 2, 4), (3, 4, 3), (4, 3, 3)):
+        for words in _words_by_content(D, n).values():
+            for row in linalg.nullspace([_word_action_column(N, D, w) for w in words]):
+                u = {words[j]: c for j, c in row.items()}
+                whole = not linalg.combine(u, {w: _whole_basis_column(N, D, w) for w in u})
+                assert quotient_algebra._acts_as_zero(N, D, u, n) == whole, (N, D, u)
+                missed += not whole
+    assert missed == 6 + 31 + 7 + 12 + 4  # of the 136 elements that kill every K(p)
+    assert _raise_word(1, {(2, 1, 2): 3, (1, 1, 1): 5}) == {(1, 1, 2): 3, (2, 1, 1): 3}
+
+
+def test_kernel_dims_match_the_whole_basis_rank():
+    # dim K_n from the highest-weight words equals the D^n rank of the oracle columns
+    for N in (2, 3, 4):
+        for D in (1, 2, 3):
+            for n in range(0, 10):
+                if D ** n > 800:
+                    break
+                words = itertools.product(range(1, D + 1), repeat=n)
+                rank = linalg.rank(_whole_basis_column(N, D, w) for w in words)
+                assert image_dims(N, D, n) == rank, (N, D, n)
+                assert kernel_dim(N, D, n) == D ** n - rank, (N, D, n)
 
 
 def _relabel(sigma, word):
@@ -257,16 +373,16 @@ def test_word_relations_are_equivariant():
         top = _top_degree(N, D)
         for n in range(1, min(top, 5) + 1):
             for words in _words_by_content(D, n).values():
-                null = linalg.nullspace([_word_action_column(N, D, w) for w in words])
+                null = linalg.nullspace([_whole_basis_column(N, D, w) for w in words])
                 for sigma in itertools.permutations(range(1, D + 1)):
-                    moved = [_word_action_column(N, D, _relabel(sigma, w)) for w in words]
+                    moved = [_whole_basis_column(N, D, _relabel(sigma, w)) for w in words]
                     assert linalg.nullspace(moved) == null, (N, D, words[0], sigma)
 
 
 def _every_word_acts_as_zero(N, D, n, family):
-    """The relation family decided on the image of every word of length n."""
-    return all(quotient_algebra._acts_as_zero(N, D, family(w), n)
-               for w in itertools.product(range(1, D + 1), repeat=n))
+    """The relation family decided on the image of every word of length n, on the whole basis."""
+    return all(not linalg.combine(u, {v: _whole_basis_column(N, D, v) for v in u})
+               for u in map(family, itertools.product(range(1, D + 1), repeat=n)))
 
 
 def _symmetrizer(positions):
@@ -351,7 +467,7 @@ def test_9b_kernel_exceeds_the_ideal_only_in_content_2_2():
             ideal_by_content.setdefault(content, []).append(g)
     dims = {}
     for content, words in _words_by_content(2, 4).items():
-        null = linalg.nullspace([_word_action_column(3, 2, w) for w in words])
+        null = linalg.nullspace([_whole_basis_column(3, 2, w) for w in words])
         ideal = linalg.Echelon(ideal_by_content.get(content, ()))
         dims[content] = (len(null), ideal.rank)
         if content != (2, 2):
@@ -360,7 +476,7 @@ def test_9b_kernel_exceeds_the_ideal_only_in_content_2_2():
         outside = [u for u in kernel if not ideal.contains(u)]
         assert outside
         witness = outside[0]
-        assert not linalg.combine(witness, {w: _word_action_column(3, 2, w) for w in witness})
+        assert not linalg.combine(witness, {w: _whole_basis_column(3, 2, w) for w in witness})
         assert not ideal.contains(witness)
         assert quotient_algebra._acts_as_zero(3, 2, witness, 4)
     assert dims.pop((2, 2)) == (5, 4)
