@@ -13,14 +13,20 @@ Full components go through the codec of `tensor_core`:
 The degree-raising differential is realized by a graded insertion of the
 derivative index into the column that row filling grows, followed by the
 projection onto the irreducible symmetry type; the codifferential
-contracts one out the same way. `_insert_table` alone owns the slot sign
-convention: `_contract_table` reverses it, `_projected` composes a table
-with the projector (`_pi_columns` is the projector alone, on padded keys),
-and `_apply_slot` applies a table while differentiating the monomial,
-here and in `multiforms`; `_slot_map` applies one without
-differentiating. `_apply_slot` is the d kernel, so it keeps its sum
-inline; every other sparse map here sums its terms through
-`linalg.accumulate`. `_d_k_int` holds the one stop rule of d^k; its
+contracts one out the same way. A slot table is built one entry at a
+time: table[mu] is an `_Entries`, whose entry for a key is composed the
+first time it is read and then kept, so a d-chain or a word column that
+reads a few hundred keys of a degree composes a few hundred entries, and
+no path walks every slot key of a degree. `_inserted`, the entry of
+`_insert_table`, alone owns the slot sign convention: `_contracted`
+reverses it, and `_projected` composes an entry with the projector
+columns `tc._projector` of the keys it reaches (`_pi_columns` is the
+projector alone, on padded keys). `_apply_slot` applies a table while
+differentiating the monomial, here and in `multiforms`; `_slot_map`
+applies one without differentiating. Both read an entry by subscription,
+as `quotient_algebra` does, since `dict.get` would skip the composition.
+`_apply_slot` is the d kernel, so it keeps its sum inline; every other
+sparse map here sums its terms through `linalg.accumulate`. `_d_k_int` holds the one stop rule of d^k; its
 callers are `d_power` (so `n_diff`), the d-chain `_hw_image` of one
 highest-weight vector (below) and `_image_vectors`, the cached store of
 d^k on weight bases, one column per basis vector, zeros kept. Only the
@@ -78,7 +84,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 from typing import NamedTuple
 
@@ -274,60 +280,95 @@ def _staircase(N: int, p: int) -> tuple:
     return Y.columns() + (0,) * (N - 1 - Y.n_cols)
 
 
-@lru_cache(maxsize=None)
-def _insert_table(D: int, slot: int, multidegree: tuple) -> dict:
-    """Unprojected insertion of one index into a slot (counted from 0).
+class _Entries(dict):
+    """Column table[mu] of a slot table, keyed by slot key, each entry composed on first read.
 
-    Returns table[mu][key] = [(new key, sign)]. The new generator
+    The entry of a key is compose(mu, key), a list of (new key, integer
+    coefficient), empty for a key with no entry; it is stored on its first
+    read, so every later read is a plain dict lookup. Read it by
+    subscription: `dict.get` does not call `__missing__`, so it would read
+    an entry not yet composed as absent.
+    """
+
+    __slots__ = ("compose", "mu")
+
+    def __init__(self, compose, mu):
+        super().__init__()
+        self.compose, self.mu = compose, mu
+
+    def __missing__(self, key):
+        entry = self[key] = self.compose(self.mu, key)
+        return entry
+
+
+def _table(compose, mus) -> dict:
+    """The slot table {mu: `_Entries`} of compose(mu, key), for each mu of mus."""
+    return {mu: _Entries(compose, mu) for mu in mus}
+
+
+def _inserted(slot: int, mu: int, key):
+    """Unprojected insertion of index mu into one slot (counted from 0) of key.
+
+    [(new key, sign)], or () when the slot holds mu. The new generator
     anticommutes past every generator of the slots to its left and past
     the smaller entries of its own slot; this is the only place that sign
     is decided.
     """
-    left = sum(multidegree[:slot])
-    table = {mu: {} for mu in range(1, D + 1)}
-    for key in tc._slot_keys(D, multidegree):
-        S = key[slot]
-        for mu in range(1, D + 1):
-            if mu in S:
-                continue
-            passed = left + sum(1 for x in S if x < mu)
-            new_key = key[:slot] + (tuple(sorted(S + (mu,))),) + key[slot + 1:]
-            table[mu][key] = [(new_key, -1 if passed % 2 else 1)]
-    return table
+    S = key[slot]
+    if mu in S:
+        return ()
+    passed = sum(map(len, key[:slot])) + sum(1 for x in S if x < mu)
+    return [(key[:slot] + (tuple(sorted(S + (mu,))),) + key[slot + 1:], -1 if passed % 2 else 1)]
+
+
+def _contracted(slot: int, mu: int, key):
+    """Unprojected contraction of index mu out of one slot of key.
+
+    The `_inserted` entry of the key with mu removed, reversed, with the
+    sign of moving the removed generator to the right end of its slot; ()
+    when the slot lacks mu.
+    """
+    S = key[slot]
+    if mu not in S:
+        return ()
+    below = key[:slot] + (tuple(x for x in S if x != mu),) + key[slot + 1:]
+    [(_, sign)] = _inserted(slot, mu, below)
+    return [(below, -sign if sum(map(len, below[:slot + 1])) % 2 else sign)]
 
 
 @lru_cache(maxsize=None)
-def _contract_table(D: int, slot: int, multidegree: tuple) -> dict:
-    """Unprojected contraction of one index out of a slot.
+def _insert_table(D: int, slot: int) -> dict:
+    """Unprojected insertion of one index into a slot: table[mu][key] = `_inserted`."""
+    return _table(partial(_inserted, slot), range(1, D + 1))
 
-    The insertion table one size lower, reversed, with the sign of moving
-    the removed generator to the right end of its slot.
-    """
-    below = multidegree[:slot] + (multidegree[slot] - 1,) + multidegree[slot + 1:]
-    flip = -1 if sum(below[:slot + 1]) % 2 else 1
-    return {mu: {new_key: [(key, flip * sign)] for key, [(new_key, sign)] in col.items()}
-            for mu, col in _insert_table(D, slot, below).items()}
+
+@lru_cache(maxsize=None)
+def _contract_table(D: int, slot: int) -> dict:
+    """Unprojected contraction of one index out of a slot: table[mu][key] = `_contracted`."""
+    return _table(partial(_contracted, slot), range(1, D + 1))
 
 
 def _projected(table, N: int, D: int, Y: Diagram):
     """Compose a slot table with the Young projector onto type Y.
 
-    Returns (table, lam); dividing by lam gives the projected map.
+    Returns (table, lam); dividing by lam gives the projected map. The
+    entry of (mu, key) is composed on its first read, from table[mu][key]
+    and the projector columns `tc._projector` of the keys it reaches.
     """
-    Mcols, lam = tc.projector_columns(Y.rows, D)
-    return {
-        mu: {key: [(_pad(k2, N - 1), s * c) for k1, s in targets
-                   for k2, c in Mcols[k1[:Y.n_cols]].items()]
-             for key, targets in col.items()}
-        for mu, col in table.items()
-    }, lam
+    M = tc._projector(Y.rows, D)
+    return _table(partial(_project_entry, table, M, N - 1, Y.n_cols), table), M.lam
+
+
+def _project_entry(table, M, width: int, n_cols: int, mu, key) -> list:
+    """Entry (mu, key) of a slot table projected by the columns M, on keys padded to width."""
+    return [(_pad(k2, width), s * c)
+            for k1, s in table[mu][key] for k2, c in M[k1[:n_cols]].items()]
 
 
 @lru_cache(maxsize=None)
 def _pi_columns(N: int, D: int, p: int):
     """(cols, lam): the unnormalized Young projector onto the degree-p type, on padded keys."""
-    identity = {0: {key: [(key, 1)] for key in tc._slot_keys(D, _staircase(N, p))}}
-    table, lam = _projected(identity, N, D, max_diagram(N, p))
+    table, lam = _projected(_table(lambda _, key: [(key, 1)], (0,)), N, D, max_diagram(N, p))
     return table[0], lam
 
 
@@ -340,7 +381,7 @@ def _apply_slot(table, vec: dict, D: int) -> dict:
             em = exp[mu - 1]
             if not em:
                 continue
-            targets = table[mu].get(key)
+            targets = table[mu][key]
             if not targets:
                 continue
             exp2 = exp[: mu - 1] + (em - 1,) + exp[mu:]
@@ -390,8 +431,7 @@ def _insertion(N: int, D: int, p: int):
     coefficient); dividing by lam gives the projected insertion. The
     receiving slot is the column that row filling grows at degree p + 1.
     """
-    table = _insert_table(D, p % (N - 1), _staircase(N, p))
-    return _projected(table, N, D, max_diagram(N, p + 1))
+    return _projected(_insert_table(D, p % (N - 1)), N, D, max_diagram(N, p + 1))
 
 
 @lru_cache(maxsize=None)
@@ -400,8 +440,7 @@ def _contraction(N: int, D: int, p: int):
 
     The codifferential's counterpart of `_insertion`, from degree p to p - 1.
     """
-    table = _contract_table(D, (p - 1) % (N - 1), _staircase(N, p))
-    return _projected(table, N, D, max_diagram(N, p - 1))
+    return _projected(_contract_table(D, (p - 1) % (N - 1)), N, D, max_diagram(N, p - 1))
 
 
 def _apply_d_int(N, D, p, vec: dict) -> dict:

@@ -8,8 +8,8 @@ combine whole vectors, and `Echelon._reduce_int` is the only reduction
 loop. Two kernels keep the same sum inline, because a generator of terms
 measured slower there (2 vCPUs, Python 3.11): `fields._apply_slot`, the d
 kernel (~10% on the whole of `cohomology --N 3 --D 4 --qmax 7`), and
-`tensor_core._symmetrizer_columns`, the projector group sum (~3% on the
-sums of the N = 4, D = 4 shapes). Vectors are dicts mapping coordinate
+`tensor_core._SymmetrizerColumns._group_sum`, the projector group sum
+(~3% on the sums of the N = 4, D = 4 shapes). Vectors are dicts mapping coordinate
 keys to nonzero scalars (int or Fraction). Keys only need to be mutually
 comparable within one computation; pivots are chosen as the smallest
 key, which makes every elimination deterministic. Rows

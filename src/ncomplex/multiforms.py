@@ -176,7 +176,7 @@ def _slot_product(J, md: tuple, vec: dict, D: int) -> dict:
     for i in sorted(J, reverse=True):
         if not vec:
             break
-        vec = _apply_slot(_insert_table(D, i - 1, md), vec, D)
+        vec = _apply_slot(_insert_table(D, i - 1), vec, D)
         md = md[:i - 1] + (md[i - 1] + 1,) + md[i:]
     return vec
 

@@ -29,10 +29,14 @@ GL_D-submodule, so its weight-lam highest-weight part is the nullspace of
 those words' columns, and it counts schur_dim(lam, D) times
 (`kernel_dim`). One element acts as zero iff each of its raisings kills
 every K(p) (`_acts_as_zero`). The unit is invariant, so one nonzero image
-of the unit per degree shows that it generates that degree. The
-benchmark's layer record has no span for the word columns or verdicts:
-their time lands in `process.unattributed_s`, and only the projector
-build under them shows.
+of the unit per degree shows that it generates that degree. Each
+insertion entry a word column reads, and each projector column under it,
+is composed on its first read (`fields._projected`), so the columns pay
+only for the slot keys they reach. The benchmark's layer record has no
+span for the word columns or verdicts: their time, that composition
+included, lands in `process.unattributed_s`, and
+`fields.insertion_build_s` times only the creation of each degree's
+table.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ def unit_element(N: int, D: int) -> Tensor:
 def _insert_index(N, D, p, vec, mu):
     """Append one base index and project, on slot coordinates, scaled by lam."""
     ins = _insertion(N, D, p)[0][mu]
-    return linalg.accumulate((k2, v * c) for key, v in vec.items() for k2, c in ins.get(key, ()))
+    return linalg.accumulate((k2, v * c) for key, v in vec.items() for k2, c in ins[key])
 
 
 def act(N: int, T: Tensor, word) -> Tensor:
@@ -118,7 +122,7 @@ def _word_action_column(N, D, letters: tuple):
             ins = tables.get(p)
             if ins is None:
                 ins = tables[p] = _insertion(N, D, p + n - 1)[0][mu]
-            for k2, c in ins.get(k, ()):
+            for k2, c in ins[k]:
                 yield (p, k2), v * c
 
     return linalg.accumulate(terms())

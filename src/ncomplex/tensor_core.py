@@ -17,20 +17,22 @@ coordinates, proving column antisymmetry as it reads.
 
 The column-wise epsilon duality has one definition, `_hodge_star`: a
 slot key goes to its column complements read right to left, times an
-integer factor. `_dual_columns` uses its key part, and
+integer factor. `_DualColumns` uses its key part, `_star_key`, and
 `fields.dual_star_field` (with `gauge.stress_potential` on top of it)
 uses both parts. `dual_star`, `contract_tensor` and `epsilon_power`
 keep the contraction with the epsilon power on full components as the
 test oracle.
 
-A projector matrix is summed over the row and column groups only for the
-smaller side of that duality: a shape filling more than half of its
-k-by-D box is read off its complement through the Hodge star, because
-the group sums grow factorially with the number of cells; even there
-`_symmetrizer_columns` sums once per S_D orbit of index contents, and
-`_content_order` picks the orbit's sorted member. `young_project`,
-`symmetrizer_support` and `projector_rank` keep the group sum on full
-tensors as oracles.
+A projector column is built the first time it is read, and kept in the
+one memo of its shape (`_projector`), so a caller that reads a few slot
+keys pays for a few columns. It is summed over the row and column groups
+only for the smaller side of that duality: a shape filling more than
+half of its k-by-D box reads a column of its complement through the
+Hodge star (`_DualColumns`), because the group sums grow factorially
+with the number of cells; even there `_SymmetrizerColumns` sums once per
+S_D orbit of index contents, and `_content_order` picks the orbit's
+sorted member. `young_project`, `symmetrizer_support` and
+`projector_rank` keep the group sum on full tensors as oracles.
 
 Membership in a symmetry type is checked on slot coordinates too:
 `_read_slots` proves column antisymmetry while it reads them, and
@@ -418,21 +420,54 @@ def projector_columns(rows: tuple[int, ...], D: int):
     defined because the symmetrizer ends with column antisymmetrization.
     A column taller than D leaves no slot keys, so no columns and no group.
 
+    This is `_projector` read on every key of `wedge_keys`, so it shares
+    that memo: a column already read by a slot table is not summed again,
+    and one read here is not summed again by a slot table. The benchmark's
+    layer record times this whole-shape read as
+    `tensor_core.projector_build_s`; the columns read one at a time by the
+    slot tables of `fields` (the d-chain, the codifferential and the word
+    action of `quotient_algebra`) land in the span of their reader or in
+    `process.unattributed_s`.
+    """
+    M = _projector(rows, D)
+    return {S: M[S] for S in wedge_keys(rows, D)}, M.lam
+
+
+@lru_cache(maxsize=None)
+def _projector(rows: tuple[int, ...], D: int) -> "_Columns":
+    """The projector columns of a shape, each built on its first read and kept.
+
     The symmetrizer sum costs |row group| * |column group| per key, so it
     is run on the smaller side of the column-wise epsilon duality: a
     shape with columns c_1 >= ... >= c_k that fills more than half of the
-    k-by-D box is built from its complement (see `_dual_columns`). Ties
-    and smaller shapes take `_symmetrizer_columns`, one sum per S_D orbit.
-    The benchmark's layer record times this build as
-    `tensor_core.projector_build_s`; the word action of `quotient_algebra`
-    on top of it has no span and lands in `process.unattributed_s`.
+    k-by-D box reads its columns off its complement (`_DualColumns`). Ties
+    and smaller shapes take `_SymmetrizerColumns`, one sum per S_D orbit.
+    This cache holds the one memo of each shape's columns.
     """
     cols = Diagram(rows).columns()
     if cols and cols[0] > D:
-        return {}, normalization(Diagram(rows))
+        return _Columns(rows, D)
     if 2 * sum(cols) > len(cols) * D:
-        return _dual_columns(rows, D)
-    return _symmetrizer_columns(rows, D)
+        return _DualColumns(rows, D)
+    return _SymmetrizerColumns(rows, D)
+
+
+class _Columns(dict):
+    """The raw projector columns of one shape at one D, keyed by slot key.
+
+    A subclass builds the column of a key the first time it is read
+    (`__missing__`), stores it and returns it; read a column by
+    subscription, because `dict.get` does not call `__missing__`. lam
+    divides a column into the idempotent projector. This base class builds
+    nothing: it serves a shape with a column taller than D, which has no
+    slot keys.
+    """
+
+    __slots__ = ("rows", "D", "lam")
+
+    def __init__(self, rows: tuple[int, ...], D: int):
+        super().__init__()
+        self.rows, self.D, self.lam = rows, D, normalization(Diagram(rows))
 
 
 @lru_cache(maxsize=None)
@@ -445,18 +480,23 @@ def _hodge_star(S, D: int):
     columns of |S_j|! * sign(C_j followed by S_j reversed): contracting the
     epsilon power into the |S_j|! signed permutations of each column, as
     `dual_star` does on full components, gives that factor times the
-    slot coordinate at the dual key.
+    slot coordinate at the dual key. `_star_key` is the key part.
     """
-    key, factor = [], 1
-    for block in reversed(S):
-        comp = tuple(i for i in range(1, D + 1) if i not in block)
-        key.append(comp)
+    key, factor = _star_key(S, D), 1
+    for block, comp in zip(reversed(S), key):
         factor *= factorial(len(block)) * _perm_sign(tuple(i - 1 for i in comp + block[::-1]))
-    return tuple(key), factor
+    return key, factor
 
 
-def _dual_columns(rows: tuple[int, ...], D: int):
-    """`projector_columns` of a shape read off that of its complement.
+@lru_cache(maxsize=None)
+def _star_key(S, D: int) -> tuple:
+    """The dual key of `_hodge_star`: the complements of the columns of S, read right
+    to left. It is an involution."""
+    return tuple(tuple(i for i in range(1, D + 1) if i not in block) for block in reversed(S))
+
+
+class _DualColumns(_Columns):
+    """Projector columns of a shape read off those of its complement.
 
     The complement mu has columns D - c_k, ..., D - c_1 (zeros dropped).
     The type occurs once in the tensor product of the column exterior
@@ -468,23 +508,35 @@ def _dual_columns(rows: tuple[int, ...], D: int):
     part is needed: the projector commutes with diagonal matrices, so
     M[S'][S] is nonzero only when S and S' hold the same multiset of
     indices, and then s(S) = s(S') because each is (-1)^(sum of the
-    indices) times a sign fixed by the shape.
+    indices) times a sign fixed by the shape. h(S) drops the empty
+    columns that the full columns of S leave, and the star of a mu key
+    with them put back is its preimage, kept once found.
     """
-    mu_cols = tuple(D - c for c in reversed(Diagram(rows).columns()) if c < D)
-    mu_M, mu_lam = projector_columns(Diagram(mu_cols).columns(), D)
-    lam = normalization(Diagram(rows))
-    star = {S: _hodge_star(S, D)[0][:len(mu_cols)] for S in wedge_keys(rows, D)}
-    back = {hS: S for S, hS in star.items()}
-    cols: dict = {}
-    for S, hS in star.items():
+
+    __slots__ = ("_mu", "_width", "_full", "_back")
+
+    def __init__(self, rows: tuple[int, ...], D: int):
+        super().__init__(rows, D)
+        cols = Diagram(rows).columns()
+        mu_cols = tuple(D - c for c in reversed(cols) if c < D)
+        self._mu = _projector(Diagram(mu_cols).columns(), D)
+        self._width = len(mu_cols)
+        self._full = ((),) * (len(cols) - len(mu_cols))
+        self._back: dict = {}  # key of mu -> its preimage under h
+
+    def __missing__(self, S):
+        D, lam, mu, back = self.D, self.lam, self._mu, self._back
         out: dict = {}
-        for hT, v in mu_M[hS].items():
-            w, r = divmod(lam * v, mu_lam)
+        for hT, v in mu[_star_key(S, D)[:self._width]].items():
+            w, r = divmod(lam * v, mu.lam)
             if r:  # pragma: no cover
-                raise VerificationError(f"dual projector of {rows}, D={D} is not integral")
-            out[back[hT]] = w
-        cols[S] = out
-    return cols, lam
+                raise VerificationError(f"dual projector of {self.rows}, D={D} is not integral")
+            T = back.get(hT)
+            if T is None:
+                T = back[hT] = _star_key(hT + self._full, D)
+            out[T] = w
+        self[S] = out
+        return out
 
 
 def _content_order(counts) -> tuple:
@@ -495,32 +547,57 @@ def _content_order(counts) -> tuple:
     return tuple(r + 1 for r in sorted(range(len(counts)), key=order.__getitem__))
 
 
-def _symmetrizer_columns(rows: tuple[int, ...], D: int):
-    """`projector_columns` summed over the row and column groups, once per S_D orbit.
+class _SymmetrizerColumns(_Columns):
+    """Projector columns summed over the row and column groups, once per S_D orbit.
 
-    The row group sum of an index tuple J is taken over its distinct row
-    rearrangements, each |Stab(J)| times, the order of the row stabilizer.
-    The symmetrizer commutes with the relabelings sigma of 1..D, so the sum
-    runs only on keys of nonincreasing index content (sigma of
-    `_content_order` the identity). Any other key S reads the column of
-    sigma S: M[S] = {sort(sigma^-1 T): e_S e_T v for T, v in M[sigma S]},
-    with e_S and e_T the column re-sort signs of sigma S and sigma^-1 T.
-    The columns, key order and lam are those of the sum over every key,
-    which the tests keep as the oracle; they also compare this route with
-    `_dual_columns` on a sweep.
+    The symmetrizer commutes with the relabelings sigma of 1..D, so the
+    group sum (`_group_sum`) runs only on keys of nonincreasing index
+    content (sigma of `_content_order` the identity). Any other key S
+    reads the column of sigma S: M[S] = {sort(sigma^-1 T): e_S e_T v for
+    T, v in M[sigma S]}, with e_S and e_T the column re-sort signs of
+    sigma S and sigma^-1 T. The tests keep the sum over every key as the
+    oracle, and compare this route with `_DualColumns` on a sweep.
     """
-    blocks = _column_blocks(rows)
-    cells = _row_blocks(rows)
-    # K[t] = flat[read[t]] for the rows' values laid end to end in flat
-    read = sorted(range(sum(rows)), key=[k for row in cells for k in row].__getitem__)
-    keys = wedge_keys(rows, D)
-    identity = tuple(range(1, D + 1))
-    sigmas = {S: _content_order([sum(b.count(i) for b in S) for i in identity]) for S in keys}
-    orbits: dict = {}  # sorted row values -> (their distinct orderings, |stabilizer|)
-    canon: dict = {}  # full index tuple -> its `_canonicalize`, for both passes
-    base: dict = {}
-    # both sums inline, not linalg.accumulate: a generator of terms slows the projector build
-    for S in (S for S in keys if sigmas[S] == identity):
+
+    __slots__ = ("_blocks", "_cells", "_read", "_orbits", "_canon")
+
+    def __init__(self, rows: tuple[int, ...], D: int):
+        super().__init__(rows, D)
+        self._blocks = _column_blocks(rows)
+        self._cells = _row_blocks(rows)
+        # K[t] = flat[read[t]] for the rows' values laid end to end in flat
+        self._read = sorted(range(sum(rows)),
+                            key=[k for row in self._cells for k in row].__getitem__)
+        self._orbits: dict = {}  # sorted row values -> (their distinct orderings, |stabilizer|)
+        self._canon: dict = {}  # full index tuple -> its `_canonicalize`
+
+    def __missing__(self, S):
+        identity = tuple(range(1, self.D + 1))
+        sigma = _content_order([sum(b.count(i) for b in S) for i in identity])
+        if sigma == identity:
+            out = self[S] = self._group_sum(S)
+            return out
+        blocks, canon = self._blocks, self._canon
+        top, e_S = _canonicalize([sigma[i - 1] for block in S for i in block], blocks)
+        inv = sorted(identity, key=lambda i: sigma[i - 1])  # inv[r - 1] = sigma^-1(r)
+        out = {}
+        for T, v in self[top].items():
+            I = tuple(inv[i - 1] for block in T for i in block)
+            if I not in canon:
+                canon[I] = _canonicalize(I, blocks)
+            out[canon[I][0]] = e_S * canon[I][1] * v
+        self[S] = out
+        return out
+
+    def _group_sum(self, S) -> dict:
+        """The column of S by the row and column group sum.
+
+        The row group sum of an index tuple J is taken over its distinct
+        row rearrangements, each |Stab(J)| times, the order of the row
+        stabilizer.
+        """
+        cells, read, orbits, canon = self._cells, self._read, self._orbits, self._canon
+        # both sums inline, not linalg.accumulate: a generator of terms slows the projector build
         summed: dict = {}
         for J, v in _column_perms(S):
             orderings = []
@@ -539,7 +616,7 @@ def _symmetrizer_columns(rows: tuple[int, ...], D: int):
         out: dict = {}
         for I, v in summed.items():
             if I not in canon:
-                canon[I] = _canonicalize(I, blocks)
+                canon[I] = _canonicalize(I, self._blocks)
             if not v or canon[I] is None:
                 continue
             key, sign = canon[I]
@@ -548,22 +625,7 @@ def _symmetrizer_columns(rows: tuple[int, ...], D: int):
                 out[key] = w
             else:
                 out.pop(key, None)
-        base[S] = out
-    cols: dict = {}
-    for S, sigma in sigmas.items():
-        if sigma == identity:
-            cols[S] = base[S]
-            continue
-        top, e_S = _canonicalize([sigma[i - 1] for block in S for i in block], blocks)
-        inv = sorted(identity, key=lambda i: sigma[i - 1])  # inv[r - 1] = sigma^-1(r)
-        out = {}
-        for T, v in base[top].items():
-            I = tuple(inv[i - 1] for block in T for i in block)
-            if I not in canon:
-                canon[I] = _canonicalize(I, blocks)
-            out[canon[I][0]] = e_S * canon[I][1] * v
-        cols[S] = out
-    return cols, normalization(Diagram(rows))
+        return out
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,8 @@ Nothing in the library, the command line or the demos calls these: each
 recomputes an operator of `ncomplex.fields` by a second, independent
 route (full components and the full Young symmetrizer, or a table
 without its projection), so the tests can compare the two.
+`eager_slot_tables` builds the projected slot tables of a degree whole,
+every entry at once, as the library composes them one entry at a time.
 `dominant_weights` lists the dominant weights of a degree with their S_D
 orbit sizes, for the orbit-weighted weight routes the tests compare the
 highest-weight route against; `partition_weights` lists the same weights
@@ -86,8 +88,59 @@ def delta_unprojected(F: PolyTensorField) -> PolyTensorField:
     N, D, p = F.N, F.D, F.p
     if F.variance != CONTRA or p == 0 or F.q == 0:
         return delta(F)
-    table = _contract_table(D, (p - 1) % (N - 1), _staircase(N, p))
+    table = _contract_table(D, (p - 1) % (N - 1))
     return PolyTensorField(N, D, p - 1, F.q - 1, CONTRA, _apply_slot(table, F.data, D))
+
+
+def eager_insert_table(D: int, slot: int, multidegree: tuple) -> dict:
+    """The whole unprojected insertion table of one slot at one multidegree.
+
+    table[mu][key] = [(new key, sign)] for every slot key whose slot lacks
+    mu, built at once with its own statement of the sign: the new
+    generator passes every generator of the slots to its left and the
+    smaller entries of its own slot.
+    """
+    left = sum(multidegree[:slot])
+    table: dict = {mu: {} for mu in range(1, D + 1)}
+    for key in tc._slot_keys(D, multidegree):
+        S = key[slot]
+        for mu in range(1, D + 1):
+            if mu not in S:
+                passed = left + sum(1 for x in S if x < mu)
+                new_key = key[:slot] + (tuple(sorted(S + (mu,))),) + key[slot + 1:]
+                table[mu][key] = [(new_key, -1 if passed % 2 else 1)]
+    return table
+
+
+def eager_projected(table: dict, N: int, D: int, Y) -> tuple:
+    """(table, lam): every entry of a slot table composed at once with the
+    whole-shape projector `tc.projector_columns` of type Y, keys padded to N - 1."""
+    cols, lam = tc.projector_columns(Y.rows, D)
+    return {mu: {key: [(_pad(k2, N - 1), s * c) for k1, s in targets
+                       for k2, c in cols[k1[:Y.n_cols]].items()]
+                 for key, targets in col.items()}
+            for mu, col in table.items()}, lam
+
+
+def eager_slot_tables(N: int, D: int, p: int) -> dict:
+    """The whole tables of `fields._insertion`, `_contraction` and `_pi_columns` at
+    degree p, by name, each as (table, lam) and composed by `eager_projected`;
+    `_pi_columns` under the one letter 0. A degree with no such map has no entry."""
+    md = _staircase(N, p)
+    out = {"_pi_columns": eager_projected(
+        {0: {k: [(k, 1)] for k in tc._slot_keys(D, md)}}, N, D, max_diagram(N, p))}
+    if p < _top_degree(N, D):
+        out["_insertion"] = eager_projected(
+            eager_insert_table(D, p % (N - 1), md), N, D, max_diagram(N, p + 1))
+    if p > 0:
+        slot = (p - 1) % (N - 1)
+        below = md[:slot] + (md[slot] - 1,) + md[slot + 1:]
+        flip = -1 if sum(below[:slot + 1]) % 2 else 1
+        reversed_table = {mu: {new_key: [(key, flip * sign)]
+                               for key, [(new_key, sign)] in col.items()}
+                          for mu, col in eager_insert_table(D, slot, below).items()}
+        out["_contraction"] = eager_projected(reversed_table, N, D, max_diagram(N, p - 1))
+    return out
 
 
 def field_product(F: PolyTensorField, G: PolyTensorField) -> PolyTensorField:

@@ -36,6 +36,7 @@ from ncomplex.tensor_core import dual_star, schur_conditions_ok, tensor_to_wedge
 from field_oracles import (
     delta_unprojected,
     dominant_weights,
+    eager_slot_tables,
     field_product,
     nabla,
     young_derivative,
@@ -263,6 +264,31 @@ def test_delta_projection_free_in_the_filled_case():
             for q in (1, 2):
                 for b in block_basis(N, D, p, q, "contra"):
                     assert delta(b) == delta_unprojected(b)
+
+
+def test_slot_tables_compose_every_entry_as_the_eager_tables_do():
+    # every (mu, key) of each degree's slot keys, absent keys included, read in a
+    # seeded shuffled order off the cached tables, against the whole tables
+    # composed at once; an absent key reads as empty
+    rng = random.Random(34)
+    reads = absent = 0
+    for N in range(2, 6):
+        for D in range(1, 5):
+            for p in range(fields._top_degree(N, D) + 1):
+                pairs = [(mu, key) for mu in range(D + 1)
+                         for key in tc._slot_keys(D, fields._staircase(N, p))]
+                rng.shuffle(pairs)
+                for name, (want, want_lam) in eager_slot_tables(N, D, p).items():
+                    table, lam = getattr(fields, name)(N, D, p)
+                    table = {0: table} if name == "_pi_columns" else table
+                    assert sorted(table) == sorted(want) and lam == want_lam, (name, N, D, p)
+                    for mu, key in pairs:
+                        if mu in want:
+                            got = list(table[mu][key])
+                            assert got == want[mu].get(key, []), (name, N, D, p, mu, key)
+                            reads += 1
+                            absent += key not in want[mu]
+    assert reads > 50000 and absent > 10000
 
 
 def test_delta_kills_divergence_free_symmetric_fields():

@@ -330,7 +330,7 @@ def test_accumulate_matches_a_dense_sum(terms):
 
 
 # the two kernels that keep the sum inline, for speed (see the `linalg` docstring)
-INLINE_SUM_KERNELS = {("fields.py", "_apply_slot"), ("tensor_core.py", "_symmetrizer_columns")}
+INLINE_SUM_KERNELS = {("fields.py", "_apply_slot"), ("tensor_core.py", "_group_sum")}
 
 
 def _second_sums(name: str, source: str) -> list:

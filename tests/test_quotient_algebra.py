@@ -5,7 +5,8 @@ from functools import lru_cache
 
 import pytest
 
-from ncomplex import linalg, quotient_algebra
+from ncomplex import fields, linalg, quotient_algebra, tensor_core
+from ncomplex.cli import run
 from ncomplex.diagrams import as_diagram, max_diagram, schur_dim, standard_count
 from ncomplex.errors import ShapeError
 from ncomplex.fields import (_insertion, _pad, _pi_columns, _raise, _schur_vectors, _staircase,
@@ -25,7 +26,8 @@ from ncomplex.quotient_algebra import (
     symmetrized_power_check,
     unit_element,
 )
-from ncomplex.tensor_core import CONTRA, Tensor, _exchange_ok, _slot_keys, tensor_from_wedge
+from ncomplex.tensor_core import (CONTRA, Tensor, _content_order, _exchange_ok, _slot_keys,
+                                  tensor_from_wedge, wedge_keys)
 
 from field_oracles import partition_weights
 
@@ -215,7 +217,7 @@ def _whole_basis_column(N, D, letters: tuple):
             ins = tables.get(p)
             if ins is None:
                 ins = tables[p] = quotient_algebra._insertion(N, D, p + n - 1)[0][mu]
-            for k2, c in ins.get(k, ()):
+            for k2, c in ins[k]:
                 yield (p, j, k2), v * c
 
     return linalg.accumulate(terms())
@@ -292,9 +294,36 @@ def test_lowest_weight_key_spans_its_weight_in_the_type():
                 keys = _slot_keys(D, _staircase(N, p))
                 assert [k for k in keys if sorted(i for s in k for i in s) == content] == [K]
                 assert _exchange_ok(Y.rows, {K[:Y.n_cols]: 1}), (N, D, p)
-                if (N, D) != (5, 5):  # the (5, 5) projectors of p = 8..10 take ~1 min to build
-                    cols, lam = _pi_columns(N, D, p)
-                    assert linalg.accumulate(cols[K]) == {K: lam}, (N, D, p)
+                cols, lam = _pi_columns(N, D, p)
+                assert linalg.accumulate(cols[K]) == {K: lam}, (N, D, p)
+
+
+def test_algebra_run_composes_only_the_entries_it_reads(monkeypatch, capsys):
+    # the relation verdicts of `algebra --N 3 --D 5` read a few insertion entries
+    # and projector columns; every group sum and every entry read is counted
+    # from empty caches
+    sums = []
+    group_sum = tensor_core._SymmetrizerColumns._group_sum
+    monkeypatch.setattr(tensor_core._SymmetrizerColumns, "_group_sum",
+                        lambda M, S: sums.append((M.rows, M.D)) or group_sum(M, S))
+    for cached in (tensor_core._projector, fields._insert_table, _insertion, _word_action_column):
+        cached.cache_clear()
+    assert run(["algebra", "--N", "3", "--D", "5", "--seed", "0"]) == 0
+    capsys.readouterr()
+    N, D = 3, 5
+    top = _top_degree(N, D)
+    entries = [e for p in range(top) for col in _insertion(N, D, p)[0].values()
+               for e in col.values()]
+    assert (len(sums), len(entries), sum(map(bool, entries))) == (22, 172, 132)
+    # the whole tables: one entry per slot key and letter the slot lacks, and
+    # one group sum per key of sorted content of each shape summed
+    whole_entries = sum(mu not in key[p % (N - 1)] for p in range(top)
+                        for key in _slot_keys(D, _staircase(N, p)) for mu in range(1, D + 1))
+    whole_sums = sum(_content_order([sum(b.count(i) for b in S) for i in range(1, D + 1)])
+                     == tuple(range(1, D + 1)) for rows in set(r for r, _ in sums)
+                     for S in wedge_keys(rows, D))
+    assert (whole_entries, whole_sums) == (1260, 32)
+    assert len(sums) < whole_sums and len(entries) < whole_entries
 
 
 def test_lowest_weight_column_matches_letter_by_letter(monkeypatch):

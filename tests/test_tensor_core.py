@@ -14,7 +14,6 @@ from ncomplex.tensor_core import (
     Tensor,
     _column_perms,
     _hodge_star,
-    _symmetrizer_columns,
     contract_tensor,
     dual_star,
     epsilon,
@@ -425,6 +424,11 @@ def _group_sum_columns(rows, D):
     return cols, tensor_core.normalization(Diagram(rows))
 
 
+def _read_every_key(M):
+    """(columns, lam) of a per-key column memo, read on every slot key in `wedge_keys` order."""
+    return {S: M[S] for S in wedge_keys(M.rows, M.D)}, M.lam
+
+
 def _assert_same_columns(got, want, what):
     """Equal columns key by key, the same key order and the same lam."""
     assert got[1] == want[1], what
@@ -451,6 +455,29 @@ def test_projector_columns_match_symmetrizer_sum():
     assert dual >= 40
 
 
+def test_columns_read_one_key_at_a_time_match_the_whole_shape_table():
+    # the sweep above: a fresh memo of each shape (its complement's too), read
+    # in a seeded shuffled order, gives the whole-shape table bit for bit, the
+    # entry order of each column included, on both routes
+    rng = random.Random(34)
+    routes = {"_SymmetrizerColumns": 0, "_DualColumns": 0}
+    for D in range(1, 6):
+        for n in range(4 * D + 1):
+            for Y in partitions(n):
+                if Y.n_cols > 4 or Y.n_rows > D or _symmetrizer_cost(Y, D) > 30000:
+                    continue
+                whole, lam = projector_columns(Y.rows, D)
+                tensor_core._projector.cache_clear()
+                fresh = tensor_core._projector(Y.rows, D)
+                keys = list(wedge_keys(Y.rows, D))
+                rng.shuffle(keys)
+                for S in keys:
+                    assert list(fresh[S].items()) == list(whole[S].items()), (Y.rows, D, S)
+                assert fresh.lam == lam and len(fresh) == len(whole)
+                routes[type(fresh).__name__] += 1
+    assert routes["_SymmetrizerColumns"] >= 40 and routes["_DualColumns"] >= 40
+
+
 # the shapes whose group sum `cohomology --N 4 --D 5 --qmax 2` runs
 FRONTIER_SHAPES = ((), (1,), (2,), (3,), (3, 1), (3, 2), (3, 3), (3, 3, 1))
 
@@ -470,7 +497,7 @@ def test_orbit_columns_match_the_sum_over_every_key():
                 keys = wedge_keys(Y.rows, D)
                 if len(keys) > 3000:
                     continue
-                got = _symmetrizer_columns(Y.rows, D)
+                got = _read_every_key(tensor_core._SymmetrizerColumns(Y.rows, D))
                 _assert_same_columns(got, _group_sum_columns(Y.rows, D), (Y.rows, D))
                 swept.add((Y.rows, D))
                 relabeled += sum(tensor_core._content_order(_counts(S, D)) != tuple(range(1, D + 1))
@@ -505,7 +532,7 @@ def test_stabilizer_fold_matches_the_unfolded_group_sum():
     for D in range(1, 5):
         for n in range(6):
             for Y in partitions(n):
-                _assert_same_columns(_symmetrizer_columns(Y.rows, D),
+                _assert_same_columns(_read_every_key(tensor_core._SymmetrizerColumns(Y.rows, D)),
                                      _plain_group_sum_columns(Y.rows, D), (Y.rows, D))
                 folded += Y.size > 0 and Y.rows[0] > 1
     assert folded > 40
