@@ -573,22 +573,27 @@ def _image_vectors(N: int, D: int, p: int, q: int, k: int, w: tuple) -> tuple:
 def _raise(i: int, vec: dict) -> dict:
     """The raising operator E_(i,i+1) of gl_D on a slot vector.
 
-    In each column that holds i + 1 but not i, i + 1 becomes i; the two are
-    adjacent, so the column stays sorted and no sign arises. On the
-    monomial it is x_i d/dx_(i+1). Both parts keep the degree and move the
-    weight by e_i - e_(i+1).
+    On the slot key it gives the keys of `_raised_keys`, each with
+    coefficient 1; on the monomial it is x_i d/dx_(i+1). Both parts keep
+    the degree and move the weight by e_i - e_(i+1).
     """
     def terms():
         for (key, exp), v in vec.items():
-            for n, slot in enumerate(key):
-                if i + 1 in slot and i not in slot:
-                    swapped = tuple(i if a == i + 1 else a for a in slot)
-                    yield (key[:n] + (swapped,) + key[n + 1:], exp), v
+            for raised in _raised_keys(i, key):
+                yield (raised, exp), v
             a = exp[i]
             if a:
                 yield (key, exp[:i - 1] + (exp[i - 1] + 1, a - 1) + exp[i + 1:]), v * a
 
     return linalg.accumulate(terms())
+
+
+@lru_cache(maxsize=None)
+def _raised_keys(i: int, key) -> tuple:
+    """The slot keys of E_(i,i+1) on key: in each column that holds i + 1 but not i,
+    i + 1 becomes i. The two are adjacent, so the column stays sorted and no sign arises."""
+    return tuple(key[:n] + (tuple(i if a == i + 1 else a for a in slot),) + key[n + 1:]
+                 for n, slot in enumerate(key) if i + 1 in slot and i not in slot)
 
 
 def _hw_vectors(basis, lam: tuple, count: int, where: str) -> tuple:

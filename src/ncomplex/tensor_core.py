@@ -52,7 +52,8 @@ from functools import lru_cache
 from math import factorial, prod
 
 from . import linalg
-from .diagrams import Diagram, as_diagram, contract_shape, max_diagram, schur_dim, standard_count
+from .diagrams import (Diagram, as_diagram, contract_shape, horizontal_strips, max_diagram, schur_dim,
+                       standard_count)
 from .errors import ShapeError, VerificationError
 
 CO, CONTRA = "co", "contra"
@@ -389,19 +390,22 @@ def wedge_keys(rows: tuple[int, ...], D: int) -> tuple:
     return _slot_keys(D, Diagram(rows).columns())
 
 
-def _sort_block(vals):
-    """Sort a column block; returns (sorted tuple, sign) or None on repeats."""
+@lru_cache(maxsize=None)
+def _sort_block(vals: tuple):
+    """Sort a column block: (sorted tuple, sign), None on a repeated index; the sign
+    of the sorting permutation is -1 to the number of inversions. Cached: a column
+    holds a few indices of 1..D, so few distinct columns occur."""
     if len(set(vals)) < len(vals):
         return None
-    order = sorted(range(len(vals)), key=lambda t: vals[t])
-    return tuple(vals[o] for o in order), _perm_sign(tuple(order))
+    odd = sum(a > b for a, b in itertools.combinations(vals, 2)) & 1
+    return tuple(sorted(vals)), -1 if odd else 1
 
 
 def _canonicalize(I, blocks):
     """Column-sort a full index tuple; None when a column repeats an index."""
     key, sign = [], 1
     for block in blocks:
-        res = _sort_block([I[k] for k in block])
+        res = _sort_block(tuple([I[k] for k in block]))
         if res is None:
             return None
         s, sg = res
@@ -555,37 +559,48 @@ class _SymmetrizerColumns(_Columns):
     content (sigma of `_content_order` the identity). Any other key S
     reads the column of sigma S: M[S] = {sort(sigma^-1 T): e_S e_T v for
     T, v in M[sigma S]}, with e_S and e_T the column re-sort signs of
-    sigma S and sigma^-1 T. The tests keep the sum over every key as the
-    oracle, and compare this route with `_DualColumns` on a sweep.
+    sigma S and sigma^-1 T. A table per index content keeps sigma,
+    sigma^-1 and each sort(sigma^-1 T) with its sign e_T, so a key T is
+    relabeled once per content, not once per projector column that reads
+    it. The group sums emit one interned tuple per slot key. The tests keep the
+    sum over every key as the oracle, and compare this route with
+    `_DualColumns` on a sweep.
     """
 
-    __slots__ = ("_blocks", "_cells", "_read", "_orbits", "_canon")
+    __slots__ = ("_blocks", "_cells", "_orbits", "_relabel", "_canon", "_keys")
 
     def __init__(self, rows: tuple[int, ...], D: int):
         super().__init__(rows, D)
-        self._blocks = _column_blocks(rows)
         self._cells = _row_blocks(rows)
-        # K[t] = flat[read[t]] for the rows' values laid end to end in flat
-        self._read = sorted(range(sum(rows)),
-                            key=[k for row in self._cells for k in row].__getitem__)
+        # the cells of each column, as positions in the rows' values laid end to end
+        starts = [sum(rows[:r]) for r in range(len(rows))]
+        self._blocks = tuple(tuple(starts[r] + j for r in range(c))
+                             for j, c in enumerate(Diagram(rows).columns()))
         self._orbits: dict = {}  # sorted row values -> (their distinct orderings, |stabilizer|)
-        self._canon: dict = {}  # full index tuple -> its `_canonicalize`
+        self._relabel: dict = {}  # sorted content -> None, or sigma, sigma^-1, {T: sort(sigma^-1 T)}
+        self._canon: dict = {}  # rows' values end to end -> (column-sorted key, sign)
+        self._keys: dict = {}  # the one tuple of each slot key the group sums emit
 
     def __missing__(self, S):
-        identity = tuple(range(1, self.D + 1))
-        sigma = _content_order([sum(b.count(i) for b in S) for i in identity])
-        if sigma == identity:
+        content = tuple(sorted(sum(S, ())))
+        if content not in self._relabel:
+            identity = tuple(range(1, self.D + 1))
+            sigma = _content_order([content.count(i) for i in identity])
+            inv = sorted(identity, key=lambda i: sigma[i - 1])  # inv[r - 1] = sigma^-1(r)
+            self._relabel[content] = None if sigma == identity else (sigma, inv, {})
+        table = self._relabel[content]
+        if table is None:
             out = self[S] = self._group_sum(S)
             return out
-        blocks, canon = self._blocks, self._canon
-        top, e_S = _canonicalize([sigma[i - 1] for block in S for i in block], blocks)
-        inv = sorted(identity, key=lambda i: sigma[i - 1])  # inv[r - 1] = sigma^-1(r)
+        sigma, inv, back = table
+        blocks = _column_blocks(self.rows)
+        top, e_S = _canonicalize([sigma[i - 1] for col in S for i in col], blocks)
         out = {}
         for T, v in self[top].items():
-            I = tuple(inv[i - 1] for block in T for i in block)
-            if I not in canon:
-                canon[I] = _canonicalize(I, blocks)
-            out[canon[I][0]] = e_S * canon[I][1] * v
+            if T not in back:
+                back[T] = _canonicalize([inv[i - 1] for col in T for i in col], blocks)
+            key, e_T = back[T]
+            out[key] = e_S * e_T * v
         self[S] = out
         return out
 
@@ -594,29 +609,30 @@ class _SymmetrizerColumns(_Columns):
 
         The row group sum of an index tuple J is taken over its distinct
         row rearrangements, each |Stab(J)| times, the order of the row
-        stabilizer.
+        stabilizer. The terms are summed on the rows' values laid end to
+        end, and each sum is column-sorted once per shape.
         """
-        cells, read, orbits, canon = self._cells, self._read, self._orbits, self._canon
+        cells, orbits, canon, keys = self._cells, self._orbits, self._canon, self._keys
         # both sums inline, not linalg.accumulate: a generator of terms slows the projector build
         summed: dict = {}
         for J, v in _column_perms(S):
-            orderings = []
+            flats = [()]
             for row in cells:
-                vals = tuple(sorted(J[k] for k in row))
+                vals = tuple(sorted([J[k] for k in row]))
                 if vals not in orbits:
                     distinct = sorted(set(itertools.permutations(vals)))
                     orbits[vals] = distinct, factorial(len(vals)) // len(distinct)
                 distinct, stab = orbits[vals]
-                orderings.append(distinct)
+                flats = [f + o for f in flats for o in distinct]
                 v *= stab
-            for arrangement in itertools.product(*orderings):
-                flat = sum(arrangement, ())
-                K = tuple([flat[t] for t in read])
-                summed[K] = summed.get(K, 0) + v
+            for flat in flats:
+                summed[flat] = summed.get(flat, 0) + v
         out: dict = {}
         for I, v in summed.items():
             if I not in canon:
-                canon[I] = _canonicalize(I, self._blocks)
+                res = canon[I] = _canonicalize(I, self._blocks)
+                if res is not None:
+                    canon[I] = keys.setdefault(res[0], res[0]), res[1]
             if not v or canon[I] is None:
                 continue
             key, sign = canon[I]
@@ -630,15 +646,43 @@ class _SymmetrizerColumns(_Columns):
 
 @lru_cache(maxsize=None)
 def schur_wedge_basis(rows: tuple[int, ...], D: int) -> tuple:
-    """Echelonized integer basis of the projector image in slot coords."""
+    """Echelonized integer basis of the projector image in slot coords.
+
+    The columns are added in key order. The projector keeps the index
+    content of a key, so the echelon splits by content, and the weight
+    space of content c has dimension `_kostka` of c. Once the echelon
+    holds that many rows of a content, every later column of it only
+    reduces to zero, so it is not added: the rows are those of adding
+    every column. A wrong count gives a basis of the wrong size, which
+    the `schur_dim` check rejects.
+    """
     cols, _ = projector_columns(rows, D)
     ech = linalg.Echelon()
+    missing: dict = {}  # sorted index content -> rows of that content not yet found
     for S in sorted(cols):
-        ech.add(cols[S])
+        content = tuple(sorted(sum(S, ())))
+        if content not in missing:
+            missing[content] = _kostka(rows, tuple(sorted(map(content.count, set(content)),
+                                                          reverse=True)))
+        if missing[content] and ech.add(cols[S]):
+            missing[content] -= 1
     basis = tuple(dict(row) for _, row in sorted(ech.rows.items()))
-    if len(basis) != schur_dim(Diagram(rows), D):  # pragma: no cover
+    if len(basis) != schur_dim(Diagram(rows), D):
         raise VerificationError(f"projector image dimension mismatch for {rows}, D={D}")
     return basis
+
+
+@lru_cache(maxsize=None)
+def _kostka(rows: tuple[int, ...], counts: tuple) -> int:
+    """The Kostka number of shape rows and content counts: the number of chains of
+    horizontal strips of sizes counts from the empty diagram up to rows, which is
+    the dimension of that weight space (Macdonald, Symmetric Functions, I.(5.12))."""
+    chains = {(): 1}
+    for c in counts:
+        chains = linalg.accumulate((lam.rows, n) for Y, n in chains.items()
+                                   for lam in horizontal_strips(Y, c, len(rows))
+                                   if all(a <= b for a, b in zip(lam.rows, rows)))
+    return chains.get(rows, 0)
 
 
 def projector_rank(Y, D: int) -> int:

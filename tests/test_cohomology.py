@@ -635,6 +635,40 @@ def test_raising_on_a_column_and_a_monomial():
     assert _raise(2, vec) == {}
 
 
+def _raised_directly(i, key, exp):
+    """E_(i,i+1) on one entry, term by term: {(key, exp): coefficient}."""
+    out = {}
+    for n, slot in enumerate(key):
+        if i + 1 in slot and i not in slot:
+            swapped = tuple(sorted(set(slot) - {i + 1} | {i}))
+            out[(key[:n] + (swapped,) + key[n + 1:], exp)] = 1
+    if exp[i]:
+        moved = list(exp)
+        moved[i - 1] += 1
+        moved[i] -= 1
+        out[(key, tuple(moved))] = exp[i]
+    return out
+
+
+def test_raise_matches_the_column_swap_and_the_monomial_on_every_key():
+    # every padded slot key of N <= 5, D <= 4 and every degree, with every
+    # quadratic monomial: the cached swapped keys plus x_i d/dx_(i+1)
+    from ncomplex import tensor_core as tc
+
+    checked = 0
+    for N in range(2, 6):
+        for D in range(2, 5):
+            for p in range(_top_degree(N, D) + 1):
+                for key in tc._slot_keys(D, fields._staircase(N, p)):
+                    for exp in monomials(D, 2):
+                        for i in range(1, D):
+                            want = _raised_directly(i, key, exp)
+                            assert _raise(i, {(key, exp): 3}) == {k: 3 * v for k, v in want.items()}
+                            assert len(fields._raised_keys(i, key)) + bool(exp[i]) == len(want)
+                            checked += bool(want)
+    assert checked > 100000
+
+
 def test_hw_vectors_require_the_pieri_count():
     # two copies of a weight basis carry more highest-weight vectors than the one Pieri counts
     lam = (3, 1, 0)

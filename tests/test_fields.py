@@ -690,10 +690,10 @@ def test_no_library_code_builds_a_whole_block():
     nullspaces = [(name, func) for p in modules
                   for name, func, _ in _calls(p.name, p.read_text(), {"nullspace"})]
     assert nullspaces == [("fields.py", "_hw_vectors"), ("multiforms.py", "_cocycles")]
-    # one Pieri table per kind of block
+    # one Pieri table per kind of block, and one Kostka count of the Schur basis
     strips = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"horizontal_strips"})]
     assert [(name, func) for name, func, _ in strips] == [
-        ("fields.py", "_pieri"), ("multiforms.py", "_constituents")]
+        ("fields.py", "_pieri"), ("multiforms.py", "_constituents"), ("tensor_core.py", "_kostka")]
     deleted = ("_hw_rows", "_hw_coefficients", "_hw_vector", "_hw_count", "_highest_weights")
     assert [(p.name, name) for p in modules for name in deleted
             if re.search(rf"\b{name}\b", p.read_text())] == []

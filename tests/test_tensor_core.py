@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -8,7 +9,7 @@ import pytest
 
 from ncomplex import linalg, tensor_core
 from ncomplex.diagrams import Diagram, max_diagram, partitions, schur_dim
-from ncomplex.errors import ShapeError
+from ncomplex.errors import ShapeError, VerificationError
 from ncomplex.quotient_algebra import act
 from ncomplex.tensor_core import (
     Tensor,
@@ -390,13 +391,30 @@ def _row_orbit(values):
     return set(itertools.permutations(values)), stabilizer
 
 
+def _column_sorted(I, blocks):
+    """(column-sorted key, sign) of a full index tuple, None when a column repeats an
+    index: each column is bubble sorted, and every swap flips the sign."""
+    key, sign = [], 1
+    for block in blocks:
+        col = [I[k] for k in block]
+        if len(set(col)) < len(col):
+            return None
+        for end in range(len(col) - 1, 0, -1):
+            for t in range(end):
+                if col[t] > col[t + 1]:
+                    col[t], col[t + 1] = col[t + 1], col[t]
+                    sign = -sign
+        key.append(tuple(col))
+    return tuple(key), sign
+
+
 def _group_sum_columns(rows, D):
     """`projector_columns` by the row x column group sum on every slot key.
 
-    The oracle of the orbit route: no key is read off another. The row
-    group sum of an index tuple J is taken over its distinct row
-    rearrangements, each |Stab(J)| times; each full index tuple is
-    column-sorted once per shape.
+    The oracle of the orbit route: no key is read off another, and the
+    column sort is its own (`_column_sorted`). The row group sum of an
+    index tuple J is taken over its distinct row rearrangements, each
+    |Stab(J)| times; each full index tuple is column-sorted once per shape.
     """
     blocks = tensor_core._column_blocks(rows)
     row_cells = tensor_core._row_blocks(rows)
@@ -415,7 +433,7 @@ def _group_sum_columns(rows, D):
         out = {}
         for I, v in summed.items():
             if I not in canon:
-                canon[I] = tensor_core._canonicalize(I, blocks)
+                canon[I] = _column_sorted(I, blocks)
             if not v or canon[I] is None:
                 continue
             key, sign = canon[I]
@@ -549,6 +567,97 @@ def test_content_order_sorts_a_content():
             moved[r - 1] = counts[i]
         assert moved == sorted(counts, reverse=True)
         assert (sigma == (1, 2, 3, 4)) == (list(counts) == moved)
+
+
+def test_sort_block_signs_a_column_by_its_inversions():
+    # every tuple of length 1-4 over 1..4: the sort and the sign of the sorting
+    # permutation, read off the positions in sorted order; a repeat gives None
+    for n in range(1, 5):
+        for vals in itertools.product(range(1, 5), repeat=n):
+            got = tensor_core._sort_block(vals)
+            if len(set(vals)) < n:
+                assert got is None, vals
+                continue
+            order = sorted(range(n), key=vals.__getitem__)
+            assert got == (tuple(vals[o] for o in order), tensor_core._perm_sign(order)), vals
+
+
+def _every_column_echelon(rows, D):
+    """The Schur basis by adding every projector column, in key order, to one echelon."""
+    cols, _ = projector_columns(rows, D)
+    ech = linalg.Echelon()
+    for S in sorted(cols):
+        ech.add(cols[S])
+    return tuple(dict(row) for _, row in sorted(ech.rows.items()))
+
+
+def _content_counts(basis, D):
+    """How many basis vectors have each index content; ValueError on a mixed vector."""
+    counts = Counter()
+    for vec in basis:
+        (content,) = {tuple(_counts(S, D)) for S in vec}
+        counts[content] += 1
+    return counts
+
+
+def test_kostka_cap_keeps_every_row_of_the_whole_echelon():
+    # shapes of at most 8 cells with at most 3000 slot keys at D <= 4, four
+    # one- and two-row shapes at D = 3, and the frontier shapes at D = 5: the
+    # capped echelon equals the one of every column, row for row, and each
+    # content holds its Kostka number of rows
+    cases = [(Y.rows, D) for D in range(1, 5) for n in range(9) for Y in partitions(n)
+             if len(wedge_keys(Y.rows, D)) <= 3000]
+    cases += [(rows, 3) for rows in ((4,), (4, 1), (4, 2), (4, 3))]
+    cases += [(rows, 5) for rows in FRONTIER_SHAPES]
+    redundant = 0
+    for rows, D in cases:
+        basis = schur_wedge_basis(rows, D)
+        assert [list(b.items()) for b in basis] == [
+            list(b.items()) for b in _every_column_echelon(rows, D)], (rows, D)
+        counts = _content_counts(basis, D)
+        for S in wedge_keys(rows, D):
+            c = tuple(_counts(S, D))
+            assert counts[c] == tensor_core._kostka(rows, tuple(sorted(
+                (m for m in c if m), reverse=True))), (rows, D, c)
+        assert sum(counts.values()) == schur_dim(Diagram(rows), D)
+        redundant += len(wedge_keys(rows, D)) > len(basis)
+    assert len(cases) > 250 and redundant > 80
+
+
+def test_kostka_counts_are_the_contents_of_the_schur_vectors():
+    # the cap of each content is the count of `fields._schur_by_content`
+    from ncomplex import fields
+
+    checked = 0
+    for N in range(2, 6):
+        for D in range(1, 5):
+            for p in range(1, fields._top_degree(N, D) + 1):
+                rows = max_diagram(N, p).rows
+                counts = Counter(c for c, _ in fields._schur_by_content(N, D, p))
+                assert sum(counts.values()) == schur_dim(Diagram(rows), D)
+                for c, n in counts.items():
+                    assert n == tensor_core._kostka(rows, tuple(sorted(
+                        (m for m in c if m), reverse=True))), (N, D, p, c)
+                    checked += 1
+    assert checked > 300
+
+
+def test_a_kostka_count_one_too_low_is_rejected(monkeypatch):
+    # the cap stops one row short of the weight space, and the dimension check raises
+    kostka = tensor_core._kostka
+
+    def short(rows, counts):
+        n = kostka(rows, counts)
+        return n - 1 if counts == (2, 1) else n
+
+    schur_wedge_basis.cache_clear()
+    monkeypatch.setattr(tensor_core, "_kostka", short)
+    try:
+        with pytest.raises(VerificationError):
+            schur_wedge_basis((2, 1), 3)
+        assert len(schur_wedge_basis((2,), 3)) == schur_dim(Diagram((2,)), 3)
+    finally:
+        schur_wedge_basis.cache_clear()
 
 
 def test_projector_columns_against_full_tensor_symmetrizer():
