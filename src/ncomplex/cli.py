@@ -415,6 +415,9 @@ def run(argv) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; ask for a smaller block", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

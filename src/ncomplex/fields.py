@@ -85,7 +85,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import prod
+from math import comb, prod
 from typing import NamedTuple
 
 from . import linalg
@@ -676,7 +676,7 @@ def hw_basis(N, D, p, q) -> list[PolyTensorField]:
 def block_dim(N, D, p, q) -> int:
     if p > _top_degree(N, D) or p < 0 or q < 0:
         return 0
-    return schur_dim(max_diagram(N, p), D) * len(monomials(D, q))
+    return schur_dim(max_diagram(N, p), D) * comb(q + D - 1, D - 1)
 
 
 def block_basis(N, D, p, q, variance=CO) -> list[PolyTensorField]:

@@ -17,22 +17,22 @@ coordinates, proving column antisymmetry as it reads.
 
 The column-wise epsilon duality has one definition, `_hodge_star`: a
 slot key goes to its column complements read right to left, times an
-integer factor. `_DualColumns` uses its key part, `_star_key`, and
-`fields.dual_star_field` (with `gauge.stress_potential` on top of it)
-uses both parts. `dual_star`, `contract_tensor` and `epsilon_power`
-keep the contraction with the epsilon power on full components as the
-test oracle.
+integer factor. `fields.dual_star_field` (with `gauge.stress_potential`
+on top of it) uses it. `dual_star`, `contract_tensor` and
+`epsilon_power` keep the contraction with the epsilon power on full
+components as the test oracle.
 
 A projector column is built the first time it is read, and kept in the
 one memo of its shape (`_projector`), so a caller that reads a few slot
-keys pays for a few columns. It is summed over the row and column groups
-only for the smaller side of that duality: a shape filling more than
-half of its k-by-D box reads a column of its complement through the
-Hodge star (`_DualColumns`), because the group sums grow factorially
-with the number of cells; even there `_SymmetrizerColumns` sums once per
-S_D orbit of index contents, and `_content_order` picks the orbit's
-sorted member. `young_project`, `symmetrizer_support` and
-`projector_rank` keep the group sum on full tensors as oracles.
+keys pays for a few columns. The type occurs once in the tensor product
+of the column exterior powers, so the projector is the orthogonal
+projection onto it, and it keeps the index content of a key: a column
+is read off an orthogonal basis of one weight space (`_weight_space`),
+which the lowering operators build from the highest-weight key. The
+space is built once per S_D orbit of index contents, and
+`_content_order` picks the orbit's sorted member. `young_project`,
+`symmetrizer_support` and `projector_rank` keep the row and column
+group sum on full tensors as oracles.
 
 Membership in a symmetry type is checked on slot coordinates too:
 `_read_slots` proves column antisymmetry while it reads them, and
@@ -49,11 +49,10 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from . import linalg
-from .diagrams import (Diagram, as_diagram, contract_shape, horizontal_strips, max_diagram, schur_dim,
-                       standard_count)
+from .diagrams import Diagram, as_diagram, contract_shape, max_diagram, schur_dim, standard_count
 from .errors import ShapeError, VerificationError
 
 CO, CONTRA = "co", "contra"
@@ -422,11 +421,13 @@ def projector_columns(rows: tuple[int, ...], D: int):
     integer column of the unnormalized symmetrizer and lam is the scalar
     dividing it into the idempotent projector. The restriction is well
     defined because the symmetrizer ends with column antisymmetrization.
-    A column taller than D leaves no slot keys, so no columns and no group.
+    Each column is lam times the orthogonal projection of its key onto
+    one weight space (`_Columns`). A column taller than D leaves no slot
+    keys, so no columns.
 
     This is `_projector` read on every key of `wedge_keys`, so it shares
-    that memo: a column already read by a slot table is not summed again,
-    and one read here is not summed again by a slot table. The benchmark's
+    that memo: a column already read by a slot table is not built again,
+    and one read here is not built again by a slot table. The benchmark's
     layer record times this whole-shape read as
     `tensor_core.projector_build_s`; the columns read one at a time by the
     slot tables of `fields` (the d-chain, the codifferential and the word
@@ -435,43 +436,6 @@ def projector_columns(rows: tuple[int, ...], D: int):
     """
     M = _projector(rows, D)
     return {S: M[S] for S in wedge_keys(rows, D)}, M.lam
-
-
-@lru_cache(maxsize=None)
-def _projector(rows: tuple[int, ...], D: int) -> "_Columns":
-    """The projector columns of a shape, each built on its first read and kept.
-
-    The symmetrizer sum costs |row group| * |column group| per key, so it
-    is run on the smaller side of the column-wise epsilon duality: a
-    shape with columns c_1 >= ... >= c_k that fills more than half of the
-    k-by-D box reads its columns off its complement (`_DualColumns`). Ties
-    and smaller shapes take `_SymmetrizerColumns`, one sum per S_D orbit.
-    This cache holds the one memo of each shape's columns.
-    """
-    cols = Diagram(rows).columns()
-    if cols and cols[0] > D:
-        return _Columns(rows, D)
-    if 2 * sum(cols) > len(cols) * D:
-        return _DualColumns(rows, D)
-    return _SymmetrizerColumns(rows, D)
-
-
-class _Columns(dict):
-    """The raw projector columns of one shape at one D, keyed by slot key.
-
-    A subclass builds the column of a key the first time it is read
-    (`__missing__`), stores it and returns it; read a column by
-    subscription, because `dict.get` does not call `__missing__`. lam
-    divides a column into the idempotent projector. This base class builds
-    nothing: it serves a shape with a column taller than D, which has no
-    slot keys.
-    """
-
-    __slots__ = ("rows", "D", "lam")
-
-    def __init__(self, rows: tuple[int, ...], D: int):
-        super().__init__()
-        self.rows, self.D, self.lam = rows, D, normalization(Diagram(rows))
 
 
 @lru_cache(maxsize=None)
@@ -484,63 +448,13 @@ def _hodge_star(S, D: int):
     columns of |S_j|! * sign(C_j followed by S_j reversed): contracting the
     epsilon power into the |S_j|! signed permutations of each column, as
     `dual_star` does on full components, gives that factor times the
-    slot coordinate at the dual key. `_star_key` is the key part.
+    slot coordinate at the dual key. The key part is an involution.
     """
-    key, factor = _star_key(S, D), 1
+    key = tuple(tuple(i for i in range(1, D + 1) if i not in block) for block in reversed(S))
+    factor = 1
     for block, comp in zip(reversed(S), key):
         factor *= factorial(len(block)) * _perm_sign(tuple(i - 1 for i in comp + block[::-1]))
     return key, factor
-
-
-@lru_cache(maxsize=None)
-def _star_key(S, D: int) -> tuple:
-    """The dual key of `_hodge_star`: the complements of the columns of S, read right
-    to left. It is an involution."""
-    return tuple(tuple(i for i in range(1, D + 1) if i not in block) for block in reversed(S))
-
-
-class _DualColumns(_Columns):
-    """Projector columns of a shape read off those of its complement.
-
-    The complement mu has columns D - c_k, ..., D - c_1 (zeros dropped).
-    The type occurs once in the tensor product of the column exterior
-    powers, so columns / lam is the orthogonal projector onto it. The
-    column-wise Hodge star h (`_hodge_star`) is an equivariant permutation
-    of slot keys carrying that component onto mu's, with the sign s(S) of
-    its factor (the rest of the factor depends on the shape only), so
-    M[S'][S] = s(S) s(S') lam * M_mu[h(S')][h(S)] / lam_mu. Only the key
-    part is needed: the projector commutes with diagonal matrices, so
-    M[S'][S] is nonzero only when S and S' hold the same multiset of
-    indices, and then s(S) = s(S') because each is (-1)^(sum of the
-    indices) times a sign fixed by the shape. h(S) drops the empty
-    columns that the full columns of S leave, and the star of a mu key
-    with them put back is its preimage, kept once found.
-    """
-
-    __slots__ = ("_mu", "_width", "_full", "_back")
-
-    def __init__(self, rows: tuple[int, ...], D: int):
-        super().__init__(rows, D)
-        cols = Diagram(rows).columns()
-        mu_cols = tuple(D - c for c in reversed(cols) if c < D)
-        self._mu = _projector(Diagram(mu_cols).columns(), D)
-        self._width = len(mu_cols)
-        self._full = ((),) * (len(cols) - len(mu_cols))
-        self._back: dict = {}  # key of mu -> its preimage under h
-
-    def __missing__(self, S):
-        D, lam, mu, back = self.D, self.lam, self._mu, self._back
-        out: dict = {}
-        for hT, v in mu[_star_key(S, D)[:self._width]].items():
-            w, r = divmod(lam * v, mu.lam)
-            if r:  # pragma: no cover
-                raise VerificationError(f"dual projector of {self.rows}, D={D} is not integral")
-            T = back.get(hT)
-            if T is None:
-                T = back[hT] = _star_key(hT + self._full, D)
-            out[T] = w
-        self[S] = out
-        return out
 
 
 def _content_order(counts) -> tuple:
@@ -551,35 +465,45 @@ def _content_order(counts) -> tuple:
     return tuple(r + 1 for r in sorted(range(len(counts)), key=order.__getitem__))
 
 
-class _SymmetrizerColumns(_Columns):
-    """Projector columns summed over the row and column groups, once per S_D orbit.
+@lru_cache(maxsize=None)
+def _projector(rows: tuple[int, ...], D: int) -> "_Columns":
+    """The projector columns of a shape, each built on its first read and kept.
 
-    The symmetrizer commutes with the relabelings sigma of 1..D, so the
-    group sum (`_group_sum`) runs only on keys of nonincreasing index
-    content (sigma of `_content_order` the identity). Any other key S
-    reads the column of sigma S: M[S] = {sort(sigma^-1 T): e_S e_T v for
-    T, v in M[sigma S]}, with e_S and e_T the column re-sort signs of
-    sigma S and sigma^-1 T. A table per index content keeps sigma,
-    sigma^-1 and each sort(sigma^-1 T) with its sign e_T, so a key T is
-    relabeled once per content, not once per projector column that reads
-    it. The group sums emit one interned tuple per slot key. The tests keep the
-    sum over every key as the oracle, and compare this route with
-    `_DualColumns` on a sweep.
+    This cache holds the one memo of each shape's columns.
+    """
+    return _Columns(rows, D)
+
+
+class _Columns(dict):
+    """The raw projector columns of one shape at one D, keyed by slot key.
+
+    The column of a key is built the first time it is read
+    (`__missing__`), stored and returned; read a column by subscription,
+    because `dict.get` does not call `__missing__`. lam divides a column
+    into the idempotent projector.
+
+    The type occurs once in the tensor product of the column exterior
+    powers (Pieri's rule), so columns / lam is the orthogonal projector
+    onto it for the invariant form in which slot keys are orthonormal,
+    and it keeps the index content of a key. So the column of a key S of
+    nonincreasing content w is lam * sum_j o_j[S] o_j / |o_j|^2 over the
+    orthogonal basis o_j of `_weight_space(rows, w)`. The projector
+    commutes with the relabelings sigma of 1..D, so any other key S reads
+    the column of sigma S (sigma of `_content_order`): M[S] =
+    {sort(sigma^-1 T): e_S e_T v for T, v in M[sigma S]}, with e_S and
+    e_T the column re-sort signs of sigma S and sigma^-1 T. A table per
+    index content keeps sigma, sigma^-1 and each sort(sigma^-1 T) with its
+    sign e_T, so a key T is relabeled once per content, not once per
+    column that reads it. The tests keep the row and column group sum
+    over every key as the oracle.
     """
 
-    __slots__ = ("_blocks", "_cells", "_orbits", "_relabel", "_canon", "_keys")
+    __slots__ = ("rows", "D", "lam", "_relabel")
 
     def __init__(self, rows: tuple[int, ...], D: int):
-        super().__init__(rows, D)
-        self._cells = _row_blocks(rows)
-        # the cells of each column, as positions in the rows' values laid end to end
-        starts = [sum(rows[:r]) for r in range(len(rows))]
-        self._blocks = tuple(tuple(starts[r] + j for r in range(c))
-                             for j, c in enumerate(Diagram(rows).columns()))
-        self._orbits: dict = {}  # sorted row values -> (their distinct orderings, |stabilizer|)
+        super().__init__()
+        self.rows, self.D, self.lam = rows, D, normalization(Diagram(rows))
         self._relabel: dict = {}  # sorted content -> None, or sigma, sigma^-1, {T: sort(sigma^-1 T)}
-        self._canon: dict = {}  # rows' values end to end -> (column-sorted key, sign)
-        self._keys: dict = {}  # the one tuple of each slot key the group sums emit
 
     def __missing__(self, S):
         content = tuple(sorted(sum(S, ())))
@@ -590,7 +514,8 @@ class _SymmetrizerColumns(_Columns):
             self._relabel[content] = None if sigma == identity else (sigma, inv, {})
         table = self._relabel[content]
         if table is None:
-            out = self[S] = self._group_sum(S)
+            # a nonincreasing content holds each of 1..m, so its counts in index order are w
+            out = self[S] = self._gram_column(S, tuple(map(content.count, sorted(set(content)))))
             return out
         sigma, inv, back = table
         blocks = _column_blocks(self.rows)
@@ -604,44 +529,64 @@ class _SymmetrizerColumns(_Columns):
         self[S] = out
         return out
 
-    def _group_sum(self, S) -> dict:
-        """The column of S by the row and column group sum.
-
-        The row group sum of an index tuple J is taken over its distinct
-        row rearrangements, each |Stab(J)| times, the order of the row
-        stabilizer. The terms are summed on the rows' values laid end to
-        end, and each sum is column-sorted once per shape.
-        """
-        cells, orbits, canon, keys = self._cells, self._orbits, self._canon, self._keys
-        # both sums inline, not linalg.accumulate: a generator of terms slows the projector build
-        summed: dict = {}
-        for J, v in _column_perms(S):
-            flats = [()]
-            for row in cells:
-                vals = tuple(sorted([J[k] for k in row]))
-                if vals not in orbits:
-                    distinct = sorted(set(itertools.permutations(vals)))
-                    orbits[vals] = distinct, factorial(len(vals)) // len(distinct)
-                distinct, stab = orbits[vals]
-                flats = [f + o for f in flats for o in distinct]
-                v *= stab
-            for flat in flats:
-                summed[flat] = summed.get(flat, 0) + v
-        out: dict = {}
-        for I, v in summed.items():
-            if I not in canon:
-                res = canon[I] = _canonicalize(I, self._blocks)
-                if res is not None:
-                    canon[I] = keys.setdefault(res[0], res[0]), res[1]
-            if not v or canon[I] is None:
-                continue
-            key, sign = canon[I]
-            w = out.get(key, 0) + sign * v
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
+    def _gram_column(self, S, content: tuple) -> dict:
+        """The column of S: lam * sum_j o_j[S] o_j / |o_j|^2 over the pairs (o_j, |o_j|^2)
+        of `_weight_space` of content; VerificationError when it is not integral."""
+        terms = [(o[S], o, n) for o, n in _weight_space(self.rows, content) if S in o]
+        den = lcm(*(n for _, _, n in terms))
+        col = linalg.accumulate((T, self.lam * a * (den // n) * x)
+                                for a, o, n in terms for T, x in o.items())
+        out = {}
+        for T, v in col.items():
+            out[T], r = divmod(v, den)
+            if r:
+                raise VerificationError(f"projector column of {S} for {self.rows} is not integral")
         return out
+
+
+def _dot(u: dict, v: dict) -> int:
+    """The inner product in which slot keys are orthonormal."""
+    if len(v) < len(u):
+        u, v = v, u
+    return sum(x * v[k] for k, x in u.items() if k in v)
+
+
+@lru_cache(maxsize=None)
+def _weight_space(rows: tuple[int, ...], content: tuple) -> tuple:
+    """An orthogonal basis of the weight space of content in the type rows: pairs
+    (o, |o|^2) of primitive integer slot vectors o, by `_dot`.
+
+    content counts the indices 1, 2, ... in order, with no trailing zero, so the
+    space never depends on D. The highest-weight key ((1..c_1), ..., (1..c_k)) is
+    the only key of content rows, and the lowering operators F_i (i + 1 for i in
+    each column that holds i and not i + 1, with no sign) generate the rest: the
+    space of content w is the span of F_i on the space of w + e_i - e_(i+1). A
+    content not below rows in dominance order has none. Its dimension is the
+    Kostka number of rows and content.
+    """
+    if any(a > b for a, b in zip(itertools.accumulate(content), itertools.accumulate(rows))):
+        return ()
+    if content == rows:
+        return (({tuple(tuple(range(1, c + 1)) for c in Diagram(rows).columns()): 1}, 1),)
+    lowered = []
+    for i in range(1, len(content)):
+        if content[i]:
+            up = content[:i - 1] + (content[i - 1] + 1, content[i] - 1) + content[i + 1:]
+            for u, _ in _weight_space(rows, up[:-1] if not up[-1] else up):
+                lowered.append(linalg.accumulate(
+                    (key[:n] + (tuple(i + 1 if a == i else a for a in slot),) + key[n + 1:], x)
+                    for key, x in u.items() for n, slot in enumerate(key)
+                    if i in slot and i + 1 not in slot))
+    basis: list = []  # Gram-Schmidt on the lowered vectors; a dependent one reduces to zero
+    for v in lowered:
+        for o, n in basis:
+            c = _dot(v, o)
+            if c:
+                v = linalg.add_to({k: x * n for k, x in v.items()}, o, -c)
+        if v:
+            v = linalg.primitive(v)
+            basis.append((v, _dot(v, v)))
+    return tuple(basis)
 
 
 @lru_cache(maxsize=None)
@@ -650,11 +595,11 @@ def schur_wedge_basis(rows: tuple[int, ...], D: int) -> tuple:
 
     The columns are added in key order. The projector keeps the index
     content of a key, so the echelon splits by content, and the weight
-    space of content c has dimension `_kostka` of c. Once the echelon
-    holds that many rows of a content, every later column of it only
-    reduces to zero, so it is not added: the rows are those of adding
-    every column. A wrong count gives a basis of the wrong size, which
-    the `schur_dim` check rejects.
+    space of content c has the dimension of `_weight_space` of c sorted.
+    Once the echelon holds that many rows of a content, every later column
+    of it only reduces to zero, so it is not added: the rows are those of
+    adding every column. A wrong count gives a basis of the wrong size,
+    which the `schur_dim` check rejects.
     """
     cols, _ = projector_columns(rows, D)
     ech = linalg.Echelon()
@@ -662,27 +607,14 @@ def schur_wedge_basis(rows: tuple[int, ...], D: int) -> tuple:
     for S in sorted(cols):
         content = tuple(sorted(sum(S, ())))
         if content not in missing:
-            missing[content] = _kostka(rows, tuple(sorted(map(content.count, set(content)),
-                                                          reverse=True)))
+            missing[content] = len(_weight_space(rows, tuple(sorted(
+                map(content.count, set(content)), reverse=True))))
         if missing[content] and ech.add(cols[S]):
             missing[content] -= 1
     basis = tuple(dict(row) for _, row in sorted(ech.rows.items()))
     if len(basis) != schur_dim(Diagram(rows), D):
         raise VerificationError(f"projector image dimension mismatch for {rows}, D={D}")
     return basis
-
-
-@lru_cache(maxsize=None)
-def _kostka(rows: tuple[int, ...], counts: tuple) -> int:
-    """The Kostka number of shape rows and content counts: the number of chains of
-    horizontal strips of sizes counts from the empty diagram up to rows, which is
-    the dimension of that weight space (Macdonald, Symmetric Functions, I.(5.12))."""
-    chains = {(): 1}
-    for c in counts:
-        chains = linalg.accumulate((lam.rows, n) for Y, n in chains.items()
-                                   for lam in horizontal_strips(Y, c, len(rows))
-                                   if all(a <= b for a, b in zip(lam.rows, rows)))
-    return chains.get(rows, 0)
 
 
 def projector_rank(Y, D: int) -> int:

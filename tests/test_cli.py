@@ -304,6 +304,48 @@ def test_field_documents_of_a_degree_above_the_top_exit_2():
             assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, r.stderr
 
 
+# caps the address space at 48 MB above what the imports took; the table needs ~110 MB
+MEMORY_CHILD = """
+import resource, sys
+from ncomplex import cli, cohomology
+size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + (48 << 20), hard))
+sys.argv[1:] = ["cohomology", "--N", "4", "--D", "6", "--qmax", "1"]
+cli.main()
+"""
+
+
+def test_running_out_of_memory_exits_2_without_traceback():
+    r = subprocess.run([sys.executable, "-c", MEMORY_CHILD], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == "error: out of memory; ask for a smaller block\n"
+
+
+def _peak_rss(argv):
+    """(stdout, peak resident MB) of one `python -m ncomplex` child, read from its rusage."""
+    child = subprocess.Popen([sys.executable, "-m", "ncomplex", *argv], stdout=subprocess.PIPE,
+                             text=True)
+    out = child.stdout.read()
+    child.stdout.close()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, argv
+    return out, usage.ru_maxrss / 1024
+
+
+def test_a_long_cohomology_table_keeps_its_peak_memory():
+    # block sizes come from closed forms, so no list of monomials grows with
+    # qmax: at qmax 200 the peak stays within a few MB of qmax 20 (it was
+    # 126 MB against 18 MB when block_dim counted exponent vectors)
+    (short, rss20), (long, rss200) = (_peak_rss(["cohomology", "--N", "3", "--D", "3", "--qmax", q])
+                                      for q in ("20", "200"))
+    head, *rows = long.splitlines()
+    assert [head] + [r for r in rows if int(r.split(",")[4]) <= 20] == short.splitlines()
+    assert rss200 - rss20 < 10, (rss20, rss200)
+
+
 def test_verification_failure_exits_1_without_traceback(monkeypatch):
     def fail(F):
         raise VerificationError("planted")

@@ -300,12 +300,12 @@ def test_lowest_weight_key_spans_its_weight_in_the_type():
 
 def test_algebra_run_composes_only_the_entries_it_reads(monkeypatch, capsys):
     # the relation verdicts of `algebra --N 3 --D 5` read a few insertion entries
-    # and projector columns; every group sum and every entry read is counted
-    # from empty caches
+    # and projector columns; every column built from a weight space and every
+    # entry read is counted from empty caches
     sums = []
-    group_sum = tensor_core._SymmetrizerColumns._group_sum
-    monkeypatch.setattr(tensor_core._SymmetrizerColumns, "_group_sum",
-                        lambda M, S: sums.append((M.rows, M.D)) or group_sum(M, S))
+    gram_column = tensor_core._Columns._gram_column
+    monkeypatch.setattr(tensor_core._Columns, "_gram_column",
+                        lambda M, S, w: sums.append((M.rows, M.D)) or gram_column(M, S, w))
     for cached in (tensor_core._projector, fields._insert_table, _insertion, _word_action_column):
         cached.cache_clear()
     assert run(["algebra", "--N", "3", "--D", "5", "--seed", "0"]) == 0
@@ -314,15 +314,15 @@ def test_algebra_run_composes_only_the_entries_it_reads(monkeypatch, capsys):
     top = _top_degree(N, D)
     entries = [e for p in range(top) for col in _insertion(N, D, p)[0].values()
                for e in col.values()]
-    assert (len(sums), len(entries), sum(map(bool, entries))) == (22, 172, 132)
+    assert (len(sums), len(entries), sum(map(bool, entries))) == (39, 172, 132)
     # the whole tables: one entry per slot key and letter the slot lacks, and
-    # one group sum per key of sorted content of each shape summed
+    # one built column per key of sorted content of each shape built
     whole_entries = sum(mu not in key[p % (N - 1)] for p in range(top)
                         for key in _slot_keys(D, _staircase(N, p)) for mu in range(1, D + 1))
     whole_sums = sum(_content_order([sum(b.count(i) for b in S) for i in range(1, D + 1)])
                      == tuple(range(1, D + 1)) for rows in set(r for r, _ in sums)
                      for S in wedge_keys(rows, D))
-    assert (whole_entries, whole_sums) == (1260, 32)
+    assert (whole_entries, whole_sums) == (1260, 49)
     assert len(sums) < whole_sums and len(entries) < whole_entries
 
 

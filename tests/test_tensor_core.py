@@ -8,7 +8,7 @@ from math import comb, factorial, prod
 import pytest
 
 from ncomplex import linalg, tensor_core
-from ncomplex.diagrams import Diagram, max_diagram, partitions, schur_dim
+from ncomplex.diagrams import Diagram, horizontal_strips, max_diagram, partitions, schur_dim
 from ncomplex.errors import ShapeError, VerificationError
 from ncomplex.quotient_algebra import act
 from ncomplex.tensor_core import (
@@ -455,48 +455,91 @@ def _assert_same_columns(got, want, what):
         assert got[0][S] == col, (what, S)
 
 
+def _column_sweep(D_max=5):
+    """Every shape of at most four columns, none taller than D, for D <= D_max, up to
+    a cost cap of the group sum; about half of them fill more than half of their
+    k-by-D box. The cap is read off the shape, because row_group of a large shape
+    alone can exhaust memory."""
+    return [(Y, D) for D in range(1, D_max + 1) for n in range(4 * D + 1) for Y in partitions(n)
+            if Y.n_cols <= 4 and Y.n_rows <= D and _symmetrizer_cost(Y, D) <= 30000]
+
+
+def _past_half(Y, D):
+    """Whether a shape fills more than half of its k-by-D box, k its number of columns."""
+    return Y.size > 0 and 2 * Y.size > Y.n_cols * D
+
+
 def test_projector_columns_match_symmetrizer_sum():
-    # every shape of at most four columns, none taller than D, for D <= 5,
-    # up to a cost cap; about half of them take the duality route. The cap
-    # is read off the shape, because row_group of a large shape alone can
-    # exhaust memory
-    dual = 0
-    for D in range(1, 6):
-        for n in range(4 * D + 1):
-            for Y in partitions(n):
-                if Y.n_cols > 4 or Y.n_rows > D or _symmetrizer_cost(Y, D) > 30000:
-                    continue
-                cols = Y.columns()
-                dual += bool(cols) and 2 * n > len(cols) * D
-                _assert_same_columns(projector_columns(Y.rows, D), _group_sum_columns(Y.rows, D),
-                                     (Y.rows, D))
-    assert dual >= 40
+    sweep = _column_sweep()
+    for Y, D in sweep:
+        _assert_same_columns(projector_columns(Y.rows, D), _group_sum_columns(Y.rows, D),
+                             (Y.rows, D))
+    assert sum(_past_half(Y, D) for Y, D in sweep) >= 40
 
 
 def test_columns_read_one_key_at_a_time_match_the_whole_shape_table():
-    # the sweep above: a fresh memo of each shape (its complement's too), read
-    # in a seeded shuffled order, gives the whole-shape table bit for bit, the
-    # entry order of each column included, on both routes
+    # the sweep above: a fresh memo of each shape, read in a seeded shuffled
+    # order, gives the whole-shape table bit for bit, the entry order of each
+    # column included, on shapes past half their box and below it
     rng = random.Random(34)
-    routes = {"_SymmetrizerColumns": 0, "_DualColumns": 0}
-    for D in range(1, 6):
-        for n in range(4 * D + 1):
-            for Y in partitions(n):
-                if Y.n_cols > 4 or Y.n_rows > D or _symmetrizer_cost(Y, D) > 30000:
-                    continue
-                whole, lam = projector_columns(Y.rows, D)
-                tensor_core._projector.cache_clear()
-                fresh = tensor_core._projector(Y.rows, D)
-                keys = list(wedge_keys(Y.rows, D))
-                rng.shuffle(keys)
-                for S in keys:
-                    assert list(fresh[S].items()) == list(whole[S].items()), (Y.rows, D, S)
-                assert fresh.lam == lam and len(fresh) == len(whole)
-                routes[type(fresh).__name__] += 1
-    assert routes["_SymmetrizerColumns"] >= 40 and routes["_DualColumns"] >= 40
+    sweep = _column_sweep()
+    for Y, D in sweep:
+        whole, lam = projector_columns(Y.rows, D)
+        tensor_core._projector.cache_clear()
+        fresh = tensor_core._projector(Y.rows, D)
+        keys = list(wedge_keys(Y.rows, D))
+        rng.shuffle(keys)
+        for S in keys:
+            assert list(fresh[S].items()) == list(whole[S].items()), (Y.rows, D, S)
+        assert fresh.lam == lam and len(fresh) == len(whole)
+    past = sum(_past_half(Y, D) for Y, D in sweep)
+    assert past >= 40 and len(sweep) - past >= 40
 
 
-# the shapes whose group sum `cohomology --N 4 --D 5 --qmax 2` runs
+def _sweep_failures(sweep, read):
+    """The shapes of a sweep whose columns read(rows, D) differ from the group sum,
+    or whose build raises VerificationError."""
+    failed = []
+    for Y, D in sweep:
+        try:
+            _assert_same_columns(read(Y.rows, D), _group_sum_columns(Y.rows, D), (Y.rows, D))
+        except (AssertionError, VerificationError):
+            failed.append((Y.rows, D))
+    return failed
+
+
+def test_an_inner_product_that_weights_one_key_by_two_fails_the_column_sweep(monkeypatch):
+    # the orthogonal projection in a form that is not invariant is another map
+    heavy = ((1, 2), (3,))
+    dot = tensor_core._dot
+
+    def weighted(u, v):
+        return dot(u, v) + u.get(heavy, 0) * v.get(heavy, 0)
+
+    monkeypatch.setattr(tensor_core, "_dot", weighted)
+    tensor_core._weight_space.cache_clear()
+    try:
+        failed = _sweep_failures(_column_sweep(3), lambda rows, D: _read_every_key(
+            tensor_core._Columns(rows, D)))
+    finally:
+        monkeypatch.undo()
+        tensor_core._weight_space.cache_clear()
+    # the key lies in one shape of the sweep, whose content (1, 1, 1) space has dimension 2
+    assert failed == [((2, 1), 3)]
+
+
+def test_a_dropped_lam_fails_the_column_sweep():
+    def unscaled(rows, D):
+        M = tensor_core._Columns(rows, D)
+        lam, M.lam = M.lam, 1
+        return {S: M[S] for S in wedge_keys(rows, D)}, lam
+
+    sweep = _column_sweep(3)
+    # lam is 1 on the empty shape and on (1,) only
+    assert _sweep_failures(sweep, unscaled) == [(Y.rows, D) for Y, D in sweep if Y.size > 1]
+
+
+# the shapes of `cohomology --N 4 --D 5 --qmax 2` that fill at most half of their box
 FRONTIER_SHAPES = ((), (1,), (2,), (3,), (3, 1), (3, 2), (3, 3), (3, 3, 1))
 
 
@@ -506,8 +549,9 @@ def _counts(S, D):
 
 
 def test_orbit_columns_match_the_sum_over_every_key():
-    # every shape of at most 7 cells with at most 3000 slot keys, D <= 5;
-    # the orbit route sums a key of nonincreasing content and relabels the rest
+    # every shape of at most 7 cells with at most 3000 slot keys, D <= 5; the
+    # orbit route builds the column of a key of nonincreasing content from its
+    # weight space and relabels the rest
     swept, relabeled = set(), 0
     for D in range(1, 6):
         for n in range(8):
@@ -515,7 +559,7 @@ def test_orbit_columns_match_the_sum_over_every_key():
                 keys = wedge_keys(Y.rows, D)
                 if len(keys) > 3000:
                     continue
-                got = _read_every_key(tensor_core._SymmetrizerColumns(Y.rows, D))
+                got = _read_every_key(tensor_core._Columns(Y.rows, D))
                 _assert_same_columns(got, _group_sum_columns(Y.rows, D), (Y.rows, D))
                 swept.add((Y.rows, D))
                 relabeled += sum(tensor_core._content_order(_counts(S, D)) != tuple(range(1, D + 1))
@@ -542,16 +586,17 @@ def _plain_group_sum_columns(rows, D):
 
 
 def test_stabilizer_fold_matches_the_unfolded_group_sum():
-    # every shape of at most 5 cells, D <= 4: the folded row sums, with the
-    # orbit relabeling on top, against every row permutation of every key.
-    # A row of length 2 or more repeats an index in some key, so its
-    # stabilizer is larger than 1 there
+    # every shape of at most 5 cells, D <= 4: the folded row sums of the
+    # oracle, and the projector columns, against every row permutation of
+    # every key. A row of length 2 or more repeats an index in some key, so
+    # its stabilizer is larger than 1 there
     folded = 0
     for D in range(1, 5):
         for n in range(6):
             for Y in partitions(n):
-                _assert_same_columns(_read_every_key(tensor_core._SymmetrizerColumns(Y.rows, D)),
-                                     _plain_group_sum_columns(Y.rows, D), (Y.rows, D))
+                plain = _plain_group_sum_columns(Y.rows, D)
+                _assert_same_columns(projector_columns(Y.rows, D), plain, (Y.rows, D))
+                _assert_same_columns(_group_sum_columns(Y.rows, D), plain, (Y.rows, D))
                 folded += Y.size > 0 and Y.rows[0] > 1
     assert folded > 40
 
@@ -600,6 +645,46 @@ def _content_counts(basis, D):
     return counts
 
 
+@lru_cache(maxsize=None)
+def _kostka(rows, counts):
+    """The Kostka number of shape rows and content counts: the number of chains of
+    horizontal strips of sizes counts from the empty diagram up to rows (Macdonald,
+    Symmetric Functions, I.(5.12))."""
+    chains = {(): 1}
+    for c in counts:
+        chains = linalg.accumulate((lam.rows, n) for Y, n in chains.items()
+                                   for lam in horizontal_strips(Y, c, len(rows))
+                                   if all(a <= b for a, b in zip(lam.rows, rows)))
+    return chains.get(rows, 0)
+
+
+def _sorted_counts(counts):
+    """The nonzero counts of a content in nonincreasing order."""
+    return tuple(sorted((m for m in counts if m), reverse=True))
+
+
+def test_weight_spaces_have_the_kostka_dimension_and_an_orthogonal_basis():
+    # every shape of at most 7 cells and every content of it over 1..4, in any
+    # order: the lowering span has the Kostka number of vectors, pairwise
+    # orthogonal, each of that content and with its squared norm
+    checked = 0
+    for n in range(8):
+        for Y in partitions(n):
+            for counts in itertools.product(range(n + 1), repeat=4):
+                if sum(counts) != n:
+                    continue
+                content = tuple(counts[:max((i + 1 for i, m in enumerate(counts) if m), default=0)])
+                space = tensor_core._weight_space(Y.rows, content)
+                assert len(space) == _kostka(Y.rows, _sorted_counts(content)), (Y.rows, content)
+                for a, (o, norm) in enumerate(space):
+                    assert norm == sum(x * x for x in o.values())
+                    assert {tuple(_counts(S, len(content))) for S in o} == {content}
+                    assert all(sum(x * o2.get(S, 0) for S, x in o.items()) == 0
+                               for o2, _ in space[a + 1:])
+                checked += len(space) > 1
+    assert checked > 400
+
+
 def test_kostka_cap_keeps_every_row_of_the_whole_echelon():
     # shapes of at most 8 cells with at most 3000 slot keys at D <= 4, four
     # one- and two-row shapes at D = 3, and the frontier shapes at D = 5: the
@@ -617,8 +702,7 @@ def test_kostka_cap_keeps_every_row_of_the_whole_echelon():
         counts = _content_counts(basis, D)
         for S in wedge_keys(rows, D):
             c = tuple(_counts(S, D))
-            assert counts[c] == tensor_core._kostka(rows, tuple(sorted(
-                (m for m in c if m), reverse=True))), (rows, D, c)
+            assert counts[c] == _kostka(rows, _sorted_counts(c)), (rows, D, c)
         assert sum(counts.values()) == schur_dim(Diagram(rows), D)
         redundant += len(wedge_keys(rows, D)) > len(basis)
     assert len(cases) > 250 and redundant > 80
@@ -636,22 +720,23 @@ def test_kostka_counts_are_the_contents_of_the_schur_vectors():
                 counts = Counter(c for c, _ in fields._schur_by_content(N, D, p))
                 assert sum(counts.values()) == schur_dim(Diagram(rows), D)
                 for c, n in counts.items():
-                    assert n == tensor_core._kostka(rows, tuple(sorted(
-                        (m for m in c if m), reverse=True))), (N, D, p, c)
+                    assert n == _kostka(rows, _sorted_counts(c)), (N, D, p, c)
                     checked += 1
     assert checked > 300
 
 
 def test_a_kostka_count_one_too_low_is_rejected(monkeypatch):
-    # the cap stops one row short of the weight space, and the dimension check raises
-    kostka = tensor_core._kostka
+    # the cap stops one row short of the weight space, and the dimension check
+    # raises; the columns are built from the whole spaces before the patch
+    space = tensor_core._weight_space
 
-    def short(rows, counts):
-        n = kostka(rows, counts)
-        return n - 1 if counts == (2, 1) else n
+    def short(rows, content):
+        found = space(rows, content)
+        return found[1:] if content == (2, 1) else found
 
+    projector_columns((2, 1), 3)
     schur_wedge_basis.cache_clear()
-    monkeypatch.setattr(tensor_core, "_kostka", short)
+    monkeypatch.setattr(tensor_core, "_weight_space", short)
     try:
         with pytest.raises(VerificationError):
             schur_wedge_basis((2, 1), 3)
@@ -661,9 +746,8 @@ def test_a_kostka_count_one_too_low_is_rejected(monkeypatch):
 
 
 def test_projector_columns_against_full_tensor_symmetrizer():
-    # columns / lam is the symmetrizer read in slot coordinates. (1, 1)/3 is
-    # built directly and the rest from duals: (2, 2)/2 from the empty shape,
-    # (2, 1)/2 drops a full column, and (2, 1, 1)/3 dualizes twice
+    # columns / lam is the symmetrizer read in slot coordinates, on shapes
+    # below and past half their box, and with full columns: (2, 2)/2, (2, 1)/2
     for rows, D in (((1, 1), 3), ((2, 2), 3), ((2, 2, 1), 4), ((3, 2), 3),
                     ((2, 2), 2), ((2, 1), 2), ((2, 1, 1), 3)):
         Y = Diagram(rows)
