@@ -20,6 +20,7 @@ is imported once per process; a later import is a dictionary lookup.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import random
@@ -421,6 +422,18 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    """Console entry point: run the subcommand in sys.argv and end the process with its code.
+
+    After `run` returns and stdout is flushed, this runs the atexit
+    callbacks, flushes stdout and stderr, and ends the process by
+    `os._exit`. That skips only the interpreter's final garbage collection
+    and module teardown, which would free every module and lru cache to no
+    purpose: about 10 ms of a small run, over 80 ms of a large one (README,
+    "Start-up"). Under a profiler or a tracer (`python -m cProfile`,
+    coverage) it ends by `sys.exit` instead, so that they write their
+    reports. No module of the package registers an atexit callback, defines
+    `__del__` or starts a thread, so nothing waits for the teardown.
+    """
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
@@ -428,4 +441,9 @@ def main() -> None:
         # the reader is gone: send the unflushed rest to devnull so exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    sys.exit(code)
+    if sys.getprofile() or sys.gettrace():
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -195,11 +195,12 @@ def horizontal_strips(Y, q: int, D: int) -> tuple:
 
     def gen(r: int, left: int, prefix: tuple) -> None:
         if r == D:
-            if not left:
-                out.append(Diagram(tuple(m for m in prefix if m)))
+            out.append(Diagram(tuple(m for m in prefix if m)))
             return
         cap = rows[r] + left if r == 0 else min(rows[r - 1], rows[r] + left)
-        for m in range(cap, rows[r] - 1, -1):
+        # the rows below row r take at most rows[r] - rows[-1] cells, so every
+        # branch ends in a strip and the last row takes exactly what is left
+        for m in range(cap, max(rows[r], rows[-1] + left) - 1, -1):
             gen(r + 1, left - (m - rows[r]), prefix + (m,))
 
     gen(0, q, ())

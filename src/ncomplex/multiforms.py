@@ -52,7 +52,6 @@ per block.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from fractions import Fraction
@@ -506,8 +505,10 @@ def theorem2_suite(N, D, K, m, q_cap):
         if canon not in verdicts:
             verdicts[canon] = theorem2_check(N, D, K, m, canon, q_cap)
         base = verdicts[canon]
-        yield CheckReport(base.name, {**base.params, "multidegree": md},
-                          copy.deepcopy(base.entries))
+        # fresh entry and detail dicts, so that no two reports share one
+        entries = [{**e, "detail": dict(e["detail"]) if isinstance(e["detail"], dict)
+                    else e["detail"]} for e in base.entries]
+        yield CheckReport(base.name, {**base.params, "multidegree": md}, entries)
 
 
 def relative_cohomology_check(N, D, K, i, q_cap) -> CheckReport:

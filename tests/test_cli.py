@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pstats
 import resource
 import subprocess
 import sys
@@ -139,6 +140,75 @@ def test_closed_stdout_exits_1_without_traceback():
             os.close(write_end)
         assert r.returncode == 1, (argv, r.stderr)
         assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr, argv
+
+
+# a child's stdout to a pipe is block-buffered only without PYTHONUNBUFFERED
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_a_piped_run_writes_what_run_returns_buffered_or_not(capsys):
+    # main ends the process by os._exit, so its own flush writes the tail of the output
+    argv = ["cohomology", "--N", "3", "--D", "3", "--qmax", "200"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    assert len(want) > 4 * io.DEFAULT_BUFFER_SIZE
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        r = subprocess.run([sys.executable, "-m", "ncomplex", *argv], capture_output=True,
+                           text=True, env={**BUFFERED_ENV, **extra}, timeout=120)
+        assert (r.returncode, r.stderr) == (0, ""), extra
+        assert r.stdout == want, extra
+
+
+def test_a_profiled_run_writes_its_profile(tmp_path):
+    prof = tmp_path / "dim.prof"
+    r = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(prof), "-m", "ncomplex",
+                        "dim", "--shape", "2,1", "--D", "3"], capture_output=True, text=True,
+                       timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "8\n", "")
+    assert any(func == "schur_dim" for _, _, func in pstats.Stats(str(prof)).stats)
+
+
+# an atexit callback that writes to both streams with no newline, so no line buffering flushes it
+ATEXIT_CHILD = """
+import atexit, sys
+from ncomplex import cli
+atexit.register(lambda: sys.stdout.write("at exit") and sys.stderr.write("at exit"))
+sys.argv[1:] = ["dim", "--shape", "2,1", "--D", "3"]
+cli.main()
+"""
+
+
+def test_atexit_callbacks_run_and_what_they_write_is_flushed():
+    r = subprocess.run([sys.executable, "-c", ATEXIT_CHILD], capture_output=True, text=True,
+                       env=BUFFERED_ENV, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "8\nat exit", "at exit")
+
+
+# runs cli.main as `python -m ncomplex` does, with green_factor failing
+PLANTED_FAILURE_CHILD = """
+import sys
+from ncomplex import cli, multiforms
+from ncomplex.errors import VerificationError
+def fail(F):
+    raise VerificationError("planted")
+multiforms.green_factor = fail
+sys.argv[1:] = ["green", "--N", "3", "--D", "2", "--p", "1", "--q", "2"]
+cli.main()
+"""
+
+
+def test_each_exit_code_of_a_child_process_keeps_its_one_line_of_stderr():
+    def child(*argv):
+        r = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=60)
+        return r.returncode, r.stdout, r.stderr
+
+    assert child("-m", "ncomplex", "dim", "--shape", "2,1", "--D", "3") == (0, "8\n", "")
+    assert child("-c", PLANTED_FAILURE_CHILD) == (1, "", "verification failed: planted\n")
+    assert child("-m", "ncomplex", "dim", "--shape", "x", "--D", "3") == (
+        2, "", "error: expected comma-separated integers, got 'x'\n")
+    code, out, err = child("-m", "ncomplex", "dim", "--shape", "2,1")
+    assert (code, out) == (2, "") and err.count("error:") == 1
+    assert err.endswith("ncomplex dim: error: the following arguments are required: --D\n")
 
 
 def _with_entry(doc_text, **changes):

@@ -192,3 +192,33 @@ def test_horizontal_strips_match_a_filter_over_all_partitions():
     assert horizontal_strips((1, 1, 1), 2, 2) == ()
     with pytest.raises(ShapeError):
         horizontal_strips((1,), 1, 0)
+
+
+def _strips_by_every_prefix(Y, q, D):
+    """The walk over every prefix of row lengths, also those that end short of q cells."""
+    if q < 0 or Y.n_rows > D:
+        return ()
+    rows = Y.rows + (0,) * (D - Y.n_rows)
+    out = []
+
+    def gen(r, left, prefix):
+        if r == D:
+            if not left:
+                out.append(Diagram(tuple(m for m in prefix if m)))
+            return
+        cap = rows[r] + left if r == 0 else min(rows[r - 1], rows[r] + left)
+        for m in range(cap, rows[r] - 1, -1):
+            gen(r + 1, left - (m - rows[r]), prefix + (m,))
+
+    gen(0, q, ())
+    return tuple(out)
+
+
+def test_horizontal_strips_match_the_walk_over_every_prefix():
+    cases = 0
+    for Y in (lam for n in range(8) for lam in partitions(n)):
+        for D in range(1, 6):
+            for q in range(9):
+                assert horizontal_strips(Y, q, D) == _strips_by_every_prefix(Y, q, D), (Y, D, q)
+                cases += 1
+    assert cases == 2025

@@ -628,6 +628,8 @@ def test_theorem2_suite_matches_each_multidegree(monkeypatch):
     # each report owns its entries, also within an orbit: (0, 0, 0, 1) has two partners
     got[1].entries[-1]["detail"]["cocycles"] = -1
     assert [r for r in got if r.entries[-1]["detail"]["cocycles"] == -1] == [got[1]]
+    owned = [id(x) for r in got for e in r.entries for x in (e, e["detail"]) if isinstance(x, dict)]
+    assert len(owned) == len(set(owned)) > 2 * len(got)
     # one relative check also computes each (D, md, lam) once, and reuses some
     asked.clear()
     hw_units.cache_clear()

@@ -4,6 +4,7 @@ The start-up tests run fresh interpreters: this process has every module
 of the package loaded already.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -147,3 +148,55 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     assert _package(loaded) == front | {f"ncomplex.{m}" for m in (
         "cohomology", "fields", "linalg", "report", "tensor_core")}
     assert not {"dataclasses", "inspect"} & loaded
+
+
+# modules whose threads or processes the interpreter's final teardown would join
+THREAD_MODULES = {"threading", "_thread", "multiprocessing", "concurrent"}
+
+
+def _teardown_hooks(name: str, source: str) -> list:
+    """What in one module waits for the interpreter's final teardown, which `cli.main`
+    skips: `atexit.register`, `__del__`, thread or process modules, and every `os._exit`."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+            if func == "__del__":
+                found.append((name, func, "__del__"))
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in {("atexit", "register"), ("os", "_exit")}):
+            found.append((name, func, f"{node.value.id}.{node.attr}"))
+        if isinstance(node, ast.ImportFrom) and node.module in {"atexit", "os"}:
+            found.extend((name, func, f"{node.module}.{a.name}") for a in node.names
+                         if a.name in {"register", "_exit", "*"})
+        imported = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                    else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        found.extend((name, func, m) for m in imported if m.split(".")[0] in THREAD_MODULES)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_cli_main_ends_the_process_and_nothing_waits_for_teardown():
+    modules = sorted((SRC / "ncomplex").glob("*.py"))
+    assert len(modules) >= 10
+    hooks = [hit for p in modules for hit in _teardown_hooks(p.name, p.read_text())]
+    assert hooks == [("cli.py", "main", "os._exit")]
+    # the scan catches each kind of hook
+    probe = """
+import atexit, threading
+from concurrent.futures import ProcessPoolExecutor
+from os import _exit
+class Cache:
+    def __del__(self):
+        atexit.register(print)
+def main():
+    os._exit(0)
+"""
+    assert _teardown_hooks("gauge.py", probe) == [
+        ("gauge.py", None, "threading"), ("gauge.py", None, "concurrent.futures"),
+        ("gauge.py", None, "os._exit"), ("gauge.py", "__del__", "__del__"),
+        ("gauge.py", "__del__", "atexit.register"), ("gauge.py", "main", "os._exit")]
