@@ -320,7 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("diff", _cmd_diff, help="apply the differential to a field")
     p.add_argument("--input", default="-")
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=int, default=1,
+                   help="k in d^k (default 1); d^k maps block (p, q) into (p + k, q - k), and "
+                        "where that block does not exist the zero field is printed at "
+                        "(min(p + k, (N - 1) D), max(q - k, 0))")
 
     p = add("delta", _cmd_delta, help="apply the codifferential to a field")
     p.add_argument("--input", default="-")
@@ -418,6 +421,9 @@ def run(argv) -> int:
         return 1
     except MemoryError:
         print("error: out of memory; ask for a smaller block", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: recursion limit reached; ask for a smaller block", file=sys.stderr)
         return 2
 
 

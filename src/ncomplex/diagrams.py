@@ -191,20 +191,14 @@ def horizontal_strips(Y, q: int, D: int) -> tuple:
     if q < 0 or Y.n_rows > D:
         return ()
     rows = Y.rows + (0,) * (D - Y.n_rows)
-    out = []
-
-    def gen(r: int, left: int, prefix: tuple) -> None:
-        if r == D:
-            out.append(Diagram(tuple(m for m in prefix if m)))
-            return
-        cap = rows[r] + left if r == 0 else min(rows[r - 1], rows[r] + left)
+    prefixes = [((), q)]  # (row lengths so far, cells left), extended one row at a time
+    for r in range(D):
+        cap = rows[r - 1] if r else rows[0] + q
         # the rows below row r take at most rows[r] - rows[-1] cells, so every
-        # branch ends in a strip and the last row takes exactly what is left
-        for m in range(cap, max(rows[r], rows[-1] + left) - 1, -1):
-            gen(r + 1, left - (m - rows[r]), prefix + (m,))
-
-    gen(0, q, ())
-    return tuple(out)
+        # prefix ends in a strip and the last row takes exactly what is left
+        prefixes = [(prefix + (m,), left - (m - rows[r])) for prefix, left in prefixes
+                    for m in range(min(cap, rows[r] + left), max(rows[r], rows[-1] + left) - 1, -1)]
+    return tuple(Diagram(tuple(m for m in prefix if m)) for prefix, _ in prefixes)
 
 
 def standard_count(Y) -> int:
@@ -223,17 +217,17 @@ def partitions(n: int) -> Iterator[Diagram]:
     """All diagrams with n cells, in reverse lexicographic order."""
     if n < 0:
         return
-    if n == 0:
-        yield Diagram(())
-        return
-
-    def gen(total: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, cap), 0, -1):
-            for rest in gen(total - first, first):
-                yield (first,) + rest
-
-    for rows in gen(n, n):
+    rows = [n] if n else []
+    while True:
         yield Diagram(rows)
+        # the next one lowers the last part above 1 by one and refills the cells
+        # after it greedily with parts no longer than the lowered part
+        ones = 0
+        while rows and rows[-1] == 1:
+            rows.pop()
+            ones += 1
+        if not rows:
+            return
+        m = rows.pop() - 1
+        full, rest = divmod(ones + m + 1, m)
+        rows += [m] * full + [rest] * (rest > 0)

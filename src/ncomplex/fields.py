@@ -85,7 +85,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations_with_replacement
 from math import comb, prod
+from operator import sub
 from typing import NamedTuple
 
 from . import linalg
@@ -115,23 +117,15 @@ def _pad(key, width: int):
     return tuple(key) + ((),) * (width - len(key))
 
 
-@lru_cache(maxsize=None)
 def monomials(D: int, q: int) -> tuple:
-    """Exponent vectors of the homogeneous degree-q monomials, lex sorted."""
+    """Exponent vectors of the homogeneous degree-q monomials, lex sorted: the gaps
+    between 0, c and q for each weakly increasing c of D - 1 entries in 0..q, in lex order."""
     if D < 1:
         raise ShapeError(f"monomials need at least one variable, got D={D}")
     if q < 0:
         return ()
-
-    def gen(d, total):
-        if d == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in gen(d - 1, total - first):
-                yield (first,) + rest
-
-    return tuple(sorted(gen(D, q)))
+    return tuple(tuple(map(sub, c + (q,), (0,) + c))
+                 for c in combinations_with_replacement(range(q + 1), D - 1))
 
 
 def _check_entry(N: int, D: int, key, exp) -> tuple:
@@ -515,8 +509,8 @@ def _schur_vectors(N: int, D: int, p: int) -> tuple:
 @lru_cache(maxsize=None)
 def _block_int_basis(N: int, D: int, p: int, q: int) -> tuple:
     """Integer slot-vector basis of one block, deterministic order."""
-    return tuple({(k, e): c for k, c in s.items()}
-                 for s in _schur_vectors(N, D, p) for e in monomials(D, q))
+    exps = monomials(D, q)
+    return tuple({(k, e): c for k, c in s.items()} for s in _schur_vectors(N, D, p) for e in exps)
 
 
 def _by_weight(vec: dict) -> dict:
@@ -753,16 +747,16 @@ def star_relation_constants(N: int, D: int, q_values=(1, 2)) -> dict:
     For each n returns the unique nonzero c with
     delta = c * (star compose d compose star inverse) on degree n,
     verified at the given polynomial degrees on the star images of the
-    covariant highest-weight vectors of degree top - n (`hw_basis`): the
-    star is a bijection, and star^-1 delta star is equivariant.
+    covariant highest-weight vectors h of degree top - n (`hw_basis`), as
+    delta(star h) against star(d h) since star^-1 star h = h: the star is
+    a bijection, and star^-1 delta star is equivariant.
     """
     BlockLabel(N, D, 0, 0).validate()
     top = _top_degree(N, D)
     out = {}
     for n in range(1, top + 1):
-        stars = (dual_star_field(h) for q in q_values for h in hw_basis(N, D, top - n, q))
-        pairs = [(delta(b).data, dual_star_field(n_diff(star_inverse_field(b))).data)
-                 for b in stars]
+        pairs = [(delta(dual_star_field(h)).data, dual_star_field(n_diff(h)).data)
+                 for q in q_values for h in hw_basis(N, D, top - n, q)]
         try:
             c = linalg.proportionality(pairs)
         except ValueError as exc:

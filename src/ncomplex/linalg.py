@@ -4,8 +4,10 @@ This module is the sole owner of sparse-vector arithmetic and of the
 value rules of exact sparse vectors. `accumulate` is the one
 zero-dropping sum of a stream of (key, value) terms, which is how every
 other module scatters a sparse map; `add_to` and `combine` add and
-combine whole vectors, and `Echelon._reduce_int` is the only reduction
-loop. One kernel keeps the same sum inline, because a generator of terms
+combine whole vectors, and `Echelon._reduce_int` is the only elimination
+loop; the one other reduction is the Gram-Schmidt loop of
+`tensor_core._weight_space`, which reduces by the dot product, not by
+pivots. One kernel keeps the same sum inline, because a generator of terms
 measured slower there (2 vCPUs, Python 3.11): `fields._apply_slot`, the d
 kernel (~10% on the whole of `cohomology --N 3 --D 4 --qmax 7`). Vectors
 are dicts mapping coordinate keys to nonzero scalars (int or Fraction).

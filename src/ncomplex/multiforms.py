@@ -290,7 +290,7 @@ def _units(D, md, q) -> list:
     """Integer unit slot vectors of block (md, q); none when a slot size leaves 0..D."""
     if any(a < 0 or a > D for a in md):
         return []
-    return [{(key, e): 1} for key in tc._slot_keys(D, md) for e in monomials(D, q)]
+    return [{(key, e): 1} for key, e in product(tc._slot_keys(D, md), monomials(D, q))]
 
 
 @lru_cache(maxsize=256)

@@ -393,6 +393,33 @@ def test_running_out_of_memory_exits_2_without_traceback():
     assert r.stderr == "error: out of memory; ask for a smaller block\n"
 
 
+def test_hitting_the_recursion_limit_exits_2_without_traceback(monkeypatch):
+    def deep(F):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(mf, "green_factor", deep)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["green", "--N", "3", "--D", "2", "--p", "1", "--q", "2"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: recursion limit reached; ask for a smaller block\n"
+
+
+def test_a_large_base_needs_no_stack_frame_per_variable():
+    # the Pieri strips and the monomials are walked without recursion, so a
+    # base of more than a thousand variables passes like a small one
+    for argv, expected in (
+            (["cohomology", "--N", "2", "--D", "1000", "--p", "0", "--k", "1", "--qmax", "0"],
+             "N,D,p,k,q,dim_ker,dim_im,dim_H\n2,1000,0,1,0,1,0,1\n"),
+            (["green", "--N", "2", "--D", "1200", "--p", "0", "--q", "1"],
+             '{"N": 2, "D": 1200, "p": 0, "q": 1, "seed": 0, "constant": "1"}\n')):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        assert (code, out.getvalue(), err.getvalue()) == (0, expected, ""), argv
+
+
 def _peak_rss(argv):
     """(stdout, peak resident MB) of one `python -m ncomplex` child, read from its rusage."""
     child = subprocess.Popen([sys.executable, "-m", "ncomplex", *argv], stdout=subprocess.PIPE,

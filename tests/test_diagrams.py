@@ -222,3 +222,23 @@ def test_horizontal_strips_match_the_walk_over_every_prefix():
                 assert horizontal_strips(Y, q, D) == _strips_by_every_prefix(Y, q, D), (Y, D, q)
                 cases += 1
     assert cases == 2025
+
+
+def _partitions_by_recursion(n):
+    """The row tuples of the partitions of n by one recursion per row, longest first row first."""
+    def gen(total, cap):
+        if total == 0:
+            yield ()
+            return
+        for first in range(min(total, cap), 0, -1):
+            for rest in gen(total - first, first):
+                yield (first,) + rest
+
+    return list(gen(n, n))
+
+
+def test_partitions_match_the_recursive_walk():
+    for n in range(16):
+        assert [lam.rows for lam in partitions(n)] == _partitions_by_recursion(n), n
+    assert len(list(partitions(15))) == 176
+    assert list(partitions(-1)) == []

@@ -123,6 +123,27 @@ def test_monomials_sorted_and_complete():
     assert len(monomials(3, 4)) == 15
 
 
+def _monomials_by_recursion(D, q):
+    """The exponent vectors by one recursion per variable, sorted."""
+    def gen(d, total):
+        if d == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in gen(d - 1, total - first):
+                yield (first,) + rest
+
+    return tuple(sorted(gen(D, q)))
+
+
+def test_monomials_match_the_recursive_walk():
+    for D in range(1, 7):
+        for q in range(7):
+            assert monomials(D, q) == _monomials_by_recursion(D, q), (D, q)
+    assert monomials(3, -1) == ()
+    assert not hasattr(monomials, "cache_info")  # no cache grows with the degree
+
+
 def test_monomials_reject_no_variables():
     with pytest.raises(ShapeError):
         monomials(0, 2)

@@ -200,3 +200,47 @@ def main():
         ("gauge.py", None, "threading"), ("gauge.py", None, "concurrent.futures"),
         ("gauge.py", None, "os._exit"), ("gauge.py", "__del__", "__del__"),
         ("gauge.py", "__del__", "atexit.register"), ("gauge.py", "main", "os._exit")]
+
+
+def _nested_recursion(source: str) -> list:
+    """'outer.inner' for each function defined inside another function that calls itself by name."""
+    found = []
+
+    def visit(node, outer):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, outer)
+                continue
+            name = f"{outer}.{child.name}" if outer else child.name
+            if outer and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                             and c.func.id == child.name for c in ast.walk(child)):
+                found.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_nested_function_recurses():
+    # a nested generator that calls itself takes one stack frame per variable
+    # or row, so a base of a thousand variables ends in a RecursionError
+    modules = sorted((SRC / "ncomplex").glob("*.py"))
+    assert len(modules) >= 10
+    assert [hit for p in modules for hit in _nested_recursion(p.read_text())] == []
+    # the scan catches one, at any depth, and leaves top-level recursion alone
+    probe = """
+def walk(n):
+    def gen(d):
+        yield from gen(d - 1) if d else ()
+    return list(gen(n))
+class Table:
+    def rows(self):
+        def inner():
+            def deeper(k):
+                return deeper(k - 1)
+            return inner()
+        return inner
+def top(n):
+    return top(n - 1) if n else 0
+"""
+    assert _nested_recursion(probe) == ["walk.gen", "rows.inner", "rows.inner.deeper"]
