@@ -13,15 +13,16 @@ what building the parser and reporting errors need (`diagrams`,
 runs, with a plain function-local ``from . import ...``: `dim` loads no
 further module, `cohomology` loads `cohomology` and what that imports
 (`fields`, `tensor_core`, `linalg`, `report`), and only the subcommands
-that use them load `multiforms`, `gauge` or `quotient_algebra`. A module
-is imported once per process; a later import is a dictionary lookup.
+that use them load `multiforms`, `gauge` or `quotient_algebra`. `json`
+is imported the same way, by the functions that read or write JSON, so a
+text or CSV run does not load it. A module is imported once per process;
+a later import is a dictionary lookup.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
-import json
 import os
 import random
 import sys
@@ -48,12 +49,15 @@ def _read_text(path):
 
 
 def _load(path, parse, what):
-    """Parse a JSON document with parse, turning every input fault into a UsageError."""
+    """Parse a JSON document with parse, turning every input fault into a UsageError.
+
+    A JSON syntax error is a `json.JSONDecodeError`, a subclass of ValueError.
+    """
     try:
         return parse(_read_text(path))
     except OSError as exc:
         raise UsageError(f"{path}: cannot read: {exc.strerror or exc}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: malformed {what} document: {exc}")
 
 
@@ -159,6 +163,7 @@ def _cmd_theorem2(args):
 
 
 def _cmd_green(args):
+    import json
     from . import fields as fl
     from . import multiforms as mf
     rng = random.Random(args.seed)
@@ -171,6 +176,7 @@ def _cmd_green(args):
 
 
 def _cmd_spin2(args):
+    import json
     from . import fields as fl
     from . import gauge as gg
     if args.qmax < 0:
@@ -201,6 +207,7 @@ def _cmd_spin2(args):
 
 
 def _cmd_spins(args):
+    import json
     from . import fields as fl
     from . import gauge as gg
     rng = random.Random(args.seed)

@@ -55,8 +55,18 @@ class Diagram(_Rows):
         return self.rows[0] if self.rows else 0
 
     def columns(self) -> tuple[int, ...]:
-        """Column lengths, i.e. the rows of the conjugate diagram."""
-        return tuple(sum(1 for m in self.rows if m > j) for j in range(self.n_cols))
+        """Column lengths, i.e. the rows of the conjugate diagram.
+
+        Column j holds the rows longer than j; the rows are nonincreasing, so
+        that count only falls as j grows: one pass over rows and columns.
+        """
+        rows, cols = self.rows, []
+        r = len(rows)
+        for j in range(self.n_cols):
+            while rows[r - 1] <= j:
+                r -= 1
+            cols.append(r)
+        return tuple(cols)
 
     @property
     def is_rectangular(self) -> bool:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import solve_preimage
 from .errors import ShapeError, VerificationError
 from .fields import (
     CO,
@@ -152,6 +151,9 @@ def stress_potential(T: PolyTensorField) -> PolyTensorField:
     and dualizes back. One rescaling absorbs the constants of the two
     dualities, and the residual is checked to vanish identically.
     """
+    # imported here, so that the spin2 and spinS runs do not load cohomology
+    from .cohomology import solve_preimage
+
     if T.N != 3 or T.p != 2 or T.variance != CONTRA:
         raise ShapeError("expected a contravariant symmetric two-tensor field")
     D, q = T.D, T.q

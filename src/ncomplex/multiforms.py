@@ -25,12 +25,12 @@ dimension sum over lam of schur_dim(lam, D) times the number of its
 highest-weight vectors of weight lam (Fulton and Harris, Representation
 Theory, Lecture 15), and d_J maps those of its source onto those of its
 image. Both checks decide each rank and span membership on them, however
-many (`_hw_units`); only the unit basis of the block `theorem2_check` is
-asked about is built as `Multiform`s, to validate it. The block is
-Lambda^md_1 V (x) ... (x) Lambda^md_k V (x) S^q V, so the iterated Pieri
-rule lists its constituents lam with their multiplicities first
-(`_constituents`): the checks visit only those weights, and the raising
-nullspace `fields._hw_vectors` must find exactly that many vectors.
+many (`fields._hw_units`); only the unit basis of the block
+`theorem2_check` is asked about is built as `Multiform`s, to validate it.
+The iterated Pieri rule lists the constituents lam of a block with their
+multiplicities first (`fields._constituents`): the checks visit only
+those weights, and the raising nullspace `fields._hw_vectors` must find
+exactly that many vectors.
 
 The slots are interchangeable too. For a permutation pi of 1..N-1, the
 algebra map Phi_pi sending each generator of slot j to the same generator
@@ -41,26 +41,20 @@ it permutes the check's families of slot products, so kernels, ranks and
 span memberships, and with them every verdict and count, agree at md and
 pi(md). `theorem2_suite` therefore decides one multidegree per orbit of
 the relabelings that fix K (`_slot_orbit_rep`) and copies its verdicts to
-the rest of the orbit. Every Phi_pi also commutes with GL_D, so it maps
-the highest-weight vectors of block (md, q) onto those of (pi(md), q):
-`_hw_units` solves once per orbit of all relabelings, at the sorted
-multidegree, and carries those units to the others (`_relabeled`). On a
-unit, Phi_pi moves the slot sets and reorders the anticommuting
-generators, for a sign that depends only on the slot sizes, one scalar
-per block.
+the rest of the orbit. Every Phi_pi also commutes with GL_D, so
+`fields._hw_units` solves once per orbit of all relabelings and carries
+the units to the others (`fields._relabeled`; the `fields` docstring
+gives the sign).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 
 from . import linalg
 from . import tensor_core as tc
-from .diagrams import horizontal_strips, schur_dim
 from .errors import ShapeError, VerificationError
 from .fields import (
     BlockLabel,
@@ -68,15 +62,15 @@ from .fields import (
     _apply_d_int,
     _apply_slot,
     _check_entry,
+    _constituents,
     _hw_image,
-    _hw_vectors,
+    _hw_units,
     _insert_table,
     _pi_columns,
     _pieri,
     _slot_map,
     _staircase,
     monomials,
-    weight,
     # unused here; the names stay because bench/spans.py wraps these bindings
     block_basis,
     n_diff,
@@ -145,6 +139,7 @@ class Multiform(linalg.Sparse):
 
     @classmethod
     def from_json(cls, text: str) -> "Multiform":
+        import json
         doc = json.loads(text)
         data = tc._json_entries(doc, lambda e: (
             tuple(tc._json_ints(s, "slot") for s in e["slots"]), tc._json_ints(e["exp"], "exp")))
@@ -291,90 +286,6 @@ def _units(D, md, q) -> list:
     if any(a < 0 or a > D for a in md):
         return []
     return [{(key, e): 1} for key, e in product(tc._slot_keys(D, md), monomials(D, q))]
-
-
-@lru_cache(maxsize=256)
-def _keys_by_content(D, md) -> tuple:
-    """(index content, its slot keys of multidegree md in lex order) for each content."""
-    zero = (0,) * D
-    groups: dict = {}
-    for key in tc._slot_keys(D, md):
-        groups.setdefault(weight(key, zero), []).append(key)
-    return tuple(groups.items())
-
-
-@lru_cache(maxsize=None)
-def _hw_units(D, md, lam) -> tuple:
-    """A basis of the highest-weight vectors of weight lam in block (md, |lam| - |md|).
-
-    At sorted md: the `_hw_vectors` of its unit vectors of weight lam, each
-    key of content c <= lam times x^(lam - c), in key order, as many as
-    `_constituents` counts; none, with no solve, when lam is not listed
-    there or a slot size leaves 0..D. At any other md: the units of
-    sorted(md) carried over by a slot relabeling (`_relabeled`).
-    Cached, since a block is also the source of the ranges into its neighbours.
-    """
-    if any(a < 0 or a > D for a in md):
-        return ()
-    if md != tuple(sorted(md)):
-        return _relabeled(_hw_units(D, tuple(sorted(md)), lam), md)
-    count = {w: n for w, n, _ in _constituents(D, md, sum(lam) - sum(md))}.get(lam, 0)
-    if not count:
-        return ()
-    entries = sorted((key, tuple(a - b for a, b in zip(lam, c)))
-                     for c, keys in _keys_by_content(D, md) if all(map(int.__le__, c, lam))
-                     for key in keys)
-    return _hw_vectors([{entry: 1} for entry in entries], lam, count, f"block {md} at D={D}")
-
-
-@lru_cache(maxsize=None)
-def _constituents(D, md, q) -> tuple:
-    """(lam, multiplicity, schur_dim(lam, D)) for each S_lam in block (md, q), md sorted.
-
-    The block is Lambda^md_1 V (x) ... (x) Lambda^md_k V (x) S^q V, so the
-    multiplicity of S_lam is the number of chains of shapes with at most D
-    rows from the empty one to lam that add vertical strips of sizes md_1,
-    ..., md_k (`_vertical_chains`) and then a horizontal q-strip
-    (`horizontal_strips`; Macdonald, Symmetric Functions, I.(5.16)-(5.17)).
-    Tensor factors commute, so the count ignores the slot order. Each lam
-    is a weight of D parts, listed in the order of `diagrams.partitions`;
-    a lam of multiplicity 0 is not listed.
-    """
-    counts = linalg.accumulate((lam, n) for mu, n in _vertical_chains(D, md)
-                               for lam in horizontal_strips([m for m in mu if m], q, D))
-    return tuple((lam.rows + (0,) * (D - lam.n_rows), n, schur_dim(lam, D))
-                 for lam, n in sorted(counts.items(), reverse=True))
-
-
-@lru_cache(maxsize=None)
-def _vertical_chains(D, md) -> tuple:
-    """(mu, number of chains from the empty shape to mu adding vertical md_j-strips in turn).
-
-    Shapes are weights of D parts, so each has at most D rows; a vertical
-    a-strip adds one cell to each of a rows, keeping the parts nonincreasing.
-    """
-    shapes = {(0,) * D: 1}
-    for a in md:
-        shapes = linalg.accumulate(
-            (tuple(m + (r in rows) for r, m in enumerate(mu)), n) for mu, n in shapes.items()
-            for rows in combinations(range(D), a)
-            if all(r == 0 or r - 1 in rows or mu[r - 1] > mu[r] for r in rows))
-    return tuple(shapes.items())
-
-
-def _relabeled(units, md) -> tuple:
-    """Phi_pi (module docstring) of the units of sorted(md), which lands in block md.
-
-    Slot r of sorted(md) moves to order[r], the r-th slot of md by size
-    (ties in slot order). Reordering the generators gives the sign (-1)^(a b)
-    for each pair of slots of sizes a, b that pi swaps: one scalar per block.
-    """
-    order = sorted(range(len(md)), key=md.__getitem__)
-    place = sorted(range(len(md)), key=order.__getitem__)  # the inverse: slot t takes slot place[t]
-    sign = (-1) ** sum(md[order[r]] * md[order[t]]
-                       for r, t in combinations(range(len(md)), 2) if order[r] > order[t])
-    return tuple({(tuple(key[r] for r in place), exp): sign * v for (key, exp), v in u.items()}
-                 for u in units)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ from functools import lru_cache, partial
 from . import linalg
 from .diagrams import max_diagram
 from .errors import ShapeError
-from .fields import BlockLabel, _insertion, _pad, _staircase, _top_degree
-from .multiforms import _constituents, _hw_units
+from .fields import (BlockLabel, _constituents, _hw_units, _insertion, _pad, _staircase,
+                     _top_degree)
 from .report import CheckReport
 from .tensor_core import CONTRA, Tensor, _check_tag, tensor_from_wedge, tensor_to_wedge
 

@@ -2,14 +2,13 @@
 
 A `CheckReport` is a named family of labelled entries, each passing or
 failing, printed as text or as one JSON document. It lives in a module of
-its own, importing only `json`, so the modules that report through it
+its own, importing nothing, so the modules that report through it
 (`multiforms`, `cohomology`, `quotient_algebra`) share it without loading
-one another.
+one another; `to_json` imports `json` when it is called, so a text run
+does not load it.
 """
 
 from __future__ import annotations
-
-import json
 
 
 class CheckReport:
@@ -36,6 +35,7 @@ class CheckReport:
                              "pass": expected == got})
 
     def to_json(self) -> str:
+        import json
         return json.dumps(
             {"check": self.name, "params": self.params, "pass": self.ok,
              "entries": self.entries},

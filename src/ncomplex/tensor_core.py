@@ -45,7 +45,6 @@ tests keep that permutation sum as the oracle.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -94,6 +93,7 @@ def _entry_value(entry: dict) -> Fraction:
 def _json_doc(head: dict, names: tuple, items) -> str:
     """The JSON document head + {"entries": ...}: one entry per (key, value) item,
     the key's parts under `names`, then the exact value as "num" and "den" strings."""
+    import json
     entries = [{**dict(zip(names, key)), "num": str(v.numerator), "den": str(v.denominator)}
                for key, v in items]
     return json.dumps({**head, "entries": entries})
@@ -171,6 +171,7 @@ class Tensor(linalg.Sparse):
 
     @classmethod
     def from_json(cls, text: str) -> "Tensor":
+        import json
         doc = json.loads(text)
         comps = _json_entries(doc, lambda e: _json_ints(e["idx"], "idx"))
         shape = doc.get("shape")
@@ -458,9 +459,10 @@ def _hodge_star(S, D: int):
 
 
 def _content_order(counts) -> tuple:
-    """(sigma(1), ..., sigma(D)) for the counts of the indices 1..D: sigma lists the
-    indices by (-count, index) and sends the r-th to r. It sorts the content into
-    nonincreasing order, and is the identity exactly when the content is so already."""
+    """(sigma(1), ..., sigma(n)) for the counts of n indices listed in increasing order:
+    sigma lists the indices by (-count, index) and sends the r-th to r. It sorts the
+    content into nonincreasing order, and is the identity exactly when the content is
+    so already."""
     order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
     return tuple(r + 1 for r in sorted(range(len(counts)), key=order.__getitem__))
 
@@ -494,8 +496,10 @@ class _Columns(dict):
     e_T the column re-sort signs of sigma S and sigma^-1 T. A table per
     index content keeps sigma, sigma^-1 and each sort(sigma^-1 T) with its
     sign e_T, so a key T is relabeled once per content, not once per
-    column that reads it. The tests keep the row and column group sum
-    over every key as the oracle.
+    column that reads it. sigma and sigma^-1 are kept on the indices the
+    content holds only, so a table costs the size of the key, whatever D.
+    The tests keep the row and column group sum over every key as the
+    oracle.
     """
 
     __slots__ = ("rows", "D", "lam", "_relabel")
@@ -508,10 +512,12 @@ class _Columns(dict):
     def __missing__(self, S):
         content = tuple(sorted(sum(S, ())))
         if content not in self._relabel:
-            identity = tuple(range(1, self.D + 1))
-            sigma = _content_order([content.count(i) for i in identity])
-            inv = sorted(identity, key=lambda i: sigma[i - 1])  # inv[r - 1] = sigma^-1(r)
-            self._relabel[content] = None if sigma == identity else (sigma, inv, {})
+            # sigma on the m indices the content holds, which it sends onto 1..m; the
+            # indices it lacks never occur in S or in a column of the same content
+            held = sorted(set(content))
+            ranks = _content_order([content.count(i) for i in held])
+            sigma, inv = dict(zip(held, ranks)), dict(zip(ranks, held))
+            self._relabel[content] = None if held == list(ranks) else (sigma, inv, {})
         table = self._relabel[content]
         if table is None:
             # a nonincreasing content holds each of 1..m, so its counts in index order are w
@@ -519,11 +525,11 @@ class _Columns(dict):
             return out
         sigma, inv, back = table
         blocks = _column_blocks(self.rows)
-        top, e_S = _canonicalize([sigma[i - 1] for col in S for i in col], blocks)
+        top, e_S = _canonicalize([sigma[i] for col in S for i in col], blocks)
         out = {}
         for T, v in self[top].items():
             if T not in back:
-                back[T] = _canonicalize([inv[i - 1] for col in T for i in col], blocks)
+                back[T] = _canonicalize([inv[i] for col in T for i in col], blocks)
             key, e_T = back[T]
             out[key] = e_S * e_T * v
         self[S] = out

@@ -118,6 +118,8 @@ def test_conjugation_involution_exhaustive():
         for Y in partitions(n):
             assert conjugate(conjugate(Y)) == Y
             assert sum(Y.rows) == sum(Y.columns())
+            # column j holds the rows longer than j
+            assert Y.columns() == tuple(sum(m > j for m in Y.rows) for j in range(Y.n_cols))
 
 
 @settings(max_examples=80, deadline=None)

@@ -714,7 +714,7 @@ def test_no_library_code_builds_a_whole_block():
     # one Pieri table per kind of block
     strips = [hit for p in modules for hit in _calls(p.name, p.read_text(), {"horizontal_strips"})]
     assert [(name, func) for name, func, _ in strips] == [
-        ("fields.py", "_pieri"), ("multiforms.py", "_constituents")]
+        ("fields.py", "_pieri"), ("fields.py", "_constituents")]
     deleted = ("_hw_rows", "_hw_coefficients", "_hw_vector", "_hw_count", "_highest_weights")
     assert [(p.name, name) for p in modules for name in deleted
             if re.search(rf"\b{name}\b", p.read_text())] == []

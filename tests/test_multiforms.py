@@ -536,10 +536,15 @@ def test_relabeled_units_reorder_the_anticommuting_generators():
 
 
 def test_a_wrong_pieri_count_fails_the_run(monkeypatch, capsys):
-    constituents = mf._constituents
-    monkeypatch.setattr(mf, "_constituents", lambda D, md, q: tuple(
-        (lam, n + 1, dim) for lam, n, dim in constituents(D, md, q)))
-    mf._hw_units.cache_clear()  # the wrong count raises, so nothing wrong is cached
+    constituents = fields._constituents
+
+    def wrong(D, md, q):
+        return tuple((lam, n + 1, dim) for lam, n, dim in constituents(D, md, q))
+
+    # `_hw_units` reads the count in fields, and `_split_block` its binding in multiforms
+    monkeypatch.setattr(fields, "_constituents", wrong)
+    monkeypatch.setattr(mf, "_constituents", wrong)
+    fields._hw_units.cache_clear()  # the wrong count raises, so nothing wrong is cached
     assert run(["theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1", "--qcap", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -549,10 +554,10 @@ def test_a_wrong_pieri_count_fails_the_run(monkeypatch, capsys):
 def test_theorem2_suite_nullspace_count(monkeypatch, capsys):
     # one raising solve per (md, lam) made 620 calls here, 492 of them raising
     # nullspaces; weights of multiplicity 0 and relabeled unsorted multidegrees skip most
-    nullspace, hw_vectors, calls, raising = linalg.nullspace, mf._hw_vectors, [], []
+    nullspace, hw_vectors, calls, raising = linalg.nullspace, fields._hw_vectors, [], []
     monkeypatch.setattr(linalg, "nullspace", lambda cols: calls.append(1) or nullspace(cols))
-    monkeypatch.setattr(mf, "_hw_vectors", lambda *a: raising.append(1) or hw_vectors(*a))
-    mf._hw_units.cache_clear()
+    monkeypatch.setattr(fields, "_hw_vectors", lambda *a: raising.append(1) or hw_vectors(*a))
+    fields._hw_units.cache_clear()
     assert run(["theorem2", "--N", "4", "--D", "3", "--K", "1,2,3", "--m", "2",
                 "--qcap", "3"]) == 0
     capsys.readouterr()
@@ -605,8 +610,15 @@ def test_theorem2_suite_matches_each_multidegree(monkeypatch):
         return check(N, D, K, m, md, q_cap)
 
     monkeypatch.setattr(mf, "theorem2_check", counted)
-    hw_units, asked = mf._hw_units, []  # every key the cache is asked for
-    monkeypatch.setattr(mf, "_hw_units", lambda *key: asked.append(key) or hw_units(*key))
+    hw_units, asked = fields._hw_units, []  # every key the cache is asked for
+
+    def counted_units(*key):
+        asked.append(key)
+        return hw_units(*key)
+
+    # the checks read the binding in multiforms, and a relabeled block the one in fields
+    monkeypatch.setattr(fields, "_hw_units", counted_units)
+    monkeypatch.setattr(mf, "_hw_units", counted_units)
     # K = (1, 3) at N = 4 and the partial K at N = 5 leave proper stabilizers
     for N, D, K, m, q_cap, reps in ((4, 3, (1, 2, 3), 2, 3, 20), (4, 3, (1, 3), 1, 3, 40),
                                     (4, 3, (1, 3), 2, 3, 40), (5, 2, (1, 3), 1, 3, 36),

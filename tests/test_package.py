@@ -134,10 +134,10 @@ def test_building_the_parser_loads_only_the_front_door():
     loaded, code = _loads("import ncomplex.cli as c; c.build_parser()")
     assert code == 0
     assert _package(loaded) == {"ncomplex", "ncomplex.cli", "ncomplex.diagrams", "ncomplex.errors"}
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "json"} & loaded
 
 
-def test_each_subcommand_loads_only_the_modules_it_runs():
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     front = {"ncomplex", "ncomplex.cli", "ncomplex.diagrams", "ncomplex.errors"}
     loaded, code = _loads(RUN_MAIN, "dim", "--shape", "2,1", "--D", "3")
     assert code == 0 and _package(loaded) == front
@@ -147,7 +147,31 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     assert code == 0
     assert _package(loaded) == front | {f"ncomplex.{m}" for m in (
         "cohomology", "fields", "linalg", "report", "tensor_core")}
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "json"} & loaded
+    loaded, code = _loads(RUN_MAIN, "poincare", "--N", "3", "--D", "2", "--nmax", "1",
+                          "--qmax", "1")
+    assert code == 0 and "ncomplex.cohomology" in loaded and "json" not in loaded
+    loaded, code = _loads(RUN_MAIN, "theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1",
+                          "--qcap", "1")
+    assert code == 0 and "json" not in loaded
+    assert _package(loaded) == front | {f"ncomplex.{m}" for m in (
+        "multiforms", "fields", "linalg", "report", "tensor_core")}
+    # the word action needs the highest-weight units of `fields`, not `multiforms`
+    loaded, code = _loads(RUN_MAIN, "algebra", "--N", "3", "--D", "3")
+    assert code == 0 and "json" not in loaded
+    assert _package(loaded) == front | {f"ncomplex.{m}" for m in (
+        "quotient_algebra", "fields", "linalg", "report", "tensor_core")}
+    # of the gauge runs, only the stress potential solves in `cohomology`
+    for argv in (("spin2", "--D", "2"), ("spinS", "--S", "2", "--D", "2", "--q", "2")):
+        loaded, code = _loads(RUN_MAIN, *argv)
+        assert code == 0
+        assert _package(loaded) == front | {f"ncomplex.{m}" for m in (
+            "gauge", "fields", "linalg", "tensor_core")}, argv
+    field = tmp_path / "stress.json"
+    field.write_text('{"N": 3, "dim": 2, "degree": 2, "poly_degree": 0, "variance": "contra", '
+                     '"entries": [{"idx": [1, 1], "exp": [0, 0], "num": "1", "den": "1"}]}')
+    loaded, code = _loads(RUN_MAIN, "stress-potential", "--input", str(field))
+    assert code == 0 and {"ncomplex.gauge", "ncomplex.cohomology"} <= loaded
 
 
 # modules whose threads or processes the interpreter's final teardown would join

@@ -9,9 +9,8 @@ from ncomplex import fields, linalg, quotient_algebra, tensor_core
 from ncomplex.cli import run
 from ncomplex.diagrams import as_diagram, max_diagram, schur_dim, standard_count
 from ncomplex.errors import ShapeError
-from ncomplex.fields import (_insertion, _pad, _pi_columns, _raise, _schur_vectors, _staircase,
-                             _top_degree)
-from ncomplex.multiforms import _hw_units
+from ncomplex.fields import (_hw_units, _insertion, _pad, _pi_columns, _raise, _schur_vectors,
+                             _staircase, _top_degree)
 from ncomplex.quotient_algebra import (
     _cyclic_generators,
     _ideal_dim,

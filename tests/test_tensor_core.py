@@ -408,8 +408,8 @@ def _column_sorted(I, blocks):
     return tuple(key), sign
 
 
-def _group_sum_columns(rows, D):
-    """`projector_columns` by the row x column group sum on every slot key.
+def _group_sum_columns(rows, D, keys=None):
+    """`projector_columns` by the row x column group sum on every slot key, or on keys.
 
     The oracle of the orbit route: no key is read off another, and the
     column sort is its own (`_column_sorted`). The row group sum of an
@@ -421,7 +421,7 @@ def _group_sum_columns(rows, D):
     # the rows' values laid end to end, read back in column reading order
     read = sorted(range(sum(rows)), key=[k for row in row_cells for k in row].__getitem__)
     cols, canon = {}, {}
-    for S in wedge_keys(rows, D):
+    for S in wedge_keys(rows, D) if keys is None else keys:
         summed = {}
         for J, v in _column_perms(S):
             orbits = [_row_orbit(tuple(J[k] for k in row)) for row in row_cells]
@@ -566,6 +566,24 @@ def test_orbit_columns_match_the_sum_over_every_key():
                                  for S in keys)
     assert {(rows, 5) for rows in FRONTIER_SHAPES} <= swept
     assert relabeled > 20000
+
+
+def test_columns_at_a_base_larger_than_every_index_of_the_key():
+    # keys over the indices 6..12 only, at D = 12, read in a seeded shuffled
+    # order: each index content is relabeled on the indices it holds, which
+    # never include 1, so every column is read off another
+    rng, D, read = random.Random(39), 12, 0
+    for n in range(1, 5):
+        for Y in partitions(n):
+            keys = [S for S in wedge_keys(Y.rows, D) if min(sum(S, ())) >= 6]
+            rng.shuffle(keys)
+            want, lam = _group_sum_columns(Y.rows, D, keys)
+            M = tensor_core._Columns(Y.rows, D)
+            for S in keys:
+                assert M[S] == want[S], (Y.rows, S)
+            assert M.lam == lam
+            read += len(keys)
+    assert read > 4000
 
 
 def _plain_group_sum_columns(rows, D):
