@@ -49,3 +49,15 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
+
+
+def _resolve_in(module: str, owner: str, names: str):
+    """The PEP 562 `__getattr__` of `module` that resolves its public `names` in `owner`."""
+    resolved = frozenset(names.split())
+
+    def __getattr__(name):
+        if name not in resolved:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(_import_module(f"{__name__}.{owner}"), name)
+
+    return __getattr__

@@ -13,7 +13,8 @@ what building the parser and reporting errors need (`diagrams`,
 runs, with a plain function-local ``from . import ...``: `dim` loads no
 further module, `cohomology` loads `cohomology` and what that imports
 (`fields`, `tensor_core`, `linalg`, `report`), and only the subcommands
-that use them load `multiforms`, `gauge` or `quotient_algebra`. `json`
+that use them load `multiforms`, `gauge`, `quotient_algebra` or the
+layers `dense`, `duality` and `sequences`. `json`
 is imported the same way, by the functions that read or write JSON, so a
 text or CSV run does not load it. A module is imported once per process;
 a later import is a dictionary lookup.
@@ -85,10 +86,10 @@ def _cmd_dim(args):
 
 
 def _cmd_project(args):
-    from . import tensor_core as tc
+    from .dense import Tensor, young_project
     Y = Diagram(_parse_ints(args.shape))
-    T = _load(args.input, tc.Tensor.from_json, "tensor")
-    _emit(tc.young_project(Y, T).to_json())
+    T = _load(args.input, Tensor.from_json, "tensor")
+    _emit(young_project(Y, T).to_json())
     return 0
 
 
@@ -100,16 +101,16 @@ def _cmd_diff(args):
 
 
 def _cmd_delta(args):
-    from . import fields as fl
-    F = _load(args.input, fl.PolyTensorField.from_json, "field")
-    _emit(fl.delta(F).to_json())
+    from . import duality, fields
+    F = _load(args.input, fields.PolyTensorField.from_json, "field")
+    _emit(duality.delta(F).to_json())
     return 0
 
 
 def _cmd_dual(args):
-    from . import fields as fl
-    F = _load(args.input, fl.PolyTensorField.from_json, "field")
-    _emit(fl.dual_star_field(F).to_json())
+    from . import duality, fields
+    F = _load(args.input, fields.PolyTensorField.from_json, "field")
+    _emit(duality.dual_star_field(F).to_json())
     return 0
 
 
@@ -132,8 +133,8 @@ def _cmd_poincare(args):
 
 
 def _cmd_hexagon(args):
-    from . import cohomology as co
-    return _report(co.hexagon_check(args.N, args.D, args.k, args.l, args.qmax), args.format)
+    from .sequences import hexagon_check
+    return _report(hexagon_check(args.N, args.D, args.k, args.l, args.qmax), args.format)
 
 
 def _cmd_theorem2(args):
@@ -243,6 +244,7 @@ def _cmd_verify_all(args):
     from . import fields as fl
     from . import multiforms as mf
     from . import quotient_algebra as qa
+    from .duality import star_relation_constants
     rng = random.Random(args.seed)
     lines = []
     ok = True
@@ -289,7 +291,7 @@ def _cmd_verify_all(args):
     run("splitting of simultaneous cocycles", t2.ok)
 
     run("duality constants",
-        bool(fl.star_relation_constants(3, D, q_values=(1,) if small else (1, 2))))
+        bool(star_relation_constants(3, D, q_values=(1,) if small else (1, 2))))
 
     # the degree cap stays below the top degree of the complex here; the
     # ideal-vs-kernel comparison at the top degree is a documented finding

@@ -172,7 +172,13 @@ def schur_dim(Y, D: int) -> int:
     Y = as_diagram(Y)
     if D < 1:
         raise ShapeError(f"dimension must be positive, got {D}")
-    hooks, contents = _hooks_and_contents(Y.rows)
+    return _schur_dim(Y.rows, D)
+
+
+@lru_cache(maxsize=None)
+def _schur_dim(rows: tuple[int, ...], D: int) -> int:
+    """The hook content product of `schur_dim`, cached: long tables repeat few shapes."""
+    hooks, contents = _hooks_and_contents(rows)
     num = 1
     for c in contents:
         num *= D + c
@@ -183,7 +189,7 @@ def schur_dim(Y, D: int) -> int:
         den *= h
     quot, rem = divmod(num, den)
     if rem:  # pragma: no cover - the hook content product is integral
-        raise VerificationError(f"hook content product not integral for {Y}")
+        raise VerificationError(f"hook content product not integral for {Diagram(rows)}")
     return quot
 
 

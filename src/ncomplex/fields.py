@@ -6,42 +6,43 @@ vector over pairs (slot key, exponent vector): the slot key lists the
 strictly increasing index set of each column, padded with empty slots up
 to N - 1, and the exponent vector records one monomial. This canonical
 storage makes the differential a small cached matrix multiplication.
-Full components go through the codec of `tensor_core`:
-`full_components` expands each padded key by `tc._column_perms`, and
-`from_components` reads each exponent slice back by `tc._read_slots`.
+Full components go through the codec of `dense`: `full_components`
+expands each padded key by `dense._column_perms`, and `from_components`
+reads each exponent slice back by `dense._read_slots`.
 
 The degree-raising differential is realized by a graded insertion of the
 derivative index into the column that row filling grows, followed by the
-projection onto the irreducible symmetry type; the codifferential
-contracts one out the same way. A slot table is built one entry at a
-time: table[mu] is an `_Entries`, whose entry for a key is composed the
-first time it is read and then kept, so a d-chain or a word column that
-reads a few hundred keys of a degree composes a few hundred entries, and
-no path walks every slot key of a degree. `_inserted`, the entry of
-`_insert_table`, alone owns the slot sign convention: `_contracted`
-reverses it, and `_projected` composes an entry with the projector
-columns `tc._projector` of the keys it reaches (`_pi_columns` is the
-projector alone, on padded keys). `_apply_slot` applies a table while
-differentiating the monomial, here and in `multiforms`; `_slot_map`
-applies one without differentiating. Both read an entry by subscription,
-as `quotient_algebra` does, since `dict.get` would skip the composition.
-`_apply_slot` is the d kernel, so it keeps its sum inline; every other
-sparse map here sums its terms through `linalg.accumulate`. `_d_k_int` holds the one stop rule of d^k; its
+projection onto the irreducible symmetry type; the codifferential of
+`duality` contracts one out the same way. A slot table is built one
+entry at a time: table[mu] is an `_Entries`, whose entry for a key is
+composed the first time it is read and then kept, so a d-chain or a word
+column that reads a few hundred keys of a degree composes a few hundred
+entries, and no path walks every slot key of a degree. `_inserted`, the
+entry of `_insert_table`, alone owns the slot sign convention:
+`duality._contracted` reverses it, and `_projected` composes an entry
+with the projector columns `tc._projector` of the keys it reaches
+(`_pi_columns` is the projector alone, on padded keys). `_apply_slot`
+applies a table while differentiating the monomial, here and in
+`multiforms`; `_slot_map` applies one without differentiating. Both read
+an entry by subscription, as `quotient_algebra` does, since `dict.get`
+would skip the composition. `_apply_slot` is the d kernel, so it keeps
+its sum inline; every other sparse map here sums its terms through
+`linalg.accumulate`. `_d_k_int` holds the one stop rule of d^k; its
 callers are `d_power` (so `n_diff`), the d-chain `_hw_image` of one
 highest-weight vector (below) and `_image_vectors`, the cached store of
 d^k on weight bases, one column per basis vector, zeros kept. Only the
-preimage solve and the two-form triviality test of `cohomology` read that
-store; every verdict on a highest-weight vector reads the chain. `_partials`
-alone owns the derivative of full components (index tuple, exponent):
-the literal gauge and two-form operators scatter its entries to the
-index positions their formulas name. The second routes that only the
-tests compare against (the raw derivative, d by the full symmetrizer,
-the unprojected contraction and the projected product of two fields)
-live in `tests/field_oracles.py`. The duality
-`dual_star_field` applies `tc._hodge_star`, the one column-wise Hodge
-star, to each slot key. Field entries are checked by their structure
-(`_check_entry`, shared with `multiforms.Multiform`), never against a
-list of the slot keys of a degree, which grows as a power of D.
+preimage solve and the two-form triviality test of `sequences` read that
+store; every verdict on a highest-weight vector reads the chain.
+`_partials` alone owns the derivative of full components (index tuple,
+exponent): the literal gauge and two-form operators scatter its entries
+to the index positions their formulas name. The second routes that only
+the tests compare against (the raw derivative, d by the full
+symmetrizer, the unprojected contraction and the projected product of
+two fields) live in `tests/field_oracles.py`. The Hodge duality, the
+codifferential and their constants live in `duality`. Field entries
+are checked by their structure (`_check_entry`, shared with
+`multiforms.Multiform`), never against a list of the slot keys of a
+degree, which grows as a power of D.
 
 The torus weight of an entry (`weight`) is the index content of its slot
 key plus its exponent vector. Inserting mu adds e_mu to the content and
@@ -74,10 +75,8 @@ too and d does not kill it there, that image starts the chain, since d is
 equivariant and that block holds S_lam once (`_hw_reuses_below` checks
 that every raising operator kills it); the chain then continues the one
 below, and only the other starts solve a raising nullspace. A caller that
-pairs a vector with its image takes both from the chain. The star is a
-bijection whose det factors cancel in star^-1 delta star and in the double
-dual, so the duality constants are checked on star images of covariant
-ones. `block_basis`, the whole block, is left to the tests as an oracle.
+pairs a vector with its image takes both from the chain. `block_basis`,
+the whole block, is left to the tests as an oracle.
 
 The same solve serves the unit slot vectors of a multiform block (md, q)
 of `multiforms` (slot sizes md, no symmetry type). That block is
@@ -107,11 +106,11 @@ from math import comb, prod
 from operator import sub
 from typing import NamedTuple
 
-from . import linalg
+from . import _resolve_in, linalg
 from . import tensor_core as tc
 from .diagrams import Diagram, horizontal_strips, max_diagram, schur_dim
 from .errors import ShapeError, VerificationError
-from .tensor_core import CO, CONTRA, Tensor
+from .tensor_core import CO, CONTRA
 
 
 class BlockLabel(NamedTuple):
@@ -210,11 +209,12 @@ class PolyTensorField(linalg.Sparse):
 
     # -- conversions ------------------------------------------------------
 
-    def tensor_slice(self, exp) -> Tensor:
-        """The tensor multiplying one monomial."""
+    def tensor_slice(self, exp):
+        """The `dense.Tensor` multiplying one monomial."""
+        from .dense import tensor_from_wedge
         exp = tuple(exp)
         wvec = {k: v for (k, e), v in self.data.items() if e == exp}
-        return tc.tensor_from_wedge(self.shape, self.D, wvec, self.variance)
+        return tensor_from_wedge(self.shape, self.D, wvec, self.variance)
 
     def exponents(self) -> list:
         return sorted({e for _, e in self.data})
@@ -222,6 +222,7 @@ class PolyTensorField(linalg.Sparse):
     @classmethod
     def from_components(cls, N, D, p, q, variance, components):
         """Build a field from full components keyed by (index tuple, exponent), type-checked."""
+        from .dense import _check_index, _typed_wedge
         Y = max_diagram(N, p)
         if D < 1:
             raise ShapeError(f"field dimension must be at least 1, got {D}")
@@ -231,14 +232,14 @@ class PolyTensorField(linalg.Sparse):
                 raise ShapeError(f"exponent {exp} is not a monomial in {D} variables")
             if sum(exp) != q:
                 raise ShapeError(f"exponent {exp} is not homogeneous of degree {q}")
-            idx = tc._check_index(tuple(idx), p, D)
+            idx = _check_index(tuple(idx), p, D)
             v = Fraction(v)
             if not v:
                 continue
             slices.setdefault(tuple(exp), {})[idx] = v
         data: dict = {}
         for exp, comp in slices.items():
-            wvec = tc._typed_wedge(Y.rows, comp)
+            wvec = _typed_wedge(Y.rows, comp)
             if wvec is None:
                 raise ShapeError(f"slice at exponent {exp} does not have symmetry type {Y}")
             for key, v in wvec.items():
@@ -246,24 +247,27 @@ class PolyTensorField(linalg.Sparse):
         return cls(N, D, p, q, variance, data)
 
     def full_components(self) -> dict:
-        """All nonzero (index tuple, exponent) components, expanded by `tc._column_perms`."""
+        """All nonzero (index tuple, exponent) components, expanded by `dense._column_perms`."""
+        from .dense import _column_perms
         return {(idx, exp): sign * v for (key, exp), v in self.data.items()
-                for idx, sign in tc._column_perms(key)}
+                for idx, sign in _column_perms(key)}
 
     def to_json(self) -> str:
+        from .dense import _json_doc
         head = {"N": self.N, "dim": self.D, "degree": self.p, "poly_degree": self.q,
                 "variance": self.variance, "shape": self.shape.to_list()}
-        return tc._json_doc(head, ("idx", "exp"), sorted(self.full_components().items()))
+        return _json_doc(head, ("idx", "exp"), sorted(self.full_components().items()))
 
     @classmethod
     def from_json(cls, text: str) -> "PolyTensorField":
         import json
+        from .dense import _json_entries, _json_int, _json_ints
         doc = json.loads(text)
-        comps = tc._json_entries(
-            doc, lambda e: (tc._json_ints(e["idx"], "idx"), tc._json_ints(e["exp"], "exp")))
-        N, D, p, q = (tc._json_int(doc[k], k) for k in ("N", "dim", "degree", "poly_degree"))
+        comps = _json_entries(
+            doc, lambda e: (_json_ints(e["idx"], "idx"), _json_ints(e["exp"], "exp")))
+        N, D, p, q = (_json_int(doc[k], k) for k in ("N", "dim", "degree", "poly_degree"))
         shape, Y = doc.get("shape"), max_diagram(N, p)
-        if shape is not None and tc._json_ints(shape, "shape") != Y.rows:
+        if shape is not None and _json_ints(shape, "shape") != Y.rows:
             raise ShapeError(f"shape {shape} is not the degree-{p} type {Y}")
         F = cls.from_components(N, D, p, q, doc["variance"], comps)
         BlockLabel(N, D, p, q).validate()  # the only check of a document without entries
@@ -333,31 +337,10 @@ def _inserted(slot: int, mu: int, key):
     return [(key[:slot] + (tuple(sorted(S + (mu,))),) + key[slot + 1:], -1 if passed % 2 else 1)]
 
 
-def _contracted(slot: int, mu: int, key):
-    """Unprojected contraction of index mu out of one slot of key.
-
-    The `_inserted` entry of the key with mu removed, reversed, with the
-    sign of moving the removed generator to the right end of its slot; ()
-    when the slot lacks mu.
-    """
-    S = key[slot]
-    if mu not in S:
-        return ()
-    below = key[:slot] + (tuple(x for x in S if x != mu),) + key[slot + 1:]
-    [(_, sign)] = _inserted(slot, mu, below)
-    return [(below, -sign if sum(map(len, below[:slot + 1])) % 2 else sign)]
-
-
 @lru_cache(maxsize=None)
 def _insert_table(D: int, slot: int) -> dict:
     """Unprojected insertion of one index into a slot: table[mu][key] = `_inserted`."""
     return _table(partial(_inserted, slot), range(1, D + 1))
-
-
-@lru_cache(maxsize=None)
-def _contract_table(D: int, slot: int) -> dict:
-    """Unprojected contraction of one index out of a slot: table[mu][key] = `_contracted`."""
-    return _table(partial(_contracted, slot), range(1, D + 1))
 
 
 def _projected(table, N: int, D: int, Y: Diagram):
@@ -444,15 +427,6 @@ def _insertion(N: int, D: int, p: int):
     receiving slot is the column that row filling grows at degree p + 1.
     """
     return _projected(_insert_table(D, p % (N - 1)), N, D, max_diagram(N, p + 1))
-
-
-@lru_cache(maxsize=None)
-def _contraction(N: int, D: int, p: int):
-    """Contraction out of the last filled column followed by projection.
-
-    The codifferential's counterpart of `_insertion`, from degree p to p - 1.
-    """
-    return _projected(_contract_table(D, (p - 1) % (N - 1)), N, D, max_diagram(N, p - 1))
 
 
 def _apply_d_int(N, D, p, vec: dict) -> dict:
@@ -772,7 +746,6 @@ def _relabeled(units, md) -> tuple:
                  for u in units)
 
 
-
 def block_dim(N, D, p, q) -> int:
     if p > _top_degree(N, D) or p < 0 or q < 0:
         return 0
@@ -794,82 +767,5 @@ def random_field(N, D, p, q, rng, variance=CO) -> PolyTensorField:
     return PolyTensorField(N, D, p, q, variance, linalg.combine(coeffs, basis))
 
 
-# ---------------------------------------------------------------------------
-# the codifferential and duality
-
-def delta(F: PolyTensorField) -> PolyTensorField:
-    """Divergence-type codifferential on contravariant fields.
-
-    Contracts a derivative into the last entry of the rightmost tall
-    column, then projects. In the well-filled case the projection is
-    already the identity.
-    """
-    if F.variance != CONTRA:
-        raise ShapeError("the codifferential acts on contravariant fields")
-    _check_in_complex(F)
-    N, D, p = F.N, F.D, F.p
-    if p == 0 or F.q == 0:
-        return PolyTensorField.zero(N, D, max(p - 1, 0), max(F.q - 1, 0), CONTRA)
-    table, lam = _contraction(N, D, p)
-    data = {k: v / lam for k, v in _apply_slot(table, F.data, D).items()}
-    return PolyTensorField(N, D, p - 1, F.q - 1, CONTRA, data)
-
-
-def dual_star_field(F: PolyTensorField) -> PolyTensorField:
-    """Epsilon duality: `tc._hodge_star` on each padded slot key; flips the variance."""
-    N, D = F.N, F.D
-    p2 = _top_degree(N, D) - F.p
-    if p2 < 0:
-        raise ShapeError("degree out of range for duality")
-    data: dict = {}
-    for (key, exp), v in F.data.items():
-        key2, c = tc._hodge_star(key, D)
-        data[(key2, exp)] = c * v
-    return PolyTensorField(N, D, p2, F.q, CONTRA if F.variance == CO else CO, data)
-
-
-@lru_cache(maxsize=None)
-def _double_dual_constant(N: int, D: int, p: int) -> Fraction:
-    """Scalar of the double dual on the degree-p contravariant block.
-
-    Checked on the star images of `hw_basis` of degree top - p.
-    """
-    stars = (dual_star_field(h) for h in hw_basis(N, D, _top_degree(N, D) - p, 0))
-    c = linalg.proportionality((dual_star_field(dual_star_field(b)).data, b.data) for b in stars)
-    if not c:
-        raise VerificationError(f"double dual degenerate at N={N} D={D} p={p}")
-    return c
-
-
-def star_inverse_field(F: PolyTensorField) -> PolyTensorField:
-    """Preimage of F under the duality map of opposite variance."""
-    c = _double_dual_constant(F.N, F.D, F.p)
-    return dual_star_field(F).scale(1 / c)
-
-
-def star_relation_constants(N: int, D: int, q_values=(1, 2)) -> dict:
-    """Per-degree constants relating the codifferential to star d star.
-
-    For each n returns the unique nonzero c with
-    delta = c * (star compose d compose star inverse) on degree n,
-    verified at the given polynomial degrees on the star images of the
-    covariant highest-weight vectors h of degree top - n (`hw_basis`), as
-    delta(star h) against star(d h) since star^-1 star h = h: the star is
-    a bijection, and star^-1 delta star is equivariant.
-    """
-    BlockLabel(N, D, 0, 0).validate()
-    top = _top_degree(N, D)
-    out = {}
-    for n in range(1, top + 1):
-        pairs = [(delta(dual_star_field(h)).data, dual_star_field(n_diff(h)).data)
-                 for q in q_values for h in hw_basis(N, D, top - n, q)]
-        try:
-            c = linalg.proportionality(pairs)
-        except ValueError as exc:
-            raise VerificationError(
-                f"no single constant relates delta and star d star at degree {n}: {exc}"
-            ) from exc
-        if not c:
-            raise VerificationError(f"degenerate star relation at degree {n}")
-        out[n] = c
-    return out
+__getattr__ = _resolve_in(__name__, "duality",
+                        "delta dual_star_field star_inverse_field star_relation_constants")

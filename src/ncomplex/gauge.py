@@ -18,7 +18,7 @@ constituent (`fields.hw_basis`).
 Index groups are always column-read: a curvature-symmetry tensor is
 stored as R[(a, b, c, d)] with (a, b) the first antisymmetric column and
 (c, d) the second. Stress potentials dualize through
-`fields.dual_star_field`, the one slot-key Hodge star; no epsilon tensor
+`duality.dual_star_field`, the one slot-key Hodge star; no epsilon tensor
 is built here.
 """
 
@@ -35,7 +35,6 @@ from .fields import (
     _partials,
     block_dim,
     d_power,
-    dual_star_field,
     hw_basis,
     n_diff,
     # unused here; the name stays because bench/spans.py wraps this binding
@@ -151,8 +150,9 @@ def stress_potential(T: PolyTensorField) -> PolyTensorField:
     and dualizes back. One rescaling absorbs the constants of the two
     dualities, and the residual is checked to vanish identically.
     """
-    # imported here, so that the spin2 and spinS runs do not load cohomology
-    from .cohomology import solve_preimage
+    # imported here, so that the spin2 and spinS runs load neither duality nor sequences
+    from .duality import dual_star_field
+    from .sequences import solve_preimage
 
     if T.N != 3 or T.p != 2 or T.variance != CONTRA:
         raise ShapeError("expected a contravariant symmetric two-tensor field")

@@ -108,19 +108,24 @@ class Sparse:
     def is_zero(self) -> bool:
         return not self.data
 
+    def _peer(self, other) -> bool:
+        """Whether other is a value of this type in this space."""
+        return type(other) is type(self) and self._space() == other._space()
+
     def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self._space() == other._space()
-                and self.data == other.data)
+        return self._peer(other) and self.data == other.data
 
     def __hash__(self):
         return hash((type(self), self._space(), frozenset(self.data.items())))
 
     def __add__(self, other):
-        if type(other) is not type(self) or self._space() != other._space():
+        if not self._peer(other):
             raise ShapeError(f"cannot add {other!r} to {self!r}")
         return self._like(add_to(dict(self.data), other.data))
 
     def __sub__(self, other):
+        if not self._peer(other):
+            raise ShapeError(f"cannot subtract {other!r} from {self!r}")
         return self + other.scale(-1)
 
     def scale(self, c):

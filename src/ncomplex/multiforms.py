@@ -134,16 +134,17 @@ class Multiform(linalg.Sparse):
         return f"Multiform(N={self.N}, D={self.D}, {len(self.data)} entries)"
 
     def to_json(self) -> str:
-        return tc._json_doc({"N": self.N, "dim": self.D}, ("slots", "exp"),
-                            sorted(self.data.items()))
+        from .dense import _json_doc
+        return _json_doc({"N": self.N, "dim": self.D}, ("slots", "exp"), sorted(self.data.items()))
 
     @classmethod
     def from_json(cls, text: str) -> "Multiform":
         import json
+        from .dense import _json_entries, _json_int, _json_ints
         doc = json.loads(text)
-        data = tc._json_entries(doc, lambda e: (
-            tuple(tc._json_ints(s, "slot") for s in e["slots"]), tc._json_ints(e["exp"], "exp")))
-        return cls(tc._json_int(doc["N"], "N"), tc._json_int(doc["dim"], "dim"), data)
+        data = _json_entries(doc, lambda e: (
+            tuple(_json_ints(s, "slot") for s in e["slots"]), _json_ints(e["exp"], "exp")))
+        return cls(_json_int(doc["N"], "N"), _json_int(doc["dim"], "dim"), data)
 
 
 def d_slot(i: int, w: Multiform) -> Multiform:

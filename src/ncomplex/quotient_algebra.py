@@ -51,11 +51,12 @@ from .errors import ShapeError
 from .fields import (BlockLabel, _constituents, _hw_units, _insertion, _pad, _staircase,
                      _top_degree)
 from .report import CheckReport
-from .tensor_core import CONTRA, Tensor, _check_tag, tensor_from_wedge, tensor_to_wedge
+from .tensor_core import CONTRA
 
 
-def unit_element(N: int, D: int) -> Tensor:
-    """The degree-zero generator, a cyclic vector for the action."""
+def unit_element(N: int, D: int):
+    """The degree-zero generator, a cyclic vector for the action, as a `dense.Tensor`."""
+    from .dense import Tensor
     return Tensor(D, 0, CONTRA, {(): Fraction(1)}, max_diagram(N, 0))
 
 
@@ -65,12 +66,13 @@ def _insert_index(N, D, p, vec, mu):
     return linalg.accumulate((k2, v * c) for key, v in vec.items() for k2, c in ins[key])
 
 
-def act(N: int, T: Tensor, word) -> Tensor:
-    """Right action of a word of vectors on a graded element.
+def act(N: int, T, word):
+    """Right action of a word of vectors on a graded element, a `dense.Tensor`.
 
     Each letter is appended and projected in turn; the result drops to
     zero as soon as the degree leaves the finite range.
     """
+    from .dense import Tensor, _check_tag, tensor_from_wedge, tensor_to_wedge
     if T.shape is None or T.shape != max_diagram(N, T.degree):
         raise ShapeError("the element must carry its maximally filled shape")
     D = T.dim

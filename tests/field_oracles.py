@@ -19,7 +19,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 
-from ncomplex import linalg
+from ncomplex import dense, linalg
 from ncomplex import tensor_core as tc
 from ncomplex.diagrams import max_diagram, partitions, schur_dim
 from ncomplex.errors import ShapeError
@@ -27,13 +27,12 @@ from ncomplex.fields import (
     PolyTensorField,
     _apply_slot,
     _check_in_complex,
-    _contract_table,
     _pad,
     _partials,
     _staircase,
     _top_degree,
-    delta,
 )
+from ncomplex.duality import _contract_table, delta
 from ncomplex.multiforms import d_slot, embed_field
 from ncomplex.tensor_core import CONTRA, Tensor
 
@@ -69,7 +68,7 @@ def young_derivative(F: PolyTensorField) -> PolyTensorField:
     cells = (*(offsets[c] + r for (r, c) in Y.cells()), offsets[new_col] + cols1[new_col] - 1)
 
     sign = -1 if p % 2 else 1
-    raw = linalg.accumulate(((exp2, tc._place(I + (mu,), cells)), v)
+    raw = linalg.accumulate(((exp2, dense._place(I + (mu,), cells)), v)
                             for mu, I, exp2, v in _partials(F.full_components(), D))
     raw_slices: dict = {}
     for (exp2, J), v in raw.items():
@@ -123,7 +122,7 @@ def eager_projected(table: dict, N: int, D: int, Y) -> tuple:
 
 
 def eager_slot_tables(N: int, D: int, p: int) -> dict:
-    """The whole tables of `fields._insertion`, `_contraction` and `_pi_columns` at
+    """The whole tables of `fields._insertion`, `duality._contraction` and `_pi_columns` at
     degree p, by name, each as (table, lam) and composed by `eager_projected`;
     `_pi_columns` under the one letter 0. A degree with no such map has no entry."""
     md = _staircase(N, p)

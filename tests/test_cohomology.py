@@ -11,7 +11,6 @@ from ncomplex.cohomology import (
     CohomologyTable,
     _image_vectors,
     _ker_im,
-    _map_rank,
     cocycle_from_two_form,
     cohomology_dim,
     compute_table,
@@ -23,6 +22,7 @@ from ncomplex.cohomology import (
     two_form_cocycle_is_trivial,
 )
 from ncomplex.diagrams import horizontal_strips, max_diagram
+from ncomplex.sequences import _map_rank
 from ncomplex.errors import ShapeError, VerificationError
 from ncomplex.fields import (
     PolyTensorField,

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -137,6 +138,30 @@ def test_schur_dim_examples():
     assert schur_dim((1, 1, 1), 2) == 0
     for D in (2, 3, 4):
         assert schur_dim((2, 2), D) == D * D * (D * D - 1) // 12
+
+
+def count_semistandard_fillings(Y, D):
+    """Brute-force count of the fillings of Y with entries in 1..D that weakly
+    increase along rows and strictly down columns, the oracle for schur_dim."""
+    cells = Y.cells()
+    count = 0
+    for values in product(range(1, D + 1), repeat=len(cells)):
+        at = dict(zip(cells, values))
+        count += all((c == 0 or at[(r, c - 1)] <= v) and (r == 0 or at[(r - 1, c)] < v)
+                     for (r, c), v in at.items())
+    return count
+
+
+def test_schur_dim_counts_semistandard_fillings_of_every_small_shape():
+    # every shape of at most 6 cells at D <= 4, each asked twice: the second
+    # answer comes from the cache of the hook content product
+    for n in range(7):
+        for Y in partitions(n):
+            for D in range(1, 5):
+                want = count_semistandard_fillings(Y, D)
+                assert schur_dim(Y, D) == want == schur_dim(Y.rows, D), (Y, D)
+    with pytest.raises(ShapeError):
+        schur_dim((2, 1), 0)
 
 
 def test_schur_dim_vanishes_beyond_top_degree():

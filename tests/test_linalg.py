@@ -426,13 +426,34 @@ def test_values_of_different_types_never_add():
     for x, y in ((w, F), (F, w), (T, F), (F, T), (T, w)):
         with pytest.raises(ShapeError):
             x + y
+        with pytest.raises(ShapeError, match="cannot subtract"):
+            x - y
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_VALUES))
+def test_subtraction_checks_the_type_and_the_space_before_it_scales(kind):
+    a, _, other_space = SPARSE_VALUES[kind]
+    scaled = []
+
+    class Scalable:  # not a value, but it has a scale method that subtraction must not call
+        def scale(self, c):
+            scaled.append(c)
+            return a
+
+    for operand in (3, Fraction(1, 2), None, Scalable(), other_space):
+        with pytest.raises(ShapeError, match="cannot add"):
+            a + operand
+        with pytest.raises(ShapeError, match="cannot subtract"):
+            a - operand
+    assert scaled == []
+    assert Tensor(2, 1, "co", {(1,): 1}) - Tensor(2, 1, "co", {(1,): 1}) == Tensor(2, 1, "co")
 
 
 VALUE_RULES = {"is_zero", "__eq__", "__hash__", "__sub__", "scale"}
 # the one owner of each rule: (module, class or function)
 SPARSE_OWNER = ("linalg.py", "Sparse")
-ADD_OWNERS = {SPARSE_OWNER, ("tensor_core.py", "Tensor")}
-DEN_OWNERS = {("tensor_core.py", "_json_doc"), ("tensor_core.py", "_entry_value")}
+ADD_OWNERS = {SPARSE_OWNER, ("dense.py", "Tensor")}
+DEN_OWNERS = {("dense.py", "_json_doc"), ("dense.py", "_entry_value")}
 
 
 def _value_rule_copies(name: str, source: str) -> list:
@@ -483,9 +504,9 @@ def to_json(v):
         ("fields.py", "Tensor", "__add__"), ("fields.py", "Tensor", "scale"),
         ("fields.py", "Sparse", "is_zero"), ("fields.py", "Sparse", "__eq__"),
         ("fields.py", "_json_doc", "den"), ("fields.py", "to_json", "den")]
-    assert _value_rule_copies("tensor_core.py", probe) == [
-        ("tensor_core.py", "Tensor", "scale"), ("tensor_core.py", "Sparse", "is_zero"),
-        ("tensor_core.py", "Sparse", "__eq__"), ("tensor_core.py", "to_json", "den")]
+    assert _value_rule_copies("dense.py", probe) == [
+        ("dense.py", "Tensor", "scale"), ("dense.py", "Sparse", "is_zero"),
+        ("dense.py", "Sparse", "__eq__"), ("dense.py", "to_json", "den")]
     assert _value_rule_copies("linalg.py", probe) == [
         ("linalg.py", "Tensor", "__add__"), ("linalg.py", "Tensor", "scale"),
         ("linalg.py", "_json_doc", "den"), ("linalg.py", "to_json", "den")]

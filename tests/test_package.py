@@ -148,9 +148,14 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     assert _package(loaded) == front | {f"ncomplex.{m}" for m in (
         "cohomology", "fields", "linalg", "report", "tensor_core")}
     assert not {"dataclasses", "inspect", "json"} & loaded
+    verdicts = front | {f"ncomplex.{m}" for m in (
+        "cohomology", "fields", "linalg", "report", "tensor_core")}
     loaded, code = _loads(RUN_MAIN, "poincare", "--N", "3", "--D", "2", "--nmax", "1",
                           "--qmax", "1")
-    assert code == 0 and "ncomplex.cohomology" in loaded and "json" not in loaded
+    assert code == 0 and _package(loaded) == verdicts and "json" not in loaded
+    # the exact sequences load their own layer, and no dense tensor or duality
+    loaded, code = _loads(RUN_MAIN, "hexagon", "--N", "4", "--D", "2", "--qmax", "1")
+    assert code == 0 and _package(loaded) == verdicts | {"ncomplex.sequences"}
     loaded, code = _loads(RUN_MAIN, "theorem2", "--N", "3", "--D", "2", "--K", "1,2", "--m", "1",
                           "--qcap", "1")
     assert code == 0 and "json" not in loaded
@@ -161,17 +166,88 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     assert code == 0 and "json" not in loaded
     assert _package(loaded) == front | {f"ncomplex.{m}" for m in (
         "quotient_algebra", "fields", "linalg", "report", "tensor_core")}
-    # of the gauge runs, only the stress potential solves in `cohomology`
-    for argv in (("spin2", "--D", "2"), ("spinS", "--S", "2", "--D", "2", "--q", "2")):
-        loaded, code = _loads(RUN_MAIN, *argv)
-        assert code == 0
-        assert _package(loaded) == front | {f"ncomplex.{m}" for m in (
-            "gauge", "fields", "linalg", "tensor_core")}, argv
+    # of the gauge runs, only the stress potential dualizes and solves in `sequences`;
+    # the literal spin-2 operators read full components, in `dense`
+    gauge = front | {f"ncomplex.{m}" for m in ("gauge", "fields", "linalg", "tensor_core")}
+    loaded, code = _loads(RUN_MAIN, "spin2", "--D", "2")
+    assert code == 0 and _package(loaded) == gauge | {"ncomplex.dense"}
+    loaded, code = _loads(RUN_MAIN, "spinS", "--S", "2", "--D", "2", "--q", "2")
+    assert code == 0 and _package(loaded) == gauge
     field = tmp_path / "stress.json"
     field.write_text('{"N": 3, "dim": 2, "degree": 2, "poly_degree": 0, "variance": "contra", '
                      '"entries": [{"idx": [1, 1], "exp": [0, 0], "num": "1", "den": "1"}]}')
     loaded, code = _loads(RUN_MAIN, "stress-potential", "--input", str(field))
-    assert code == 0 and {"ncomplex.gauge", "ncomplex.cohomology"} <= loaded
+    assert code == 0 and _package(loaded) == gauge | {f"ncomplex.{m}" for m in (
+        "dense", "duality", "sequences", "cohomology", "report")}
+    # a field run loads the dense layer for its JSON; only delta and dual load `duality`
+    field.write_text('{"N": 3, "dim": 2, "degree": 2, "poly_degree": 1, "variance": "contra", '
+                     '"entries": [{"idx": [1, 1], "exp": [1, 0], "num": "1", "den": "1"}]}')
+    dense = front | {f"ncomplex.{m}" for m in ("dense", "fields", "linalg", "tensor_core")}
+    loaded, code = _loads(RUN_MAIN, "diff", "--input", str(field))
+    assert code == 0 and _package(loaded) == dense
+    for command in ("delta", "dual"):
+        loaded, code = _loads(RUN_MAIN, command, "--input", str(field))
+        assert code == 0 and _package(loaded) == dense | {"ncomplex.duality"}, command
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text('{"dim": 2, "degree": 2, "variance": "co", "shape": null, '
+                      '"entries": [{"idx": [1, 2], "num": "1", "den": "1"}]}')
+    loaded, code = _loads(RUN_MAIN, "project", "--shape", "2", "--input", str(tensor))
+    assert code == 0
+    assert _package(loaded) == front | {f"ncomplex.{m}" for m in ("dense", "linalg", "tensor_core")}
+
+
+# the layers split off the verdict kernel, and the modules of that kernel
+SPLIT_LAYERS = {"dense", "duality", "sequences"}
+VERDICT_KERNEL = ("diagrams", "linalg", "tensor_core", "fields", "cohomology", "report")
+
+
+def _module_level_imports(source: str) -> list:
+    """The package modules a source imports outside every function body, by name:
+    `from .m import ...`, `from . import m`, `import ncomplex.m` and `from ncomplex import m`."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue  # a function body imports when it runs
+            if isinstance(child, ast.ImportFrom):
+                module = child.module or ""
+                if child.level and module:
+                    found.append(module.split(".")[0])
+                elif child.level or module == "ncomplex":
+                    found.extend(a.name for a in child.names)
+                elif module.startswith("ncomplex."):
+                    found.append(module.split(".")[1])
+            elif isinstance(child, ast.Import):
+                found.extend(a.name.split(".")[1] for a in child.names
+                             if a.name.startswith("ncomplex."))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_verdict_kernel_imports_no_split_layer_at_module_level():
+    # the verdict runs load only what these modules import when they load
+    imports = {name: set(_module_level_imports((SRC / "ncomplex" / f"{name}.py").read_text()))
+               for name in VERDICT_KERNEL}
+    assert {name: SPLIT_LAYERS & m for name, m in imports.items()} == {
+        name: set() for name in VERDICT_KERNEL}
+    assert {"linalg", "tensor_core"} <= imports["fields"] and "fields" in imports["cohomology"]
+    # the scan catches a planted import of each form, in a class body too, and
+    # leaves the imports inside functions alone
+    probe = """
+from . import linalg
+from .dense import Tensor
+import ncomplex.duality
+from ncomplex import sequences
+class Table:
+    from .dense import _json_doc
+def later():
+    from .duality import delta
+    import ncomplex.sequences
+"""
+    assert _module_level_imports(probe) == ["linalg", "dense", "duality", "sequences", "dense"]
 
 
 # modules whose threads or processes the interpreter's final teardown would join

@@ -25,8 +25,9 @@ from ncomplex.quotient_algebra import (
     symmetrized_power_check,
     unit_element,
 )
-from ncomplex.tensor_core import (CONTRA, Tensor, _content_order, _exchange_ok, _slot_keys,
-                                  tensor_from_wedge, wedge_keys)
+from ncomplex.dense import _exchange_ok
+from ncomplex.tensor_core import (CONTRA, Tensor, _content_order, _slot_keys, tensor_from_wedge,
+                                  wedge_keys)
 
 from field_oracles import partition_weights
 

@@ -7,14 +7,13 @@ from math import comb, factorial, prod
 
 import pytest
 
-from ncomplex import linalg, tensor_core
+from ncomplex import dense, linalg, tensor_core
 from ncomplex.diagrams import Diagram, horizontal_strips, max_diagram, partitions, schur_dim
 from ncomplex.errors import ShapeError, VerificationError
+from ncomplex.dense import _column_perms, _hodge_star
 from ncomplex.quotient_algebra import act
 from ncomplex.tensor_core import (
     Tensor,
-    _column_perms,
-    _hodge_star,
     contract_tensor,
     dual_star,
     epsilon,
@@ -272,7 +271,7 @@ def test_hodge_star_on_slot_keys_matches_epsilon_contraction(monkeypatch):
     # full-component contraction with the epsilon power; a slot-key unit is
     # column antisymmetric but not of the tagged type, so the tag check that
     # guards library callers is lifted to use the contraction formula alone
-    monkeypatch.setattr(tensor_core, "_check_tag", lambda T: T)
+    monkeypatch.setattr(dense, "_check_tag", lambda T: T)
     for N, D_max in ((2, 4), (3, 3), (4, 3)):
         for D in range(1, D_max + 1):
             for p in range((N - 1) * D + 1):
@@ -371,7 +370,7 @@ def test_projector_columns_of_a_column_taller_than_D_build_no_group(monkeypatch)
     def no_group(rows):
         raise AssertionError("a row group was built")
 
-    monkeypatch.setattr(tensor_core, "row_group", no_group)
+    monkeypatch.setattr(dense, "row_group", no_group)
     # the row group of this shape has 2^49 permutations
     rows = (2,) * 49
     assert projector_columns(rows, 2) == ({}, tensor_core.normalization(Diagram(rows)))
@@ -417,7 +416,7 @@ def _group_sum_columns(rows, D, keys=None):
     |Stab(J)| times; each full index tuple is column-sorted once per shape.
     """
     blocks = tensor_core._column_blocks(rows)
-    row_cells = tensor_core._row_blocks(rows)
+    row_cells = dense._row_blocks(rows)
     # the rows' values laid end to end, read back in column reading order
     read = sorted(range(sum(rows)), key=[k for row in row_cells for k in row].__getitem__)
     cols, canon = {}, {}
@@ -592,8 +591,8 @@ def _plain_group_sum_columns(rows, D):
     blocks = tensor_core._column_blocks(rows)
     cols = {}
     for S in wedge_keys(rows, D):
-        summed = linalg.accumulate((tensor_core._place(J, p), v)
-                                   for p in tensor_core.row_group(rows) for J, v in _column_perms(S))
+        summed = linalg.accumulate((dense._place(J, p), v)
+                                   for p in dense.row_group(rows) for J, v in _column_perms(S))
         out = {}
         for I, v in summed.items():
             canon = tensor_core._canonicalize(I, blocks)
@@ -642,7 +641,7 @@ def test_sort_block_signs_a_column_by_its_inversions():
                 assert got is None, vals
                 continue
             order = sorted(range(n), key=vals.__getitem__)
-            assert got == (tuple(vals[o] for o in order), tensor_core._perm_sign(order)), vals
+            assert got == (tuple(vals[o] for o in order), dense._perm_sign(order)), vals
 
 
 def _every_column_echelon(rows, D):
